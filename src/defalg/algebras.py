@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ from .budget import DEFAULT_ENUM_BUDGET, as_budget
 from .fields import Field, PrimeField, Scalar
 from .groebner import GroebnerBasis, buchberger, normal_form, normal_form_quotients
 from .linalg import Matrix
-from .poly import GREVLEX, Monomial, Polynomial, mono_deg, mono_divides
+from .poly import GREVLEX, Monomial, Polynomial, mono_deg, mono_divides, mono_mul
 
 
 class PresentedAlgebra:
@@ -245,31 +244,17 @@ class PresentedAlgebra:
             raise ValueError("zero ring has no structure table here")
         if std[0] != (0,) * self.nvars:
             raise AssertionError("unit monomial missing from basis")
-        index = {m: i for i, m in enumerate(std)}
         f = self.field
-        if isinstance(f, PrimeField):
-            mul = np.zeros((n, n, n), np.int64)
-        else:
-            mul = [[[f.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i, mi in enumerate(std):
-            for j in range(i, n):
-                mj = std[j]
-                prod = Polynomial.monomial(f, self.nvars, tuple(a + b for a, b in zip(mi, mj)))
-                nf = self.normal_form(prod)
-                for m, c in nf.terms.items():
-                    k = index[m]
-                    if isinstance(f, PrimeField):
-                        mul[i, j, k] = c
-                        mul[j, i, k] = c
-                    else:
-                        mul[i][j][k] = c
-                        mul[j][i][k] = c
+
+        def product(i, j):
+            return self.coordinates(Polynomial.monomial(f, self.nvars, mono_mul(std[i], std[j])))
+
         labels = tuple(self.mono_label(m) for m in std)
         gen_images = tuple(self.coordinates(self.var(v)) for v in range(self.nvars))
-        return StructureAlgebra(
-            field=f,
-            labels=labels,
-            mul=mul,
+        return StructureAlgebra.from_products(
+            f,
+            labels,
+            product,
             gen_names=self.names,
             gen_images=gen_images,
             base_names=self.base_names,
@@ -320,15 +305,9 @@ class StructureAlgebra:
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        if isinstance(field, PrimeField):
-            self.mul = np.asarray(mul, np.int64) % field.p
-            if self.mul.shape != (self.dim, self.dim, self.dim):
-                raise ValueError("multiplication tensor shape mismatch")
-        else:
-            self.mul = [
-                [[Fraction(mul[i][j][k]) for k in range(self.dim)] for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
+        self.mul = field.array(mul)
+        if self.mul.shape != (self.dim, self.dim, self.dim):
+            raise ValueError("multiplication tensor shape mismatch")
         if gen_names is None:
             # default designated generators: every non-unit basis element
             gen_names = self.labels[1:]
@@ -345,6 +324,17 @@ class StructureAlgebra:
         self.source = source
         self.truncated_from: Optional[PresentedAlgebra] = None
         self.truncation_degree: Optional[int] = None
+
+    @classmethod
+    def from_products(cls, field: Field, labels: Sequence[str], product, **kwargs) -> "StructureAlgebra":
+        """The table whose e_i * e_j = e_j * e_i is the coordinate vector
+        product(i, j), called once for each i <= j."""
+        n = len(labels)
+        mul = np.zeros((n, n, n), field.dtype)
+        for i in range(n):
+            for j in range(i, n):
+                mul[i, j] = mul[j, i] = product(i, j)
+        return cls(field, labels, mul, **kwargs)
 
     # -- vectors ---------------------------------------------------------
 
@@ -375,21 +365,14 @@ class StructureAlgebra:
 
     def mul_vec(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
         f = self.field
-        if isinstance(f, PrimeField):
-            ua = np.asarray([int(a) for a in u], np.int64)
-            va = np.asarray([int(a) for a in v], np.int64)
-            return [int(x) for x in np.einsum("a,b,abk->k", ua, va, self.mul) % f.p]
-        out = self.zero_vector()
-        for a, ca in enumerate(u):
-            if f.is_zero(ca):
-                continue
-            for b, cb in enumerate(v):
-                if f.is_zero(cb):
-                    continue
-                cab = f.mul(ca, cb)
-                for k in range(self.dim):
-                    out[k] = f.add(out[k], f.mul(cab, self.mul[a][b][k]))
-        return out
+        ua = f.array(u)
+        va = f.array(v)
+        # contract over the nonzero coordinates only: over Q every term
+        # is a Fraction product
+        a = np.flatnonzero(ua)
+        b = np.flatnonzero(va)
+        coef = f.reduce(ua[a, None] * va[b]).reshape(-1)
+        return f.matmul(coef, self.mul[a][:, b].reshape(-1, self.dim)).tolist()
 
     def pow_vec(self, u: Sequence[Scalar], e: int) -> list:
         out = self.unit_vector()
@@ -411,11 +394,6 @@ class StructureAlgebra:
             acc = self.add(acc, self.scale(c, w))
         return acc
 
-    def mul_tensor_int(self) -> np.ndarray:
-        if not isinstance(self.field, PrimeField):
-            raise TypeError("integer tensor only exists over prime fields")
-        return self.mul
-
     def element_label(self, v: Sequence[Scalar]) -> str:
         f = self.field
         bits = []
@@ -429,9 +407,7 @@ class StructureAlgebra:
         return " + ".join(bits) if bits else "0"
 
     def mul_entry(self, i: int, j: int) -> list:
-        if isinstance(self.field, PrimeField):
-            return [int(x) for x in self.mul[i, j]]
-        return list(self.mul[i][j])
+        return self.mul[i, j].tolist()
 
     def __repr__(self):
         return f"<StructureAlgebra dim {self.dim} over {self.field.name}>"
@@ -712,46 +688,20 @@ def _validate_structure(S: StructureAlgebra) -> List[str]:
     out = []
     f = S.field
     n = S.dim
-    if isinstance(f, PrimeField):
-        mul = S.mul
-        ident = np.zeros((n, n), np.int64)
-        np.fill_diagonal(ident, 1)
-        if not np.array_equal(mul[0] % f.p, ident):
-            out.append("basis element 0 is not a left unit")
-        if not np.array_equal(mul[:, 0] % f.p, ident):
-            out.append("basis element 0 is not a right unit")
-        if np.any((mul - mul.transpose(1, 0, 2)) % f.p):
-            out.append("multiplication is not commutative")
-        lhs = np.einsum("ijm,mkl->ijkl", mul, mul) % f.p
-        rhs = np.einsum("jkm,iml->ijkl", mul, mul) % f.p
-        if np.any((lhs - rhs) % f.p):
-            out.append("multiplication is not associative")
-        return out
-    for j in range(n):
-        for k in range(n):
-            want = f.one() if j == k else f.zero()
-            if S.mul[0][j][k] != want or S.mul[j][0][k] != want:
-                out.append("basis element 0 is not a unit")
-                break
-        else:
-            continue
-        break
-    for i in range(n):
-        for j in range(i + 1, n):
-            if S.mul[i][j] != S.mul[j][i]:
-                out.append(f"product {S.labels[i]} * {S.labels[j]} is not commutative")
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                lhs = [f.zero()] * n
-                rhs = [f.zero()] * n
-                for m in range(n):
-                    for l in range(n):
-                        lhs[l] = f.add(lhs[l], f.mul(S.mul[i][j][m], S.mul[m][k][l]))
-                        rhs[l] = f.add(rhs[l], f.mul(S.mul[j][k][m], S.mul[i][m][l]))
-                if lhs != rhs:
-                    out.append("multiplication is not associative")
-                    return out
+    mul = S.mul
+    ident = f.array(np.eye(n, dtype=np.int64))
+    if not np.array_equal(mul[0], ident):
+        out.append("basis element 0 is not a left unit")
+    if not np.array_equal(mul[:, 0], ident):
+        out.append("basis element 0 is not a right unit")
+    if not np.array_equal(mul, mul.transpose(1, 0, 2)):
+        out.append("multiplication is not commutative")
+    # (e_i e_j) e_k and e_i (e_j e_k), both indexed [i, j, k, l]
+    flat = mul.reshape(n * n, n)
+    lhs = f.matmul(flat, mul.reshape(n, n * n)).reshape(n, n, n, n)
+    rhs = f.matmul(flat, mul.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    if not np.array_equal(lhs, rhs.transpose(2, 0, 1, 3)):
+        out.append("multiplication is not associative")
     return out
 
 
@@ -868,7 +818,7 @@ def hom_enumerate(
                 idxs = []
                 break
     else:
-        mulc = C.mul_tensor_int()
+        mulc = C.mul
         base = np.zeros((ng, C.dim), np.int64)
         span = np.zeros((C.dim, C.dim), np.int64)
         np.fill_diagonal(span, 1)

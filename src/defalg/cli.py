@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 for invalid input (with a location), 2 when
-an enumeration budget is exceeded, 3 when an oracle cross-check or an
-expected value disagrees with the computed answer.
+an enumeration budget is exceeded (an oracle scan over budget is
+skipped and the rest of the report still printed), 3 when an oracle
+cross-check or an expected value disagrees with the computed answer.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: Report, as_json: bool) -> int:
     print(report.to_json() if as_json else report.render_text())
+    for e in report.over_budget:
+        orc = e["oracle"]
+        print(
+            f"budget exceeded: problem {e['name']}: oracle needs {orc['needed']} candidates, budget is {orc['limit']}",
+            file=sys.stderr,
+        )
     return report.exit_code()
 
 

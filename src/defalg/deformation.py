@@ -38,7 +38,7 @@ from .differential import derivation_space
 from .fields import Field, PrimeField, Scalar
 from .groebner import GroebnerBasis, buchberger, normal_form, normal_form_quotients
 from .linalg import Matrix, kernel_basis, solve_affine, vec_add, vec_is_zero, vec_scale, vec_sub
-from .poly import GREVLEX, Polynomial
+from .poly import GREVLEX, Polynomial, mono_mul
 
 
 def division_data(B: PresentedAlgebra, p: Polynomial) -> Tuple[Polynomial, List[Polynomial]]:
@@ -136,66 +136,14 @@ def extension_from_cocycle(B: PresentedAlgebra, J: FiniteModule, psi: Sequence[S
     associativity of the produced table.
     """
     f = B.field
-    std = B.std_monomials()
-    s = len(std)
     t = J.rank
-    m = len(B.relations)
-    nb = len(B.base_relations)
-    if len(psi) != m * t:
+    if len(psi) != len(B.relations) * t:
         raise ValueError("cocycle vector has the wrong length")
-    psi_blocks = [list(psi[j * t : (j + 1) * t]) for j in range(m)]
-    dim = s + t
-    labels = tuple(B.mono_label(mo) for mo in std) + tuple("eps:" + l for l in J.labels)
-
-    if isinstance(f, PrimeField):
-        import numpy as np
-
-        mul = np.zeros((dim, dim, dim), np.int64)
-    else:
-        mul = [[[f.zero() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-
-    def put(i, j, k, c):
-        if isinstance(f, PrimeField):
-            mul[i][j][k] = int(c) % f.p
-            mul[j][i][k] = int(c) % f.p
-        else:
-            mul[i][j][k] = c
-            mul[j][i][k] = c
-
-    index = {mo: i for i, mo in enumerate(std)}
-    for i, mi in enumerate(std):
-        for j in range(i, s):
-            w = Polynomial.monomial(f, B.nvars, tuple(a + b for a, b in zip(mi, std[j])))
-            nf, cof = division_data(B, w)
-            for mo, c in nf.terms.items():
-                put(i, j, index[mo], c)
-            corr = [f.zero()] * t
-            for r in range(m):
-                h = cof[nb + r]
-                if h.is_zero():
-                    continue
-                corr = vec_add(f, corr, J.action_of_poly(h).mul_vec(psi_blocks[r]))
-            for b in range(t):
-                if not f.is_zero(corr[b]):
-                    put(i, j, s + b, corr[b])
-    # B times fiber: the module action; fiber times fiber: zero
-    for i, mi in enumerate(std):
-        act = J.action_of_poly(Polynomial.monomial(f, B.nvars, mi))
-        for b in range(t):
-            col = act.col(b)
-            for c in range(t):
-                if not f.is_zero(col[c]):
-                    put(i, s + b, s + c, col[c])
-
-    gen_images = []
-    for v in range(B.nvars):
-        vec = B.coordinates(B.var(v)) + [f.zero()] * t
-        gen_images.append(vec)
-    tab = StructureAlgebra(
-        field=f,
-        labels=labels,
-        mul=mul,
-        gen_names=B.names,
+    gen_images = [B.coordinates(B.var(v)) + [f.zero()] * t for v in range(B.nvars)]
+    tab = _section_table(
+        B,
+        J,
+        lambda cof: _relation_part(B, J, psi, cof),
         gen_images=gen_images,
         base_names=B.base_names,
         base_images=gen_images[: B.n_base],
@@ -205,6 +153,48 @@ def extension_from_cocycle(B: PresentedAlgebra, J: FiniteModule, psi: Sequence[S
     if bad:
         raise ValueError(f"not a cocycle: the table fails validation: {bad}")
     return ext
+
+
+def _relation_part(B: PresentedAlgebra, J: FiniteModule, values: Sequence[Scalar], cof) -> list:
+    """Fiber value of a word with division cofactors cof when relative
+    relation r takes the value values[r*t:(r+1)*t] in J."""
+    f = B.field
+    t = J.rank
+    nb = len(B.base_relations)
+    out = [f.zero()] * t
+    for r in range(len(B.relations)):
+        h = cof[nb + r]
+        if not h.is_zero():
+            out = vec_add(f, out, J.action_of_poly(h).mul_vec(list(values[r * t : (r + 1) * t])))
+    return out
+
+
+def _section_table(B: PresentedAlgebra, J: FiniteModule, fiber_value, **kwargs) -> StructureAlgebra:
+    """Table on (basis of B) + (basis of J) in section coordinates.
+
+    The product of two standard monomials is the normal form of their
+    product plus fiber_value(cofactors) of its division certificate;
+    B acts on the fiber through J, and the fiber squares to zero.
+    """
+    f = B.field
+    std = B.std_monomials()
+    s, t = len(std), J.rank
+    index = {mo: i for i, mo in enumerate(std)}
+    acts = [J.action_of_poly(Polynomial.monomial(f, B.nvars, mo)) for mo in std]
+
+    def product(i, j):
+        vec = [f.zero()] * (s + t)
+        if j < s:
+            nf, cof = division_data(B, Polynomial.monomial(f, B.nvars, mono_mul(std[i], std[j])))
+            for mo, c in nf.terms.items():
+                vec[index[mo]] = c
+            vec[s:] = fiber_value(cof)
+        elif i < s:
+            vec[s:] = acts[i].col(j - s)
+        return vec
+
+    labels = tuple(B.mono_label(mo) for mo in std) + tuple("eps:" + l for l in J.labels)
+    return StructureAlgebra.from_products(f, labels, product, gen_names=B.names, **kwargs)
 
 
 def cocycle_from_extension(ext: SquareZeroExtension, gen_offsets: Optional[Sequence[Sequence[Scalar]]] = None) -> tuple:
@@ -265,11 +255,6 @@ def baer_sum(e1: SquareZeroExtension, e2: SquareZeroExtension) -> SquareZeroExte
 
     # basis of the fibered product: (sigma(b), sigma(b)), (eps_b, 0), (0, eps_b);
     # the class map sends (u + j1, u + j2) to (u, j1 + j2) in section form.
-    def pair_mul(u1, u2, v1, v2):
-        return e1.table.mul_vec(u1, v1), e2.table.mul_vec(u2, v2)
-
-    dim = s + t
-    rows = []
     reps = []  # representatives in the fibered product
     for i in range(s):
         b = [f.zero()] * (s + t)
@@ -280,32 +265,17 @@ def baer_sum(e1: SquareZeroExtension, e2: SquareZeroExtension) -> SquareZeroExte
         v[s + b] = f.one()
         reps.append((v, [f.zero()] * (s + t)))
 
-    if isinstance(f, PrimeField):
-        import numpy as np
+    def product(i, j):
+        p1 = e1.table.mul_vec(reps[i][0], reps[j][0])
+        p2 = e2.table.mul_vec(reps[i][1], reps[j][1])
+        if e1.project(p1) != e2.project(p2):
+            raise AssertionError("product left the fibered subalgebra")
+        return e1.project(p1) + vec_add(f, e1.fiber_part(p1), e2.fiber_part(p2))
 
-        mul = np.zeros((dim, dim, dim), np.int64)
-    else:
-        mul = [[[f.zero() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-
-    for i in range(dim):
-        for j in range(i, dim):
-            p1, p2 = pair_mul(reps[i][0], reps[i][1], reps[j][0], reps[j][1])
-            if e1.project(p1) != e2.project(p2):
-                raise AssertionError("product left the fibered subalgebra")
-            cls = e1.project(p1) + vec_add(f, e1.fiber_part(p1), e2.fiber_part(p2))
-            for k, c in enumerate(cls):
-                if not f.is_zero(c):
-                    if isinstance(f, PrimeField):
-                        mul[i][j][k] = int(c)
-                        mul[j][i][k] = int(c)
-                    else:
-                        mul[i][j][k] = c
-                        mul[j][i][k] = c
-
-    tab = StructureAlgebra(
-        field=f,
-        labels=e1.table.labels,
-        mul=mul,
+    tab = StructureAlgebra.from_products(
+        f,
+        e1.table.labels,
+        product,
         gen_names=e1.table.gen_names,
         gen_images=[list(v) for v in e1.table.gen_images],
         base_names=e1.table.base_names,
@@ -679,32 +649,7 @@ class _ZRing:
         self.field = f
         # old flattened index -> new index (base first, x's after the z block)
         self.embed_map = list(range(nb)) + [nb + tI + i for i in range(n)]
-        rels = []
-        for a, g in enumerate(B.base_relations):
-            p = g.embed(self.nvars, self.embed_map)
-            for b, c in enumerate(prob.alpha[a]):
-                if not f.is_zero(c):
-                    mo = tuple(1 if k == nb + b else 0 for k in range(self.nvars))
-                    p = p - Polynomial.monomial(f, self.nvars, mo) * c
-            rels.append(p)
-        for b in range(tI):
-            for c in range(b, tI):
-                mo = tuple(
-                    (1 if k == nb + b else 0) + (1 if k == nb + c else 0) for k in range(self.nvars)
-                )
-                rels.append(Polynomial.monomial(f, self.nvars, mo))
-        for v in range(nb):
-            for b in range(tI):
-                mo = tuple(
-                    (1 if k == v else 0) + (1 if k == nb + b else 0) for k in range(self.nvars)
-                )
-                p = Polynomial.monomial(f, self.nvars, mo)
-                col = prob.i_mats[v].col(b)
-                for c, coeff in enumerate(col):
-                    if not f.is_zero(coeff):
-                        mz = tuple(1 if k == nb + c else 0 for k in range(self.nvars))
-                        p = p - Polynomial.monomial(f, self.nvars, mz) * coeff
-                rels.append(p)
+        rels = _aprime_relations(prob, n)
         self.gb = buchberger(rels or [Polynomial.zero(f, self.nvars)], GREVLEX)
 
     def embed(self, p: Polynomial) -> Polynomial:
@@ -791,8 +736,6 @@ def _obstruction_with_shifted_lift(prob: BaseDeformationProblem, cx: CotangentCo
         pick = lambda: rng.randrange(f.p)
     else:
         pick = lambda: rng.randrange(-2, 3)
-    from fractions import Fraction
-
     for _ in range(m):
         terms = {}
         for b in range(tI):
@@ -804,7 +747,7 @@ def _obstruction_with_shifted_lift(prob: BaseDeformationProblem, cx: CotangentCo
                         + [1 if k == b else 0 for k in range(tI)]
                         + list(xm)
                     )
-                    terms[mo] = c % f.p if isinstance(f, PrimeField) else Fraction(c)
+                    terms[mo] = f.from_int(c)
         noise.append(Polynomial(f, zr.nvars, terms))
     psi: List[Scalar] = []
     for vec in cx.syz:
@@ -875,75 +818,23 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
         xi = vec_add(f, xi, tw)
 
     zr = prob.aprime_presentation()
-    std = B.std_monomials()
-    s = len(std)
+    s = B.dim()
     t = J.rank
-    m = len(B.relations)
-    nbase = len(B.base_relations)
-    dim = s + t
 
-    def lam(p: Polynomial) -> list:
-        nf, cof = division_data(B, p)
-        out = [f.zero()] * t
-        for j in range(m):
-            h = cof[nbase + j]
-            if not h.is_zero():
-                out = vec_add(f, out, J.action_of_poly(h).mul_vec(xi[j * t : (j + 1) * t]))
+    def fiber_value(cof) -> list:
+        out = _relation_part(B, J, xi, cof)
         gpart = B.zero_poly()
-        for a in range(nbase):
+        for a in range(len(B.base_relations)):
             if not cof[a].is_zero():
                 gpart = gpart + cof[a] * B.base_relations[a]
         if not gpart.is_zero():
             out = vec_add(f, out, _push_fiber(prob, zr.reduce_to_fiber(gpart)))
         return out
 
-    if isinstance(f, PrimeField):
-        import numpy as np
-
-        mul = np.zeros((dim, dim, dim), np.int64)
-    else:
-        mul = [[[f.zero() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-
-    def put(i, j, k, c):
-        if isinstance(f, PrimeField):
-            mul[i][j][k] = int(c) % f.p
-            mul[j][i][k] = int(c) % f.p
-        else:
-            mul[i][j][k] = c
-            mul[j][i][k] = c
-
-    index = {mo: i for i, mo in enumerate(std)}
-    for i, mi in enumerate(std):
-        for j in range(i, s):
-            w = Polynomial.monomial(f, B.nvars, tuple(a + b for a, b in zip(mi, std[j])))
-            nf, _ = division_data(B, w)
-            for mo, c in nf.terms.items():
-                put(i, j, index[mo], c)
-            corr = lam(w)
-            for b in range(t):
-                if not f.is_zero(corr[b]):
-                    put(i, j, s + b, corr[b])
-    for i, mi in enumerate(std):
-        act = J.action_of_poly(Polynomial.monomial(f, B.nvars, mi))
-        for b in range(t):
-            col = act.col(b)
-            for c in range(t):
-                if not f.is_zero(col[c]):
-                    put(i, s + b, s + c, col[c])
-
-    labels = tuple(B.mono_label(mo) for mo in std) + tuple("eps:" + l for l in J.labels)
-    gen_images = []
-    for v in range(B.nvars):
-        # generators that are not standard monomials pick up the same
-        # fiber correction as any other reducible word
-        gen_images.append(B.coordinates(B.var(v)) + lam(B.var(v)))
-    tab = StructureAlgebra(
-        field=f,
-        labels=labels,
-        mul=mul,
-        gen_names=B.names,
-        gen_images=gen_images,
-    )
+    # generators that are not standard monomials pick up the same
+    # fiber correction as any other reducible word
+    gen_images = [B.coordinates(B.var(v)) + fiber_value(division_data(B, B.var(v))[1]) for v in range(B.nvars)]
+    tab = _section_table(B, J, fiber_value, gen_images=gen_images)
     bad = validate(tab)
     if bad:
         raise AssertionError(f"deformed table failed validation: {bad}")
@@ -952,8 +843,7 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
     # nilpotents to phi of the corresponding fiber vectors
     tI = len(prob.i_labels)
     ap_names = tuple(B.base_names) + tuple("z:" + l for l in prob.i_labels)
-    ap_rels = _zring_relations_for(prob, zr)
-    Aprime = PresentedAlgebra.over_ground(f, ap_names, ap_rels, )
+    Aprime = PresentedAlgebra.over_ground(f, ap_names, _aprime_relations(prob, 0))
     imgs = []
     for v in range(B.n_base):
         imgs.append(tuple(gen_images[v]))
@@ -971,38 +861,41 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
         val = tab.evaluate(fj, [list(v) for v in gen_images])
         if any(not f.is_zero(c) for c in val[:s]):
             raise AssertionError("a relation value escaped the fiber")
-        if val[s:] != [int(c) if isinstance(f, PrimeField) else c for c in xi[j * t : (j + 1) * t]]:
+        if val[s:] != xi[j * t : (j + 1) * t]:
             raise AssertionError("relation values disagree with the chosen witness")
     return RealizedDeformation(prob, tuple(xi), tab, tuple(imgs))
 
 
-def _zring_relations_for(prob: BaseDeformationProblem, zr: _ZRing) -> List[Polynomial]:
-    """The relations of A' on (base gens, nilpotents) alone."""
+def _aprime_relations(prob: BaseDeformationProblem, n_trailing: int) -> List[Polynomial]:
+    """The relations of A' on (base gens, nilpotents) followed by
+    n_trailing variables they do not involve: base relations shifted by
+    their cocycle values, products of nilpotents, and the action rows."""
     B = prob.B
     f = B.field
-    nb, tI = zr.nb, zr.tI
-    nvars = nb + tI
-    emb = list(range(nb))
+    nb, tI = B.n_base, len(prob.i_labels)
+    nvars = nb + tI + n_trailing
+
+    def mono(*ks) -> Polynomial:
+        exps = [0] * nvars
+        for k in ks:
+            exps[k] += 1
+        return Polynomial.monomial(f, nvars, tuple(exps))
+
     rels = []
     for a, g in enumerate(B.base_algebra().relations):
-        p = g.embed(nvars, emb)
+        p = g.embed(nvars, range(nb))
         for b, c in enumerate(prob.alpha[a]):
             if not f.is_zero(c):
-                mo = tuple(1 if k == nb + b else 0 for k in range(nvars))
-                p = p - Polynomial.monomial(f, nvars, mo) * c
+                p = p - mono(nb + b) * c
         rels.append(p)
     for b in range(tI):
         for c in range(b, tI):
-            mo = tuple((1 if k == nb + b else 0) + (1 if k == nb + c else 0) for k in range(nvars))
-            rels.append(Polynomial.monomial(f, nvars, mo))
+            rels.append(mono(nb + b, nb + c))
     for v in range(nb):
         for b in range(tI):
-            mo = tuple((1 if k == v else 0) + (1 if k == nb + b else 0) for k in range(nvars))
-            p = Polynomial.monomial(f, nvars, mo)
-            col = prob.i_mats[v].col(b)
-            for c, coeff in enumerate(col):
+            p = mono(v, nb + b)
+            for c, coeff in enumerate(prob.i_mats[v].col(b)):
                 if not f.is_zero(coeff):
-                    mz = tuple(1 if k == nb + c else 0 for k in range(nvars))
-                    p = p - Polynomial.monomial(f, nvars, mz) * coeff
+                    p = p - mono(nb + c) * coeff
             rels.append(p)
     return rels

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 from .algebras import FiniteModule, PresentedAlgebra
 from .groebner import buchberger, normal_form, syzygy_basis
-from .linalg import Matrix, kernel_basis, vec_add, vec_is_zero, vec_scale
+from .linalg import Matrix, kernel_basis, vec_add, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
 
@@ -116,21 +116,26 @@ def derivation_space(B: PresentedAlgebra, J: FiniteModule) -> DerivationSpace:
 
 
 @dataclass
-class KaehlerPresentation:
-    """The module of relative differentials, by generators and relations.
-
-    One generator per relative variable; one relation row per relative
-    relation, with Jacobian entries in normal form.
-    """
+class _ModulePresentation:
+    """A B-module by generators and relation rows with polynomial entries."""
 
     B: PresentedAlgebra
     gen_labels: Tuple[str, ...]
     rows: Tuple[Tuple[Polynomial, ...], ...]
 
     def hom_dim(self, J: FiniteModule) -> int:
-        """dim Hom_B(Omega, J); must match the derivation space of J."""
+        """dim Hom_B(M, J): the solutions in J^gens of every relation row."""
         mat = block_matrix(J, [list(r) for r in self.rows], len(self.rows), len(self.gen_labels))
         return kernel_basis(mat).ncols
+
+
+class KaehlerPresentation(_ModulePresentation):
+    """The module of relative differentials, by generators and relations.
+
+    One generator per relative variable; one relation row per relative
+    relation, with Jacobian entries in normal form.  hom_dim(J) must
+    match the derivation space of J.
+    """
 
 
 def kaehler(B: PresentedAlgebra) -> KaehlerPresentation:
@@ -166,18 +171,9 @@ def relation_syzygies(B: PresentedAlgebra) -> List[List[Polynomial]]:
     return out
 
 
-@dataclass
-class ConormalPresentation:
+class ConormalPresentation(_ModulePresentation):
     """I/I^2 as a B-module: one generator per relation, one relation row
     per syzygy, entries in normal form modulo the full ideal."""
-
-    B: PresentedAlgebra
-    gen_labels: Tuple[str, ...]
-    rows: Tuple[Tuple[Polynomial, ...], ...]
-
-    def hom_dim(self, J: FiniteModule) -> int:
-        mat = block_matrix(J, [list(r) for r in self.rows], len(self.rows), len(self.gen_labels))
-        return kernel_basis(mat).ncols
 
 
 def conormal(B: PresentedAlgebra) -> ConormalPresentation:
@@ -197,6 +193,3 @@ def conormal(B: PresentedAlgebra) -> ConormalPresentation:
                 raise AssertionError("conormal relation does not land in the ideal square")
     return ConormalPresentation(B, labels, rows)
 
-
-def apply_derivation(D: Derivation, p: Polynomial) -> list:
-    return D.apply(p)

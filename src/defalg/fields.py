@@ -3,13 +3,28 @@
 Scalars are plain Python objects: ints in ``range(p)`` for GF(p),
 ``fractions.Fraction`` for the rationals.  A field object bundles the
 arithmetic so matrices and polynomials can stay field-agnostic.
+
+Arrays of scalars (matrices, multiplication tables) are numpy arrays
+whose dtype the field decides: int64 residues for GF(p), object arrays
+of ``Fraction`` for Q.  The field owns the operations that differ
+between the two: building an array from scalars (``array``), bringing
+entries back to canonical form (``reduce``), the reduced product
+(``matmul``) and row reduction (``rref``).  Sums of int64 products are
+exact only while contraction length * (p-1)^2 < 2^63; ``matmul`` checks
+that bound and runs the same product on Python ints beyond it, so every
+accepted p gets exact answers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Union
+
+import numpy as np
+
+from . import _kernels
 
 Scalar = Union[int, Fraction]
 
@@ -30,8 +45,11 @@ class PrimeField:
 
     __slots__ = ("p",)
 
+    dtype = np.int64
+
     def __init__(self, p: int):
-        # (p-1)^2 must fit in int64 for the numpy/numba kernels
+        # one product of residues must fit in int64; sums of them are
+        # kept exact by matmul, see the module docstring
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         if p >= 2**31:
@@ -81,6 +99,27 @@ class PrimeField:
     def elements(self):
         return range(self.p)
 
+    def array(self, data) -> np.ndarray:
+        """Residues of (nested) integer scalars as an int64 array."""
+        try:
+            return np.asarray(data, np.int64) % self.p
+        except OverflowError:
+            return (np.asarray(data, object) % self.p).astype(np.int64)
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return a % self.p
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod p, in int64 while its sums cannot wrap."""
+        if a.shape[-1] * (self.p - 1) ** 2 < 2**63:
+            return (a @ b) % self.p
+        return ((a.astype(object) @ b.astype(object)) % self.p).astype(np.int64)
+
+    def rref(self, a: np.ndarray):
+        """(reduced array, pivot column tuple, rank) through the kernels."""
+        r, piv, rank = _kernels.rref_modp(a, self.p)
+        return r, tuple(int(c) for c in piv), rank
+
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
@@ -91,6 +130,72 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
 
+def _as_int_rows(rows):
+    """Clear denominators: each row scaled to coprime integers."""
+    out = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // gcd(den, f.denominator)
+        ints = [int(f * den) for f in fracs]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        if g > 1:
+            ints = [x // g for x in ints]
+        out.append(ints)
+    return out
+
+
+def _rref_fracfree(rows, ncols):
+    """Full RREF over Q. Returns (Fraction rows, pivot cols)."""
+    work = _as_int_rows(rows)
+    nrows = len(work)
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pr = -1
+        for r in range(rank, nrows):
+            if work[r][col] != 0:
+                pr = r
+                break
+        if pr < 0:
+            continue
+        work[rank], work[pr] = work[pr], work[rank]
+        pv = work[rank][col]
+        for r in range(nrows):
+            if r == rank or work[r][col] == 0:
+                continue
+            f = work[r][col]
+            row = [work[r][c] * pv - work[rank][c] * f for c in range(ncols)]
+            g = 0
+            for x in row:
+                g = gcd(g, x)
+            if g > 1:
+                row = [x // g for x in row]
+            work[r] = row
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    out = []
+    for r in range(nrows):
+        if r < rank:
+            pv = work[r][pivots[r]]
+            out.append([Fraction(x, pv) for x in work[r]])
+        else:
+            out.append([Fraction(0)] * ncols)
+    return out, pivots
+
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+_to_fractions = np.frompyfunc(_fraction, 1, 1)
+
+
 class RationalField:
     """The rationals; scalars are ``Fraction`` (always in lowest terms)."""
 
@@ -98,6 +203,7 @@ class RationalField:
 
     name = "Q"
     char = 0
+    dtype = object
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -132,6 +238,23 @@ class RationalField:
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
+
+    def array(self, data) -> np.ndarray:
+        """(Nested) scalars as an object array of Fractions."""
+        return self.reduce(np.array(data, object))
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """Every entry a Fraction: int inputs and empty sums yield ints."""
+        return _to_fractions(a)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.reduce(a @ b)
+
+    def rref(self, a: np.ndarray):
+        """(reduced array, pivot column tuple, rank), fraction-free:
+        integer rows, gcd-normalized after every update."""
+        rows, piv = _rref_fracfree(a.tolist(), a.shape[1])
+        return self.array(rows).reshape(a.shape), tuple(piv), len(piv)
 
     def __repr__(self) -> str:
         return "QQ"

@@ -1,97 +1,37 @@
 """Dense exact linear algebra over GF(p) and Q.
 
-Prime-field matrices live in numpy int64 arrays and row-reduce through
-the compiled kernels; rational matrices keep Fraction entries and
-row-reduce fraction-free (integer rows, gcd-normalized after every
-update) to control coefficient growth.  Pivoting is deterministic:
-first nonzero entry scanning rows top-down, columns left-to-right, so
-identical input yields identical output on every backend.
+A matrix is one numpy array whose dtype and arithmetic its field owns
+(see ``fields``): int64 residues for GF(p), row-reduced by the
+compiled kernels; ``Fraction`` objects for Q, row-reduced fraction-free
+(integer rows, gcd-normalized after every update) to control
+coefficient growth.  Products are exact for every accepted prime.
+Pivoting is deterministic: first nonzero entry scanning rows top-down,
+columns left-to-right, so identical input yields identical output on
+every backend.
 
-Vectors are plain Python lists of field scalars throughout.
+Vectors are plain Python lists of field scalars throughout; entries
+leave a matrix through ``tolist``, as Python ints or Fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .fields import Field, PrimeField, Scalar
-
-
-def _as_int_rows(rows):
-    """Clear denominators: each row scaled to coprime integers."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in fracs]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
-
-
-def _rref_fracfree(rows, ncols):
-    """Full RREF over Q. Returns (Fraction rows, pivot cols)."""
-    work = _as_int_rows(rows)
-    nrows = len(work)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pr = -1
-        for r in range(rank, nrows):
-            if work[r][col] != 0:
-                pr = r
-                break
-        if pr < 0:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        pv = work[rank][col]
-        for r in range(nrows):
-            if r == rank or work[r][col] == 0:
-                continue
-            f = work[r][col]
-            row = [work[r][c] * pv - work[rank][c] * f for c in range(ncols)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-            if g > 1:
-                row = [x // g for x in row]
-            work[r] = row
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    out = []
-    for r in range(nrows):
-        if r < rank:
-            pv = work[r][pivots[r]]
-            out.append([Fraction(x, pv) for x in work[r]])
-        else:
-            out.append([Fraction(0)] * ncols)
-    return out, pivots
+from .fields import Field, Scalar
 
 
 class Matrix:
     """Immutable dense matrix over a fixed field."""
 
-    __slots__ = ("field", "nrows", "ncols", "_a", "_rows", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "_a", "_rref")
 
-    def __init__(self, field: Field, nrows: int, ncols: int, a=None, rows=None):
+    def __init__(self, field: Field, nrows: int, ncols: int, a: np.ndarray):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self._a = a
-        self._rows = rows
         self._rref = None
 
     # -- construction -------------------------------------------------
@@ -104,58 +44,43 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        if isinstance(field, PrimeField):
-            a = np.array([[int(x) % field.p for x in r] for r in rows], np.int64)
-            a = a.reshape(len(rows), ncols)
-            return cls(field, len(rows), ncols, a=a)
-        data = [[Fraction(x) for x in r] for r in rows]
-        return cls(field, len(rows), ncols, rows=data)
+        return cls(field, len(rows), ncols, field.array(rows).reshape(len(rows), ncols))
 
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence[Scalar]], nrows: Optional[int] = None):
         cols = [list(c) for c in cols]
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        return cls.from_rows(field, [[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
+        return cls.from_rows(field, cols, ncols=nrows).transpose()
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int):
-        return cls.from_rows(field, [[field.zero()] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls(field, nrows, ncols, field.array(np.zeros((nrows, ncols), np.int64)))
 
     @classmethod
     def identity(cls, field: Field, n: int):
-        return cls.from_rows(
-            field,
-            [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)],
-            ncols=n,
-        )
+        return cls(field, n, n, field.array(np.eye(n, dtype=np.int64)))
 
     # -- access -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
-        if self._a is not None:
-            return int(self._a[i, j])
-        return self._rows[i][j]
+        return self._a.item(i, j)
 
     def row(self, i: int) -> list:
-        if self._a is not None:
-            return [int(x) for x in self._a[i]]
-        return list(self._rows[i])
+        return self._a[i].tolist()
 
     def col(self, j: int) -> list:
-        if self._a is not None:
-            return [int(x) for x in self._a[:, j]]
-        return [r[j] for r in self._rows]
+        return self._a[:, j].tolist()
 
     def to_rows(self) -> list:
-        return [self.row(i) for i in range(self.nrows)]
+        return self._a.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.field, self.nrows, self.ncols) != (other.field, other.nrows, other.ncols):
             return False
-        return self.to_rows() == other.to_rows()
+        return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols, tuple(map(tuple, self.to_rows()))))
@@ -164,96 +89,52 @@ class Matrix:
         return f"Matrix({self.field.name}, {self.nrows}x{self.ncols})"
 
     def is_zero(self) -> bool:
-        if self._a is not None:
-            return not np.any(self._a % self.field.p)
-        return all(x == 0 for r in self._rows for x in r)
+        return not np.any(self._a)
 
     # -- arithmetic ---------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        if self._a is not None:
-            return Matrix(self.field, self.ncols, self.nrows, a=self._a.T.copy())
-        rows = [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Matrix(self.field, self.ncols, self.nrows, rows=rows)
+        return Matrix(self.field, self.ncols, self.nrows, self._a.T.copy())
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        if self._a is not None:
-            return Matrix(self.field, self.nrows, other.ncols, a=(self._a @ other._a) % self.field.p)
-        f = self.field
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = f.zero()
-                for k in range(self.ncols):
-                    acc = f.add(acc, f.mul(self._rows[i][k], other._rows[k][j]))
-                row.append(acc)
-            rows.append(row)
-        return Matrix(f, self.nrows, other.ncols, rows=rows)
+        return Matrix(self.field, self.nrows, other.ncols, self.field.matmul(self._a, other._a))
 
     def mul_vec(self, x: Sequence[Scalar]) -> list:
         if len(x) != self.ncols:
             raise ValueError("shape mismatch")
-        if self._a is not None:
-            v = np.array([int(c) % self.field.p for c in x], np.int64)
-            return [int(y) for y in (self._a @ v) % self.field.p]
         f = self.field
-        out = []
-        for i in range(self.nrows):
-            acc = f.zero()
-            for k in range(self.ncols):
-                acc = f.add(acc, f.mul(self._rows[i][k], x[k]))
-            out.append(acc)
-        return out
+        return f.matmul(self._a, f.array(list(x))).tolist()
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        if self._a is not None:
-            return Matrix(self.field, self.nrows, self.ncols, a=(self._a + other._a) % self.field.p)
-        f = self.field
-        rows = [
-            [f.add(self._rows[i][j], other._rows[i][j]) for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ]
-        return Matrix(f, self.nrows, self.ncols, rows=rows)
+        return Matrix(self.field, self.nrows, self.ncols, self.field.reduce(self._a + other._a))
 
     def scale(self, c: Scalar) -> "Matrix":
-        if self._a is not None:
-            return Matrix(self.field, self.nrows, self.ncols, a=(self._a * int(c)) % self.field.p)
         f = self.field
-        rows = [[f.mul(c, x) for x in r] for r in self._rows]
-        return Matrix(f, self.nrows, self.ncols, rows=rows)
+        return Matrix(f, self.nrows, self.ncols, f.reduce(self._a * f.from_int(c)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("shape mismatch")
-        return Matrix.from_rows(
-            self.field,
-            [self.row(i) + other.row(i) for i in range(self.nrows)],
-            ncols=self.ncols + other.ncols,
-        )
+        a = np.concatenate([self._a, other._a], axis=1)
+        return Matrix(self.field, self.nrows, self.ncols + other.ncols, a)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise ValueError("shape mismatch")
-        return Matrix.from_rows(self.field, self.to_rows() + other.to_rows(), ncols=self.ncols)
+        a = np.concatenate([self._a, other._a], axis=0)
+        return Matrix(self.field, self.nrows + other.nrows, self.ncols, a)
 
     # -- elimination --------------------------------------------------
 
     def rref(self):
         """(reduced matrix, pivot column tuple, rank); cached."""
         if self._rref is None:
-            if self._a is not None:
-                r, piv, rank = _kernels.rref_modp(self._a, self.field.p)
-                red = Matrix(self.field, self.nrows, self.ncols, a=r)
-                self._rref = (red, tuple(int(c) for c in piv), rank)
-            else:
-                rows, piv = _rref_fracfree(self._rows, self.ncols)
-                red = Matrix(self.field, self.nrows, self.ncols, rows=rows)
-                self._rref = (red, tuple(piv), len(piv))
+            r, piv, rank = self.field.rref(self._a)
+            self._rref = (Matrix(self.field, self.nrows, self.ncols, r), piv, rank)
         return self._rref
 
     def rank(self) -> int:
@@ -334,17 +215,10 @@ def in_span(field: Field, vecs: Sequence[Sequence[Scalar]], v: Sequence[Scalar])
 def complete_basis(field: Field, inner: Sequence[Sequence[Scalar]], outer: Sequence[Sequence[Scalar]], dim: int) -> list:
     """Indices into ``outer`` whose vectors extend span(inner) to span(inner+outer).
 
-    Scans outer in order and keeps each vector that raises the rank, so
-    the selection is deterministic.
+    Keeps each vector of outer, in order, that raises the rank of the
+    vectors before it: the pivot columns of one rref of [inner | outer].
     """
-    picked = []
-    cur = list(inner)
-    r = span_rank(field, cur, dim)
-    for idx, v in enumerate(outer):
-        cand = cur + [list(v)]
-        r2 = span_rank(field, cand, dim)
-        if r2 > r:
-            picked.append(idx)
-            cur = cand
-            r = r2
-    return picked
+    k = len(inner)
+    cols = [list(v) for v in inner] + [list(v) for v in outer]
+    _, piv, _ = Matrix.from_cols(field, cols, nrows=dim).rref()
+    return [c - k for c in piv if c >= k]

@@ -72,7 +72,7 @@ def _structure_context(B: PresentedAlgebra, J: FiniteModule):
     if J.kind != "presented" or J.owner is not B:
         raise TypeError("the module must be presented over the scanned algebra")
     S = B.to_structure()
-    mul = S.mul_tensor_int()
+    mul = S.mul
     act = J.basis_action_tensor(S)
     return S, mul, act
 
@@ -464,7 +464,7 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
             coefv.append([int(x) for x in w])
             exps.append(list(e))
         ptr.append(len(coefv))
-    mulc = Cp.mul_tensor_int()
+    mulc = Cp.mul
     base = np.array([[int(c) for c in problem.preimages[nbv + i]] for i in range(ng)], np.int64)
     span_a = np.array(span, np.int64).reshape(t, Cp.dim)
     rel_ptr = np.array(ptr, np.int64)

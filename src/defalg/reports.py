@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import __version__
 from .algebras import PresentedAlgebra
-from .budget import DEFAULT_ENUM_BUDGET, EnumerationBudget
+from .budget import DEFAULT_ENUM_BUDGET, BudgetExceeded, EnumerationBudget
 from .cotangent import is_coboundary, t_modules
 from .deformation import (
     BaseDeformationProblem,
@@ -78,16 +78,29 @@ class RunOptions:
         return getattr(spec, "seed", None)
 
 
-def _oracle_block(feasible_reason: Optional[str]) -> dict:
-    return {"skipped": feasible_reason, "match": None}
-
-
-def _oracle_feasibility(B: PresentedAlgebra) -> Optional[str]:
+def _oracle_feasibility(B: PresentedAlgebra, width: Callable[[], int]) -> Optional[str]:
+    """Why the oracle scans cannot run, or None; width() is the largest
+    table dimension they contract over."""
     if not isinstance(B.field, PrimeField):
         return "oracle scans need a prime field"
     if not B.is_finite_dimensional():
         return "oracle scans need a finite-dimensional algebra"
+    # the scan kernels sum up to width^2 int64 products of three residues
+    if width() ** 2 * (B.field.p - 1) ** 3 >= 2**63:
+        return "oracle scans would overflow int64 at this prime"
     return None
+
+
+def _run_oracle(data: dict, B: PresentedAlgebra, width: Callable[[], int], oracle: Callable[[], dict]) -> None:
+    """Set data["oracle"] to oracle()'s block, or to why it was skipped."""
+    reason = _oracle_feasibility(B, width)
+    if reason is not None:
+        data["oracle"] = {"skipped": reason, "match": None}
+        return
+    try:
+        data["oracle"] = oracle()
+    except BudgetExceeded as e:
+        data["oracle"] = {"skipped": "budget", "needed": e.needed, "limit": e.limit, "match": None}
 
 
 def run_tmods(ps: ProblemSet, spec: TModsSpec, opts: RunOptions) -> dict:
@@ -105,16 +118,14 @@ def run_tmods(ps: ProblemSet, spec: TModsSpec, opts: RunOptions) -> dict:
     if B.is_finite_dimensional():
         data["algebra_dim"] = B.dim()
     if opts.oracle:
-        reason = _oracle_feasibility(B)
-        if reason is not None:
-            data["oracle"] = _oracle_block(reason)
-        else:
+
+        def oracle():
             bud = opts.budget_for(ps)
             p = B.field.p
             ders = enumerate_derivations(B, J, bud)
             ext = enumerate_extensions(B, J, bud)
             match = ders.count == p**t0.dim and ext.class_count == p**t1.dim
-            data["oracle"] = {
+            return {
                 "derivations": ders.count,
                 "expected_derivations": p**t0.dim,
                 "extension_classes": ext.class_count,
@@ -122,6 +133,8 @@ def run_tmods(ps: ProblemSet, spec: TModsSpec, opts: RunOptions) -> dict:
                 "candidates": bud.spent,
                 "match": match,
             }
+
+        _run_oracle(data, B, lambda: B.dim() + J.rank, oracle)
     return data
 
 
@@ -137,10 +150,8 @@ def run_exal(ps: ProblemSet, spec: ExalSpec, opts: RunOptions) -> dict:
         "complete": cls.complete,
     }
     if opts.oracle:
-        reason = _oracle_feasibility(B)
-        if reason is not None:
-            data["oracle"] = _oracle_block(reason)
-        else:
+
+        def oracle():
             bud = opts.budget_for(ps)
             scan = enumerate_extensions(B, J, bud)
             match = scan.class_count == cls.count
@@ -149,13 +160,15 @@ def run_exal(ps: ProblemSet, spec: ExalSpec, opts: RunOptions) -> dict:
                 hit = {scan.class_of(scan.state_of(e)) for e in cls.representatives}
                 hit_orbits = len(hit)
                 match = match and hit_orbits == scan.class_count
-            data["oracle"] = {
+            return {
                 "tables": scan.count,
                 "classes": scan.class_count,
                 "representatives_hit": hit_orbits,
                 "candidates": bud.spent,
                 "match": match,
             }
+
+        _run_oracle(data, B, lambda: B.dim() + J.rank, oracle)
     return data
 
 
@@ -200,10 +213,8 @@ def run_lift(ps: ProblemSet, spec: LiftSpec, opts: RunOptions) -> dict:
         data["class_vanishes"] = vanishes
     if opts.oracle:
         B = problem.B
-        reason = _oracle_feasibility(B)
-        if reason is not None:
-            data["oracle"] = _oracle_block(reason)
-        else:
+
+        def oracle():
             bud = opts.budget_for(ps)
             scan = enumerate_lifts(problem, bud)
             ders = enumerate_derivations(B, problem.J, bud)
@@ -211,13 +222,15 @@ def run_lift(ps: ProblemSet, spec: LiftSpec, opts: RunOptions) -> dict:
             match = torsor.ok and scan.count == (res.count or 0)
             if res.solvable and res.lifted_images is not None:
                 match = match and res.lifted_images in scan.images
-            data["oracle"] = {
+            return {
                 "lifts": scan.count,
                 "derivations": ders.count,
                 "torsor": torsor.message,
                 "candidates": bud.spent,
                 "match": match,
             }
+
+        _run_oracle(data, B, lambda: max(problem.Cprime.dim, B.dim() + problem.J.rank), oracle)
     return data
 
 
@@ -271,10 +284,8 @@ def run_deform(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) -> dict:
         realized = realize_deformation(problem, res)
         data["realized"] = True
     if opts.oracle:
-        reason = _oracle_feasibility(B)
-        if reason is not None:
-            data["oracle"] = _oracle_block(reason)
-        else:
+
+        def oracle():
             bud = opts.budget_for(ps)
             scan = enumerate_deformations(problem, bud)
             match = scan.solvable == (not res.obstructed)
@@ -282,13 +293,15 @@ def run_deform(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) -> dict:
                 match = match and scan.class_count == classes
             if realized is not None:
                 match = match and scan.state_of(realized) in set(scan.states)
-            data["oracle"] = {
+            return {
                 "tables": scan.count,
                 "classes": scan.class_count,
                 "solvable": scan.solvable,
                 "candidates": bud.spent,
                 "match": match,
             }
+
+        _run_oracle(data, B, lambda: B.dim() + J.rank, oracle)
     return data
 
 
@@ -338,8 +351,15 @@ class Report:
                 out.append(e["name"])
         return out
 
+    @property
+    def over_budget(self) -> List[dict]:
+        """Entries whose oracle was skipped because its scan exceeded the budget."""
+        return [e for e in self.problems if (e.get("oracle") or {}).get("skipped") == "budget"]
+
     def exit_code(self) -> int:
-        return 3 if self.mismatches else 0
+        if self.mismatches:
+            return 3
+        return 2 if self.over_budget else 0
 
     def to_dict(self) -> dict:
         return {
@@ -396,7 +416,9 @@ class Report:
                     lines.append(f"    expected {k} {d['expected']}, got {d['got']} -> MISMATCH")
             orc = e.get("oracle")
             if orc is not None:
-                if orc.get("match") is None:
+                if orc.get("skipped") == "budget":
+                    lines.append(f"    oracle skipped: budget, needs {orc['needed']} candidates, limit {orc['limit']}")
+                elif orc.get("match") is None:
                     lines.append(f"    oracle skipped: {orc['skipped']}")
                 else:
                     verdict = "MATCH" if orc["match"] else "MISMATCH"
@@ -407,9 +429,11 @@ class Report:
                     ]
                     lines.append(f"    oracle: {', '.join(parts)} -> {verdict}")
         ms = self.mismatches
+        over = [e["name"] for e in self.over_budget]
         lines.append(
             f"{len(self.problems)} problems, "
             + (f"MISMATCHES: {', '.join(ms)}" if ms else "all oracle checks in agreement")
+            + (f"; oracle over budget: {', '.join(over)}" if over else "")
         )
         return "\n".join(lines)
 

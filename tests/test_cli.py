@@ -79,6 +79,21 @@ class TestExitCodes:
         assert main(["tmods", good_file, "--oracle", "--budget", "1"]) == 2
         assert "budget exceeded:" in capsys.readouterr().err
 
+    def test_over_budget_oracle_keeps_the_report(self, good_file, capsys):
+        # "dims" needs 6 candidates, "blocked" needs 16
+        assert main(["oracle", good_file, "--budget", "4", "--json"]) == 2
+        cap = capsys.readouterr()
+        dims, blocked = json.loads(cap.out)["problems"]
+        assert dims["oracle"]["match"] is True
+        assert blocked["oracle"] == {"skipped": "budget", "needed": 16, "limit": 4, "match": None}
+        assert "budget exceeded: problem blocked" in cap.err
+        assert main(["oracle", good_file, "--budget", "4"]) == 2
+        assert "oracle over budget: blocked" in capsys.readouterr().out
+
+    def test_oracle_skipped_where_int64_would_overflow(self, good_file, capsys):
+        assert main(["tmods", good_file, "--field", "F2147483647", "--oracle"]) == 0
+        assert "oracle skipped: oracle scans would overflow int64" in capsys.readouterr().out
+
     def test_mismatch_is_three(self, tmp_path, capsys):
         data = json.loads(json.dumps(GOOD))
         data["problems"][0]["expected"]["t1"] = 9

@@ -1,5 +1,6 @@
-"""Exact linear algebra: elimination, kernels, solving, and the
-agreement of the compiled and plain-numpy row-reduction kernels."""
+"""Exact linear algebra: elimination, kernels, solving, the agreement
+of the compiled and plain-numpy row-reduction kernels, and exactness
+against plain Python arithmetic at every accepted prime and over Q."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defalg import GF, QQ
+from defalg import GF, QQ, PresentedAlgebra, StructureAlgebra
 from defalg import _kernels
 from defalg.linalg import (
     Matrix,
@@ -88,6 +89,20 @@ def test_solve_affine_reports_inconsistency():
     assert solve_affine(m, [1, 1]) == [1, 0]
 
 
+def greedy_complete_basis(field, inner, outer, dim):
+    """Reference: keep each outer vector that raises the rank so far."""
+    picked = []
+    cur = list(inner)
+    r = span_rank(field, cur, dim)
+    for idx, v in enumerate(outer):
+        r2 = span_rank(field, cur + [list(v)], dim)
+        if r2 > r:
+            picked.append(idx)
+            cur = cur + [list(v)]
+            r = r2
+    return picked
+
+
 def test_in_span_and_complete_basis():
     f = GF(3)
     vecs = [[1, 0, 0], [0, 1, 0]]
@@ -95,6 +110,16 @@ def test_in_span_and_complete_basis():
     assert in_span(f, vecs, [0, 0, 1]) is None
     picked = complete_basis(f, vecs, [[1, 1, 0], [0, 0, 2], [0, 1, 1]], 3)
     assert picked == [1], "only the first rank-raising vector is kept"
+    rng = np.random.default_rng(17)
+    for field in FIELDS:
+        for _ in range(25):
+            dim = int(rng.integers(0, 5))
+            # few distinct rows, so that outer vectors often fail to raise the rank
+            pool = random_matrix(field, rng, 3, dim).to_rows()
+            vecs = [pool[int(rng.integers(0, 3))] for _ in range(int(rng.integers(0, 7)))]
+            k = int(rng.integers(0, len(vecs) + 1))
+            inner, outer = vecs[:k], vecs[k:]
+            assert complete_basis(field, inner, outer, dim) == greedy_complete_basis(field, inner, outer, dim)
 
 
 def test_rational_rref_exact():
@@ -170,3 +195,105 @@ class TestKernelBackends:
     def test_active_backend_is_exported(self):
         assert _kernels.BACKEND in ("numba", "numpy")
         assert _kernels.rref_modp is not None
+
+
+# -- exactness at every accepted prime --------------------------------------
+
+EXACT_FIELDS = [GF(2), GF(3), GF(65521), GF(2**31 - 1), QQ]
+
+
+def canon(field, x):
+    return Fraction(x) if field is QQ else x % field.p
+
+
+def scalars(field):
+    if field is QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    # p - 1 often: three products of it overflow int64 at p = 2^31 - 1
+    return st.one_of(st.just(field.p - 1), st.integers(0, field.p - 1))
+
+
+def draw_rows(data, field, nrows, ncols):
+    return [[data.draw(scalars(field)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def ref_matmul(field, a, b, ncols):
+    return [
+        [canon(field, sum(a[i][k] * b[k][j] for k in range(len(b)))) for j in range(ncols)]
+        for i in range(len(a))
+    ]
+
+
+def ref_rref(field, rows, ncols):
+    """Gauss-Jordan on Python scalars; the RREF is unique."""
+    r = [[canon(field, x) for x in row] for row in rows]
+    piv = []
+    for c in range(ncols):
+        rank = len(piv)
+        pr = next((i for i in range(rank, len(r)) if not field.is_zero(r[i][c])), None)
+        if pr is None:
+            continue
+        r[rank], r[pr] = r[pr], r[rank]
+        inv = field.inv(r[rank][c])
+        r[rank] = [field.mul(inv, x) for x in r[rank]]
+        for i in range(len(r)):
+            if i != rank and not field.is_zero(r[i][c]):
+                m = r[i][c]
+                r[i] = [field.sub(x, field.mul(m, y)) for x, y in zip(r[i], r[rank])]
+        piv.append(c)
+    return r, tuple(piv), len(piv)
+
+
+def exact_type(field, rows):
+    want = Fraction if field is QQ else int
+    return all(type(x) is want for row in rows for x in row)
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matrix_ops_match_python_reference(field, data):
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = draw_rows(data, field, n, k)
+    a2 = draw_rows(data, field, n, k)
+    b = draw_rows(data, field, k, m)
+    x = [data.draw(scalars(field)) for _ in range(k)]
+    c = data.draw(scalars(field))
+    A = Matrix.from_rows(field, a, ncols=k)
+    prod = A.mul(Matrix.from_rows(field, b, ncols=m)).to_rows()
+    assert prod == ref_matmul(field, a, b, m) and exact_type(field, prod)
+    vec = A.mul_vec(x)
+    assert vec == [row[0] for row in ref_matmul(field, a, [[v] for v in x], 1)]
+    assert exact_type(field, [vec])
+    total = A.add(Matrix.from_rows(field, a2, ncols=k)).to_rows()
+    assert total == [[canon(field, u + v) for u, v in zip(r, r2)] for r, r2 in zip(a, a2)]
+    scaled = A.scale(c).to_rows()
+    assert scaled == [[canon(field, c * u) for u in r] for r in a] and exact_type(field, scaled)
+    red, piv, rank = A.rref()
+    assert (red.to_rows(), piv, rank) == ref_rref(field, a, k)
+    assert exact_type(field, red.to_rows())
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_structure_mul_vec_matches_python_reference(field, data):
+    n = data.draw(st.integers(1, 4))
+    mul = [draw_rows(data, field, n, n) for _ in range(n)]
+    u = [data.draw(scalars(field)) for _ in range(n)]
+    v = [data.draw(scalars(field)) for _ in range(n)]
+    S = StructureAlgebra(field, [f"e{i}" for i in range(n)], mul)
+    got = S.mul_vec(u, v)
+    want = [canon(field, sum(u[a] * v[b] * mul[a][b][k] for a in range(n) for b in range(n))) for k in range(n)]
+    assert got == want and exact_type(field, [got])
+
+
+def test_products_do_not_wrap_at_the_largest_prime():
+    p = 2**31 - 1
+    f = GF(p)
+    a = Matrix.from_rows(f, [[p - 1] * 3])
+    assert a.mul(a.transpose()).to_rows() == [[3]]
+    assert a.mul_vec([p - 1] * 3) == [3]
+    S = PresentedAlgebra.from_strings(f, ["x"], ["x^3-5"]).to_structure()
+    u = [p - 1, p - 2, p - 3]  # -(1 + 2x + 3x^2)
+    assert S.mul_vec(u, u) == [61, 49, 10]
