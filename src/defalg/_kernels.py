@@ -1,33 +1,42 @@
 """Hot numeric loops: mod-p row reduction and exhaustive oracle scans.
 
-Every kernel exists twice, once compiled with numba and once as plain
-numpy.  The active backend is chosen at import time from the environment
-variable ``DEFALG_BACKEND`` ("numba" or "numpy"); the default is numba
-when it imports cleanly.  Both variants are exported under explicit
-names so tests and benchmarks can compare them directly.
+Every kernel is plain numpy.  Beside each one sits a literal Python loop
+(``_rref_modp_py``, ``_scan_*_py``), kept as the reference that tests and
+``bench/kernels.py`` compare the kernel with on small inputs.
 
 Conventions shared by all scan kernels: a candidate is an integer index
-whose base-p digits fill the unknown table entries, scanned in ascending
-order over a half-open range, so results are deterministic and
-partitionable.  All arrays are int64 with entries already reduced mod p;
-p is small enough that products fit comfortably in int64.
+whose base-p digits, least significant first, fill the unknown table
+entries; survivors come back in ascending order over a half-open range
+[lo, hi), so results are deterministic and partitionable.  All arrays
+are int64 with entries already reduced mod p.
+
+The associativity and Leibniz conditions are linear in the digits, so
+those two scans never evaluate a candidate: they build a residual matrix
+R whose row k is the residual of the candidate with digit k equal to 1
+and every other digit 0, and hand it to ``_scan_linear``.  That solves
+digits @ R == 0 mod p by meet-in-the-middle over the two halves of the
+digits (Horowitz and Sahni 1974): about p^(N/2) rows per half plus one
+entry per survivor, instead of p^N candidate evaluations.  The
+polynomial-relation scan is not linear and evaluates candidates in
+batches.
+
+Overflow: a half sum of ``_scan_linear`` adds at most N products of two
+residues and is asserted to fit int64.  ``scan_polyrel`` sums up to
+width^2 products of three residues, width being the largest table
+dimension it contracts over; callers skip oracle scans at primes where
+that bound reaches 2^63.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
+# numpy is the only backend; the benchmark records it with its results
+BACKEND = "numpy"
 
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAS_NUMBA = False
 
-_NJIT = {"parallel": False, "fastmath": False, "cache": True}
+def available_backends():
+    return ("numpy",)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +112,55 @@ def rref_modp_numpy(a, p):
 
 
 # ---------------------------------------------------------------------------
+# linear scans: residual rows joined meet-in-the-middle
+
+
+def _digits(ns, ndig, p):
+    """Base-p digits of each candidate in ns, least significant first."""
+    pows = p ** np.arange(ndig, dtype=np.int64)
+    return (ns[:, None] // pows[None, :]) % p
+
+
+def _scan_linear(R, p, lo, hi):
+    """Candidates n in [lo, hi), ascending, whose digit vector d has
+    d @ R == 0 mod p.  R is (ndig x m): row k is the residual of digit k.
+
+    The low h = ndig // 2 digits give a = n mod p^h and the rest give
+    b = n // p^h; n survives exactly when the low half sum of a equals
+    minus the high half sum of b.  Both half tables are sorted together
+    by their rows, and every (a, b) with equal rows is emitted."""
+    if hi <= lo:
+        return np.empty(0, np.int64)
+    R = R % p
+    R = R[:, R.any(axis=0)]
+    ndig, m = R.shape
+    if m == 0:  # no condition left, which includes ndig == 0
+        return np.arange(lo, hi, dtype=np.int64)
+    h = ndig // 2
+    assert (ndig - h) * (p - 1) ** 2 < 2**63, "half sums would overflow int64"
+    P = p**h
+    low = _digits(np.arange(P, dtype=np.int64), h, p) @ R[:h] % p
+    bs = np.arange(lo // P, (hi - 1) // P + 1, dtype=np.int64)
+    high = -(_digits(bs, ndig - h, p) @ R[h:]) % p
+    # residues fit the smallest unsigned type holding p - 1; narrower
+    # rows sort faster
+    rows = np.concatenate([low, high]).astype(np.min_scalar_type(p - 1))
+    uniq, key = np.unique(rows, axis=0, return_inverse=True)
+    key = key.ravel()
+    key_lo, key_hi = key[:P], key[P:]
+    # low halves grouped by key, ascending within a group
+    by_key = np.argsort(key_lo, kind="stable")
+    size = np.bincount(key_lo, minlength=len(uniq))
+    first = np.cumsum(size) - size
+    k = size[key_hi]  # matching low halves of each high half
+    ends = np.cumsum(k)
+    off = np.arange(ends[-1]) - np.repeat(ends - k, k)
+    a = by_key[np.repeat(first[key_hi], k) + off]
+    n = a + P * np.repeat(bs, k)
+    return n[(n >= lo) & (n < hi)]
+
+
+# ---------------------------------------------------------------------------
 # oracle scan: associativity filter for square-zero multiplication tables
 #
 # Candidate n encodes a symmetric table c(e_i, e_j) in J for non-unit basis
@@ -111,8 +169,15 @@ def rref_modp_numpy(a, p):
 # associativity condition of the would-be extension algebra:
 #   act[k] @ c[i,j] + sum_m mul[i,j,m] c[m,k]
 #     == act[i] @ c[j,k] + sum_m mul[j,k,m] c[i,m]
-# for all basis triples.  It is enough to check k >= i: swapping (i,k)
-# negates the residual.
+# for all basis triples.  The residual is linear in c, hence in the
+# digits, so scan_assoc_numpy evaluates it on the unit-digit tables only
+# and leaves the search to _scan_linear.
+#
+# Precondition: mul is commutative with unit e_0 and act[0] is the
+# identity.  The literal loop then checks only i, j >= 1 and k >= i: the
+# unit rows vanish and swapping (i, k) negates the residual.  The numpy
+# kernel checks every triple, so on tables without these properties the
+# two can disagree.
 
 
 def _scan_assoc_py(mul, act, pair_i, pair_j, p, lo, hi):
@@ -159,32 +224,22 @@ def _scan_assoc_py(mul, act, pair_i, pair_j, p, lo, hi):
     return out[:nout]
 
 
-def scan_assoc_numpy(mul, act, pair_i, pair_j, p, lo, hi, batch=4096):
+def scan_assoc_numpy(mul, act, pair_i, pair_j, p, lo, hi):
     s = mul.shape[0]
     t = act.shape[1]
-    npairs = pair_i.shape[0]
-    ndig = npairs * t
-    pows = p ** np.arange(ndig, dtype=np.int64)
-    chunks = []
-    for start in range(lo, hi, batch):
-        stop = min(start + batch, hi)
-        ns = np.arange(start, stop, dtype=np.int64)
-        dig = (ns[:, None] // pows[None, :]) % p
-        dig = dig.reshape(len(ns), npairs, t)
-        c = np.zeros((len(ns), s, s, t), np.int64)
-        c[:, pair_i, pair_j, :] = dig
-        c[:, pair_j, pair_i, :] = dig
-        res = (
-            np.einsum("ijm,Bmkl->Bijkl", mul, c)
-            + np.einsum("klm,Bijm->Bijkl", act, c)
-            - np.einsum("jkm,Biml->Bijkl", mul, c)
-            - np.einsum("ilm,Bjkm->Bijkl", act, c)
-        ) % p
-        ok = ~np.any(res.reshape(len(ns), -1), axis=1)
-        chunks.append(ns[ok])
-    if not chunks:
-        return np.empty(0, np.int64)
-    return np.concatenate(chunks)
+    ndig = pair_i.shape[0] * t
+    # row k: the table whose digit k is 1 and every other digit 0
+    unit = np.eye(ndig, dtype=np.int64).reshape(ndig, pair_i.shape[0], t)
+    c = np.zeros((ndig, s, s, t), np.int64)
+    c[:, pair_i, pair_j, :] = unit
+    c[:, pair_j, pair_i, :] = unit
+    res = (
+        np.einsum("ijm,Bmkl->Bijkl", mul, c)
+        + np.einsum("klm,Bijm->Bijkl", act, c)
+        - np.einsum("jkm,Biml->Bijkl", mul, c)
+        - np.einsum("ilm,Bjkm->Bijkl", act, c)
+    )
+    return _scan_linear(res.reshape(ndig, s * s * s * t), p, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +248,14 @@ def scan_assoc_numpy(mul, act, pair_i, pair_j, p, lo, hi, batch=4096):
 # Candidate n encodes a k-linear map D on the full algebra basis, digits
 # D[i, l] for i over basis elements and l over J-coordinates.  Survivors
 # satisfy D(e_i e_j) = e_i D(e_j) + e_j D(e_i) on every basis pair and
-# vanish on the listed vectors (images of base-ring generators).
+# vanish on the listed vectors (images of base-ring generators).  Both
+# conditions are linear in D, so scan_linmap_numpy evaluates them on the
+# unit-digit maps only and leaves the search to _scan_linear.
+#
+# Precondition: mul is commutative.  The Leibniz residual is then
+# symmetric in (i, j), so the literal loop checks only j >= i; the numpy
+# kernel checks every pair, so on a non-commutative table the two can
+# disagree.
 
 
 def _scan_linmap_py(mul, act, kill, p, lo, hi):
@@ -244,29 +306,20 @@ def _scan_linmap_py(mul, act, kill, p, lo, hi):
     return out[:nout]
 
 
-def scan_linmap_numpy(mul, act, kill, p, lo, hi, batch=4096):
+def scan_linmap_numpy(mul, act, kill, p, lo, hi):
     s = mul.shape[0]
     t = act.shape[1]
     ndig = s * t
-    pows = p ** np.arange(ndig, dtype=np.int64)
-    chunks = []
-    for start in range(lo, hi, batch):
-        stop = min(start + batch, hi)
-        ns = np.arange(start, stop, dtype=np.int64)
-        D = ((ns[:, None] // pows[None, :]) % p).reshape(len(ns), s, t)
-        res = (
-            np.einsum("ijm,Bml->Bijl", mul, D)
-            - np.einsum("ilm,Bjm->Bijl", act, D)
-            - np.einsum("jlm,Bim->Bijl", act, D)
-        ) % p
-        ok = ~np.any(res.reshape(len(ns), -1), axis=1)
-        if kill.shape[0]:
-            kres = np.einsum("bi,Bil->Bbl", kill, D) % p
-            ok &= ~np.any(kres.reshape(len(ns), -1), axis=1)
-        chunks.append(ns[ok])
-    if not chunks:
-        return np.empty(0, np.int64)
-    return np.concatenate(chunks)
+    # row k: the map whose digit k is 1 and every other digit 0
+    D = np.eye(ndig, dtype=np.int64).reshape(ndig, s, t)
+    res = (
+        np.einsum("ijm,Bml->Bijl", mul, D)
+        - np.einsum("ilm,Bjm->Bijl", act, D)
+        - np.einsum("jlm,Bim->Bijl", act, D)
+    )
+    kres = np.einsum("bi,Bil->Bbl", kill, D)
+    R = np.concatenate([res.reshape(ndig, s * s * t), kres.reshape(ndig, kill.shape[0] * t)], axis=1)
+    return _scan_linear(R, p, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +392,12 @@ def scan_polyrel_numpy(mulc, base, span, rel_ptr, coefv, exps, p, lo, hi, batch=
     nspan = span.shape[0]
     nrel = rel_ptr.shape[0] - 1
     ndig = nv * nspan
-    pows = p ** np.arange(ndig, dtype=np.int64)
     chunks = []
     for start in range(lo, hi, batch):
         stop = min(start + batch, hi)
         ns = np.arange(start, stop, dtype=np.int64)
         nb = len(ns)
-        dig = ((ns[:, None] // pows[None, :]) % p).reshape(nb, nv, nspan)
+        dig = _digits(ns, ndig, p).reshape(nb, nv, nspan)
         img = (base[None, :, :] + np.einsum("Bvd,da->Bva", dig, span)) % p
         ok = np.ones(nb, bool)
         for r in range(nrel):
@@ -363,51 +415,7 @@ def scan_polyrel_numpy(mulc, base, span, rel_ptr, coefv, exps, p, lo, hi, batch=
     return np.concatenate(chunks)
 
 
-# ---------------------------------------------------------------------------
-# backend wiring
-
-if _HAS_NUMBA:
-    _rref_modp_numba_impl = numba.njit(**_NJIT)(_rref_modp_py)
-    scan_assoc_numba = numba.njit(**_NJIT)(_scan_assoc_py)
-    scan_linmap_numba = numba.njit(**_NJIT)(_scan_linmap_py)
-    scan_polyrel_numba = numba.njit(**_NJIT)(_scan_polyrel_py)
-
-    def rref_modp_numba(a, p):
-        a = np.asarray(a, np.int64)
-        if a.size == 0:
-            return a.copy(), np.empty(0, np.int64), 0
-        r, piv, rank = _rref_modp_numba_impl(a, p)
-        return r, piv[:rank], rank
-
-else:  # pragma: no cover
-    rref_modp_numba = None
-    scan_assoc_numba = None
-    scan_linmap_numba = None
-    scan_polyrel_numba = None
-
-
-def _pick_backend() -> str:
-    want = os.environ.get("DEFALG_BACKEND", "").strip().lower()
-    if want in ("numba", "numpy"):
-        if want == "numba" and not _HAS_NUMBA:
-            raise ImportError("DEFALG_BACKEND=numba but numba is not importable")
-        return want
-    return "numba" if _HAS_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    rref_modp = rref_modp_numba
-    scan_assoc = scan_assoc_numba
-    scan_linmap = scan_linmap_numba
-    scan_polyrel = scan_polyrel_numba
-else:
-    rref_modp = rref_modp_numpy
-    scan_assoc = scan_assoc_numpy
-    scan_linmap = scan_linmap_numpy
-    scan_polyrel = scan_polyrel_numpy
-
-
-def available_backends():
-    return ("numba", "numpy") if _HAS_NUMBA else ("numpy",)
+rref_modp = rref_modp_numpy
+scan_assoc = scan_assoc_numpy
+scan_linmap = scan_linmap_numpy
+scan_polyrel = scan_polyrel_numpy

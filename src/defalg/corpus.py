@@ -303,7 +303,7 @@ def _run_extensions(field, opts):
                 z = tuple(f.add(a, b) for a, b in zip(cocycles[i], cocycles[j]))
                 geometric = baer_sum(reps[i], reps[j])
                 algebraic = extension_from_cocycle(B, J, z)
-                if not extensions_equivalent(geometric, algebraic):
+                if not extensions_equivalent(geometric, algebraic, cls.maps):
                     bad += 1
         report.problems.append(
             _check_entry(

@@ -305,11 +305,12 @@ class ExtensionClassification:
     representatives: Tuple[SquareZeroExtension, ...]
     count: Optional[int]  # number of classes when the field is finite
     complete: bool        # whether representatives covers every class
+    maps: CochainMaps = dc_field(repr=False, compare=False)  # cochain maps of B with coefficients in J
 
     def class_of(self, ext: SquareZeroExtension) -> int:
         """Index of the representative equivalent to ext."""
         for i, rep in enumerate(self.representatives):
-            if extensions_equivalent(ext, rep):
+            if extensions_equivalent(ext, rep, self.maps):
                 return i
         raise AssertionError("extension matches no representative")
 
@@ -331,11 +332,11 @@ def classify_extensions(B: PresentedAlgebra, J: FiniteModule, max_reps: int = 40
                 if dig:
                     vec = vec_add(f, vec, vec_scale(f, dig, list(rep)))
             reps.append(extension_from_cocycle(B, J, vec))
-        return ExtensionClassification(B, J, r1.dim, tuple(reps), count, True)
+        return ExtensionClassification(B, J, r1.dim, tuple(reps), count, True, r1.maps)
     reps = [trivial_extension(B, J)]
     for rep in r1.reps:
         reps.append(extension_from_cocycle(B, J, list(rep)))
-    return ExtensionClassification(B, J, r1.dim, tuple(reps), count, r1.dim == 0)
+    return ExtensionClassification(B, J, r1.dim, tuple(reps), count, r1.dim == 0, r1.maps)
 
 
 def torsor_action(ext: SquareZeroExtension, cls: CohomologyClass) -> SquareZeroExtension:

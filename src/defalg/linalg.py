@@ -1,13 +1,12 @@
 """Dense exact linear algebra over GF(p) and Q.
 
 A matrix is one numpy array whose dtype and arithmetic its field owns
-(see ``fields``): int64 residues for GF(p), row-reduced by the
-compiled kernels; ``Fraction`` objects for Q, row-reduced fraction-free
+(see ``fields``): int64 residues for GF(p), row-reduced by the numpy
+kernel in ``_kernels``; ``Fraction`` objects for Q, row-reduced fraction-free
 (integer rows, gcd-normalized after every update) to control
 coefficient growth.  Products are exact for every accepted prime.
 Pivoting is deterministic: first nonzero entry scanning rows top-down,
-columns left-to-right, so identical input yields identical output on
-every backend.
+columns left-to-right, so identical input yields identical output.
 
 Vectors are plain Python lists of field scalars throughout; entries
 leave a matrix through ``tolist``, as Python ints or Fractions.

@@ -1,0 +1,120 @@
+"""The linear oracle scans against their literal reference loops.
+
+``scan_assoc`` and ``scan_linmap`` solve their residual conditions by
+meet-in-the-middle; ``_scan_assoc_py`` and ``_scan_linmap_py`` evaluate
+every candidate literally.  Both are compared on random sub-ranges,
+including empty ranges and scans with no digits, on tables that meet
+the kernels' precondition: e_0 is the unit, the multiplication is
+commutative and e_0 acts as the identity.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defalg import _kernels
+
+PRIMES = [2, 3, 5]
+MAX_WIDTH = 200  # candidates run through the literal loops per example
+
+
+def residues(p, n):
+    return st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+
+
+@st.composite
+def unital_tables(draw, max_s=4, max_t=2):
+    """(p, mul, act): a commutative table with unit e_0 on s basis
+    elements, acting on k^t with e_0 acting as the identity."""
+    p = draw(st.sampled_from(PRIMES))
+    s = draw(st.integers(1, max_s))
+    t = draw(st.integers(0, max_t))
+    mul = np.zeros((s, s, s), np.int64)
+    mul[0] = mul[:, 0] = np.eye(s, dtype=np.int64)
+    for i in range(1, s):
+        for j in range(i, s):
+            mul[i, j] = mul[j, i] = draw(residues(p, s))
+    act = np.zeros((s, t, t), np.int64)
+    act[0] = np.eye(t, dtype=np.int64)
+    for i in range(1, s):
+        act[i] = np.array(draw(residues(p, t * t)), np.int64).reshape(t, t)
+    return p, mul, act
+
+
+@st.composite
+def sub_range(draw, total):
+    """A half-open [lo, hi) inside [0, total), possibly empty."""
+    lo = draw(st.integers(0, total))
+    hi = draw(st.integers(lo, min(total, lo + MAX_WIDTH)))
+    return lo, hi
+
+
+def nonunit_pairs(s):
+    pairs = [(i, j) for i in range(1, s) for j in range(i, s)]
+    return np.array([i for i, _ in pairs], np.int64), np.array([j for _, j in pairs], np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), unital_tables())
+def test_scan_assoc_matches_reference_loop(data, tables):
+    p, mul, act = tables
+    pair_i, pair_j = nonunit_pairs(mul.shape[0])
+    total = p ** (len(pair_i) * act.shape[1])
+    lo, hi = data.draw(sub_range(total))
+    want = _kernels._scan_assoc_py(mul, act, pair_i, pair_j, p, lo, hi)
+    got = _kernels.scan_assoc(mul, act, pair_i, pair_j, p, lo, hi)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), unital_tables())
+def test_scan_linmap_matches_reference_loop(data, tables):
+    p, mul, act = tables
+    s = mul.shape[0]
+    nkill = data.draw(st.integers(0, 2))
+    kill = np.array([data.draw(residues(p, s)) for _ in range(nkill)], np.int64).reshape(nkill, s)
+    total = p ** (s * act.shape[1])
+    lo, hi = data.draw(sub_range(total))
+    want = _kernels._scan_linmap_py(mul, act, kill, p, lo, hi)
+    got = _kernels.scan_linmap(mul, act, kill, p, lo, hi)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def truncated(s, t):
+    """k[x]/(x^s) and its action on k^t with x acting as a shift."""
+    mul = np.zeros((s, s, s), np.int64)
+    for i in range(s):
+        for j in range(s - i):
+            mul[i, j, i + j] = 1
+    act = np.zeros((s, t, t), np.int64)
+    act[0] = np.eye(t, dtype=np.int64)
+    for l in range(t - 1):
+        act[1, l + 1, l] = 1
+    for i in range(2, s):
+        act[i] = act[1] @ act[i - 1]
+    return mul, act
+
+
+def test_full_scans_match_reference_loops():
+    """Whole candidate spaces with many survivors, split at a boundary
+    that is not a multiple of the half size."""
+    for p in PRIMES[:2]:
+        mul, act = truncated(3, 2)
+        pair_i, pair_j = nonunit_pairs(3)
+        total = p ** (len(pair_i) * 2)
+        want = _kernels._scan_assoc_py(mul, act, pair_i, pair_j, p, 0, total)
+        assert len(want) > 1
+        cut = total // 3 + 1
+        got = np.concatenate([
+            _kernels.scan_assoc(mul, act, pair_i, pair_j, p, 0, cut),
+            _kernels.scan_assoc(mul, act, pair_i, pair_j, p, cut, total),
+        ])
+        assert np.array_equal(got, want)
+
+        kill = np.zeros((0, 3), np.int64)
+        total = p ** 6
+        want = _kernels._scan_linmap_py(mul, act, kill, p, 0, total)
+        assert len(want) > 1
+        assert np.array_equal(_kernels.scan_linmap(mul, act, kill, p, 0, total), want)
