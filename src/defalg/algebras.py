@@ -427,6 +427,7 @@ class FiniteModule:
         self.labels = tuple(labels)
         self.mats = tuple(mats)
         self.kind = kind
+        self._monomial_actions = {}  # exponent tuple -> Matrix, see monomial_action
         t = len(self.labels)
         for m in self.mats:
             if m.nrows != t or m.ncols != t:
@@ -490,12 +491,25 @@ class FiniteModule:
         t = self.rank
         acc = Matrix.zeros(f, t, t)
         for m, c in p.terms.items():
-            w = Matrix.identity(f, t)
-            for v, e in enumerate(m):
-                for _ in range(e):
-                    w = self.mats[v].mul(w)
-            acc = acc.add(w.scale(c))
+            acc = acc.add(self.monomial_action(m).scale(c))
         return acc
+
+    def monomial_action(self, m: tuple) -> Matrix:
+        """Action of the monomial with exponents m, memoized: mats[v]
+        times the action of m with one power of x_v fewer, v its last
+        variable, so the product is mats[n-1]^e ... mats[0]^e in that
+        order whether or not the matrices commute."""
+        w = self._monomial_actions.get(m)
+        if w is None:
+            if self.kind != "presented":
+                raise TypeError("monomial action needs a presented owner")
+            v = max((i for i, e in enumerate(m) if e), default=None)
+            if v is None:
+                w = Matrix.identity(self.field, self.rank)
+            else:
+                w = self.mats[v].mul(self.monomial_action(m[:v] + (m[v] - 1,) + m[v + 1 :]))
+            self._monomial_actions[m] = w
+        return w
 
     def action_of_vec(self, v: Sequence[Scalar]) -> Matrix:
         if self.kind != "structure":
@@ -529,8 +543,7 @@ class FiniteModule:
         if S.source is not B or S.basis_gen_exps is None:
             raise ValueError("structure algebra was not built from this module's owner")
         for i, m in enumerate(S.basis_gen_exps):
-            mat = self.action_of_poly(Polynomial.monomial(B.field, B.nvars, m))
-            out[i] = np.array(mat.to_rows(), np.int64).reshape(t, t)
+            out[i] = np.array(self.monomial_action(m).to_rows(), np.int64).reshape(t, t)
         return out
 
     def __repr__(self):

@@ -535,7 +535,7 @@ def _run_integrity(field, opts):
         c1 = cocycle_from_extension(rep, gen_offsets=[[f.one()], [f.one()]])
         diff = vec_sub(f, list(c0), list(c1))
         ok1, _ = is_coboundary(CohomologyClass(fat, J, 1, tuple(diff)), maps)
-        ok2 = extensions_equivalent(rep, extension_from_cocycle(fat, J, c1))
+        ok2 = extensions_equivalent(rep, extension_from_cocycle(fat, J, c1), maps)
         checked += 1
         agree += ok1 and ok2
     report.problems.append(

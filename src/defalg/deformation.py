@@ -180,7 +180,7 @@ def _section_table(B: PresentedAlgebra, J: FiniteModule, fiber_value, **kwargs) 
     std = B.std_monomials()
     s, t = len(std), J.rank
     index = {mo: i for i, mo in enumerate(std)}
-    acts = [J.action_of_poly(Polynomial.monomial(f, B.nvars, mo)) for mo in std]
+    acts = [J.monomial_action(mo) for mo in std]
 
     def product(i, j):
         vec = [f.zero()] * (s + t)
@@ -462,6 +462,7 @@ class LiftResult:
     lifted_images: Optional[Tuple[tuple, ...]]
     freedom_dim: int                      # derivations = ambiguity of the lift
     count: Optional[int]                  # number of lifts over a finite field
+    maps: CochainMaps = dc_field(repr=False, compare=False)  # cochain maps of B with coefficients in J
 
     @property
     def t0_dim(self) -> int:
@@ -481,7 +482,7 @@ def lift_homomorphism(problem: LiftProblem) -> LiftResult:
     ds = derivation_space(B, J)
     t = J.rank
     if eta is None:
-        return LiftResult(problem, False, cls, None, None, ds.dim, 0 if isinstance(f, PrimeField) else None)
+        return LiftResult(problem, False, cls, None, None, ds.dim, 0 if isinstance(f, PrimeField) else None, maps)
     # corrected preimages: v_i + eta_i, verified to kill every relation
     Cp = problem.Cprime
     nb = [list(v) for v in problem.n_basis]
@@ -502,7 +503,7 @@ def lift_homomorphism(problem: LiftProblem) -> LiftResult:
         if any(not f.is_zero(c) for c in val):
             raise AssertionError("corrected images do not satisfy the relations")
     count = f.p**ds.dim if isinstance(f, PrimeField) else None
-    return LiftResult(problem, True, cls, tuple(eta), tuple(tuple(v) for v in imgs), ds.dim, count)
+    return LiftResult(problem, True, cls, tuple(eta), tuple(tuple(v) for v in imgs), ds.dim, count, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,18 @@ entries back to canonical form (``reduce``), the reduced product
 (``matmul``) and row reduction (``rref``).  Sums of int64 products are
 exact only while contraction length * (p-1)^2 < 2^63; ``matmul`` checks
 that bound and runs the same product on Python ints beyond it, so every
-accepted p gets exact answers.
+accepted p gets exact answers.  Over Q, ``matmul`` clears the
+denominators of each operand once, multiplies the two Python-int arrays
+and divides by the product of the two denominators when it builds the
+resulting ``Fraction``s: exact at any size, with no ``Fraction``
+arithmetic inside the sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 import numpy as np
@@ -130,18 +134,21 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
 
+def _clear_denominators(xs):
+    """(integers, den) with xs[i] == integers[i] / den, where den is the
+    lcm of the denominators of the Fractions (or ints) xs."""
+    den = lcm(*{x.denominator for x in xs})
+    if den == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _as_int_rows(rows):
     """Clear denominators: each row scaled to coprime integers."""
     out = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in fracs]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        ints, _ = _clear_denominators(row)
+        g = gcd(*ints)
         if g > 1:
             ints = [x // g for x in ints]
         out.append(ints)
@@ -169,9 +176,7 @@ def _rref_fracfree(rows, ncols):
                 continue
             f = work[r][col]
             row = [work[r][c] * pv - work[rank][c] * f for c in range(ncols)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
+            g = gcd(*row)
             if g > 1:
                 row = [x // g for x in row]
             work[r] = row
@@ -248,7 +253,14 @@ class RationalField:
         return _to_fractions(a)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.reduce(a @ b)
+        """a @ b on cleared-denominator integers, divided once per entry."""
+        ia, da = _clear_denominators(a.ravel().tolist())
+        ib, db = _clear_denominators(b.ravel().tolist())
+        prod = np.array(ia, object).reshape(a.shape) @ np.array(ib, object).reshape(b.shape)
+        den = da * db
+        if den == 1:
+            return self.reduce(prod)
+        return np.array([Fraction(x, den) for x in prod.ravel().tolist()], object).reshape(prod.shape)
 
     def rref(self, a: np.ndarray):
         """(reduced array, pivot column tuple, rank), fraction-free:

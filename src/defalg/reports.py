@@ -209,7 +209,7 @@ def run_lift(ps: ProblemSet, spec: LiftSpec, opts: RunOptions) -> dict:
         "count": res.count,
     }
     if not res.solvable:
-        vanishes, _ = is_coboundary(res.obstruction)
+        vanishes, _ = is_coboundary(res.obstruction, res.maps)
         data["class_vanishes"] = vanishes
     if opts.oracle:
         B = problem.B

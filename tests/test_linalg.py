@@ -296,3 +296,114 @@ def test_products_do_not_wrap_at_the_largest_prime():
     S = PresentedAlgebra.from_strings(f, ["x"], ["x^3-5"]).to_structure()
     u = [p - 1, p - 2, p - 3]  # -(1 + 2x + 3x^2)
     assert S.mul_vec(u, u) == [61, 49, 10]
+
+
+# -- Q products on cleared denominators ---------------------------------
+
+
+def q_entries(integral):
+    """Fractions with numerators past 2^70 and denominators up to 10^6;
+    integral draws exercise the path that skips the scaling."""
+    nums = st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+    dens = st.just(1) if integral else st.integers(1, 10**6)
+    return st.builds(Fraction, nums, dens)
+
+
+def frac_matmul(a, b, ncols):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(ncols)] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (3, 4, 2)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_q_products_match_fraction_reference(shape, data):
+    n, k, m = shape
+    entries = q_entries(data.draw(st.booleans()))
+    a = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[data.draw(entries) for _ in range(m)] for _ in range(k)]
+    x = [data.draw(entries) for _ in range(k)]
+    A, B = Matrix.from_rows(QQ, a, ncols=k), Matrix.from_rows(QQ, b, ncols=m)
+    prod = A.mul(B).to_rows()
+    assert prod == frac_matmul(a, b, m) and exact_type(QQ, prod)
+    vec = A.mul_vec(x)
+    assert vec == [row[0] for row in frac_matmul(a, [[v] for v in x], 1)] and exact_type(QQ, [vec])
+    # a 1-D left operand, as StructureAlgebra.mul_vec contracts
+    left = QQ.matmul(QQ.array(x), B._a).tolist()
+    assert left == frac_matmul([x], b, m)[0] and exact_type(QQ, [left])
+
+
+def test_near_miss_q_product_is_nonzero():
+    eps = Fraction(1, 10**30)
+    A = Matrix.from_rows(QQ, [[Fraction(1, 3), Fraction(-1, 3) + eps]])
+    prod = A.mul(Matrix.from_rows(QQ, [[1], [1]]))
+    assert not prod.is_zero() and prod.to_rows() == [[eps]]
+    assert A.mul_vec([Fraction(1), Fraction(1)]) == [eps]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["D1.D0", "W.D1"])
+def test_cochain_identities_catch_a_near_miss(monkeypatch, which):
+    """Moving one entry of D0 (or D1) by 10^-30 breaks D1.D0 = 0 (or
+    W.D1 = 0), and cochain_maps says so."""
+    from defalg import cotangent
+    from defalg.algebras import FiniteModule
+
+    B = PresentedAlgebra.from_strings(QQ, ["x", "y"], ["x^2", "x*y", "y^2"])
+    J = FiniteModule.regular(B)
+    cx = cotangent.cotangent_complex(B)
+    maps = cotangent.cochain_maps(cx, J)
+    after = maps.d1 if which == 0 else maps.w
+    col = next(c for c in range(after.ncols) if any(after.col(c)))
+    # the nudge sits in column 0; row 0 of D0 is zero, so a nudged D1
+    # still passes the low-degree check and reaches the top-degree one
+    assert not any(maps.d0.row(0))
+    built = []
+    block_matrix = cotangent.block_matrix
+
+    def nudged(*args):
+        m = block_matrix(*args)
+        if len(built) == which:
+            rows = m.to_rows()
+            rows[col][0] += Fraction(1, 10**30)
+            m = Matrix.from_rows(QQ, rows)
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(cotangent, "block_matrix", nudged)
+    degree = "low" if which == 0 else "top"
+    with pytest.raises(AssertionError, match=f"compose to zero in {degree} degree"):
+        cotangent.cochain_maps(cx, J)
+
+
+# -- memoized monomial actions ------------------------------------------
+
+
+def explicit_action(J, m):
+    """mats[n-1]^e ... mats[0]^e, one product at a time from the identity."""
+    w = Matrix.identity(J.field, J.rank)
+    for v, e in enumerate(m):
+        for _ in range(e):
+            w = J.mats[v].mul(w)
+    return w
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_memoized_action_matches_explicit_products(field, data):
+    """Monomials asked for in a random order, on a module whose matrices
+    need not commute (from_matrices does not validate), so the cache is
+    filled out of order and the product order is tested too."""
+    from defalg.algebras import FiniteModule
+
+    B = PresentedAlgebra.from_strings(field, ["x", "y", "z"], ["x^3", "y^3", "z^3"])
+    t = 3
+    mats = [[[data.draw(scalars(field)) for _ in range(t)] for _ in range(t)] for _ in range(3)]
+    J = FiniteModule.from_matrices(B, ["a", "b", "c"], mats)
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=8))
+    for m in monos:
+        assert J.monomial_action(m) == explicit_action(J, m)
+    poly = sum((B.var(v) ** e for v, e in enumerate(monos[0])), B.zero_poly()) + B.var(0) * B.var(2)
+    want = Matrix.zeros(field, t, t)
+    for m, c in poly.terms.items():
+        want = want.add(explicit_action(J, m).scale(c))
+    assert J.action_of_poly(poly) == want
