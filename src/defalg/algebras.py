@@ -60,6 +60,7 @@ class PresentedAlgebra:
         self._gb: Optional[GroebnerBasis] = None
         self._base_gb: Optional[GroebnerBasis] = None
         self._std: Optional[Tuple[Monomial, ...]] = None
+        self._cotangent = None  # cotangent.CotangentComplex, see cotangent_complex
 
     # -- construction conveniences --------------------------------------
 
@@ -487,12 +488,11 @@ class FiniteModule:
         B: PresentedAlgebra = self.owner
         if p.nvars != B.nvars:
             raise ValueError("polynomial not in the flattened ring")
-        f = self.field
-        t = self.rank
-        acc = Matrix.zeros(f, t, t)
+        acc = None
         for m, c in p.terms.items():
-            acc = acc.add(self.monomial_action(m).scale(c))
-        return acc
+            w = self.monomial_action(m).scale(c)
+            acc = w if acc is None else acc.add(w)
+        return Matrix.zeros(self.field, self.rank, self.rank) if acc is None else acc
 
     def monomial_action(self, m: tuple) -> Matrix:
         """Action of the monomial with exponents m, memoized: mats[v]

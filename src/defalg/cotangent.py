@@ -63,14 +63,14 @@ def koszul_vectors(B: PresentedAlgebra) -> List[List[Polynomial]]:
 
 
 def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
-    """Build the complex and assert its structural identities."""
-    m = len(B.relations)
-    jac = tuple(tuple(r) for r in jacobian_entries(B))
-    syz = relation_syzygies(B)
-    kos = koszul_vectors(B)
-
+    """The complex of B, built once per algebra (cached on B, the way its
+    Groebner basis is); its structural identities are asserted on every call."""
+    if B._cotangent is None:
+        B._cotangent = _build_complex(B)
+    cx = B._cotangent
+    m = cx.n_rels
     base_gb = B.base_groebner()
-    for vec in syz:
+    for vec in cx.syz:
         acc = B.zero_poly()
         for j in range(m):
             acc = acc + vec[j] * B.relations[j]
@@ -82,12 +82,29 @@ def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
                 d = d + vec[j] * B.relations[j].derivative(B.n_base + i)
             if not B.normal_form(d).is_zero():
                 raise AssertionError("syzygy does not compose to zero with the Jacobian")
-    for vec in kos:
+    for vec in cx.kos:
         acc = B.zero_poly()
         for j in range(m):
             acc = acc + vec[j] * B.relations[j]
         if not acc.is_zero():
             raise AssertionError("Koszul vector is not a syzygy")
+    # the c-part of each relation row must pair with the syzygy vectors into the ideal
+    for crow in cx.w_rows:
+        for j in range(m):
+            acc = B.zero_poly()
+            for c, vec in zip(crow, cx.syz):
+                if not c.is_zero():
+                    acc = acc + c * vec[j]
+            if not B.normal_form(acc).is_zero():
+                raise AssertionError("relation row does not kill the syzygy classes")
+    return cx
+
+
+def _build_complex(B: PresentedAlgebra) -> CotangentComplex:
+    m = len(B.relations)
+    jac = tuple(tuple(r) for r in jacobian_entries(B))
+    syz = relation_syzygies(B)
+    kos = koszul_vectors(B)
 
     r = len(syz)
     w_rows: List[Tuple[Polynomial, ...]] = []
@@ -108,13 +125,6 @@ def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
             if key in seen:
                 continue
             seen.add(key)
-            # the c-part must pair with the syzygy vectors into the ideal
-            for j in range(m):
-                acc = B.zero_poly()
-                for k in range(r):
-                    acc = acc + crow[k] * syz[k][j]
-                if not B.normal_form(acc).is_zero():
-                    raise AssertionError("relation row does not kill the syzygy classes")
             w_rows.append(crow)
         w_rows.sort(key=lambda row: [p.key() for p in row])
 

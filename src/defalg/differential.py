@@ -22,16 +22,11 @@ from .poly import GREVLEX, Polynomial
 def block_matrix(J: FiniteModule, entries: Sequence[Sequence[Polynomial]], nrows: int, ncols: int) -> Matrix:
     """Assemble the scalar matrix of a map J^ncols -> J^nrows whose
     (j, i) block acts by the polynomial entries[j][i]."""
-    f = J.field
-    t = J.rank
-    if nrows == 0 or ncols == 0:
-        return Matrix.zeros(f, nrows * t, ncols * t)
-    rows = []
-    for j in range(nrows):
-        blocks = [J.action_of_poly(entries[j][i]) for i in range(ncols)]
-        for rr in range(t):
-            rows.append([b.entry(rr, cc) for b in blocks for cc in range(t)])
-    return Matrix.from_rows(f, rows, ncols=ncols * t)
+    blocks = [
+        [None if entries[j][i].is_zero() else J.action_of_poly(entries[j][i]) for i in range(ncols)]
+        for j in range(nrows)
+    ]
+    return Matrix.from_blocks(J.field, blocks, nrows, ncols, J.rank)
 
 
 def jacobian_entries(B: PresentedAlgebra) -> List[List[Polynomial]]:

@@ -6,6 +6,14 @@ from (component, monomial) to coefficient, ordered term-over-position
 (ring order on the monomial, ties broken toward the earlier component).
 Ring polynomials are the c = 1 case.  The working basis is kept monic.
 
+Division (``_v_divmod``) keeps the pending terms in a heap and reduces
+the largest one each step by the first basis element, among those of
+its component, whose leading term divides it: the reduction order of
+"take the max over what is left", at a heap pop per step.  A basis
+carries its division data (vectors and leading terms), built once.  The
+engine builds the cofactors of an S-pair only when its remainder is
+nonzero and joins the basis; most pairs reduce to zero.
+
 Correctness notes baked into the code:
   * the product (coprime-lcm) criterion is applied only to ring-level
     pairs; it is not sound for module pairs sharing a leading component;
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
@@ -51,8 +60,11 @@ def _v_is_zero(v: VDict) -> bool:
     return not v
 
 
-def _v_scale_mono(field: Field, v: VDict, m: Monomial, c: Scalar) -> VDict:
-    return {(comp, mono_mul(m, mm)): field.mul(c, cc) for (comp, mm), cc in v.items()}
+def _v_shift_diff(field: Field, a: VDict, sa: Monomial, b: VDict, sb: Monomial) -> VDict:
+    """x^sa * a - x^sb * b."""
+    out = {(comp, mono_mul(sa, m)): c for (comp, m), c in a.items()}
+    _v_sub_into(field, out, {(comp, mono_mul(sb, m)): c for (comp, m), c in b.items()})
+    return out
 
 
 def _v_sub_into(field: Field, acc: VDict, v: VDict) -> None:
@@ -86,29 +98,52 @@ def _v_divmod(
     """Full division of v by a monic basis: (normal form, quotients).
 
     Deterministic: always reduces the currently largest term, choosing
-    the first basis element whose leading term divides it.
+    the first basis element whose leading term divides it.  Pending
+    terms sit in a heap keyed by the descending order, with lazy
+    deletion: a popped term no longer in ``work`` was cancelled.  Every
+    term that a reduction step creates is smaller than the term it
+    reduces, so a term once popped never comes back.
     """
-    key = _vkey(order)
+    rkey = order.rkey
+    by_comp: Dict[int, List[Tuple[int, Monomial]]] = {}
+    for idx, (lc, lm) in enumerate(leads):
+        by_comp.setdefault(lc, []).append((idx, lm))
     work = dict(v)
+    heap = [(rkey(m), c, m) for c, m in work]
+    heapq.heapify(heap)
     nf: VDict = {}
     quots: List[QDict] = [dict() for _ in basis]
-    while work:
-        t = max(work, key=key)
-        comp, mono = t
-        coeff = work[t]
-        hit = -1
-        for idx, (lc, lm) in enumerate(leads):
-            if lc == comp and mono_divides(lm, mono):
-                hit = idx
-                break
-        if hit < 0:
-            nf[t] = coeff
-            del work[t]
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    while heap:
+        _, comp, mono = heapq.heappop(heap)
+        t = (comp, mono)
+        coeff = work.pop(t, None)
+        if coeff is None:
             continue
-        shift = mono_div(mono, leads[hit][1])
-        q = quots[hit]
-        q[shift] = field.add(q.get(shift, field.zero()), coeff)
-        _v_sub_into(field, work, _v_scale_mono(field, basis[hit], shift, coeff))
+        for hit, lm in by_comp.get(comp, ()):
+            if mono_divides(lm, mono):
+                break
+        else:
+            nf[t] = coeff
+            continue
+        shift = mono_div(mono, lm)
+        quots[hit][shift] = coeff  # terms only decrease: no shift comes twice
+        # work -= coeff * x^shift * basis[hit], whose lead cancels t
+        neg = field.neg(coeff)
+        for (bc, bm), bcoeff in basis[hit].items():
+            if bm == lm and bc == comp:
+                continue
+            m = mono_mul(shift, bm)
+            u = (bc, m)
+            c = mul(neg, bcoeff)
+            cur = work.get(u)
+            if cur is None:
+                work[u] = c
+                heapq.heappush(heap, (rkey(m), bc, m))
+            elif is_zero(c := add(cur, c)):
+                del work[u]
+            else:
+                work[u] = c
     return nf, quots
 
 
@@ -186,16 +221,16 @@ class _Engine:
                 continue
             si = mono_div(lcm, self.leads[i][1])
             sj = mono_div(lcm, self.leads[j][1])
-            s = _v_scale_mono(f, self.basis[i], si, f.one())
-            _v_sub_into(f, s, _v_scale_mono(f, self.basis[j], sj, f.one()))
-            rep = _v_scale_mono(f, self.reps[i], si, f.one())
-            _v_sub_into(f, rep, _v_scale_mono(f, self.reps[j], sj, f.one()))
+            s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj)
             nf, quots = _v_divmod(f, s, self.basis, self.leads, self.order)
+            if _v_is_zero(nf):
+                continue
+            # the cofactors of a new basis element; most S-pairs reduce to zero
+            rep = _v_shift_diff(f, self.reps[i], si, self.reps[j], sj)
             for k, q in enumerate(quots):
                 if q:
                     _v_sub_into(f, rep, _v_mul_poly(f, self.reps[k], q))
-            if not _v_is_zero(nf):
-                self.add(nf, rep)
+            self.add(nf, rep)
 
     def interreduce(self) -> None:
         f = self.field
@@ -251,8 +286,7 @@ class _Engine:
                 lcm = mono_lcm(mi, mj)
                 si = mono_div(lcm, mi)
                 sj = mono_div(lcm, mj)
-                s = _v_scale_mono(f, self.basis[i], si, f.one())
-                _v_sub_into(f, s, _v_scale_mono(f, self.basis[j], sj, f.one()))
+                s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj)
                 nf, quots = _v_divmod(f, s, self.basis, self.leads, self.order)
                 if not _v_is_zero(nf):
                     raise AssertionError("S-vector of a Groebner basis fails to reduce to zero")
@@ -293,8 +327,10 @@ def _q_to_poly(q: QDict, field: Field, nvars: int) -> Polynomial:
     return Polynomial(field, nvars, dict(q))
 
 
-def _vec_sort_key(vec: Sequence[Polynomial]):
-    return tuple(p.key() for p in vec)
+def _division_data(vb: List[VDict], order: MonomialOrder) -> Tuple[List[VDict], List[VTerm]]:
+    """(basis vectors, their leading terms): what _v_divmod divides by,
+    built once per basis."""
+    return vb, [max(v, key=_vkey(order)) for v in vb]
 
 
 @dataclass(frozen=True)
@@ -311,6 +347,10 @@ class GroebnerBasis:
     to_gens: Tuple[Tuple[Polynomial, ...], ...]
     from_gens: Tuple[Tuple[Polynomial, ...], ...]
 
+    @cached_property
+    def _division(self) -> Tuple[List[VDict], List[VTerm]]:
+        return _division_data([_poly_to_v(b) for b in self.basis], self.order)
+
     def contains_one(self) -> bool:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
 
@@ -326,10 +366,12 @@ class ModuleGroebnerBasis:
     order: MonomialOrder
     basis: Tuple[Tuple[Polynomial, ...], ...]
 
+    @cached_property
+    def _division(self) -> Tuple[List[VDict], List[VTerm]]:
+        return _division_data([_vec_to_v(b) for b in self.basis], self.order)
+
     def normal_form(self, vec: Sequence[Polynomial]) -> List[Polynomial]:
-        vb = [_vec_to_v(b) for b in self.basis]
-        leads = [max(v, key=_vkey(self.order)) for v in vb]
-        nf, _ = _v_divmod(self.field, _vec_to_v(vec), vb, leads, self.order)
+        nf, _ = _v_divmod(self.field, _vec_to_v(vec), *self._division, self.order)
         return _v_to_vec(nf, self.field, self.nvars, self.ncomp)
 
     def contains(self, vec: Sequence[Polynomial]) -> bool:
@@ -405,9 +447,7 @@ def normal_form_quotients(
     """(normal form, quotients over gb.basis): f = sum q_j basis_j + nf."""
     if not isinstance(gb, GroebnerBasis):
         gb = buchberger(list(gb), order or GREVLEX)
-    vb = [_poly_to_v(b) for b in gb.basis]
-    leads = [max(v, key=_vkey(gb.order)) for v in vb]
-    nf, quots = _v_divmod(gb.field, _poly_to_v(f), vb, leads, gb.order)
+    nf, quots = _v_divmod(gb.field, _poly_to_v(f), *gb._division, gb.order)
     nf_poly = _v_to_vec(nf, gb.field, gb.nvars, 1)[0]
     return nf_poly, [_q_to_poly(q, gb.field, gb.nvars) for q in quots]
 

@@ -54,7 +54,21 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int):
-        return cls(field, nrows, ncols, field.array(np.zeros((nrows, ncols), np.int64)))
+        return cls(field, nrows, ncols, np.full((nrows, ncols), field.zero(), field.dtype))
+
+    @classmethod
+    def from_blocks(
+        cls, field: Field, blocks: Sequence[Sequence[Optional["Matrix"]]], nrows: int, ncols: int, t: int
+    ):
+        """The (nrows*t) x (ncols*t) matrix whose (j, i) block is the
+        t x t matrix blocks[j][i], or zero where that is None; the blocks
+        are written into one array the field allocates."""
+        out = cls.zeros(field, nrows * t, ncols * t)
+        for j, row in enumerate(blocks):
+            for i, b in enumerate(row):
+                if b is not None:
+                    out._a[j * t : (j + 1) * t, i * t : (i + 1) * t] = b._a
+        return out
 
     @classmethod
     def identity(cls, field: Field, n: int):

@@ -8,6 +8,7 @@ nonzero coefficient in a fixed field.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
@@ -16,17 +17,17 @@ Monomial = Tuple[int, ...]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """b / a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(operator.sub, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -45,7 +46,8 @@ class MonomialOrder:
     """Total order on monomials: 'grevlex' or 'lex', with an optional
     variable priority permutation (perm[0] is the most significant
     variable index).  key() returns an ascending sort key: the unit
-    monomial is minimal."""
+    monomial is minimal.  rkey() is key() negated entry by entry, so it
+    sorts descending (the largest monomial first, as a min-heap pops)."""
 
     __slots__ = ("kind", "perm")
 
@@ -61,6 +63,13 @@ class MonomialOrder:
         if self.kind == "grevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
         return tuple(m)
+
+    def rkey(self, m: Monomial):
+        if self.perm is not None:
+            m = tuple(m[i] for i in self.perm)
+        if self.kind == "grevlex":
+            return (-sum(m), m[::-1])
+        return tuple(-e for e in m)
 
     def __eq__(self, other):
         return (

@@ -6,6 +6,8 @@ over F2 and F3 (see the oracle tests); the rational entries agree with
 the finite-field ones on the same presentations.
 """
 
+import dataclasses
+
 import pytest
 
 from defalg import GF, QQ
@@ -87,6 +89,18 @@ def test_complex_identities(any_field):
     assert maps.w.mul(maps.d1).is_zero()
     assert cx.n_rels == 3 and cx.n_gens == 2
     assert cx.n_syz >= len(cx.kos)
+
+
+def test_complex_is_built_once_per_algebra_and_checked_on_every_call(any_field):
+    B = fat_point(any_field)
+    cx = cotangent_complex(B)
+    assert cotangent_complex(B) is cx
+    # a cached complex whose syzygy no longer pairs to zero is caught
+    bad = list(cx.syz[0])
+    bad[0] = bad[0] + B.one_poly()
+    B._cotangent = dataclasses.replace(cx, syz=(tuple(bad),) + cx.syz[1:])
+    with pytest.raises(AssertionError, match="syzygy"):
+        cotangent_complex(B)
 
 
 def test_module_action_matters():

@@ -8,12 +8,13 @@ from defalg import GF, QQ
 from defalg.algebras import FiniteModule
 from defalg.differential import (
     Derivation,
+    block_matrix,
     conormal,
     derivation_space,
     kaehler,
     relation_syzygies,
 )
-from defalg.linalg import vec_add, vec_is_zero
+from defalg.linalg import Matrix, vec_add, vec_is_zero
 from defalg.poly import Polynomial
 from defalg.problems import parse_polynomial
 
@@ -123,3 +124,23 @@ def test_derivation_requires_one_image_per_generator():
     J = FiniteModule.trivial(B)
     with pytest.raises(ValueError):
         Derivation(B, J, ((0,), (1,)))
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=lambda f: f.name)
+def test_block_matrix_places_each_action_block(field):
+    B = fat_point(field)
+    J = FiniteModule.regular(B)
+    t = J.rank
+    entries = [
+        [parse_polynomial(s, B.names, field) for s in row]
+        for row in (["x + 2*y", "0", "y"], ["1", "x*y - x", "0"])
+    ]
+    got = block_matrix(J, entries, 2, 3)
+    rows = []
+    for row in entries:
+        blocks = [J.action_of_poly(p) for p in row]
+        for r in range(t):
+            rows.append([b.entry(r, c) for b in blocks for c in range(t)])
+    assert got == Matrix.from_rows(field, rows, ncols=3 * t)
+    assert all(type(x) is type(field.zero()) for x in got.to_rows()[0])
+    assert block_matrix(J, [], 0, 3) == Matrix.zeros(field, 0, 3 * t)

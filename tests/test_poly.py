@@ -105,6 +105,14 @@ class TestMonomialOrders:
             bc = tuple(x + y for x, y in zip(b, c))
             assert order.key(ac) < order.key(bc)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([GREVLEX, LEX, MonomialOrder("grevlex", perm=(2, 0, 1))]),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=12),
+    )
+    def test_rkey_sorts_descending(self, order, ms):
+        assert sorted(ms, key=order.rkey) == sorted(ms, key=order.key, reverse=True)
+
     def test_permuted_order(self):
         plain = MonomialOrder("lex")
         swapped = MonomialOrder("lex", perm=(1, 0))
