@@ -16,15 +16,16 @@ R whose row k is the residual of the candidate with digit k equal to 1
 and every other digit 0, and hand it to ``_scan_linear``.  That solves
 digits @ R == 0 mod p by meet-in-the-middle over the two halves of the
 digits (Horowitz and Sahni 1974): about p^(N/2) rows per half plus one
-entry per survivor, instead of p^N candidate evaluations.  The
-polynomial-relation scan is not linear and evaluates candidates in
-batches.
+entry per survivor, instead of p^N candidate evaluations.  The oracle's
+lift and base-structure scans are affine and reuse ``_scan_linear`` and
+its row join ``_join_rows`` directly.  The polynomial-relation scan is
+not linear and evaluates candidates in batches; only ``hom_enumerate``
+still calls it.
 
 Overflow: a half sum of ``_scan_linear`` adds at most N products of two
 residues and is asserted to fit int64.  ``scan_polyrel`` sums up to
 width^2 products of three residues, width being the largest table
-dimension it contracts over; callers skip oracle scans at primes where
-that bound reaches 2^63.
+dimension it contracts over.
 """
 
 from __future__ import annotations
@@ -121,14 +122,39 @@ def _digits(ns, ndig, p):
     return (ns[:, None] // pows[None, :]) % p
 
 
+def _join_rows(inner, outer, p):
+    """Index pairs (i, j) with outer[i] == inner[j], rows of residues
+    mod p: every i in order, and for each i its matches j ascending.
+
+    Both tables are sorted together by their rows, the inner rows are
+    grouped by row value, and each outer row takes its whole group."""
+    # residues fit the smallest unsigned type holding p - 1; narrower
+    # rows sort faster
+    rows = np.concatenate([inner, outer]).astype(np.min_scalar_type(p - 1))
+    uniq, key = np.unique(rows, axis=0, return_inverse=True)
+    key = key.ravel()
+    key_in, key_out = key[: len(inner)], key[len(inner) :]
+    # inner rows grouped by key, ascending within a group
+    by_key = np.argsort(key_in, kind="stable")
+    size = np.bincount(key_in, minlength=len(uniq))
+    first = np.cumsum(size) - size
+    k = size[key_out]  # matching inner rows of each outer row
+    ends = np.cumsum(k)
+    off = np.arange(k.sum()) - np.repeat(ends - k, k)
+    return np.repeat(np.arange(len(outer)), k), by_key[np.repeat(first[key_out], k) + off]
+
+
 def _scan_linear(R, p, lo, hi):
     """Candidates n in [lo, hi), ascending, whose digit vector d has
     d @ R == 0 mod p.  R is (ndig x m): row k is the residual of digit k.
 
     The low h = ndig // 2 digits give a = n mod p^h and the rest give
     b = n // p^h; n survives exactly when the low half sum of a equals
-    minus the high half sum of b.  Both half tables are sorted together
-    by their rows, and every (a, b) with equal rows is emitted."""
+    minus the high half sum of b, which ``_join_rows`` pairs up.
+
+    An affine condition d @ R + c == 0 is the linear one on R with c
+    stacked as an extra top digit, scanned over [p^N, 2 p^N) so that
+    digit is 1; subtract p^N from the survivors."""
     if hi <= lo:
         return np.empty(0, np.int64)
     R = R % p
@@ -142,21 +168,8 @@ def _scan_linear(R, p, lo, hi):
     low = _digits(np.arange(P, dtype=np.int64), h, p) @ R[:h] % p
     bs = np.arange(lo // P, (hi - 1) // P + 1, dtype=np.int64)
     high = -(_digits(bs, ndig - h, p) @ R[h:]) % p
-    # residues fit the smallest unsigned type holding p - 1; narrower
-    # rows sort faster
-    rows = np.concatenate([low, high]).astype(np.min_scalar_type(p - 1))
-    uniq, key = np.unique(rows, axis=0, return_inverse=True)
-    key = key.ravel()
-    key_lo, key_hi = key[:P], key[P:]
-    # low halves grouped by key, ascending within a group
-    by_key = np.argsort(key_lo, kind="stable")
-    size = np.bincount(key_lo, minlength=len(uniq))
-    first = np.cumsum(size) - size
-    k = size[key_hi]  # matching low halves of each high half
-    ends = np.cumsum(k)
-    off = np.arange(ends[-1]) - np.repeat(ends - k, k)
-    a = by_key[np.repeat(first[key_hi], k) + off]
-    n = a + P * np.repeat(bs, k)
+    b, a = _join_rows(low, high, p)
+    n = a + P * bs[b]
     return n[(n >= lo) & (n < hi)]
 
 

@@ -8,8 +8,9 @@ the flattened ideal providing canonical normal forms.
 
 A StructureAlgebra is a finite-dimensional algebra given by its basis
 and multiplication tensor; basis element 0 is always the unit.  A
-FiniteModule carries commuting action matrices over either
-representation.  AlgebraHom ties them together.
+FiniteModule carries one commuting action matrix per flattened
+generator of a presented algebra.  An AlgebraHom maps a presented
+algebra to either representation.
 """
 
 from __future__ import annotations
@@ -98,9 +99,6 @@ class PresentedAlgebra:
     def var(self, i: int) -> Polynomial:
         return Polynomial.variable(self.field, self.nvars, i)
 
-    def gen_var(self, i: int) -> Polynomial:
-        return self.var(self.n_base + i)
-
     def zero_poly(self) -> Polynomial:
         return Polynomial.zero(self.field, self.nvars)
 
@@ -141,9 +139,6 @@ class PresentedAlgebra:
 
     def is_zero_ring(self) -> bool:
         return self.groebner().contains_one()
-
-    def element_equal(self, p: Polynomial, q: Polynomial) -> bool:
-        return self.normal_form(p - q).is_zero()
 
     # -- finiteness and bases ----------------------------------------------
 
@@ -375,12 +370,6 @@ class StructureAlgebra:
         coef = f.reduce(ua[a, None] * va[b]).reshape(-1)
         return f.matmul(coef, self.mul[a][:, b].reshape(-1, self.dim)).tolist()
 
-    def pow_vec(self, u: Sequence[Scalar], e: int) -> list:
-        out = self.unit_vector()
-        for _ in range(e):
-            out = self.mul_vec(out, u)
-        return out
-
     def evaluate(self, p: Polynomial, images: Sequence[Sequence[Scalar]]) -> list:
         """Evaluate a polynomial at algebra elements, one per variable."""
         if p.nvars != len(images):
@@ -395,18 +384,6 @@ class StructureAlgebra:
             acc = self.add(acc, self.scale(c, w))
         return acc
 
-    def element_label(self, v: Sequence[Scalar]) -> str:
-        f = self.field
-        bits = []
-        for i, c in enumerate(v):
-            if f.is_zero(c):
-                continue
-            if str(c) == "1":
-                bits.append(self.labels[i])
-            else:
-                bits.append(f"{c}*{self.labels[i]}")
-        return " + ".join(bits) if bits else "0"
-
     def mul_entry(self, i: int, j: int) -> list:
         return self.mul[i, j].tolist()
 
@@ -415,19 +392,13 @@ class StructureAlgebra:
 
 
 class FiniteModule:
-    """Finite-dimensional module over a presented or structure algebra.
+    """Finite-dimensional module over a presented algebra: one action
+    matrix per flattened generator."""
 
-    kind "presented": one action matrix per flattened generator.
-    kind "structure": one action matrix per basis element.
-    """
-
-    def __init__(self, owner, labels: Sequence[str], mats: Sequence[Matrix], kind: str):
-        if kind not in ("presented", "structure"):
-            raise ValueError("kind must be presented or structure")
+    def __init__(self, owner: PresentedAlgebra, labels: Sequence[str], mats: Sequence[Matrix]):
         self.owner = owner
         self.labels = tuple(labels)
         self.mats = tuple(mats)
-        self.kind = kind
         self._monomial_actions = {}  # exponent tuple -> Matrix, see monomial_action
         t = len(self.labels)
         for m in self.mats:
@@ -446,13 +417,13 @@ class FiniteModule:
 
     @classmethod
     def from_matrices(cls, B: PresentedAlgebra, labels, mats) -> "FiniteModule":
-        return cls(B, labels, [m if isinstance(m, Matrix) else Matrix.from_rows(B.field, m) for m in mats], "presented")
+        return cls(B, labels, [m if isinstance(m, Matrix) else Matrix.from_rows(B.field, m) for m in mats])
 
     @classmethod
     def trivial(cls, B: PresentedAlgebra, label: str = "j0") -> "FiniteModule":
         """The residue module k: every generator acts by zero."""
         z = Matrix.zeros(B.field, 1, 1)
-        return cls(B, (label,), tuple(z for _ in range(B.nvars)), "presented")
+        return cls(B, (label,), tuple(z for _ in range(B.nvars)))
 
     @classmethod
     def regular(cls, B: PresentedAlgebra) -> "FiniteModule":
@@ -467,26 +438,19 @@ class FiniteModule:
                 cols.append(B.coordinates(prod))
             mats.append(Matrix.from_cols(B.field, cols, nrows=len(std)))
         labels = tuple(B.mono_label(m) for m in std)
-        return cls(B, labels, mats, "presented")
+        return cls(B, labels, mats)
 
     @classmethod
     def truncated_regular(cls, B: PresentedAlgebra, d: int) -> "FiniteModule":
         """B / (all generators)^d as a B-module."""
         Bq = B.truncated_presentation(d, relative_only=False)
         J = cls.regular(Bq)
-        return cls(B, J.labels, J.mats, "presented")
-
-    @classmethod
-    def over_structure(cls, S: StructureAlgebra, labels, mats) -> "FiniteModule":
-        return cls(S, labels, [m if isinstance(m, Matrix) else Matrix.from_rows(S.field, m) for m in mats], "structure")
+        return cls(B, J.labels, J.mats)
 
     # -- action ------------------------------------------------------------
 
     def action_of_poly(self, p: Polynomial) -> Matrix:
-        if self.kind != "presented":
-            raise TypeError("polynomial action needs a presented owner")
-        B: PresentedAlgebra = self.owner
-        if p.nvars != B.nvars:
+        if p.nvars != self.owner.nvars:
             raise ValueError("polynomial not in the flattened ring")
         acc = None
         for m, c in p.terms.items():
@@ -501,8 +465,6 @@ class FiniteModule:
         order whether or not the matrices commute."""
         w = self._monomial_actions.get(m)
         if w is None:
-            if self.kind != "presented":
-                raise TypeError("monomial action needs a presented owner")
             v = max((i for i, e in enumerate(m) if e), default=None)
             if v is None:
                 w = Matrix.identity(self.field, self.rank)
@@ -511,21 +473,6 @@ class FiniteModule:
             self._monomial_actions[m] = w
         return w
 
-    def action_of_vec(self, v: Sequence[Scalar]) -> Matrix:
-        if self.kind != "structure":
-            raise TypeError("vector action needs a structure owner")
-        f = self.field
-        t = self.rank
-        acc = Matrix.zeros(f, t, t)
-        for i, c in enumerate(v):
-            if not f.is_zero(c):
-                acc = acc.add(self.mats[i].scale(c))
-        return acc
-
-    def apply(self, elem, w: Sequence[Scalar]) -> list:
-        mat = self.action_of_poly(elem) if self.kind == "presented" else self.action_of_vec(elem)
-        return mat.mul_vec(list(w))
-
     def basis_action_tensor(self, S: StructureAlgebra) -> np.ndarray:
         """Action of each basis element of S on this module, as an
         int64 tensor for the scan kernels (prime fields only)."""
@@ -533,14 +480,7 @@ class FiniteModule:
             raise TypeError("tensor form only exists over prime fields")
         t = self.rank
         out = np.zeros((S.dim, t, t), np.int64)
-        if self.kind == "structure":
-            if self.owner is not S:
-                raise ValueError("module is not over this structure algebra")
-            for i, m in enumerate(self.mats):
-                out[i] = np.array(m.to_rows(), np.int64).reshape(t, t)
-            return out
-        B: PresentedAlgebra = self.owner
-        if S.source is not B or S.basis_gen_exps is None:
+        if S.source is not self.owner or S.basis_gen_exps is None:
             raise ValueError("structure algebra was not built from this module's owner")
         for i, m in enumerate(S.basis_gen_exps):
             out[i] = np.array(self.monomial_action(m).to_rows(), np.int64).reshape(t, t)
@@ -552,92 +492,47 @@ class FiniteModule:
 
 @dataclass
 class AlgebraHom:
-    """Algebra map given by generator images.
-
-    Presented source: one image per flattened generator (base first).
-    Structure source: one image per designated generator.  Images are
-    polynomials when the target is presented, coordinate vectors when
-    the target is a structure algebra.
+    """Algebra map from a presented algebra, given by one image per
+    flattened generator (base first).  Images are polynomials when the
+    target is presented, coordinate vectors when the target is a
+    structure algebra.
     """
 
-    source: Union[PresentedAlgebra, StructureAlgebra]
+    source: PresentedAlgebra
     target: Union[PresentedAlgebra, StructureAlgebra]
     images: tuple
 
     def __post_init__(self):
+        if not isinstance(self.source, PresentedAlgebra):
+            raise TypeError("the source must be a presented algebra")
         self.images = tuple(
             tuple(v) if not isinstance(v, Polynomial) else v for v in self.images
         )
 
-    def _source_gen_count(self) -> int:
-        if isinstance(self.source, PresentedAlgebra):
-            return self.source.nvars
-        return len(self.source.gen_names)
-
     def apply_poly(self, p: Polynomial):
-        """Image of a flattened-ring polynomial of the presented source."""
-        if not isinstance(self.source, PresentedAlgebra):
-            raise TypeError("polynomial application needs a presented source")
+        """Image of a flattened-ring polynomial of the source."""
         if isinstance(self.target, PresentedAlgebra):
             imgs = [im if isinstance(im, Polynomial) else None for im in self.images]
             return self.target.normal_form(p.substitute(imgs))
         return self.target.evaluate(p, [list(im) for im in self.images])
 
-    def apply_vec(self, v: Sequence[Scalar]):
-        """Image of a structure-source element given by coordinates."""
-        S = self.source
-        if not isinstance(S, StructureAlgebra):
-            raise TypeError("vector application needs a structure source")
-        if S.basis_gen_exps is None:
-            raise TypeError("source basis is not expressed in its generators")
-        T = self.target
-        if not isinstance(T, StructureAlgebra):
-            raise TypeError("vector application needs a structure target")
-        acc = T.zero_vector()
-        for b, c in enumerate(v):
-            if S.field.is_zero(c):
-                continue
-            w = T.unit_vector()
-            for g, e in enumerate(S.basis_gen_exps[b]):
-                for _ in range(e):
-                    w = T.mul_vec(w, list(self.images[g]))
-            acc = T.add(acc, T.scale(c, w))
-        return acc
-
     def validate(self) -> List[str]:
         out = []
-        if len(self.images) != self._source_gen_count():
+        if len(self.images) != self.source.nvars:
             return ["wrong number of generator images"]
-        if isinstance(self.source, PresentedAlgebra):
-            for r in self.source.ideal_gens():
-                img = self.apply_poly(r)
-                bad = (not img.is_zero()) if isinstance(img, Polynomial) else any(
-                    not self.source.field.is_zero(c) for c in img
-                )
-                if bad:
-                    out.append(f"relation {r.to_string(self.source.names)} does not map to zero")
-            out.extend(self._base_compat())
-        else:
-            S = self.source
-            T = self.target
-            if S.basis_gen_exps is None:
-                return ["source basis is not expressed in its generators"]
-            basis_imgs = [self.apply_vec(S.basis_vector(b)) for b in range(S.dim)]
-            if basis_imgs[0] != T.unit_vector():
-                out.append("unit does not map to unit")
-            for i in range(S.dim):
-                for j in range(i, S.dim):
-                    lhs = T.mul_vec(basis_imgs[i], basis_imgs[j])
-                    rhs = self.apply_vec(S.mul_entry(i, j))
-                    if lhs != rhs:
-                        out.append(
-                            f"product {S.labels[i]} * {S.labels[j]} is not respected"
-                        )
+        for r in self.source.ideal_gens():
+            img = self.apply_poly(r)
+            bad = (not img.is_zero()) if isinstance(img, Polynomial) else any(
+                not self.source.field.is_zero(c) for c in img
+            )
+            if bad:
+                out.append(f"relation {r.to_string(self.source.names)} does not map to zero")
+        out.extend(self._base_compat())
         return out
 
     def _base_compat(self) -> List[str]:
         B = self.source
-        if not isinstance(B, PresentedAlgebra) or not B.base_names:
+        if not B.base_names:
             return []
         T = self.target
         out = []
@@ -666,16 +561,7 @@ def compose(f: AlgebraHom, g: AlgebraHom) -> AlgebraHom:
     """compose(f, g) applies f first: the result maps x to g(f(x))."""
     if f.target is not g.source:
         raise ValueError("compose needs f.target to be g.source")
-    if isinstance(f.source, PresentedAlgebra):
-        imgs = []
-        for im in f.images:
-            if isinstance(im, Polynomial):
-                imgs.append(g.apply_poly(im))
-            else:
-                imgs.append(g.apply_vec(im))
-        return AlgebraHom(f.source, g.target, tuple(imgs))
-    imgs = tuple(g.apply_vec(im) for im in f.images)
-    return AlgebraHom(f.source, g.target, imgs)
+    return AlgebraHom(f.source, g.target, tuple(g.apply_poly(im) for im in f.images))
 
 
 def validate(obj) -> List[str]:
@@ -720,30 +606,14 @@ def _validate_structure(S: StructureAlgebra) -> List[str]:
 
 def _validate_module(J: FiniteModule) -> List[str]:
     out = []
-    f = J.field
-    if J.kind == "presented":
-        B: PresentedAlgebra = J.owner
-        for v in range(B.nvars):
-            for w in range(v + 1, B.nvars):
-                if J.mats[v].mul(J.mats[w]) != J.mats[w].mul(J.mats[v]):
-                    out.append(f"actions of {B.names[v]} and {B.names[w]} do not commute")
-        for r in B.ideal_gens():
-            if not J.action_of_poly(r).is_zero():
-                out.append(f"relation {r.to_string(B.names)} acts nontrivially")
-        return out
-    S: StructureAlgebra = J.owner
-    t = J.rank
-    if J.mats[0] != Matrix.identity(f, t):
-        out.append("unit basis element does not act as identity")
-    for i in range(S.dim):
-        for j in range(i, S.dim):
-            lhs = J.mats[i].mul(J.mats[j])
-            rhs = Matrix.zeros(f, t, t)
-            for k, c in enumerate(S.mul_entry(i, j)):
-                if not f.is_zero(c):
-                    rhs = rhs.add(J.mats[k].scale(c))
-            if lhs != rhs:
-                out.append(f"action fails on product {S.labels[i]} * {S.labels[j]}")
+    B = J.owner
+    for v in range(B.nvars):
+        for w in range(v + 1, B.nvars):
+            if J.mats[v].mul(J.mats[w]) != J.mats[w].mul(J.mats[v]):
+                out.append(f"actions of {B.names[v]} and {B.names[w]} do not commute")
+    for r in B.ideal_gens():
+        if not J.action_of_poly(r).is_zero():
+            out.append(f"relation {r.to_string(B.names)} acts nontrivially")
     return out
 
 

@@ -397,7 +397,7 @@ class LiftProblem:
                 cols.append(coords)
             mats.append(Matrix.from_cols(f, cols, nrows=t))
         labels = tuple(f"n{i}" for i in range(t))
-        self.J = FiniteModule(B, labels, tuple(mats), "presented")
+        self.J = FiniteModule(B, labels, tuple(mats))
         bad = validate(self.J)
         if bad:
             raise ValueError(f"ideal does not carry a module structure over B: {bad}")
@@ -463,10 +463,6 @@ class LiftResult:
     freedom_dim: int                      # derivations = ambiguity of the lift
     count: Optional[int]                  # number of lifts over a finite field
     maps: CochainMaps = dc_field(repr=False, compare=False)  # cochain maps of B with coefficients in J
-
-    @property
-    def t0_dim(self) -> int:
-        return self.freedom_dim
 
 
 def lift_homomorphism(problem: LiftProblem) -> LiftResult:
@@ -541,7 +537,7 @@ class BaseDeformationProblem:
         # for the base presented as an algebra over the ground field
         A = B.base_algebra()
         self._A = A
-        I = FiniteModule(A, self.i_labels, self.i_mats, "presented")
+        I = FiniteModule(A, self.i_labels, self.i_mats)
         bad = validate(I)
         if bad:
             raise ValueError(f"I is not a module over the base: {bad}")

@@ -72,9 +72,6 @@ class Derivation:
             out = vec_add(f, out, w)
         return out
 
-    def as_flat(self) -> list:
-        return [c for v in self.images for c in v]
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(self.J.field, v) for v in self.images)
 

@@ -8,6 +8,13 @@ machinery (they only consume multiplication tables and module action
 tensors), so an agreement between the two sides is genuine evidence
 and a disagreement is a bug, not a sampling artifact.
 
+Every scan is one linear solve over the candidate digits (see
+``_kernels._scan_linear``).  Associativity and the Leibniz rule are
+linear in them; a lift's relation values and a base structure's
+relation values are affine, because the fiber squares to zero, and are
+read off the zero and unit candidates.  Every lift and every state
+found that way is re-checked by literal evaluation.
+
 Candidate spaces grow exponentially; every scan charges its full size
 against an EnumerationBudget before touching a single candidate.
 """
@@ -15,7 +22,7 @@ against an EnumerationBudget before touching a single candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +76,7 @@ def _structure_context(B: PresentedAlgebra, J: FiniteModule):
     f = B.field
     if not isinstance(f, PrimeField):
         raise TypeError("oracles only run over prime fields")
-    if J.kind != "presented" or J.owner is not B:
+    if J.owner is not B:
         raise TypeError("the module must be presented over the scanned algebra")
     S = B.to_structure()
     mul = S.mul
@@ -79,14 +86,6 @@ def _structure_context(B: PresentedAlgebra, J: FiniteModule):
 
 def _pair_list(s: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(1, s) for j in range(i, s)]
-
-
-def _decode_digits(n: int, ndig: int, p: int) -> Tuple[int, ...]:
-    out = []
-    for _ in range(ndig):
-        out.append(n % p)
-        n //= p
-    return tuple(out)
 
 
 def _table_template(B: PresentedAlgebra, S: StructureAlgebra, J: FiniteModule, act) -> np.ndarray:
@@ -161,50 +160,73 @@ def state_of_table(B: PresentedAlgebra, table: StructureAlgebra, base_images=Non
 
 
 def _scan_tables(B, S, J, mul, act, bud, what):
+    """The associative fiber-correction tables, as one row of c-digits
+    per survivor in scan order."""
     p = B.field.p
     s, t = S.dim, J.rank
     pairs = _pair_list(s)
-    total = p ** (len(pairs) * t)
+    ndig = len(pairs) * t
+    total = p**ndig
     bud.charge(total, what)
     pair_i = np.array([i for i, _ in pairs], np.int64)
     pair_j = np.array([j for _, j in pairs], np.int64)
     idxs = _kernels.scan_assoc(mul, act, pair_i, pair_j, p, 0, total)
-    ndig = len(pairs) * t
-    survivors = [_decode_digits(int(n), ndig, p) for n in idxs]
-    return pairs, total, survivors
+    return pairs, total, _kernels._digits(idxs, ndig, p)
+
+
+def _affine_rows(values, ndig: int):
+    """(R, c) with values(d) == d @ R + c for an affine map values from
+    ndig digits to residue lists, read off the zero and unit digits."""
+    c = np.array(values((0,) * ndig), np.int64)
+    R = np.array([values(tuple(u)) for u in np.eye(ndig, dtype=int).tolist()], np.int64)
+    return R.reshape(ndig, len(c)) - c, c
 
 
 def _base_structure_states(B, S, J, template, pairs, survivors, targets, bud, what):
     """Extend table survivors by base-generator images: keep the pairs
     (table, eta) whose structure map sends each base relation to the
     required fiber value (zero for extensions, phi of the base cocycle
-    for deformations)."""
+    for deformations).
+
+    The fiber squares to zero and eta acts only through the module, so
+    the relation values are affine in (c, eta) with no c*eta term: one
+    constant row per survivor and one row per eta are joined on equal
+    residues, survivor-major with eta ascending."""
     f = B.field
     p = f.p
     s, t = S.dim, J.rank
     nbv = B.n_base
-    gs = list(B.base_algebra().relations) if nbv else []
     if nbv == 0:
-        return [(cd, ()) for cd in survivors]
-    total_eta = p ** (t * nbv)
-    bud.charge(len(survivors) * total_eta, what)
-    want = [[0] * s + [int(c) % p for c in tv] for tv in targets]
+        return [(cd, ()) for cd in map(tuple, survivors.tolist())]
+    neta = t * nbv
+    bud.charge(len(survivors) * p**neta, what)
+    gs = B.base_algebra().relations
+    base = [[int(c) for c in v] for v in S.base_images]
+    want = [c for tv in targets for c in [0] * s + [int(x) % p for x in tv]]
+
+    def table(cd):
+        return _assemble_table(B, S, J, template, pairs, cd)
+
+    def values(tab, eta):
+        yimgs = [base[v] + list(eta[v * t : (v + 1) * t]) for v in range(nbv)]
+        return [c for g in gs for c in tab.evaluate(g, yimgs)]
+
+    zero_eta = (0,) * neta
+    R_c, const = _affine_rows(lambda cd: values(table(cd), zero_eta), survivors.shape[1])
+    trivial = table((0,) * survivors.shape[1])
+    R_eta, _ = _affine_rows(lambda eta: values(trivial, eta), neta)
+    rows_c = (f.matmul(survivors, R_c % p) + const - want) % p
+    etas = _kernels._digits(np.arange(p**neta, dtype=np.int64), neta, p)
+    i_c, i_eta = _kernels._join_rows(f.matmul(etas, R_eta % p), -rows_c % p, p)
     states: List[State] = []
-    for cd in survivors:
-        tab = _assemble_table(B, S, J, template, pairs, cd)
-        for m in range(total_eta):
-            eta = _decode_digits(m, t * nbv, p)
-            yimgs = [
-                [int(c) for c in S.base_images[v]] + list(eta[v * t : (v + 1) * t])
-                for v in range(nbv)
-            ]
-            ok = True
-            for a, g in enumerate(gs):
-                if tab.evaluate(g, yimgs) != want[a]:
-                    ok = False
-                    break
-            if ok:
-                states.append((cd, eta))
+    tab, last = None, -1
+    for i, eta in zip(i_c.tolist(), map(tuple, etas[i_eta].tolist())):
+        cd = tuple(survivors[i].tolist())
+        if i != last:
+            tab, last = table(cd), i
+        if values(tab, eta) != want:
+            raise AssertionError("base structure scan produced a wrong state")
+        states.append((cd, eta))
     return states
 
 
@@ -317,8 +339,7 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
     idxs = _kernels.scan_linmap(mul, act, kill, p, 0, total)
     mats = []
     gen_imgs = []
-    for n in idxs:
-        dig = _decode_digits(int(n), s * t, p)
+    for dig in map(tuple, _kernels._digits(idxs, s * t, p).tolist()):
         mats.append(dig)
         flat = []
         for g in range(B.n_gens):
@@ -332,12 +353,12 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
 
 
 # ---------------------------------------------------------------------------
-# square-zero extensions
+# square-zero extensions and deformations
 
 
 @dataclass(eq=False)
-class ExtensionScan:
-    """All square-zero extension tables of B by J in section
+class _StructureScan:
+    """Surviving states of a table scan over B by J in section
     coordinates, with their isomorphism classes when classify is on."""
 
     B: PresentedAlgebra
@@ -358,12 +379,40 @@ class ExtensionScan:
     def class_count(self) -> int:
         return len(self.orbit_reps)
 
+    def class_of(self, state: State) -> int:
+        return self.orbit_of[state]
+
+    def _table(self, cd: Tuple[int, ...]) -> StructureAlgebra:
+        return _assemble_table(self.B, self._S, self.J, self._template, self._pairs, cd)
+
+
+def _scan_structures(scan_cls, B, J, targets, budget, classify, what, **extra):
+    """Scan every symmetric fiber-correction table for associativity,
+    then every base-generator image for the base relations hitting
+    their fiber targets; the orbits of the surviving states under
+    section changes are the isomorphism classes."""
+    S, mul, act = _structure_context(B, J)
+    bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
+    pairs, total, survivors = _scan_tables(B, S, J, mul, act, bud, what[0])
+    template = _table_template(B, S, J, act)
+    states = _base_structure_states(B, S, J, template, pairs, survivors, targets, bud, what[1])
+    reps: Tuple[State, ...] = ()
+    orbit_of: Dict[State, int] = {}
+    if classify:
+        deltas = _section_change_deltas(S, J, mul, act, pairs)
+        reps, orbit_of = _classify_states(states, deltas, B.field.p)
+    return scan_cls(B, J, total, tuple(states), reps, orbit_of, S, template, tuple(pairs), **extra)
+
+
+@dataclass(eq=False)
+class ExtensionScan(_StructureScan):
+    """All square-zero extension tables of B by J."""
+
     def table_of(self, state: State) -> SquareZeroExtension:
         cd, eta = state
         if any(eta):
             raise ValueError("state carries a nontrivial base structure; build it from the table directly")
-        tab = _assemble_table(self.B, self._S, self.J, self._template, self._pairs, cd)
-        ext = SquareZeroExtension(self.B, self.J, tab)
+        ext = SquareZeroExtension(self.B, self.J, self._table(cd))
         bad = ext.validate()
         if bad:
             raise AssertionError(f"scan survivor fails table validation: {bad}")
@@ -372,9 +421,6 @@ class ExtensionScan:
     def state_of(self, ext: SquareZeroExtension) -> State:
         return state_of_table(self.B, ext.table)
 
-    def class_of(self, state: State) -> int:
-        return self.orbit_of[state]
-
 
 def enumerate_extensions(
     B: PresentedAlgebra,
@@ -382,27 +428,12 @@ def enumerate_extensions(
     budget=None,
     classify: bool = True,
 ) -> ExtensionScan:
-    """Scan every symmetric fiber-correction table for associativity,
-    then every base-generator image for the relations of the base.
-
-    The surviving states are exactly the square-zero extensions of B
-    by J in section coordinates; their orbits under section changes
-    are the isomorphism classes."""
-    S, mul, act = _structure_context(B, J)
-    bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
-    pairs, total, survivors = _scan_tables(B, S, J, mul, act, bud, "extension table scan")
-    template = _table_template(B, S, J, act)
+    """The surviving states are exactly the square-zero extensions of B
+    by J in section coordinates: every base relation goes to zero."""
     targets = [[0] * J.rank for _ in B.base_relations]
-    states = _base_structure_states(
-        B, S, J, template, pairs, survivors, targets, bud, "base structure scan"
-    )
-    reps: Tuple[State, ...] = ()
-    orbit_of: Dict[State, int] = {}
-    if classify:
-        deltas = _section_change_deltas(S, J, mul, act, pairs)
-        reps, orbit_of = _classify_states(states, deltas, B.field.p)
-    return ExtensionScan(
-        B, J, total, tuple(states), reps, orbit_of, S, template, tuple(pairs)
+    return _scan_structures(
+        ExtensionScan, B, J, targets, budget, classify,
+        ("extension table scan", "base structure scan"),
     )
 
 
@@ -428,7 +459,11 @@ class LiftScan:
 
 def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     """Scan the coset preimage + ideal for every relative generator
-    image and keep the tuples that satisfy all relations exactly."""
+    image and keep the tuples that satisfy all relations exactly.
+
+    The ideal squares to zero, so each relation value is affine in the
+    offset digits: d @ R + c, solved as one linear scan with c stacked
+    as a top digit fixed to 1."""
     B, Cp = problem.B, problem.Cprime
     f = B.field
     if not isinstance(f, PrimeField):
@@ -438,43 +473,16 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     ng = B.n_gens
     nbv = B.n_base
     t = len(problem.n_basis)
-    total = p ** (ng * t)
-    rel_rows = _encode_relations(B, Cp, base_imgs=problem.preimages[:nbv])
-    if rel_rows is None:
+    ndig = ng * t
+    total = p**ndig
+    if _encode_relations(B, Cp, base_imgs=problem.preimages[:nbv]) is None:
         # the forced base images already violate a base relation
         return LiftScan(problem, 0, (), ())
     bud.charge(total, "lift scan")
     span = [list(v) for v in problem.n_basis]
-    if ng == 0:
-        ok = True
-        for rows in rel_rows:
-            val = Cp.zero_vector()
-            for _, w in rows:
-                val = Cp.add(val, list(w))
-            if any(not f.is_zero(c) for c in val):
-                ok = False
-                break
-        imgs = tuple(tuple(v) for v in problem.preimages)
-        return LiftScan(problem, total, (imgs,) if ok else (), ((),) if ok else ())
-    ptr = [0]
-    coefv = []
-    exps = []
-    for rows in rel_rows:
-        for e, w in rows:
-            coefv.append([int(x) for x in w])
-            exps.append(list(e))
-        ptr.append(len(coefv))
-    mulc = Cp.mul
-    base = np.array([[int(c) for c in problem.preimages[nbv + i]] for i in range(ng)], np.int64)
-    span_a = np.array(span, np.int64).reshape(t, Cp.dim)
-    rel_ptr = np.array(ptr, np.int64)
-    coefv_a = np.array(coefv, np.int64).reshape(len(coefv), Cp.dim)
-    exps_a = np.array(exps, np.int64).reshape(len(exps), ng)
-    idxs = _kernels.scan_polyrel(mulc, base, span_a, rel_ptr, coefv_a, exps_a, p, 0, total)
-    images = []
-    offsets = []
-    for n in idxs:
-        dig = _decode_digits(int(n), ng * t, p)
+    rels = list(B.relations) + list(B.base_relations)
+
+    def images(dig):
         imgs = [list(v) for v in problem.preimages]
         for g in range(ng):
             vec = imgs[nbv + g]
@@ -483,13 +491,25 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
                 if c:
                     vec = [(a + c * b) % p for a, b in zip(vec, span[d])]
             imgs[nbv + g] = vec
-        for r in list(B.relations) + list(B.base_relations):
+        return imgs
+
+    def values(dig):
+        imgs = images(dig)
+        return [c for r in rels for c in Cp.evaluate(r, imgs)]
+
+    R, const = _affine_rows(values, ndig)
+    idxs = _kernels._scan_linear(np.vstack([R, const]), p, total, 2 * total) - total
+    images_out = []
+    offsets = []
+    for dig in map(tuple, _kernels._digits(idxs, ndig, p).tolist()):
+        imgs = images(dig)
+        for r in rels:
             val = Cp.evaluate(r, imgs)
             if any(not f.is_zero(c) for c in val):
                 raise AssertionError("scan produced an invalid lift")
-        images.append(tuple(tuple(v) for v in imgs))
+        images_out.append(tuple(tuple(v) for v in imgs))
         offsets.append(dig)
-    return LiftScan(problem, total, tuple(images), tuple(offsets))
+    return LiftScan(problem, total, tuple(images_out), tuple(offsets))
 
 
 @dataclass
@@ -527,56 +547,36 @@ def check_torsor_action(lifts: LiftScan, ders: DerivationScan) -> TorsorCheck:
 
 
 @dataclass(eq=False)
-class DeformationScan:
-    """All flat structures over the extended base in section
-    coordinates: associative tables paired with base images whose
-    relation values hit the prescribed fiber targets."""
+class DeformationScan(_StructureScan):
+    """All flat structures over the extended base: associative tables
+    paired with base images whose relation values hit the prescribed
+    fiber targets."""
 
     problem: BaseDeformationProblem
-    candidates: int
-    states: Tuple[State, ...]
-    orbit_reps: Tuple[State, ...]
-    orbit_of: Dict[State, int]
-    _S: StructureAlgebra
-    _template: np.ndarray
-    _pairs: Tuple[Tuple[int, int], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.states)
 
     @property
     def solvable(self) -> bool:
         return bool(self.states)
 
-    @property
-    def class_count(self) -> int:
-        return len(self.orbit_reps)
-
     def table_of(self, state: State):
         """The multiplication table and base-generator images of a
         surviving state, revalidated."""
-        B, J = self.problem.B, self.problem.J
         cd, eta = state
-        tab = _assemble_table(B, self._S, J, self._template, self._pairs, cd)
+        tab = self._table(cd)
         bad = validate(tab)
         if bad:
             raise AssertionError(f"scan survivor fails table validation: {bad}")
-        t = J.rank
+        t = self.J.rank
         yimgs = []
-        for v in range(B.n_base):
+        for v in range(self.B.n_base):
             yimgs.append(
                 tuple([int(c) for c in self._S.base_images[v]] + list(eta[v * t : (v + 1) * t]))
             )
         return tab, tuple(yimgs)
 
     def state_of(self, realized: RealizedDeformation) -> State:
-        B = self.problem.B
-        s = B.dim()
+        B = self.B
         return state_of_table(B, realized.table, base_images=realized.aprime_images[: B.n_base])
-
-    def class_of(self, state: State) -> int:
-        return self.orbit_of[state]
 
 
 def enumerate_deformations(
@@ -594,19 +594,8 @@ def enumerate_deformations(
     B, J = problem.B, problem.J
     if not B.is_finite_dimensional():
         raise ValueError("oracle scans need a finite-dimensional algebra; truncate first")
-    S, mul, act = _structure_context(B, J)
-    bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
-    pairs, total, survivors = _scan_tables(B, S, J, mul, act, bud, "deformation table scan")
-    template = _table_template(B, S, J, act)
     targets = [problem.phi.mul_vec(list(a)) for a in problem.alpha]
-    states = _base_structure_states(
-        B, S, J, template, pairs, survivors, targets, bud, "deformation base scan"
-    )
-    reps: Tuple[State, ...] = ()
-    orbit_of: Dict[State, int] = {}
-    if classify:
-        deltas = _section_change_deltas(S, J, mul, act, pairs)
-        reps, orbit_of = _classify_states(states, deltas, B.field.p)
-    return DeformationScan(
-        problem, total, tuple(states), reps, orbit_of, S, template, tuple(pairs)
+    return _scan_structures(
+        DeformationScan, B, J, targets, budget, classify,
+        ("deformation table scan", "deformation base scan"), problem=problem,
     )

@@ -9,7 +9,7 @@ nonzero coefficient in a fixed field.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
 
@@ -198,13 +198,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def scale_mono(self, m: Monomial, c: Scalar) -> "Polynomial":
-        """self * c * x^m, the single-term product used by division loops."""
-        f = self.field
-        return Polynomial(
-            f, self.nvars, {mono_mul(m, m2): f.mul(c, c2) for m2, c2 in self.terms.items()}
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -304,9 +297,3 @@ class Polynomial:
         names = [f"x{i}" for i in range(self.nvars)]
         return f"<{self.to_string(names)} over {self.field.name}>"
 
-
-def poly_sum(field: Field, nvars: int, polys: Iterable[Polynomial]) -> Polynomial:
-    acc = Polynomial.zero(field, nvars)
-    for p in polys:
-        acc = acc + p
-    return acc

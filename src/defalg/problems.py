@@ -395,7 +395,7 @@ class ProblemSet:
                 for i in range(t)
             ]
             mats.append(Matrix.from_rows(f, ent, ncols=t))
-        mod = FiniteModule(B, spec.labels, tuple(mats), "presented")
+        mod = FiniteModule(B, spec.labels, tuple(mats))
         bad = validate(mod)
         if bad:
             raise ProblemFileError(loc, f"not a module over {spec.algebra}: {bad}")

@@ -85,7 +85,9 @@ def _oracle_feasibility(B: PresentedAlgebra, width: Callable[[], int]) -> Option
         return "oracle scans need a prime field"
     if not B.is_finite_dimensional():
         return "oracle scans need a finite-dimensional algebra"
-    # the scan kernels sum up to width^2 int64 products of three residues
+    # the bound of the polynomial-relation scan, width^2 int64 products
+    # of three residues; the oracles now run only linear scans, which
+    # need less, but relaxing it would change which reports are skipped
     if width() ** 2 * (B.field.p - 1) ** 3 >= 2**63:
         return "oracle scans would overflow int64 at this prime"
     return None

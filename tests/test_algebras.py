@@ -136,7 +136,7 @@ class TestFiniteModule:
         B = dual_numbers(GF(2))
         from defalg.linalg import Matrix
 
-        bad = FiniteModule(B, ("j0",), (Matrix.from_rows(GF(2), [[1]]),), "presented")
+        bad = FiniteModule(B, ("j0",), (Matrix.from_rows(GF(2), [[1]]),))
         assert any("acts nontrivially" in msg for msg in validate(bad))
 
     def test_structure_module_from_table(self, prime_field):

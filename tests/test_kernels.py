@@ -6,6 +6,10 @@ every candidate literally.  Both are compared on random sub-ranges,
 including empty ranges and scans with no digits, on tables that meet
 the kernels' precondition: e_0 is the unit, the multiplication is
 commutative and e_0 acts as the identity.
+
+The row join shared by ``_scan_linear`` and the oracle's base-structure
+scan, and the affine form d @ R + c == 0 solved with c as a top digit
+fixed to 1, are checked against literal pairing and filtering.
 """
 
 import numpy as np
@@ -118,3 +122,64 @@ def test_full_scans_match_reference_loops():
         want = _kernels._scan_linmap_py(mul, act, kill, p, 0, total)
         assert len(want) > 1
         assert np.array_equal(_kernels.scan_linmap(mul, act, kill, p, 0, total), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(PRIMES))
+def test_join_rows_matches_literal_pairing(data, p):
+    """Every (outer, inner) pair with equal rows, outer-major and inner
+    ascending; few distinct rows, so groups are large."""
+    m = data.draw(st.integers(0, 2))
+    n_in = data.draw(st.integers(1, 12))
+    n_out = data.draw(st.integers(0, 12))
+    row = st.lists(st.integers(0, min(p - 1, 1)), min_size=m, max_size=m)
+    inner = np.array(data.draw(st.lists(row, min_size=n_in, max_size=n_in)), np.int64).reshape(n_in, m)
+    outer = np.array(data.draw(st.lists(row, min_size=n_out, max_size=n_out)), np.int64).reshape(n_out, m)
+    want = [(i, j) for i in range(n_out) for j in range(n_in) if np.array_equal(outer[i], inner[j])]
+    i, j = _kernels._join_rows(inner, outer, p)
+    assert i.dtype == j.dtype == np.int64
+    assert list(zip(i.tolist(), j.tolist())) == want
+
+
+def literal_affine(R, c, p):
+    """Every n in [0, p^N) whose digits d have d @ R + c == 0 mod p."""
+    ndig = R.shape[0]
+    out = []
+    for n in range(p**ndig):
+        d = [(n // p**k) % p for k in range(ndig)]
+        if not ((np.array(d, np.int64) @ R + c) % p).any():
+            out.append(n)
+    return out
+
+
+def affine_scan(R, c, p):
+    total = p ** R.shape[0]
+    return _kernels._scan_linear(np.vstack([R, c]), p, total, 2 * total) - total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(PRIMES))
+def test_constant_as_top_digit_matches_literal_filter(data, p):
+    ndig = data.draw(st.integers(0, 5 if p == 2 else 3))
+    m = data.draw(st.integers(1, 3))
+    R = np.array([data.draw(residues(p, m)) for _ in range(ndig)], np.int64).reshape(ndig, m)
+    c = np.array(data.draw(residues(p, m)), np.int64)
+    got = affine_scan(R, c, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == literal_affine(R, c, p)
+
+
+def test_constant_in_a_zero_column_and_no_digits():
+    for p in PRIMES:
+        # a nonzero constant where every digit's residual is zero: nothing survives
+        R = np.array([[1, 0], [p - 1, 0], [2 % p, 0]], np.int64)
+        c = np.array([0, 1], np.int64)
+        assert literal_affine(R, c, p) == []
+        assert affine_scan(R, c, p).tolist() == []
+        # the same column with a zero constant leaves the first condition
+        c0 = np.array([1, 0], np.int64)
+        assert affine_scan(R, c0, p).tolist() == literal_affine(R, c0, p) != []
+        # N = 0: the single empty digit vector survives iff c == 0
+        empty = np.zeros((0, 2), np.int64)
+        assert affine_scan(empty, np.array([0, 0], np.int64), p).tolist() == [0]
+        assert affine_scan(empty, np.array([0, 1], np.int64), p).tolist() == []

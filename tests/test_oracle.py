@@ -4,10 +4,11 @@ enumeration oracles over the prime fields.
 The oracles scan entire candidate spaces, so the algebras here are kept
 tiny; the point is exactness of the counts, not coverage of shapes."""
 
+import numpy as np
 import pytest
 
 from defalg import GF
-from defalg.algebras import FiniteModule
+from defalg.algebras import FiniteModule, StructureAlgebra
 from defalg.budget import BudgetExceeded, EnumerationBudget
 from defalg.cotangent import t_modules
 from defalg.deformation import (
@@ -19,6 +20,7 @@ from defalg.deformation import (
     realize_deformation,
 )
 from defalg.differential import derivation_space
+from defalg.linalg import Matrix
 from defalg.oracle import (
     check_torsor_action,
     enumerate_deformations,
@@ -218,3 +220,190 @@ class TestBudgets:
         J = FiniteModule.trivial(B)
         with pytest.raises(TypeError, match="prime"):
             enumerate_derivations(B, J)
+
+
+# ---------------------------------------------------------------------------
+# the scans against literal per-candidate loops
+
+
+def _digits(n, ndig, p):
+    return tuple((n // p**k) % p for k in range(ndig))
+
+
+def literal_structures(B, J, targets):
+    """(states, spent) of a structure scan by the literal loop: every
+    symmetric fiber-correction table checked for associativity, then
+    every base image of every associative table checked against the
+    targets, charging what the scan charges."""
+    p = B.field.p
+    S = B.to_structure()
+    act = J.basis_action_tensor(S)
+    s, t = S.dim, J.rank
+    pairs = [(i, j) for i in range(1, s) for j in range(i, s)]
+    nc, nbv = len(pairs) * t, B.n_base
+    neta = nbv * t
+    base = [[int(c) for c in v] for v in S.base_images]
+    want = [[0] * s + [int(c) % p for c in tv] for tv in targets]
+    gs = B.base_algebra().relations
+    spent = p**nc
+    tables = []
+    for n in range(p**nc):
+        cd = _digits(n, nc, p)
+        mul = np.zeros((s + t,) * 3, np.int64)
+        mul[:s, :s, :s] = S.mul
+        mul[:s, s:, s:] = act.transpose(0, 2, 1)
+        mul[s:, :s, s:] = act.transpose(2, 0, 1)
+        for q, (i, j) in enumerate(pairs):
+            mul[i, j, s:] = mul[j, i, s:] = cd[q * t : (q + 1) * t]
+        lhs = np.einsum("abm,mcn->abcn", mul, mul) % p
+        rhs = np.einsum("bcm,amn->abcn", mul, mul) % p
+        if np.array_equal(lhs, rhs):
+            tables.append((cd, StructureAlgebra(B.field, [str(k) for k in range(s + t)], mul)))
+    if nbv:
+        spent += len(tables) * p**neta
+    states = []
+    for cd, tab in tables:
+        for m in range(p**neta):
+            eta = _digits(m, neta, p)
+            yimgs = [base[v] + list(eta[v * t : (v + 1) * t]) for v in range(nbv)]
+            if all(tab.evaluate(g, yimgs) == w for g, w in zip(gs, want)):
+                states.append((cd, eta))
+    return tuple(states), spent
+
+
+def literal_lifts(prob):
+    """(candidates, [(images, offsets)], spent) of the lift scan by the
+    literal loop; nothing is charged when a base relation already fails
+    at the forced base images."""
+    B, Cp = prob.B, prob.Cprime
+    p = B.field.p
+    nbv, ng, t = B.n_base, B.n_gens, len(prob.n_basis)
+    pre = [list(v) for v in prob.preimages]
+    if any(any(Cp.evaluate(g, pre)) for g in B.base_relations):
+        return 0, [], 0
+    ndig = ng * t
+    out = []
+    for n in range(p**ndig):
+        d = _digits(n, ndig, p)
+        imgs = [list(v) for v in pre]
+        for g in range(ng):
+            for k in range(t):
+                imgs[nbv + g] = [(a + d[g * t + k] * b) % p for a, b in zip(imgs[nbv + g], prob.n_basis[k])]
+        if not any(any(Cp.evaluate(r, imgs)) for r in B.ideal_gens()):
+            out.append((tuple(tuple(v) for v in imgs), d))
+    return p**ndig, out, p**ndig
+
+
+def _explicit_module(B, t):
+    """k^t with every generator acting by zero."""
+    z = Matrix.zeros(B.field, t, t)
+    return FiniteModule(B, tuple(f"j{k}" for k in range(t)), tuple(z for _ in range(B.nvars)))
+
+
+def _deformation_problem(field, gens, relations, module, phi):
+    """B over A = k[s]/(s^2), deformed across k[s]/(s^3) -> A; module
+    is "trivial", "regular" or the rank of a zero-action module."""
+    B = make_algebra(field, gens, relations, base_gens=["s"], base_relations=["s^2"])
+    if module == "trivial":
+        J = FiniteModule.trivial(B)
+    elif module == "regular":
+        J = FiniteModule.regular(B)
+    else:
+        J = _explicit_module(B, module)
+    Ap = make_algebra(field, ["s"], ["s^3"])
+    gen = parse_polynomial("s^2", ("s",), field)
+    return BaseDeformationProblem.from_presented_total(
+        B, J, Ap, [gen], None if phi is None else Matrix.from_rows(field, phi)
+    )
+
+
+ALL_PRIMES = [GF(2), GF(3), GF(5)]
+
+
+def _extension_cases(field):
+    base_only = make_algebra(field, [], [], base_gens=["s"], base_relations=["s^2"])
+    ci = make_algebra(field, ["x"], ["x^2 - s"], base_gens=["s"], base_relations=["s^2"])
+    B = fat_point(field)
+    D = dual_numbers(field)
+    return [
+        (B, FiniteModule.trivial(B)),
+        (D, FiniteModule.regular(D)),
+        (base_only, _explicit_module(base_only, 2)),  # nbv = 1, t = 2
+        (base_only, FiniteModule.regular(base_only)),  # eta enters through the action
+        (ci, FiniteModule.trivial(ci)),
+    ]
+
+
+@pytest.mark.parametrize("field", ALL_PRIMES, ids=str)
+def test_extension_scan_matches_literal_loop(field):
+    for B, J in _extension_cases(field):
+        bud = EnumerationBudget(1 << 20)
+        scan = enumerate_extensions(B, J, budget=bud)
+        states, spent = literal_structures(B, J, [[0] * J.rank for _ in B.base_relations])
+        assert scan.states == states
+        assert bud.spent == spent
+
+
+def _deformation_cases(field):
+    cases = [
+        _deformation_problem(field, ["x"], ["x^2 - s"], "trivial", None),
+        _deformation_problem(field, [], [], 2, [[1], [1]]),  # nbv = 1, t = 2
+        _deformation_problem(field, [], [], "regular", [[0], [1]]),  # eta enters through the action
+    ]
+    if field.p == 2:
+        cases.append(_deformation_problem(field, ["x", "y"], ["x^2 + s", "x*y", "y^2 + s"], "trivial", None))
+    return cases
+
+
+@pytest.mark.parametrize("field", ALL_PRIMES, ids=str)
+def test_deformation_scan_matches_literal_loop(field):
+    for prob in _deformation_cases(field):
+        bud = EnumerationBudget(1 << 20)
+        scan = enumerate_deformations(prob, budget=bud)
+        targets = [prob.phi.mul_vec(list(a)) for a in prob.alpha]
+        states, spent = literal_structures(prob.B, prob.J, targets)
+        assert scan.states == states
+        assert bud.spent == spent
+
+
+def test_the_literal_cases_include_an_obstructed_problem():
+    prob = _deformation_cases(GF(2))[-1]
+    assert obstruction_class(prob).obstructed
+    assert enumerate_deformations(prob).count == 0
+
+
+def _lift_cases(field):
+    base_only = make_algebra(field, [], [], base_gens=["s"], base_relations=["s^2"])
+    ci = make_algebra(field, ["x"], ["x^2 - s"], base_gens=["s"], base_relations=["s^2"])
+    Cp = make_algebra(field, ["w", "e"], ["w^4", "w*e", "e^2"])
+
+    def lift(B, ideal, images):
+        poly = [parse_polynomial(g, Cp.names, field) for g in ideal]
+        phi = [parse_polynomial(g, Cp.names, field) for g in images]
+        return LiftProblem.from_presented(B, Cp, poly, phi)
+
+    return [
+        _solvable_lift(field),
+        _unsolvable_lift(field),
+        lift(ci, ["e", "w^2"], ["w^2", "w"]),  # base and relative generators
+        lift(base_only, ["w^2"], ["w^2"]),  # no relative generators
+        lift(base_only, ["w^2"], ["w"]),  # s^2 goes to w^2: no charge
+    ]
+
+
+@pytest.mark.parametrize("field", ALL_PRIMES, ids=str)
+def test_lift_scan_matches_literal_loop(field):
+    for prob in _lift_cases(field):
+        bud = EnumerationBudget(1 << 20)
+        scan = enumerate_lifts(prob, budget=bud)
+        candidates, lifts, spent = literal_lifts(prob)
+        assert scan.candidates == candidates
+        assert list(zip(scan.images, scan.offsets)) == lifts
+        assert bud.spent == spent
+
+
+def test_lift_cases_cover_the_edges():
+    *_, no_rel, early = _lift_cases(GF(3))
+    assert no_rel.B.n_gens == 0 and enumerate_lifts(no_rel).count == 1
+    bud = EnumerationBudget(1 << 20)
+    assert enumerate_lifts(early, budget=bud).candidates == 0 and bud.spent == 0
