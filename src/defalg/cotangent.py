@@ -9,9 +9,12 @@ and applying Hom(-, J) gives a cochain complex of finite k-spaces
     J^n  --D0-->  J^m  --D1-->  {Psi in J^r : W Psi = 0}
 
 whose cohomology spaces are computed here.  D0 acts by the Jacobian,
-D1 by the chosen syzygy generators s^(1)..s^(r), and the W rows record
-every relation among the s's modulo Koszul syzygies, so the last term
-is the honest Hom out of the quotient.  The identities D1 D0 = 0 and
+D1 by generators s^(1)..s^(r) of the syzygies modulo the Koszul
+syzygies and the base relations times the free module: the syzygy
+generators pruned by one incremental module Groebner basis, each one
+dropped certified redundant by exact re-expansion.  The W rows record
+every relation among the s's modulo the same submodule, so the last
+term is the honest Hom out of the quotient.  The identities D1 D0 = 0 and
 W D1 = 0 hold exactly at the matrix level and are asserted.
 """
 
@@ -22,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .algebras import FiniteModule, PresentedAlgebra
 from .differential import block_matrix, jacobian_entries, relation_syzygies
-from .groebner import module_syzygies, normal_form
+from .groebner import module_syzygies, normal_form, prune_generators
 from .linalg import Matrix, complete_basis, kernel_basis, solve_affine, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
@@ -58,6 +61,18 @@ def koszul_vectors(B: PresentedAlgebra) -> List[List[Polynomial]]:
             vec = [B.zero_poly() for _ in range(m)]
             vec[i] = B.relations[j]
             vec[j] = -B.relations[i]
+            out.append(vec)
+    return out
+
+
+def base_vectors(B: PresentedAlgebra) -> List[List[Polynomial]]:
+    """g * e_b for every base relation g and every relation slot b."""
+    m = len(B.relations)
+    out = []
+    for g in B.base_relations:
+        for b in range(m):
+            vec = [B.zero_poly() for _ in range(m)]
+            vec[b] = g
             out.append(vec)
     return out
 
@@ -103,19 +118,17 @@ def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
 def _build_complex(B: PresentedAlgebra) -> CotangentComplex:
     m = len(B.relations)
     jac = tuple(tuple(r) for r in jacobian_entries(B))
-    syz = relation_syzygies(B)
     kos = koszul_vectors(B)
+    base = base_vectors(B)
+    # every phi in Hom(P^m, J) kills Kos and base.P^m: generators of Syz
+    # modulo those suffice, and each one dropped is certified redundant
+    syz = relation_syzygies(B)
+    syz = [syz[k] for k in prune_generators(kos + base, syz, m, GREVLEX)]
 
     r = len(syz)
     w_rows: List[Tuple[Polynomial, ...]] = []
     if r:
-        family = [list(v) for v in syz] + [list(v) for v in kos]
-        for g in B.base_relations:
-            for b in range(m):
-                vec = [B.zero_poly() for _ in range(m)]
-                vec[b] = g
-                family.append(vec)
-        rels = module_syzygies(family, m, GREVLEX)
+        rels = module_syzygies(syz + kos + base, m, GREVLEX)
         seen = set()
         for rel in rels:
             crow = tuple(B.normal_form(rel[k]) for k in range(r))

@@ -14,6 +14,12 @@ carries its division data (vectors and leading terms), built once.  The
 engine builds the cofactors of an S-pair only when its remainder is
 nonzero and joins the basis; most pairs reduce to zero.
 
+``prune_generators`` keeps, of a family of candidate vectors, those
+needed beside a fixed family to generate the same submodule: one engine
+is seeded with the fixed vectors, and each candidate in (degree, index)
+order either reduces to zero against the current basis, and is dropped
+with its cofactors re-expanded and checked exactly, or joins the basis.
+
 Correctness notes baked into the code:
   * the product (coprime-lcm) criterion is applied only to ring-level
     pairs; it is not sound for module pairs sharing a leading component;
@@ -92,6 +98,23 @@ def _v_mul_poly(field: Field, v: VDict, q: QDict) -> VDict:
     return out
 
 
+def _v_combine(field: Field, quots: Sequence[QDict], vecs: Sequence[VDict]) -> VDict:
+    """sum_k quots[k] * vecs[k]."""
+    out: VDict = {}
+    for q, v in zip(quots, vecs):
+        if q:
+            _v_sub_into(field, out, _v_mul_poly(field, v, {m: field.neg(c) for m, c in q.items()}))
+    return out
+
+
+def _v_split(v: VDict, ncomp: int) -> List[QDict]:
+    """The components of v, as ring polynomials."""
+    out: List[QDict] = [dict() for _ in range(ncomp)]
+    for (comp, m), c in v.items():
+        out[comp][m] = c
+    return out
+
+
 def _v_divmod(
     field: Field, v: VDict, basis: Sequence[VDict], leads: Sequence[VTerm], order: MonomialOrder
 ) -> Tuple[VDict, List[QDict]]:
@@ -160,7 +183,6 @@ class _Engine:
         self.reps: List[VDict] = []  # basis[i] as combination of original gens
         self.pairs: list = []
         self.done: set = set()
-        self.ngens = 0
 
     def _push_pairs(self, j: int) -> None:
         cj, mj = self.leads[j]
@@ -189,7 +211,6 @@ class _Engine:
         self._push_pairs(len(self.basis) - 1)
 
     def seed(self, gens_v: Sequence[VDict]) -> None:
-        self.ngens = len(gens_v)
         unit = (0,) * self.nvars
         for i, g in enumerate(gens_v):
             self.add(dict(g), {(i, unit): self.field.one()})
@@ -227,9 +248,7 @@ class _Engine:
                 continue
             # the cofactors of a new basis element; most S-pairs reduce to zero
             rep = _v_shift_diff(f, self.reps[i], si, self.reps[j], sj)
-            for k, q in enumerate(quots):
-                if q:
-                    _v_sub_into(f, rep, _v_mul_poly(f, self.reps[k], q))
+            _v_sub_into(f, rep, _v_combine(f, quots, self.reps))
             self.add(nf, rep)
 
     def interreduce(self) -> None:
@@ -252,10 +271,7 @@ class _Engine:
             oleads = leads[:pos] + leads[pos + 1 :]
             nf, quots = _v_divmod(f, basis[pos], others, oleads, self.order)
             rep = reps[pos]
-            for k, q in enumerate(quots):
-                if q:
-                    src = k if k < pos else k + 1
-                    _v_sub_into(f, rep, _v_mul_poly(f, reps[src], q))
+            _v_sub_into(f, rep, _v_combine(f, quots, reps[:pos] + reps[pos + 1 :]))
             basis[pos] = nf
             reps[pos] = rep
         self.basis = basis
@@ -317,10 +333,7 @@ def _vec_to_v(vec: Sequence[Polynomial]) -> VDict:
 
 
 def _v_to_vec(v: VDict, field: Field, nvars: int, ncomp: int) -> List[Polynomial]:
-    buckets: List[Dict[Monomial, Scalar]] = [dict() for _ in range(ncomp)]
-    for (comp, m), c in v.items():
-        buckets[comp][m] = c
-    return [Polynomial(field, nvars, b) for b in buckets]
+    return [Polynomial(field, nvars, b) for b in _v_split(v, ncomp)]
 
 
 def _q_to_poly(q: QDict, field: Field, nvars: int) -> Polynomial:
@@ -487,11 +500,7 @@ def _syzygies_raw(
     out: List[VDict] = []
     for sig in eng.schreyer():
         tau: VDict = {}
-        by_comp: Dict[int, QDict] = {}
-        for (k, m), c in sig.items():
-            by_comp.setdefault(k, {})[m] = c
-        for k, q in by_comp.items():
-            _v_sub_into(field, tau, _v_mul_poly(field, eng.reps[k], {m: field.neg(c) for m, c in q.items()}))
+        _v_sub_into(field, tau, _v_combine(field, _v_split(sig, len(eng.reps)), eng.reps))
         if not _v_is_zero(tau):
             out.append(tau)
     # rows of I - V.U catch generators that collapsed into the basis
@@ -499,9 +508,7 @@ def _syzygies_raw(
     unit = (0,) * nvars
     for i in range(ngens):
         row: VDict = {(i, unit): field.one()}
-        for j, q in enumerate(vdivs[i]):
-            if q:
-                _v_sub_into(field, row, _v_mul_poly(field, eng.reps[j], q))
+        _v_sub_into(field, row, _v_combine(field, vdivs[i], eng.reps))
         if not _v_is_zero(row):
             out.append(row)
     # deterministic presentation: drop duplicates, sort canonically
@@ -537,3 +544,44 @@ def module_syzygies(
     field, nvars = _context([p for v in vecs for p in v])
     raw = _syzygies_raw([_vec_to_v(v) for v in vecs], ncomp, field, nvars, order)
     return [_v_to_vec(v, field, nvars, len(vecs)) for v in raw]
+
+
+def _certify(field: Field, cof: VDict, gens_v: Sequence[VDict], target: VDict) -> None:
+    """Re-expand cofactors over gens_v and compare with target exactly."""
+    if _v_combine(field, _v_split(cof, len(gens_v)), gens_v) != target:
+        raise AssertionError("prune certificate failed to re-expand")
+
+
+def prune_generators(
+    fixed: Sequence[Sequence[Polynomial]],
+    candidates: Sequence[Sequence[Polynomial]],
+    ncomp: int,
+    order: MonomialOrder = GREVLEX,
+) -> List[int]:
+    """Indices, ascending, of candidates that generate together with the
+    fixed vectors the submodule that all of them generate.
+
+    One incremental module Groebner basis, seeded with the fixed vectors:
+    the candidates are taken by (degree, index); one that does not reduce
+    to zero is kept and joins the basis, one that does is dropped, and its
+    cofactors over fixed and kept are re-expanded and checked exactly."""
+    if not candidates:
+        return []
+    field, nvars = _context([p for v in [*fixed, *candidates] for p in v])
+    gens = [_vec_to_v(v) for v in fixed]
+    cands = [_vec_to_v(v) for v in candidates]
+    eng = _Engine(field, nvars, ncomp, order)
+    eng.seed(gens)
+    eng.run()
+    unit = (0,) * nvars
+    kept: List[int] = []
+    for k in sorted(range(len(cands)), key=lambda k: (max((sum(m) for _, m in cands[k]), default=0), k)):
+        nf, quots = _v_divmod(field, cands[k], eng.basis, eng.leads, order)
+        if _v_is_zero(nf):
+            _certify(field, _v_combine(field, quots, eng.reps), gens, cands[k])
+            continue
+        eng.add(cands[k], {(len(gens), unit): field.one()})
+        gens.append(cands[k])
+        kept.append(k)
+        eng.run()
+    return sorted(kept)

@@ -462,8 +462,10 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     image and keep the tuples that satisfy all relations exactly.
 
     The ideal squares to zero, so each relation value is affine in the
-    offset digits: d @ R + c, solved as one linear scan with c stacked
-    as a top digit fixed to 1."""
+    offset digits: f(pre + n) = f(pre) + sum_g df/dx_g(pre) n_g, read
+    as d @ R + c from one evaluation per relation and per relation and
+    generator, and solved as one linear scan with c stacked as a top
+    digit fixed to 1."""
     B, Cp = problem.B, problem.Cprime
     f = B.field
     if not isinstance(f, PrimeField):
@@ -493,11 +495,17 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
             imgs[nbv + g] = vec
         return imgs
 
-    def values(dig):
-        imgs = images(dig)
-        return [c for r in rels for c in Cp.evaluate(r, imgs)]
-
-    R, const = _affine_rows(values, ndig)
+    pre = [list(v) for v in problem.preimages]
+    const = np.array([c for r in rels for c in Cp.evaluate(r, pre)], np.int64)
+    s = Cp.dim
+    N = f.array(span).reshape(t, s)
+    table = Cp.mul.reshape(s, s * s)
+    R = np.zeros((ndig, len(const)), np.int64)
+    for j, r in enumerate(rels):
+        for g in range(ng):
+            # row d of the block is df_j/dx_g(pre) * n_d
+            dr = f.array(Cp.evaluate(r.derivative(nbv + g), pre))
+            R[g * t : (g + 1) * t, j * s : (j + 1) * s] = f.matmul(N, f.matmul(dr, table).reshape(s, s))
     idxs = _kernels._scan_linear(np.vstack([R, const]), p, total, 2 * total) - total
     images_out = []
     offsets = []

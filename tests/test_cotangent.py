@@ -9,18 +9,27 @@ the finite-field ones on the same presentations.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defalg import GF, QQ
+from defalg import GF, QQ, groebner
 from defalg.algebras import FiniteModule
 from defalg.cotangent import (
     CohomologyClass,
+    CotangentComplex,
+    base_vectors,
     cochain_maps,
     cotangent_complex,
     is_coboundary,
+    koszul_vectors,
     t_module,
     t_modules,
 )
-from defalg.linalg import vec_add
+from defalg.deformation import BaseDeformationProblem, obstruction_class
+from defalg.differential import jacobian_entries, relation_syzygies
+from defalg.groebner import module_groebner, module_syzygies
+from defalg.linalg import Matrix, vec_add
+from defalg.problems import parse_polynomial
 
 from .conftest import dual_numbers, fat_point, make_algebra
 
@@ -88,7 +97,9 @@ def test_complex_identities(any_field):
     assert maps.d1.mul(maps.d0).is_zero()
     assert maps.w.mul(maps.d1).is_zero()
     assert cx.n_rels == 3 and cx.n_gens == 2
-    assert cx.n_syz >= len(cx.kos)
+    # the pruned generators, Koszul and base vectors span every syzygy
+    mgb = module_groebner(list(cx.syz) + list(cx.kos) + base_vectors(B), cx.n_rels)
+    assert all(mgb.contains(vec) for vec in relation_syzygies(B))
 
 
 def test_complex_is_built_once_per_algebra_and_checked_on_every_call(any_field):
@@ -101,6 +112,93 @@ def test_complex_is_built_once_per_algebra_and_checked_on_every_call(any_field):
     B._cotangent = dataclasses.replace(cx, syz=(tuple(bad),) + cx.syz[1:])
     with pytest.raises(AssertionError, match="syzygy"):
         cotangent_complex(B)
+
+
+def _unpruned_complex(B):
+    """The complex on every vector of relation_syzygies, W from the whole
+    family syz + Kos + base, as it was built before pruning."""
+    syz = relation_syzygies(B)
+    kos = koszul_vectors(B)
+    w_rows = []
+    if syz:
+        for rel in module_syzygies(syz + kos + base_vectors(B), len(B.relations)):
+            crow = tuple(B.normal_form(rel[k]) for k in range(len(syz)))
+            if not all(p.is_zero() for p in crow):
+                w_rows.append(crow)
+    jac = tuple(tuple(r) for r in jacobian_entries(B))
+    return CotangentComplex(B, jac, tuple(map(tuple, syz)), tuple(map(tuple, kos)), tuple(w_rows))
+
+
+def test_complex_is_pruned_and_certified(any_field, monkeypatch):
+    B = fat_point(any_field)
+    cx = cotangent_complex(B)
+    assert cx.n_syz < len(relation_syzygies(B))
+    # a corrupted cofactor in the certificate of a dropped generator is caught
+    # on the next build
+    certify = groebner._certify
+
+    def corrupted(field, cof, gens_v, target):
+        (comp, mono), c = next(iter(cof.items()))
+        bad = dict(cof)
+        bad[(comp, mono)] = field.add(c, field.one())
+        certify(field, bad, gens_v, target)
+
+    monkeypatch.setattr(groebner, "_certify", corrupted)
+    B._cotangent = None
+    with pytest.raises(AssertionError, match="certificate"):
+        cotangent_complex(B)
+
+
+_RELATIONS = {
+    2: ["x^2", "x*y", "y^2", "x^3", "y^3", "x^2 - y^2", "x^2 + x*y", "x*y - y^3"],
+    3: ["x^2", "y^2", "z^2", "x*y", "x*z", "y*z - x^2", "x*y*z", "z^3 - x*y"],
+}
+_POWERS = {"x": ["x^2", "x^3"], "y": ["y^2", "y^3"], "z": ["z^2"]}
+_BASE_POWERS = {"x": ["x^2 + s", "x^2 - s"], "y": ["y^2 + s", "y^3 - s"], "z": ["z^2 + s"]}
+
+
+@st.composite
+def presented_cases(draw):
+    """(field, gens, relations, base?, module kind): 2-3 variables and 2-4
+    relations; the regular module gets pure powers, so B is finite."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    gens = ["x", "y", "z"][: draw(st.integers(2, 3))]
+    based = draw(st.booleans())
+    kind = draw(st.sampled_from(["trivial", "regular"]))
+    pool = _RELATIONS[len(gens)] + (["x*y + s", "x^2 + s*y"] if based else [])
+    if kind == "regular":
+        powers = _BASE_POWERS if based else _POWERS
+        rels = [draw(st.sampled_from(powers[g])) for g in gens]
+        rels += draw(st.lists(st.sampled_from(pool), max_size=4 - len(gens), unique=True))
+    else:
+        rels = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True))
+    return field, gens, rels, based, kind
+
+
+@settings(max_examples=30, deadline=None)
+@given(presented_cases())
+def test_pruned_complex_agrees_with_unpruned(case):
+    field, gens, rels, based, kind = case
+    base = (["s"], ["s^2"]) if based else ((), ())
+    B = make_algebra(field, gens, rels, *base)
+    J = FiniteModule.trivial(B) if kind == "trivial" else FiniteModule.regular(B)
+    prob = None
+    if based:
+        # deform across k[s]/(s^3) -> k[s]/(s^2), the fiber s^2 sent to s
+        Ap = make_algebra(field, ["s"], ["s^3"])
+        phi = None if kind == "trivial" else Matrix.from_cols(field, [B.coordinates(B.var(0))])
+        prob = BaseDeformationProblem.from_presented_total(
+            B, J, Ap, [parse_polynomial("s^2", ("s",), field)], phi
+        )
+
+    def invariants():
+        dims = tuple(res.dim for res in t_modules(B, J))
+        return dims, (obstruction_class(prob).obstructed if prob else None)
+
+    pruned = invariants()
+    assert cotangent_complex(B).n_syz <= len(relation_syzygies(B))
+    B._cotangent = _unpruned_complex(B)
+    assert invariants() == pruned
 
 
 def test_module_action_matters():
