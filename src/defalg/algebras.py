@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .budget import DEFAULT_ENUM_BUDGET, as_budget
 from .fields import Field, PrimeField, Scalar
-from .groebner import GroebnerBasis, buchberger, normal_form, normal_form_quotients
+from .groebner import GroebnerBasis, buchberger, certified_cofactors, normal_form, normal_form_quotients
 from .linalg import Matrix
 from .poly import GREVLEX, Monomial, Polynomial, mono_deg, mono_divides, mono_mul
 
@@ -62,6 +62,9 @@ class PresentedAlgebra:
         self._base_gb: Optional[GroebnerBasis] = None
         self._std: Optional[Tuple[Monomial, ...]] = None
         self._cotangent = None  # cotangent.CotangentComplex, see cotangent_complex
+        self._structure: Optional["StructureAlgebra"] = None  # see to_structure
+        self._divisions: Optional[dict] = None  # (i, j) -> (product, normal form, quotients), see to_structure
+        self._cofactors = None  # see product_cofactors
 
     # -- construction conveniences --------------------------------------
 
@@ -234,6 +237,13 @@ class PresentedAlgebra:
         )
 
     def to_structure(self) -> "StructureAlgebra":
+        """Structure table on the standard monomials, built once.
+
+        Each product of two standard monomials is divided once; the
+        normal form and quotients of every product that is not itself
+        standard are kept for product_cofactors."""
+        if self._structure is not None:
+            return self._structure
         std = self.std_monomials()
         n = len(std)
         if n == 0:
@@ -241,23 +251,54 @@ class PresentedAlgebra:
         if std[0] != (0,) * self.nvars:
             raise AssertionError("unit monomial missing from basis")
         f = self.field
-
-        def product(i, j):
-            return self.coordinates(Polynomial.monomial(f, self.nvars, mono_mul(std[i], std[j])))
-
-        labels = tuple(self.mono_label(m) for m in std)
+        gb = self.groebner()
+        index = {m: i for i, m in enumerate(std)}
+        mul = np.zeros((n, n, n), f.dtype)
+        self._divisions = {}
+        for i in range(n):
+            for j in range(i, n):
+                mo = mono_mul(std[i], std[j])
+                if mo in index:
+                    mul[i, j, index[mo]] = mul[j, i, index[mo]] = 1
+                    continue
+                p = Polynomial.monomial(f, self.nvars, mo)
+                nf, quots = normal_form_quotients(p, gb)
+                for m, c in nf.terms.items():
+                    mul[i, j, index[m]] = mul[j, i, index[m]] = c
+                self._divisions[i, j] = (p, nf, quots)
         gen_images = tuple(self.coordinates(self.var(v)) for v in range(self.nvars))
-        return StructureAlgebra.from_products(
+        self._structure = StructureAlgebra(
             f,
-            labels,
-            product,
+            tuple(self.mono_label(m) for m in std),
+            mul,
             gen_names=self.names,
             gen_images=gen_images,
             base_names=self.base_names,
             base_images=gen_images[: self.n_base],
             basis_gen_exps=std,
-            source=self,
         )
+        return self._structure
+
+    def product_cofactors(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, Monomial], ...], np.ndarray]:
+        """Division cofactors of the standard-monomial products that are
+        not standard, as (pairs, terms, coeffs): for (i, j) = pairs[q],
+        std[i]*std[j] = (normal form) + sum_k coeffs[q, k] * mo * gens[g]
+        with (g, mo) = terms[k] and gens = ideal_gens().  Built once from
+        the divisions of to_structure, each certificate re-expanded and
+        checked."""
+        if self._cofactors is None:
+            self.to_structure()
+            terms: dict = {}
+            entries = []
+            for q, (p, nf, quots) in enumerate(self._divisions.values()):
+                for g, h in enumerate(certified_cofactors(p, self.groebner(), nf, quots)):
+                    for mo, c in h.terms.items():
+                        entries.append((q, terms.setdefault((g, mo), len(terms)), c))
+            coeffs = np.zeros((len(self._divisions), len(terms)), self.field.dtype)
+            for q, k, c in entries:
+                coeffs[q, k] = c
+            self._cofactors = (tuple(self._divisions), tuple(terms), self.field.array(coeffs))
+        return self._cofactors
 
     def __repr__(self):
         rels = ", ".join(p.to_string(self.names) for p in self.relations) or "0"
@@ -283,7 +324,8 @@ class StructureAlgebra:
     """Finite-dimensional commutative algebra by multiplication table.
 
     mul[i][j][k] is the e_k coefficient of e_i * e_j; basis element 0 is
-    the unit.  Vectors are lists of field scalars.
+    the unit.  mul is read-only: an algebra shares its one table (see
+    PresentedAlgebra.to_structure).  Vectors are lists of field scalars.
     """
 
     def __init__(
@@ -296,12 +338,12 @@ class StructureAlgebra:
         base_names: Sequence[str] = (),
         base_images: Sequence[Sequence[Scalar]] = (),
         basis_gen_exps: Optional[Sequence[Monomial]] = None,
-        source: Optional[PresentedAlgebra] = None,
     ):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.mul = field.array(mul)
+        self.mul.flags.writeable = False
         if self.mul.shape != (self.dim, self.dim, self.dim):
             raise ValueError("multiplication tensor shape mismatch")
         if gen_names is None:
@@ -317,20 +359,8 @@ class StructureAlgebra:
         self.base_names = tuple(base_names)
         self.base_images = tuple(tuple(v) for v in base_images)
         self.basis_gen_exps = tuple(tuple(m) for m in basis_gen_exps) if basis_gen_exps is not None else None
-        self.source = source
         self.truncated_from: Optional[PresentedAlgebra] = None
         self.truncation_degree: Optional[int] = None
-
-    @classmethod
-    def from_products(cls, field: Field, labels: Sequence[str], product, **kwargs) -> "StructureAlgebra":
-        """The table whose e_i * e_j = e_j * e_i is the coordinate vector
-        product(i, j), called once for each i <= j."""
-        n = len(labels)
-        mul = np.zeros((n, n, n), field.dtype)
-        for i in range(n):
-            for j in range(i, n):
-                mul[i, j] = mul[j, i] = product(i, j)
-        return cls(field, labels, mul, **kwargs)
 
     # -- vectors ---------------------------------------------------------
 
@@ -480,7 +510,7 @@ class FiniteModule:
             raise TypeError("tensor form only exists over prime fields")
         t = self.rank
         out = np.zeros((S.dim, t, t), np.int64)
-        if S.source is not self.owner or S.basis_gen_exps is None:
+        if S is not self.owner.to_structure():
             raise ValueError("structure algebra was not built from this module's owner")
         for i, m in enumerate(S.basis_gen_exps):
             out[i] = np.array(self.monomial_action(m).to_rows(), np.int64).reshape(t, t)

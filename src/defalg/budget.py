@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 DEFAULT_ENUM_BUDGET = 2**20
-DEFAULT_ISO_BUDGET = 2**16
 
 
 class BudgetExceeded(Exception):

@@ -2,10 +2,16 @@
 
 Everything here works with one concrete picture.  A square-zero
 extension of B by the module J is a structure table on (basis of B)
-followed by (basis of J): the chosen monomial section makes the
-B-part of a product honest multiplication in B, and the J-part is a
-symmetric correction table fed by a relation cocycle through exact
-division cofactors.  Obstruction classes against a base extension
+followed by (basis of J), in the coordinates of the monomial section.
+It is the trivial extension (the product of B, B acting on the fiber
+through J, a zero fiber square) plus a fiber correction on each product
+of standard monomials, linear in the relation cocycle: the cocycle fed
+through the division cofactors of that product.  Every such table is
+built as one array from the algebra's one product table
+(``PresentedAlgebra.to_structure``: each product divided once) and its
+certified cofactors (``product_cofactors``); a deformation adds the
+base relations' share, and a Baer sum adds the corrections of two
+tables.  Obstruction classes against a base extension
 0 -> I -> A' -> A -> 0 are computed literally: pair each syzygy with
 the relations, reduce the result in a presentation of A' where I is
 spanned by explicit nilpotent variables, and push the coefficients
@@ -15,8 +21,11 @@ are asserted at runtime rather than trusted.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .algebras import (
     AlgebraHom,
@@ -35,10 +44,10 @@ from .cotangent import (
     t_modules,
 )
 from .differential import derivation_space
-from .fields import Field, PrimeField, Scalar
-from .groebner import GroebnerBasis, buchberger, normal_form, normal_form_quotients
-from .linalg import Matrix, kernel_basis, solve_affine, vec_add, vec_is_zero, vec_scale, vec_sub
-from .poly import GREVLEX, Polynomial, mono_mul
+from .fields import PrimeField, Scalar
+from .groebner import buchberger, certified_cofactors, normal_form, normal_form_quotients
+from .linalg import Matrix, in_span, solve_affine, vec_add, vec_is_zero, vec_scale, vec_sub
+from .poly import GREVLEX, Polynomial
 
 
 def division_data(B: PresentedAlgebra, p: Polynomial) -> Tuple[Polynomial, List[Polynomial]]:
@@ -46,19 +55,7 @@ def division_data(B: PresentedAlgebra, p: Polynomial) -> Tuple[Polynomial, List[
     cofactors indexed like B.ideal_gens(); the identity is re-checked."""
     gb = B.groebner()
     nf, quots = normal_form_quotients(p, gb)
-    cof = [B.zero_poly() for _ in gb.gens]
-    for j, q in enumerate(quots):
-        if q.is_zero():
-            continue
-        for i, u in enumerate(gb.to_gens[j]):
-            if not u.is_zero():
-                cof[i] = cof[i] + q * u
-    check = nf
-    for c, g in zip(cof, gb.gens):
-        check = check + c * g
-    if check != p:
-        raise AssertionError("division certificate failed to re-expand")
-    return nf, cof
+    return nf, certified_cofactors(p, gb, nf, quots)
 
 
 # ---------------------------------------------------------------------------
@@ -99,33 +96,19 @@ class SquareZeroExtension:
 
     def validate(self) -> List[str]:
         out = validate(self.table)
-        f = self.J.field
-        s, t = self.s, self.t
-        for a in range(t):
-            for b in range(t):
-                prod = self.table.mul_entry(s + a, s + b)
-                if any(not f.is_zero(c) for c in prod):
-                    out.append("fiber is not square-zero")
+        s = self.s
+        mul = self.table.mul
+        if np.any(mul[s:, s:]):
+            out.append("fiber is not square-zero")
         # the fiber must be an ideal whose B-action matches J
-        for i in range(s):
-            for b in range(t):
-                prod = self.table.mul_entry(i, s + b)
-                if any(not f.is_zero(c) for c in prod[:s]):
-                    out.append("fiber is not an ideal")
-                want = self.J.action_of_poly(self._basis_poly(i)).col(b)
-                if prod[s:] != want:
-                    out.append("fiber action disagrees with the module structure")
+        if np.any(mul[:s, s:, :s]):
+            out.append("fiber is not an ideal")
+        if not np.array_equal(mul[:s, s:, s:], _action_block(self.B, self.J)):
+            out.append("fiber action disagrees with the module structure")
         # section projects to honest multiplication in B
-        S = self.B.to_structure()
-        for i in range(s):
-            for j in range(i, s):
-                if self.project(self.table.mul_entry(i, j)) != S.mul_entry(i, j):
-                    out.append("section does not project onto the product of B")
+        if not np.array_equal(mul[:s, :s, :s], self.B.to_structure().mul):
+            out.append("section does not project onto the product of B")
         return out
-
-    def _basis_poly(self, i: int) -> Polynomial:
-        m = self.B.std_monomials()[i]
-        return Polynomial.monomial(self.B.field, self.B.nvars, m)
 
 
 def extension_from_cocycle(B: PresentedAlgebra, J: FiniteModule, psi: Sequence[Scalar]) -> SquareZeroExtension:
@@ -139,62 +122,76 @@ def extension_from_cocycle(B: PresentedAlgebra, J: FiniteModule, psi: Sequence[S
     t = J.rank
     if len(psi) != len(B.relations) * t:
         raise ValueError("cocycle vector has the wrong length")
-    gen_images = [B.coordinates(B.var(v)) + [f.zero()] * t for v in range(B.nvars)]
-    tab = _section_table(
-        B,
-        J,
-        lambda cof: _relation_part(B, J, psi, cof),
-        gen_images=gen_images,
-        base_names=B.base_names,
-        base_images=gen_images[: B.n_base],
-    )
-    ext = SquareZeroExtension(B, J, tab, cocycle=tuple(psi))
+    gen_images = [list(v) + [f.zero()] * t for v in B.to_structure().gen_images]
+    tab = _extension_table(B, J, psi, gen_images, base_names=B.base_names, base_images=gen_images[: B.n_base])
     bad = validate(tab)
     if bad:
         raise ValueError(f"not a cocycle: the table fails validation: {bad}")
-    return ext
+    return SquareZeroExtension(B, J, tab, cocycle=tuple(psi))
 
 
-def _relation_part(B: PresentedAlgebra, J: FiniteModule, values: Sequence[Scalar], cof) -> list:
-    """Fiber value of a word with division cofactors cof when relative
-    relation r takes the value values[r*t:(r+1)*t] in J."""
+def _action_block(B: PresentedAlgebra, J: FiniteModule) -> np.ndarray:
+    """(s, t, t) array: [i, b] is the action of the i-th standard
+    monomial on the b-th basis vector of J."""
+    t = J.rank
+    rows = [J.monomial_action(mo).transpose().to_rows() for mo in B.std_monomials()]
+    return J.field.array(rows).reshape(len(rows), t, t)
+
+
+def _term_values(
+    B: PresentedAlgebra, J: FiniteModule, values: Sequence[Scalar], terms, prob: Optional["BaseDeformationProblem"] = None
+) -> np.ndarray:
+    """(len(terms), t) array: the fiber value of each cofactor term
+    (g, mo), mo times the g-th ideal generator, when relative relation r
+    takes the value values[r*t:(r+1)*t] in J.  A relative relation's term
+    is rho_J(mo) applied to its value; a base relation's term is zero in
+    an extension, and in a deformation of prob its reduction in A'
+    pushed into J."""
     f = B.field
     t = J.rank
     nb = len(B.base_relations)
-    out = [f.zero()] * t
-    for r in range(len(B.relations)):
-        h = cof[nb + r]
-        if not h.is_zero():
-            out = vec_add(f, out, J.action_of_poly(h).mul_vec(list(values[r * t : (r + 1) * t])))
-    return out
+    rows = []
+    for g, mo in terms:
+        if g >= nb:
+            r = g - nb
+            rows.append(J.monomial_action(mo).mul_vec(values[r * t : (r + 1) * t]))
+        elif prob is None:
+            rows.append([f.zero()] * t)
+        else:
+            p = Polynomial.monomial(f, B.nvars, mo) * B.base_relations[g]
+            rows.append(_push_fiber(prob, prob.aprime_presentation().reduce_to_fiber(p)))
+    return f.array(rows).reshape(len(rows), t)
 
 
-def _section_table(B: PresentedAlgebra, J: FiniteModule, fiber_value, **kwargs) -> StructureAlgebra:
+def _extension_table(
+    B: PresentedAlgebra,
+    J: FiniteModule,
+    values: Sequence[Scalar],
+    gen_images,
+    prob: Optional["BaseDeformationProblem"] = None,
+    **kwargs,
+) -> StructureAlgebra:
     """Table on (basis of B) + (basis of J) in section coordinates.
 
-    The product of two standard monomials is the normal form of their
-    product plus fiber_value(cofactors) of its division certificate;
-    B acts on the fiber through J, and the fiber squares to zero.
+    The trivial extension (the product of B, B acting on the fiber
+    through J, a zero fiber square) plus, on each product of standard
+    monomials that is not standard, the fiber value of its division
+    cofactors: coeffs @ _term_values over B.product_cofactors().
     """
     f = B.field
-    std = B.std_monomials()
-    s, t = len(std), J.rank
-    index = {mo: i for i, mo in enumerate(std)}
-    acts = [J.monomial_action(mo) for mo in std]
-
-    def product(i, j):
-        vec = [f.zero()] * (s + t)
-        if j < s:
-            nf, cof = division_data(B, Polynomial.monomial(f, B.nvars, mono_mul(std[i], std[j])))
-            for mo, c in nf.terms.items():
-                vec[index[mo]] = c
-            vec[s:] = fiber_value(cof)
-        elif i < s:
-            vec[s:] = acts[i].col(j - s)
-        return vec
-
-    labels = tuple(B.mono_label(mo) for mo in std) + tuple("eps:" + l for l in J.labels)
-    return StructureAlgebra.from_products(f, labels, product, gen_names=B.names, **kwargs)
+    S = B.to_structure()
+    s, t = S.dim, J.rank
+    mul = np.zeros((s + t,) * 3, f.dtype)
+    mul[:s, :s, :s] = S.mul
+    act = _action_block(B, J)
+    mul[:s, s:, s:] = act
+    mul[s:, :s, s:] = act.transpose(1, 0, 2)
+    pairs, terms, coeffs = B.product_cofactors()
+    if pairs:
+        i, j = np.array(pairs).T
+        mul[i, j, s:] = mul[j, i, s:] = f.matmul(coeffs, _term_values(B, J, values, terms, prob))
+    labels = S.labels + tuple("eps:" + l for l in J.labels)
+    return StructureAlgebra(f, labels, mul, gen_names=B.names, gen_images=gen_images, **kwargs)
 
 
 def cocycle_from_extension(ext: SquareZeroExtension, gen_offsets: Optional[Sequence[Sequence[Scalar]]] = None) -> tuple:
@@ -226,7 +223,7 @@ def trivial_extension(B: PresentedAlgebra, J: FiniteModule) -> SquareZeroExtensi
     return extension_from_cocycle(B, J, [B.field.zero()] * (len(B.relations) * t))
 
 
-def extension_class(ext: SquareZeroExtension, maps: Optional[CochainMaps] = None) -> CohomologyClass:
+def extension_class(ext: SquareZeroExtension) -> CohomologyClass:
     return CohomologyClass(ext.B, ext.J, 1, cocycle_from_extension(ext))
 
 
@@ -246,40 +243,30 @@ def extensions_equivalent(e1: SquareZeroExtension, e2: SquareZeroExtension, maps
 
 def baer_sum(e1: SquareZeroExtension, e2: SquareZeroExtension) -> SquareZeroExtension:
     """Geometric Baer sum: fibered product over B, then quotient by the
-    antidiagonal copy of J, re-coordinatized to section form."""
+    antidiagonal copy of J, re-coordinatized to section form.
+
+    On the basis (sigma(b), sigma(b)), (eps_b, 0) of the fibered product
+    the class map (u + j1, u + j2) -> (u, j1 + j2) gives the table of e1
+    with the fiber corrections of e2 added on the B block."""
     if e1.B is not e2.B and e1.B.std_monomials() != e2.B.std_monomials():
         raise ValueError("extensions are not over the same algebra")
     B, J = e1.B, e1.J
     f = B.field
-    s, t = e1.s, e1.t
-
-    # basis of the fibered product: (sigma(b), sigma(b)), (eps_b, 0), (0, eps_b);
-    # the class map sends (u + j1, u + j2) to (u, j1 + j2) in section form.
-    reps = []  # representatives in the fibered product
-    for i in range(s):
-        b = [f.zero()] * (s + t)
-        b[i] = f.one()
-        reps.append((b, list(b)))
-    for b in range(t):
-        v = [f.zero()] * (s + t)
-        v[s + b] = f.one()
-        reps.append((v, [f.zero()] * (s + t)))
-
-    def product(i, j):
-        p1 = e1.table.mul_vec(reps[i][0], reps[j][0])
-        p2 = e2.table.mul_vec(reps[i][1], reps[j][1])
-        if e1.project(p1) != e2.project(p2):
-            raise AssertionError("product left the fibered subalgebra")
-        return e1.project(p1) + vec_add(f, e1.fiber_part(p1), e2.fiber_part(p2))
-
-    tab = StructureAlgebra.from_products(
+    s = e1.s
+    m1, m2 = e1.table.mul, e2.table.mul
+    if not np.array_equal(m1[:s, :s, :s], m2[:s, :s, :s]) or np.any(m1[:, s:, :s]):
+        raise AssertionError("product left the fibered subalgebra")
+    mul = m1.copy()
+    mul[:s, :s, s:] = f.reduce(m1[:s, :s, s:] + m2[:s, :s, s:])
+    T = e1.table
+    tab = StructureAlgebra(
         f,
-        e1.table.labels,
-        product,
-        gen_names=e1.table.gen_names,
-        gen_images=[list(v) for v in e1.table.gen_images],
-        base_names=e1.table.base_names,
-        base_images=[list(v) for v in e1.table.base_images],
+        T.labels,
+        mul,
+        gen_names=T.gen_names,
+        gen_images=T.gen_images,
+        base_names=T.base_names,
+        base_images=T.base_images,
     )
     out = SquareZeroExtension(B, J, tab)
     bad = out.validate()
@@ -391,7 +378,7 @@ class LiftProblem:
             cols = []
             for w in nb:
                 prod = Cp.mul_vec(list(self.preimages[v]), w)
-                coords = _coords_in_span(f, nb, prod, Cp.dim)
+                coords = in_span(f, nb, prod)
                 if coords is None:
                     raise ValueError("ideal is not stable under the generator images")
                 cols.append(coords)
@@ -412,17 +399,7 @@ class LiftProblem:
     ) -> "LiftProblem":
         """Build the problem from a presented C' with a designated ideal."""
         Cp = Cprime_pres.to_structure()
-        f = B.field
-        std = Cprime_pres.std_monomials()
-        # span of the ideal inside C'
-        vecs = []
-        for g in ideal_gens:
-            for mo in std:
-                p = g * Polynomial.monomial(f, Cprime_pres.nvars, mo)
-                vecs.append(Cprime_pres.coordinates(p))
-        mat = Matrix.from_rows(f, vecs, ncols=len(std)) if vecs else Matrix.zeros(f, 0, len(std))
-        red, piv, rank = mat.rref()
-        nb = [red.row(i) for i in range(rank)]
+        nb = _ideal_span(Cprime_pres, ideal_gens)
         pre = [Cprime_pres.coordinates(img) for img in phi_images]
         return cls(B, Cp, tuple(tuple(v) for v in nb), tuple(tuple(v) for v in pre))
 
@@ -434,7 +411,7 @@ class LiftProblem:
         imgs = [list(v) for v in self.preimages]
         for fj in B.relations:
             val = Cp.evaluate(fj, imgs)
-            coords = _coords_in_span(f, [list(v) for v in self.n_basis], val, Cp.dim)
+            coords = in_span(f, self.n_basis, val)
             if coords is None:
                 raise ValueError("a relation value is not in the ideal: the map does not land in C")
             out.extend(coords)
@@ -446,11 +423,16 @@ class LiftProblem:
         return out
 
 
-def _coords_in_span(field: Field, basis: List[list], v: Sequence[Scalar], dim: int) -> Optional[list]:
-    if not basis:
-        return [] if vec_is_zero(field, list(v)) else None
-    m = Matrix.from_cols(field, basis, nrows=dim)
-    return solve_affine(m, list(v))
+def _ideal_span(A: PresentedAlgebra, ideal_gens: Sequence[Polynomial]) -> List[list]:
+    """Row-reduced basis, as coordinate vectors, of the ideal of A that
+    ideal_gens generate: the span of each generator times each standard
+    monomial."""
+    f = A.field
+    std = A.std_monomials()
+    vecs = [A.coordinates(g * Polynomial.monomial(f, A.nvars, mo)) for g in ideal_gens for mo in std]
+    mat = Matrix.from_rows(f, vecs, ncols=len(std)) if vecs else Matrix.zeros(f, 0, len(std))
+    red, _, rank = mat.rref()
+    return [red.row(i) for i in range(rank)]
 
 
 @dataclass
@@ -573,26 +555,19 @@ class BaseDeformationProblem:
         f = B.field
         if Aprime.names != B.base_names:
             raise ValueError("total ring must be presented on the base generators")
-        std = Aprime.std_monomials()
-        vecs = []
-        for g in ideal_gens:
-            for mo in std:
-                vecs.append(Aprime.coordinates(g * Polynomial.monomial(f, Aprime.nvars, mo)))
-        mat = Matrix.from_rows(f, vecs, ncols=len(std)) if vecs else Matrix.zeros(f, 0, len(std))
-        red, piv, rank = mat.rref()
-        nb = [red.row(i) for i in range(rank)]
+        nb = _ideal_span(Aprime, ideal_gens)
+        rank = len(nb)
         for u in nb:
             for v in nb:
-                w = _structure_mul(Aprime, u, v)
-                if any(not f.is_zero(c) for c in w):
+                if not vec_is_zero(f, Aprime.to_structure().mul_vec(u, v)):
                     raise ValueError("designated ideal of the total ring is not square-zero")
         labels = tuple(f"i{k}" for k in range(rank))
         mats = []
         for v in range(Aprime.nvars):
             cols = []
             for u in nb:
-                w = _structure_mul(Aprime, Aprime.coordinates(Aprime.var(v)), u)
-                coords = _coords_in_span(f, nb, w, len(std))
+                w = Aprime.to_structure().mul_vec(Aprime.coordinates(Aprime.var(v)), u)
+                coords = in_span(f, nb, w)
                 if coords is None:
                     raise ValueError("ideal is not stable in the total ring")
                 cols.append(coords)
@@ -600,7 +575,7 @@ class BaseDeformationProblem:
         alpha = []
         for g in B.base_algebra().relations:
             val = Aprime.coordinates(g)
-            coords = _coords_in_span(f, nb, val, len(std))
+            coords = in_span(f, nb, val)
             if coords is None:
                 raise ValueError("a base relation does not land in the ideal of the total ring")
             alpha.append(tuple(coords))
@@ -612,22 +587,6 @@ class BaseDeformationProblem:
 
     def aprime_presentation(self) -> "_ZRing":
         return self._zring
-
-
-def _structure_mul(A: PresentedAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
-    """Product of two coordinate vectors in a presented algebra."""
-    f = A.field
-    std = A.std_monomials()
-    acc = Polynomial.zero(f, A.nvars)
-    for i, ci in enumerate(u):
-        if f.is_zero(ci):
-            continue
-        for j, cj in enumerate(v):
-            if f.is_zero(cj):
-                continue
-            mo = tuple(a + b for a, b in zip(std[i], std[j]))
-            acc = acc + Polynomial.monomial(f, A.nvars, mo) * f.mul(ci, cj)
-    return A.coordinates(acc)
 
 
 class _ZRing:
@@ -685,27 +644,40 @@ class ObstructionResult:
 
 def obstruction_class(prob: BaseDeformationProblem, second_lift_seed: Optional[int] = None) -> ObstructionResult:
     """The class in T^2 blocking a flat extension of B across the base
-    extension, pushed into J; computed from the literal syzygy pairings."""
+    extension, pushed into J; computed from the literal syzygy pairings.
+
+    With a seed the class is computed a second time, with the relations
+    lifted as f_j + (nilpotent noise); the two must differ by a
+    coboundary only."""
     B, J = prob.B, prob.J
     f = B.field
     cx = cotangent_complex(B)
     maps = cochain_maps(cx, J)
     zr = prob.aprime_presentation()
     m = len(B.relations)
-    t = J.rank
-    psi: List[Scalar] = []
-    for vec in cx.syz:
-        sigma = B.zero_poly()
-        for j in range(m):
-            sigma = sigma + vec[j] * B.relations[j]
-        pairs = zr.reduce_to_fiber(sigma)
-        psi.extend(_push_fiber(prob, pairs))
-    psi_t = tuple(psi)
+    psi_t = _obstruction_vector(prob, cx, [Polynomial.zero(f, zr.nvars)] * m)
     cls = CohomologyClass(B, J, 2, psi_t)
     if not cls.is_cocycle_of(maps):
         raise AssertionError("obstruction vector is not killed by the relation rows")
     if second_lift_seed is not None:
-        shifted = _obstruction_with_shifted_lift(prob, cx, second_lift_seed)
+        # noise: for each relation a z-linear polynomial with small x-monomials
+        rng = random.Random(second_lift_seed)
+        if isinstance(f, PrimeField):
+            pick = lambda: rng.randrange(f.p)
+        else:
+            pick = lambda: rng.randrange(-2, 3)
+        nb, tI, n = zr.nb, zr.tI, zr.n
+        xmonos = [(0,) * n] + [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        noise: List[Polynomial] = []
+        for _ in range(m):
+            terms = {}
+            for b in range(tI):
+                for xm in xmonos:
+                    c = pick()
+                    if c:
+                        terms[(0,) * nb + tuple(1 if k == b else 0 for k in range(tI)) + xm] = f.from_int(c)
+            noise.append(Polynomial(f, zr.nvars, terms))
+        shifted = _obstruction_vector(prob, cx, noise)
         diff = vec_sub(f, list(shifted), list(psi_t))
         ok, _ = is_coboundary(CohomologyClass(B, J, 2, tuple(diff)), maps)
         if not ok:
@@ -714,47 +686,17 @@ def obstruction_class(prob: BaseDeformationProblem, second_lift_seed: Optional[i
     return ObstructionResult(prob, cx, maps, psi_t, xi is None, tuple(xi) if xi is not None else None)
 
 
-def _obstruction_with_shifted_lift(prob: BaseDeformationProblem, cx: CotangentComplex, seed: int) -> tuple:
-    """Recompute the class with relations lifted as f_j + (nilpotent
-    noise); the result must differ by a coboundary only."""
-    import random
-
-    B, J = prob.B, prob.J
-    f = B.field
+def _obstruction_vector(prob: BaseDeformationProblem, cx: CotangentComplex, noise: Sequence[Polynomial]) -> tuple:
+    """Pair each syzygy with the relations lifted to A' as f_j + noise_j,
+    reduce in A' and push the result into J."""
     zr = prob.aprime_presentation()
-    rng = random.Random(seed)
-    m = len(B.relations)
-    # noise: for each relation a z-linear polynomial with small x-monomials
-    noise: List[Polynomial] = []
-    nb, tI, n = zr.nb, zr.tI, zr.n
-    xmonos = [tuple(0 for _ in range(n))] + [
-        tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
-    ]
-    if isinstance(f, PrimeField):
-        pick = lambda: rng.randrange(f.p)
-    else:
-        pick = lambda: rng.randrange(-2, 3)
-    for _ in range(m):
-        terms = {}
-        for b in range(tI):
-            for xm in xmonos:
-                c = pick()
-                if c:
-                    mo = tuple(
-                        [0] * nb
-                        + [1 if k == b else 0 for k in range(tI)]
-                        + list(xm)
-                    )
-                    terms[mo] = f.from_int(c)
-        noise.append(Polynomial(f, zr.nvars, terms))
+    lifted = [zr.embed(fj) + nj for fj, nj in zip(prob.B.relations, noise)]
     psi: List[Scalar] = []
     for vec in cx.syz:
-        sigma_z = Polynomial.zero(f, zr.nvars)
-        for j in range(m):
-            sigma_z = sigma_z + zr.embed(vec[j] * B.relations[j]) + zr.embed(vec[j]) * noise[j]
-        nf = normal_form(sigma_z, zr.gb)
-        pairs = _split_fiber(zr, nf)
-        psi.extend(_push_fiber(prob, pairs))
+        sigma = Polynomial.zero(zr.field, zr.nvars)
+        for c, lj in zip(vec, lifted):
+            sigma = sigma + zr.embed(c) * lj
+        psi.extend(_push_fiber(prob, _split_fiber(zr, normal_form(sigma, zr.gb))))
     return tuple(psi)
 
 
@@ -815,24 +757,17 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
             raise ValueError("twist is not a cocycle")
         xi = vec_add(f, xi, tw)
 
-    zr = prob.aprime_presentation()
     s = B.dim()
     t = J.rank
-
-    def fiber_value(cof) -> list:
-        out = _relation_part(B, J, xi, cof)
-        gpart = B.zero_poly()
-        for a in range(len(B.base_relations)):
-            if not cof[a].is_zero():
-                gpart = gpart + cof[a] * B.base_relations[a]
-        if not gpart.is_zero():
-            out = vec_add(f, out, _push_fiber(prob, zr.reduce_to_fiber(gpart)))
-        return out
-
     # generators that are not standard monomials pick up the same
     # fiber correction as any other reducible word
-    gen_images = [B.coordinates(B.var(v)) + fiber_value(division_data(B, B.var(v))[1]) for v in range(B.nvars)]
-    tab = _section_table(B, J, fiber_value, gen_images=gen_images)
+    gen_images = []
+    for v, coords in enumerate(B.to_structure().gen_images):
+        cof = division_data(B, B.var(v))[1]
+        terms = [(g, mo) for g, h in enumerate(cof) for mo in h.terms]
+        coefs = f.array([c for h in cof for c in h.terms.values()]).reshape(len(terms))
+        gen_images.append(list(coords) + f.matmul(coefs, _term_values(B, J, xi, terms, prob)).tolist())
+    tab = _extension_table(B, J, xi, gen_images, prob)
     bad = validate(tab)
     if bad:
         raise AssertionError(f"deformed table failed validation: {bad}")

@@ -475,18 +475,25 @@ def ideal_member(
     nf, quots = normal_form_quotients(f, gb)
     if not nf.is_zero():
         return False, None
+    return True, certified_cofactors(f, gb, nf, quots)
+
+
+def certified_cofactors(f: Polynomial, gb: GroebnerBasis, nf: Polynomial, quots: Sequence[Polynomial]) -> List[Polynomial]:
+    """Cofactors over gb.gens of the division f = nf + sum_j quots_j basis_j:
+    f = nf + sum_i cof_i gens_i, re-expanded and checked exactly."""
     cof = [Polynomial.zero(gb.field, gb.nvars) for _ in gb.gens]
     for j, q in enumerate(quots):
         if q.is_zero():
             continue
         for i, u in enumerate(gb.to_gens[j]):
-            cof[i] = cof[i] + q * u
-    check = Polynomial.zero(gb.field, gb.nvars)
+            if not u.is_zero():
+                cof[i] = cof[i] + q * u
+    check = nf
     for c, g in zip(cof, gb.gens):
         check = check + c * g
     if check != f:
-        raise AssertionError("membership certificate failed to re-expand")
-    return True, cof
+        raise AssertionError("division certificate failed to re-expand")
+    return cof
 
 
 def _syzygies_raw(

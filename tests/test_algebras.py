@@ -13,6 +13,7 @@ from defalg.algebras import (
     validate,
 )
 from defalg.budget import BudgetExceeded
+from defalg.poly import Polynomial, mono_mul
 from defalg.problems import parse_polynomial
 
 from .conftest import dual_numbers, fat_point, make_algebra
@@ -108,6 +109,50 @@ class TestStructureAlgebra:
         T = type(S)(field=f, labels=S.labels, mul=bad)
         assert validate(T) != []
 
+    def test_table_is_built_once_and_read_only(self, any_field):
+        B = fat_point(any_field)
+        S = B.to_structure()
+        assert B.to_structure() is S
+        with pytest.raises(ValueError, match="read-only"):
+            S.mul[1, 1, 0] = any_field.one()
+        assert validate(S) == []
+
+    def test_product_cofactors_are_certified(self, any_field):
+        B = make_algebra(any_field, ["x", "y"], ["x^2 - y^2", "x*y", "y^3"])
+        pairs, terms, coeffs = B.product_cofactors()
+        assert B.product_cofactors()[2] is coeffs
+        assert coeffs.shape == (len(pairs), len(terms)) and pairs
+        # each non-standard product re-expands: std_i std_j = nf + sum coeff * mo * gens[g]
+        std, gens = B.std_monomials(), B.ideal_gens()
+        S = B.to_structure()
+        for q, (i, j) in enumerate(pairs):
+            want = Polynomial.monomial(any_field, B.nvars, mono_mul(std[i], std[j]))
+            got = sum(
+                (gens[g] * Polynomial.monomial(any_field, B.nvars, mo) * c
+                 for (g, mo), c in zip(terms, coeffs[q].tolist())),
+                Polynomial.zero(any_field, B.nvars),
+            )
+            for k, c in enumerate(S.mul_entry(i, j)):
+                got = got + Polynomial.monomial(any_field, B.nvars, std[k]) * c
+            assert got == want
+        # a corrupted quotient is caught when the cofactors are built
+        C = make_algebra(any_field, ["x", "y"], ["x^2 - y^2", "x*y", "y^3"])
+        C.to_structure()
+        key, (p, nf, quots) = next(iter(C._divisions.items()))
+        C._divisions[key] = (p, nf, [q + C.one_poly() for q in quots])
+        with pytest.raises(AssertionError, match="certificate"):
+            C.product_cofactors()
+
+    def test_truncate_leaves_the_source_memo_untouched(self, any_field):
+        B = make_algebra(any_field, ["x", "y"], ["x^3", "y^2"])
+        S = B.to_structure()
+        cof = B.product_cofactors()
+        T = truncate(B, 2)
+        assert T is not S and T.truncated_from is B and T.truncation_degree == 2
+        assert B.to_structure() is S and B.product_cofactors() is cof
+        assert S.truncated_from is None and S.truncation_degree is None
+        assert S.dim == 6 and T.dim == 3
+
 
 class TestFiniteModule:
     def test_trivial_module(self, any_field):
@@ -146,6 +191,9 @@ class TestFiniteModule:
         act = J.basis_action_tensor(S)
         assert act.shape == (3, 1, 1)
         assert act[0, 0, 0] == 1 and not act[1:].any()
+        # an equal table of another presentation is not the owner's table
+        with pytest.raises(ValueError, match="owner"):
+            J.basis_action_tensor(fat_point(prime_field).to_structure())
 
 
 class TestAlgebraHom:

@@ -2,12 +2,15 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from defalg.corpus import describe, run_suite, suite_names
 from defalg.problems import ProblemFileError, load_problem_file
 from defalg.reports import Report, RunOptions, run_problem_set, strip_timing
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 EXPECTED_SUITES = {
     "showcase",
@@ -52,6 +55,14 @@ class TestSuites:
         assert rep.exit_code() == 0
         dims = [(e["t1"], e["t2"]) for e in rep.problems if e["kind"] == "tmods"]
         assert dims and all(d == (0, 0) for d in dims)
+
+    @pytest.mark.parametrize("suite", ["extensions", "deformations", "integrity"])
+    def test_answers_match_the_benchmark_reference(self, suite):
+        # the F3 oracle suites build extension, deformation and Baer-sum
+        # tables; their answers must stay byte-identical to the recorded ones
+        want = json.loads(REFERENCE.read_text(encoding="utf-8"))["jobs"][f"{suite}.F3+oracle"]
+        got = strip_timing(run_suite(suite, "F3", RunOptions(oracle=True)).to_dict())["problems"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_presentations_suite_checks_agreement(self):
         rep = run_suite("presentations")

@@ -2,8 +2,10 @@
 obstruction classes for deformations across a thickened base."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defalg import GF
+from defalg import GF, QQ, groebner
 from defalg.algebras import FiniteModule
 from defalg.cotangent import (
     CohomologyClass,
@@ -13,6 +15,7 @@ from defalg.cotangent import (
     t_modules,
 )
 from defalg.linalg import Matrix
+from defalg.poly import Polynomial, mono_mul
 from defalg.problems import parse_polynomial
 from defalg.deformation import (
     BaseDeformationProblem,
@@ -21,6 +24,7 @@ from defalg.deformation import (
     baer_sum,
     classify_extensions,
     cocycle_from_extension,
+    division_data,
     extension_class,
     extension_from_cocycle,
     extensions_equivalent,
@@ -31,7 +35,7 @@ from defalg.deformation import (
     torsor_action,
     trivial_extension,
 )
-from defalg.linalg import vec_add, vec_is_zero
+from defalg.linalg import vec_add, vec_is_zero, vec_scale
 
 from .conftest import dual_numbers, fat_point, make_algebra
 
@@ -60,6 +64,33 @@ class TestSquareZeroExtension:
         jvec = [one] * J.rank
         assert ext.fiber_part(ext.include_fiber(jvec)) == jvec
         assert vec_is_zero(prime_field, ext.project(ext.include_fiber(jvec)))
+
+    def test_tables_reuse_the_divided_products(self, monkeypatch):
+        B, J = _fat_setup(GF(3))
+        _, r1, _ = t_modules(B, J)
+        first = extension_from_cocycle(B, J, list(r1.reps[0]))
+        calls = []
+        divmod_ = groebner._v_divmod
+        monkeypatch.setattr(groebner, "_v_divmod", lambda *args: calls.append(args) or divmod_(*args))
+        second = extension_from_cocycle(B, J, list(r1.reps[1]))
+        assert baer_sum(first, second).validate() == []
+        assert calls == []
+
+    def test_validate_names_each_broken_block(self):
+        B, J = _fat_setup(GF(3))
+        ext = trivial_extension(B, J)
+        s = ext.s
+        cases = {
+            "fiber is not square-zero": (s, s, 0),
+            "fiber is not an ideal": (1, s, 1),
+            "fiber action disagrees with the module structure": (0, s, s),
+            "section does not project onto the product of B": (1, 1, 0),
+        }
+        for msg, (i, j, k) in cases.items():
+            mul = ext.table.mul.copy()
+            mul[i, j, k] = mul[j, i, k] = (mul[i, j, k] + 1) % 3
+            T = type(ext.table)(GF(3), ext.table.labels, mul)
+            assert msg in type(ext)(B, J, T).validate()
 
     def test_nontrivial_extension_from_cocycle(self, prime_field):
         B, J = _fat_setup(prime_field)
@@ -134,6 +165,18 @@ class TestBaerGroupLaw:
         s = baer_sum(ea, eb)
         direct = extension_from_cocycle(B, J, vec_add(prime_field, a, b))
         assert extensions_equivalent(s, direct)
+
+    def test_sum_refuses_tables_off_the_fibered_product(self):
+        B, J = _fat_setup(GF(3))
+        e = trivial_extension(B, J)
+        s = e.s
+        # the B blocks disagree, or a fiber product has a B part
+        for i, j, k in ((1, 1, 0), (1, s, 0)):
+            mul = e.table.mul.copy()
+            mul[i, j, k] = mul[j, i, k] = (mul[i, j, k] + 1) % 3
+            bad = type(e)(B, J, type(e.table)(GF(3), e.table.labels, mul))
+            with pytest.raises(AssertionError, match="fibered subalgebra"):
+                baer_sum(bad, e)
 
     def test_trivial_is_the_identity(self, prime_field):
         B, J = _fat_setup(prime_field)
@@ -363,3 +406,126 @@ class TestObstructions:
         plain = realize_deformation(prob, result=res)
         twisted = realize_deformation(prob, result=res, twist=list(r1.reps[0]))
         assert plain.xi != twisted.xi
+
+
+def _per_entry_table(B, J, values, prob=None):
+    """(table, generator images) by the definition, entry by entry: a
+    word p of B goes to the section coordinates of its normal form plus
+    sum_r rho_J(cof_r) values_r over its division cofactors, and in a
+    deformation plus its base cofactors' share reduced in A' and pushed
+    into J; B acts on the fiber through J and the fiber squares to zero."""
+    f = B.field
+    std = B.std_monomials()
+    s, t, nb = len(std), J.rank, len(B.base_relations)
+
+    def mono(m):
+        return Polynomial.monomial(f, B.nvars, m)
+
+    def word(p):
+        nf, cof = division_data(B, p)
+        vec = [f.zero()] * (s + t)
+        for m, c in nf.terms.items():
+            vec[std.index(m)] = c
+        fiber = vec[s:]
+        for r in range(len(B.relations)):
+            fiber = vec_add(f, fiber, J.action_of_poly(cof[nb + r]).mul_vec(list(values[r * t : (r + 1) * t])))
+        if prob is not None:
+            gpart = sum((c * g for c, g in zip(cof, B.base_relations)), B.zero_poly())
+            for b, q in prob.aprime_presentation().reduce_to_fiber(gpart):
+                fiber = vec_add(f, fiber, J.action_of_poly(q).mul_vec(prob.phi.col(b)))
+        return vec[:s] + fiber
+
+    zero = [f.zero()] * (s + t)
+    mul = [[word(mono(mono_mul(a, b))) for b in std] + [list(zero) for _ in range(t)] for a in std]
+    mul += [[list(zero) for _ in range(s + t)] for _ in range(t)]
+    for i, a in enumerate(std):
+        act = J.action_of_poly(mono(a))
+        for b in range(t):
+            mul[i][s + b][s:] = mul[s + b][i][s:] = act.col(b)
+    return mul, [word(B.var(v)) for v in range(B.nvars)]
+
+
+# one pure power per generator, so B is finite; a cube only in one
+# variable keeps dim B at most 8
+_POWERS = {1: [["x^2", "x^3"]], 2: [["x^2"], ["y^2"]]}
+_BASED_POWERS = {1: [["x^2 + s", "x^2 - s", "x^3 - s*x"]], 2: [["x^2 + s", "x^2 - s"], ["y^2 + s", "y^2 - s"]]}
+# y - s makes the base generator s a non-standard monomial
+_MIXED = ["x*y", "x^2 - y^2", "x*y + s", "x^2 + s*y", "y - s"]
+
+
+@st.composite
+def table_cases(draw):
+    """(field, gens, relations, base?, module kind): one or two
+    generators with at most one mixed relation; a based case lives over
+    k[s]/(s^2)."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    n = draw(st.integers(1, 2))
+    based = draw(st.booleans())
+    pools = [p + q for p, q in zip(_POWERS[n], _BASED_POWERS[n] if based else [[]] * n)]
+    rels = [draw(st.sampled_from(pool)) for pool in pools]
+    if n == 2:
+        rels += draw(st.lists(st.sampled_from(_MIXED if based else _MIXED[:2]), max_size=1))
+    return field, ["x", "y"][:n], rels, based, draw(st.sampled_from(["trivial", "regular"]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table_cases(), st.data())
+def test_tables_match_the_per_entry_definition(case, data):
+    field, gens, rels, based, kind = case
+    B = make_algebra(field, gens, rels, *((["s"], ["s^2"]) if based else ()))
+    # over Q a deformation with the regular module of a B of dimension 8 takes a second
+    regular = kind == "regular" and B.dim() <= 6
+    J = FiniteModule.regular(B) if regular else FiniteModule.trivial(B)
+    _, r1, _ = t_modules(B, J)
+
+    def cocycle():
+        # T1 representatives plus a coboundary, with small coefficients
+        def coef():
+            return field.from_int(data.draw(st.integers(-2, 2)))
+
+        psi = r1.maps.d0.mul_vec([coef() for _ in range(r1.maps.d0.ncols)])
+        for rep in r1.reps:
+            psi = vec_add(field, psi, vec_scale(field, coef(), list(rep)))
+        return psi
+
+    psi, chi = cocycle(), cocycle()
+    ext = extension_from_cocycle(B, J, psi)
+    assert ext.table.mul.tolist() == _per_entry_table(B, J, psi)[0]
+    # the Baer sum adds the fiber corrections
+    total = extension_from_cocycle(B, J, vec_add(field, psi, chi))
+    assert baer_sum(ext, extension_from_cocycle(B, J, chi)).table.mul.tolist() == total.table.mul.tolist()
+    if not based:
+        return
+    # deform across k[s]/(s^3) -> k[s]/(s^2), the fiber s^2 sent to s
+    Ap = make_algebra(field, ["s"], ["s^3"])
+    phi = Matrix.from_cols(field, [B.coordinates(B.var(0))]) if regular else None
+    prob = BaseDeformationProblem.from_presented_total(B, J, Ap, [parse_polynomial("s^2", ("s",), field)], phi)
+    res = obstruction_class(prob)
+    if res.obstructed:
+        return
+    real = realize_deformation(prob, res, twist=psi)
+    table, images = _per_entry_table(B, J, real.xi, prob)
+    assert real.table.mul.tolist() == table
+    assert [list(v) for v in real.table.gen_images] == images
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f.name)
+def test_non_standard_generator_images_match_the_definition(field):
+    # y - s makes the base generator s a non-standard monomial: its image
+    # picks up the fiber value of its division cofactors
+    prob = _base_problem(field, ["x", "y"], ["x^2", "x*y", "y^2", "y - s"], "s^3", "s^2", "s^2")
+    B, J = prob.B, prob.J
+    assert (1, 0, 0) not in B.std_monomials()
+    res = obstruction_class(prob)
+    _, r1, _ = t_modules(B, J)
+    d0 = res.maps.d0
+    # the coboundary of eta moves the value of y - s, and with it the image of s
+    twists = [list(rep) for rep in r1.reps] + [d0.mul_vec([field.one()] * d0.ncols)]
+    fibers = []
+    for twist in twists:
+        real = realize_deformation(prob, res, twist=twist)
+        table, images = _per_entry_table(B, J, real.xi, prob)
+        assert real.table.mul.tolist() == table
+        assert [list(v) for v in real.table.gen_images] == images
+        fibers.append(images[0][B.dim() :])
+    assert any(not field.is_zero(c) for fiber in fibers for c in fiber)
