@@ -65,6 +65,7 @@ class PresentedAlgebra:
         self._structure: Optional["StructureAlgebra"] = None  # see to_structure
         self._divisions: Optional[dict] = None  # (i, j) -> (product, normal form, quotients), see to_structure
         self._cofactors = None  # see product_cofactors
+        self._relation_tensor = None  # see relation_tensor
 
     # -- construction conveniences --------------------------------------
 
@@ -300,6 +301,62 @@ class PresentedAlgebra:
             self._cofactors = (tuple(self._divisions), tuple(terms), self.field.array(coeffs))
         return self._cofactors
 
+    def relation_tensor(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(W, D), built once: the relative relations' values in any
+        square-zero extension of B by a module J, linear in its fiber
+        corrections and its generator offsets.
+
+        Take a table on (basis of B) + (basis of J) whose B block is
+        to_structure().mul, on whose fiber B acts through J and which
+        squares to zero, with generator images sigma(b_v) + o_v.  Then
+        relation r takes the fiber value
+
+            sum_k rho_J(e_k) (sum_ij W[r*s + k, i*s + j] C[i, j])
+              + sum_v rho_J(D[r, v*s:(v+1)*s]) o_v,
+
+        C = mul[:s, :s, s:], s = dim B.  W is built like evaluate, one
+        monomial from its prefix with one power of its last variable
+        fewer: W_(a+e_v) = W_a L(x_v) + b_a (x) x_v (x) e_0, with L(x_v)
+        the multiplication by x_v and b_a = x^a in B; D holds the
+        coordinates of df_r/dx_v.  That each relation vanishes in B, so
+        that its value lies in the fiber, is asserted here once."""
+        if self._relation_tensor is None:
+            S = self.to_structure()
+            f = self.field
+            s = S.dim
+            gens = [f.array(v) for v in S.gen_images]
+            by_right = S.mul.transpose(1, 0, 2).reshape(s, s * s)
+            L = [f.matmul(g, by_right).reshape(s, s) for g in gens]
+            memo = {(0,) * self.nvars: (f.array(S.unit_vector()), np.zeros((s * s, s), f.dtype))}
+
+            def value(a):
+                got = memo.get(a)
+                if got is None:
+                    v = max(i for i, e in enumerate(a) if e)
+                    b, w = value(a[:v] + (a[v] - 1,) + a[v + 1 :])
+                    w = f.matmul(w, L[v])
+                    w[:, 0] = f.reduce(w[:, 0] + np.multiply.outer(b, gens[v]).reshape(-1))
+                    got = memo[a] = (f.matmul(b, L[v]), w)
+                return got
+
+            blocks = []
+            for r in self.relations:
+                b = f.array(S.zero_vector())
+                w = np.zeros((s * s, s), f.dtype)
+                for a, c in r.terms.items():
+                    ba, wa = value(a)
+                    b, w = f.reduce(b + c * ba), f.reduce(w + c * wa)
+                if np.any(b):
+                    raise AssertionError("relation value escaped the fiber")
+                blocks.append(w.T)
+            W = np.concatenate(blocks) if blocks else np.zeros((0, s * s), f.dtype)
+            D = f.array(
+                [[c for v in range(self.nvars) for c in self.coordinates(r.derivative(v))] for r in self.relations]
+            ).reshape(len(self.relations), self.nvars * s)
+            W.flags.writeable = D.flags.writeable = False
+            self._relation_tensor = (W, D)
+        return self._relation_tensor
+
     def __repr__(self):
         rels = ", ".join(p.to_string(self.names) for p in self.relations) or "0"
         if self.base_names:
@@ -401,18 +458,36 @@ class StructureAlgebra:
         return f.matmul(coef, self.mul[a][:, b].reshape(-1, self.dim)).tolist()
 
     def evaluate(self, p: Polynomial, images: Sequence[Sequence[Scalar]]) -> list:
-        """Evaluate a polynomial at algebra elements, one per variable."""
+        """Evaluate a polynomial at algebra elements, one per variable.
+
+        Literal: each monomial is the unit multiplied on the right by
+        its variables in ascending order, as a chain of mul_vec calls
+        would; but every monomial is its prefix (one power of its last
+        variable fewer) times that variable, memoized for the call, and
+        the multiplication by each variable that occurs is one matrix."""
         if p.nvars != len(images):
             raise ValueError("need one image per variable")
         f = self.field
-        acc = self.zero_vector()
+        n = self.dim
+        right = {}
+        memo = {(0,) * p.nvars: f.array(self.unit_vector())}
+
+        def value(m):
+            w = memo.get(m)
+            if w is None:
+                v = max(i for i, e in enumerate(m) if e)
+                if v not in right:
+                    # w -> w * images[v], contracted over the image's support
+                    u = f.array(images[v])
+                    nz = np.flatnonzero(u)
+                    right[v] = f.matmul(u[nz], self.mul[:, nz, :].transpose(1, 0, 2).reshape(len(nz), n * n)).reshape(n, n)
+                w = memo[m] = f.matmul(value(m[:v] + (m[v] - 1,) + m[v + 1 :]), right[v])
+            return w
+
+        acc = f.array(self.zero_vector())
         for m, c in p.terms.items():
-            w = self.unit_vector()
-            for v, e in enumerate(m):
-                for _ in range(e):
-                    w = self.mul_vec(w, images[v])
-            acc = self.add(acc, self.scale(c, w))
-        return acc
+            acc = f.reduce(acc + c * value(m))
+        return acc.tolist()
 
     def mul_entry(self, i: int, j: int) -> list:
         return self.mul[i, j].tolist()
@@ -430,6 +505,7 @@ class FiniteModule:
         self.labels = tuple(labels)
         self.mats = tuple(mats)
         self._monomial_actions = {}  # exponent tuple -> Matrix, see monomial_action
+        self._action_block: Optional[np.ndarray] = None  # see action_block
         t = len(self.labels)
         for m in self.mats:
             if m.nrows != t or m.ncols != t:
@@ -503,18 +579,28 @@ class FiniteModule:
             self._monomial_actions[m] = w
         return w
 
+    def action_block(self) -> np.ndarray:
+        """(s, t, t) array over the owner's standard monomials, built
+        once and read-only: [i, b] is the action of the i-th standard
+        monomial on the b-th basis vector."""
+        if self._action_block is None:
+            t = self.rank
+            rows = [self.monomial_action(mo).transpose().to_rows() for mo in self.owner.std_monomials()]
+            block = self.field.array(rows).reshape(len(rows), t, t)
+            block.flags.writeable = False
+            self._action_block = block
+        return self._action_block
+
     def basis_action_tensor(self, S: StructureAlgebra) -> np.ndarray:
         """Action of each basis element of S on this module, as an
-        int64 tensor for the scan kernels (prime fields only)."""
+        int64 tensor for the scan kernels (prime fields only): [i, l, b]
+        is the l-th coordinate of basis element i acting on the b-th
+        basis vector."""
         if not isinstance(self.field, PrimeField):
             raise TypeError("tensor form only exists over prime fields")
-        t = self.rank
-        out = np.zeros((S.dim, t, t), np.int64)
         if S is not self.owner.to_structure():
             raise ValueError("structure algebra was not built from this module's owner")
-        for i, m in enumerate(S.basis_gen_exps):
-            out[i] = np.array(self.monomial_action(m).to_rows(), np.int64).reshape(t, t)
-        return out
+        return np.ascontiguousarray(self.action_block().transpose(0, 2, 1))
 
     def __repr__(self):
         return f"<FiniteModule rank {self.rank} over {self.owner!r}>"

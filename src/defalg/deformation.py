@@ -11,7 +11,12 @@ built as one array from the algebra's one product table
 (``PresentedAlgebra.to_structure``: each product divided once) and its
 certified cofactors (``product_cofactors``); a deformation adds the
 base relations' share, and a Baer sum adds the corrections of two
-tables.  Obstruction classes against a base extension
+tables.  The class of an extension is read linearly off its fiber
+block: the relation values are the fiber corrections pushed through
+the algebra's one relation tensor (``relation_tensor``) and J's action,
+plus the fiber parts of the generator images through the Jacobian;
+the blocks that reading relies on are checked on every read.
+Obstruction classes against a base extension
 0 -> I -> A' -> A -> 0 are computed literally: pair each syzygy with
 the relations, reduce the result in a presentation of A' where I is
 spanned by explicit nilpotent variables, and push the coefficients
@@ -95,19 +100,32 @@ class SquareZeroExtension:
         return list(self.table.gen_images[v])
 
     def validate(self) -> List[str]:
-        out = validate(self.table)
-        s = self.s
+        return validate(self.table) + self.section_findings()
+
+    def section_findings(self) -> List[str]:
+        """Block by block, how the table fails to be in section form
+        over B by J: the product of B on the B block, a square-zero
+        fiber that is an ideal on which B acts through J, and generator
+        images whose B parts are those of B.  Array compares only."""
+        B, f = self.B, self.B.field
+        s, t = self.s, self.t
+        S = B.to_structure()
         mul = self.table.mul
-        if np.any(mul[s:, s:]):
-            out.append("fiber is not square-zero")
-        # the fiber must be an ideal whose B-action matches J
-        if np.any(mul[:s, s:, :s]):
-            out.append("fiber is not an ideal")
-        if not np.array_equal(mul[:s, s:, s:], _action_block(self.B, self.J)):
-            out.append("fiber action disagrees with the module structure")
-        # section projects to honest multiplication in B
-        if not np.array_equal(mul[:s, :s, :s], self.B.to_structure().mul):
+        if mul.shape != (s + t,) * 3:
+            return ["table does not have the dimension of B plus J"]
+        act = self.J.action_block()
+        out = []
+        if not (mul[:s, :s, :s] == S.mul).all():
             out.append("section does not project onto the product of B")
+        if mul[s:, s:].any():
+            out.append("fiber is not square-zero")
+        if mul[:s, s:, :s].any() or mul[s:, :s, :s].any():
+            out.append("fiber is not an ideal")
+        if not (mul[:s, s:, s:] == act).all() or not (mul[s:, :s, s:] == act.transpose(1, 0, 2)).all():
+            out.append("fiber action disagrees with the module structure")
+        imgs = f.array(self.table.gen_images).reshape(-1, s + t)
+        if imgs.shape[0] != B.nvars or not (imgs[:, :s] == f.array(S.gen_images).reshape(-1, s)).all():
+            out.append("a generator image is off the section")
         return out
 
 
@@ -128,14 +146,6 @@ def extension_from_cocycle(B: PresentedAlgebra, J: FiniteModule, psi: Sequence[S
     if bad:
         raise ValueError(f"not a cocycle: the table fails validation: {bad}")
     return SquareZeroExtension(B, J, tab, cocycle=tuple(psi))
-
-
-def _action_block(B: PresentedAlgebra, J: FiniteModule) -> np.ndarray:
-    """(s, t, t) array: [i, b] is the action of the i-th standard
-    monomial on the b-th basis vector of J."""
-    t = J.rank
-    rows = [J.monomial_action(mo).transpose().to_rows() for mo in B.std_monomials()]
-    return J.field.array(rows).reshape(len(rows), t, t)
 
 
 def _term_values(
@@ -183,7 +193,7 @@ def _extension_table(
     s, t = S.dim, J.rank
     mul = np.zeros((s + t,) * 3, f.dtype)
     mul[:s, :s, :s] = S.mul
-    act = _action_block(B, J)
+    act = J.action_block()
     mul[:s, s:, s:] = act
     mul[s:, :s, s:] = act.transpose(1, 0, 2)
     pairs, terms, coeffs = B.product_cofactors()
@@ -200,22 +210,34 @@ def cocycle_from_extension(ext: SquareZeroExtension, gen_offsets: Optional[Seque
 
     Different offsets change the answer by a coboundary and nothing
     else; with zero offsets this inverts extension_from_cocycle exactly.
+
+    Read linearly off the table through B.relation_tensor(): the fiber
+    corrections C = mul[:s, :s, s:] through W, then J's action, plus
+    the fiber parts of the generator images through the Jacobian.  The
+    blocks that reading relies on are checked first, so a table off the
+    section raises instead of giving a wrong class.
     """
+    bad = ext.section_findings()
+    if bad:
+        raise ValueError(f"the table is not in section form: {bad}")
     B, J = ext.B, ext.J
     f = B.field
-    imgs = [ext.gen_image(v) for v in range(B.nvars)]
+    s, t, n = ext.s, ext.t, B.nvars
+    mul = ext.table.mul
+    act = J.action_block()
+    offsets = f.array(ext.table.gen_images).reshape(n, s + t)[:, s:]
     if gen_offsets is not None:
         if len(gen_offsets) != B.n_gens:
             raise ValueError("need one offset per relative generator")
-        for i, off in enumerate(gen_offsets):
-            imgs[B.n_base + i] = vec_add(f, imgs[B.n_base + i], ext.include_fiber(off))
-    out = []
-    for fj in B.relations:
-        val = ext.table.evaluate(fj, imgs)
-        if any(not f.is_zero(c) for c in ext.project(val)):
-            raise AssertionError("relation value escaped the fiber")
-        out.extend(ext.fiber_part(val))
-    return tuple(out)
+        offsets[B.n_base :] = f.reduce(offsets[B.n_base :] + f.array(gen_offsets).reshape(B.n_gens, t))
+    W, D = B.relation_tensor()
+    m = len(B.relations)
+    # rows (r, k): sum_ij W C[i, j], then rho_J(e_k) applied and summed
+    corr = f.matmul(W, mul[:s, :s, s:].reshape(s * s, t))
+    # rows (v, k): rho_J(e_k) o_v, paired with the Jacobian coordinates
+    moved = f.matmul(offsets, act.transpose(1, 0, 2).reshape(t, s * t))
+    vals = f.matmul(corr.reshape(m, s * t), act.reshape(s * t, t)) + f.matmul(D, moved.reshape(n * s, t))
+    return tuple(f.reduce(vals).reshape(-1).tolist())
 
 
 def trivial_extension(B: PresentedAlgebra, J: FiniteModule) -> SquareZeroExtension:
@@ -232,7 +254,17 @@ def is_trivial_extension(ext: SquareZeroExtension, maps: Optional[CochainMaps] =
     return ok
 
 
+def _check_comparable(e1: SquareZeroExtension, e2: SquareZeroExtension) -> None:
+    """Both extensions must be of the same algebra by the same module."""
+    if e1.B is not e2.B and e1.B.std_monomials() != e2.B.std_monomials():
+        raise ValueError("extensions are not over the same algebra")
+    J1, J2 = e1.J, e2.J
+    if J1 is not J2 and (J1.rank != J2.rank or J1.mats != J2.mats):
+        raise ValueError("extensions are not by the same module")
+
+
 def extensions_equivalent(e1: SquareZeroExtension, e2: SquareZeroExtension, maps: Optional[CochainMaps] = None) -> bool:
+    _check_comparable(e1, e2)
     f = e1.B.field
     c1 = cocycle_from_extension(e1)
     c2 = cocycle_from_extension(e2)
@@ -248,8 +280,7 @@ def baer_sum(e1: SquareZeroExtension, e2: SquareZeroExtension) -> SquareZeroExte
     On the basis (sigma(b), sigma(b)), (eps_b, 0) of the fibered product
     the class map (u + j1, u + j2) -> (u, j1 + j2) gives the table of e1
     with the fiber corrections of e2 added on the B block."""
-    if e1.B is not e2.B and e1.B.std_monomials() != e2.B.std_monomials():
-        raise ValueError("extensions are not over the same algebra")
+    _check_comparable(e1, e2)
     B, J = e1.B, e1.J
     f = B.field
     s = e1.s

@@ -21,6 +21,7 @@ against an EnumerationBudget before touching a single candidate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -381,6 +382,16 @@ class _StructureScan:
 
     def class_of(self, state: State) -> int:
         return self.orbit_of[state]
+
+    def has_band(self, t0_dim: int) -> bool:
+        """Whether every orbit has p^((s-1)t - t0_dim) states.
+
+        The section changes form a group of size p^((s-1)t) and the
+        stabilizer of a state is Der_A(B, J), so with t0_dim = dim T0
+        this is the band of the gerbe of extensions."""
+        size = self.B.field.p ** ((self._S.dim - 1) * self.J.rank - t0_dim)
+        sizes = Counter(self.orbit_of.values())
+        return len(sizes) == self.class_count and all(n == size for n in sizes.values())
 
     def _table(self, cd: Tuple[int, ...]) -> StructureAlgebra:
         return _assemble_table(self.B, self._S, self.J, self._template, self._pairs, cd)

@@ -126,7 +126,7 @@ def run_tmods(ps: ProblemSet, spec: TModsSpec, opts: RunOptions) -> dict:
             p = B.field.p
             ders = enumerate_derivations(B, J, bud)
             ext = enumerate_extensions(B, J, bud)
-            match = ders.count == p**t0.dim and ext.class_count == p**t1.dim
+            match = ders.count == p**t0.dim and ext.class_count == p**t1.dim and ext.has_band(t0.dim)
             return {
                 "derivations": ders.count,
                 "expected_derivations": p**t0.dim,
@@ -290,7 +290,7 @@ def run_deform(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) -> dict:
         def oracle():
             bud = opts.budget_for(ps)
             scan = enumerate_deformations(problem, bud)
-            match = scan.solvable == (not res.obstructed)
+            match = scan.solvable == (not res.obstructed) and scan.has_band(t0.dim)
             if classes is not None:
                 match = match and scan.class_count == classes
             if realized is not None:

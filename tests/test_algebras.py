@@ -1,12 +1,15 @@
 """Presented algebras, structure tables, modules, and homomorphisms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defalg import GF, QQ
 from defalg.algebras import (
     AlgebraHom,
     FiniteModule,
     PresentedAlgebra,
+    StructureAlgebra,
     compose,
     hom_enumerate,
     truncate,
@@ -98,6 +101,24 @@ class TestStructureAlgebra:
         p = parse_polynomial("x^2 + x + y + 1", B.names, prime_field)
         got = S.evaluate(p, [list(v) for v in S.gen_images])
         assert got == B.coordinates(p)
+
+    def test_relation_tensor_is_built_once_and_read_only(self, any_field):
+        B = fat_point(any_field)
+        W, D = B.relation_tensor()
+        s = B.dim()
+        assert W.shape == (3 * s, s * s) and D.shape == (3, B.nvars * s)
+        assert B.relation_tensor()[0] is W
+        with pytest.raises(ValueError, match="read-only"):
+            W[0, 0] = any_field.one()
+
+    def test_relation_tensor_refuses_a_relation_outside_the_ideal(self):
+        # a relation added after the Groebner basis is fixed does not
+        # vanish in B, so its value would escape the fiber
+        B = dual_numbers(GF(3))
+        B.to_structure()
+        B.relations += (parse_polynomial("x", B.names, GF(3)),)
+        with pytest.raises(AssertionError, match="escaped the fiber"):
+            B.relation_tensor()
 
     def test_validate_catches_broken_tables(self):
         import numpy as np
@@ -194,6 +215,53 @@ class TestFiniteModule:
         # an equal table of another presentation is not the owner's table
         with pytest.raises(ValueError, match="owner"):
             J.basis_action_tensor(fat_point(prime_field).to_structure())
+
+
+    def test_action_block_is_built_once_and_read_only(self, any_field, monkeypatch):
+        B = fat_point(any_field)
+        J = FiniteModule.regular(B)
+        block = J.action_block()
+        assert block.shape == (3, 3, 3)
+        # [i, b] is the action of the i-th standard monomial on basis vector b
+        x = J.monomial_action(B.std_monomials()[1])
+        assert block[1].tolist() == x.transpose().to_rows()
+        calls = []
+        monkeypatch.setattr(J, "monomial_action", lambda m: calls.append(m))
+        assert J.action_block() is block and calls == []
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0, 0] = any_field.one()
+
+
+def _chain_evaluate(S, p, images):
+    """evaluate as a fresh chain of mul_vec calls from the unit for
+    every monomial, variables ascending."""
+    acc = S.zero_vector()
+    for m, c in p.terms.items():
+        w = S.unit_vector()
+        for v, e in enumerate(m):
+            for _ in range(e):
+                w = S.mul_vec(w, images[v])
+        acc = S.add(acc, S.scale(c, w))
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF(2), GF(3), GF(2**31 - 1), QQ]), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_evaluate_matches_the_mul_vec_chain(field, dim, nvars, data):
+    # any tensor, not only associative or commutative ones: both sides
+    # multiply on the right in the same order
+    def scalars(n):
+        big = 2**40
+        return [field.from_int(c) for c in data.draw(st.lists(st.integers(-big, big), min_size=n, max_size=n))]
+
+    import numpy as np
+
+    mul = np.array(scalars(dim**3), dtype=field.dtype).reshape(dim, dim, dim)
+    S = StructureAlgebra(field, [f"e{i}" for i in range(dim)], mul)
+    images = [scalars(dim) if data.draw(st.booleans()) else [field.zero()] * dim for _ in range(nvars)]
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=6, unique=True))
+    p = Polynomial(field, nvars, dict(zip(monos, scalars(len(monos)))))
+    assert S.evaluate(p, images) == _chain_evaluate(S, p, images)
 
 
 class TestAlgebraHom:

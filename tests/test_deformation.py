@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defalg import GF, QQ, groebner
-from defalg.algebras import FiniteModule
+from defalg.algebras import FiniteModule, StructureAlgebra
 from defalg.cotangent import (
     CohomologyClass,
     cochain_maps,
@@ -20,6 +20,7 @@ from defalg.problems import parse_polynomial
 from defalg.deformation import (
     BaseDeformationProblem,
     LiftProblem,
+    SquareZeroExtension,
     baer_difference,
     baer_sum,
     classify_extensions,
@@ -35,7 +36,9 @@ from defalg.deformation import (
     torsor_action,
     trivial_extension,
 )
+from defalg.fields import PrimeField
 from defalg.linalg import vec_add, vec_is_zero, vec_scale
+from defalg.oracle import enumerate_extensions
 
 from .conftest import dual_numbers, fat_point, make_algebra
 
@@ -177,6 +180,23 @@ class TestBaerGroupLaw:
             bad = type(e)(B, J, type(e.table)(GF(3), e.table.labels, mul))
             with pytest.raises(AssertionError, match="fibered subalgebra"):
                 baer_sum(bad, e)
+
+    def test_refuses_extensions_by_different_modules(self):
+        # class (1, 0) of the regular module and class (1, 0) of a rank-2
+        # module with zero action have cocycles of the same length
+        f = GF(3)
+        B = dual_numbers(f)
+        regular = FiniteModule.regular(B)
+        flat = FiniteModule.from_matrices(B, ("a", "b"), [[[0, 0], [0, 0]]])
+        e1 = extension_from_cocycle(B, regular, [1, 0])
+        e2 = extension_from_cocycle(B, flat, [1, 0])
+        for op in (baer_sum, extensions_equivalent):
+            with pytest.raises(ValueError, match="not by the same module"):
+                op(e1, e2)
+        # an equal module built a second time is the same module
+        again = extension_from_cocycle(B, FiniteModule.regular(B), [1, 0])
+        assert cocycle_from_extension(baer_sum(e1, again)) == (2, 0)
+        assert extensions_equivalent(e1, again)
 
     def test_trivial_is_the_identity(self, prime_field):
         B, J = _fat_setup(prime_field)
@@ -468,27 +488,36 @@ def table_cases(draw):
     return field, ["x", "y"][:n], rels, based, draw(st.sampled_from(["trivial", "regular"]))
 
 
+def _small_coef(field, data):
+    return field.from_int(data.draw(st.integers(-2, 2)))
+
+
+def _random_cocycle(field, r1, data):
+    """T1 representatives plus a coboundary, with small coefficients."""
+    psi = r1.maps.d0.mul_vec([_small_coef(field, data) for _ in range(r1.maps.d0.ncols)])
+    for rep in r1.reps:
+        psi = vec_add(field, psi, vec_scale(field, _small_coef(field, data), list(rep)))
+    return psi
+
+
+def _case_algebra(case):
+    """(B, J) of a table case; over Q a deformation with the regular
+    module of a B of dimension 8 takes a second, so larger B get the
+    trivial module."""
+    field, gens, rels, based, kind = case
+    B = make_algebra(field, gens, rels, *((["s"], ["s^2"]) if based else ()))
+    regular = kind == "regular" and B.dim() <= 6
+    return B, FiniteModule.regular(B) if regular else FiniteModule.trivial(B)
+
+
 @settings(max_examples=25, deadline=None)
 @given(table_cases(), st.data())
 def test_tables_match_the_per_entry_definition(case, data):
-    field, gens, rels, based, kind = case
-    B = make_algebra(field, gens, rels, *((["s"], ["s^2"]) if based else ()))
-    # over Q a deformation with the regular module of a B of dimension 8 takes a second
-    regular = kind == "regular" and B.dim() <= 6
-    J = FiniteModule.regular(B) if regular else FiniteModule.trivial(B)
+    field, _, _, based, _ = case
+    B, J = _case_algebra(case)
+    regular = J.rank > 1
     _, r1, _ = t_modules(B, J)
-
-    def cocycle():
-        # T1 representatives plus a coboundary, with small coefficients
-        def coef():
-            return field.from_int(data.draw(st.integers(-2, 2)))
-
-        psi = r1.maps.d0.mul_vec([coef() for _ in range(r1.maps.d0.ncols)])
-        for rep in r1.reps:
-            psi = vec_add(field, psi, vec_scale(field, coef(), list(rep)))
-        return psi
-
-    psi, chi = cocycle(), cocycle()
+    psi, chi = _random_cocycle(field, r1, data), _random_cocycle(field, r1, data)
     ext = extension_from_cocycle(B, J, psi)
     assert ext.table.mul.tolist() == _per_entry_table(B, J, psi)[0]
     # the Baer sum adds the fiber corrections
@@ -529,3 +558,144 @@ def test_non_standard_generator_images_match_the_definition(field):
         assert [list(v) for v in real.table.gen_images] == images
         fibers.append(images[0][B.dim() :])
     assert any(not field.is_zero(c) for fiber in fibers for c in fiber)
+
+
+def _literal_class(ext, offsets):
+    """The fiber parts of the relations evaluated literally in the table
+    at its generator images, each relative one shifted by its offset."""
+    B, f = ext.B, ext.B.field
+    imgs = [list(v) for v in ext.table.gen_images]
+    for i, off in enumerate(offsets):
+        imgs[B.n_base + i] = vec_add(f, imgs[B.n_base + i], ext.include_fiber(off))
+    out = []
+    for r in B.relations:
+        val = ext.table.evaluate(r, imgs)
+        assert vec_is_zero(f, ext.project(val))
+        out.extend(ext.fiber_part(val))
+    return tuple(out)
+
+
+def _with_table(ext, mul=None, gen_images=None):
+    T = ext.table
+    table = StructureAlgebra(
+        T.field,
+        T.labels,
+        T.mul if mul is None else mul,
+        gen_names=T.gen_names,
+        gen_images=T.gen_images if gen_images is None else gen_images,
+        base_names=T.base_names,
+        base_images=T.base_images,
+    )
+    return SquareZeroExtension(ext.B, ext.J, table)
+
+
+def _scan_table_sample(B, J, data):
+    """One eta-free oracle scan table, when the scan is small."""
+    f = B.field
+    s, t = B.dim(), J.rank
+    if not isinstance(f, PrimeField) or f.p ** ((s - 1) * s // 2 * t) > 3**10:
+        return []
+    scan = enumerate_extensions(B, J, classify=False)
+    plain = [state for state in scan.states if not any(state[1])]
+    return [scan.table_of(data.draw(st.sampled_from(plain)))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(table_cases(), st.data())
+def test_class_read_matches_literal_evaluation(case, data):
+    field = case[0]
+    B, J = _case_algebra(case)
+    _, r1, _ = t_modules(B, J)
+    psi, chi = _random_cocycle(field, r1, data), _random_cocycle(field, r1, data)
+    ext = extension_from_cocycle(B, J, psi)
+    exts = [
+        ext,
+        baer_sum(ext, extension_from_cocycle(B, J, chi)),
+        torsor_action(ext, CohomologyClass(B, J, 1, tuple(chi))),
+    ] + _scan_table_sample(B, J, data)
+    s, t = B.dim(), J.rank
+    if s > 2:
+        # a correction on one side of a pair only: the read follows
+        # evaluate's left-to-right order, it does not symmetrize C
+        mul = ext.table.mul.copy()
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(1, s) for j in range(1, s) if i != j]))
+        mul[i, j, s + data.draw(st.integers(0, t - 1))] += field.one()
+        exts.append(_with_table(ext, mul=field.reduce(mul)))
+    for e in exts:
+        offsets = [[_small_coef(field, data) for _ in range(t)] for _ in range(B.n_gens)]
+        assert cocycle_from_extension(e, offsets) == _literal_class(e, offsets)
+        assert cocycle_from_extension(e) == _literal_class(e, [[field.zero()] * t] * B.n_gens)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("kind", ["trivial", "regular"])
+def test_class_read_matches_every_small_scan_table(field, kind):
+    # x*x = x^2 is a standard pair, so the scan finds tables with fiber
+    # corrections that no cocycle table has
+    B = make_algebra(field, ["x"], ["x^3"])
+    J = FiniteModule.regular(B) if kind == "regular" else FiniteModule.trivial(B)
+    scan = enumerate_extensions(B, J, classify=False)
+    assert any(cd[: J.rank] != (0,) * J.rank for cd, _ in scan.states)
+    one = [[field.one()] * J.rank]
+    for state in scan.states:
+        ext = scan.table_of(state)
+        assert cocycle_from_extension(ext, one) == _literal_class(ext, one)
+
+
+def test_class_read_follows_the_order_of_evaluate(any_field):
+    # x^3 is evaluated as (x*x)*x: its value reads the correction on
+    # (x^2, x) and not the one on (x, x^2), so a table that corrects only
+    # one of the two tells the orders apart
+    field = any_field
+    B = make_algebra(field, ["x"], ["x^3"])
+    J = FiniteModule.trivial(B)
+    ext = trivial_extension(B, J)
+    x, x2, s = 1, 2, ext.s
+    assert B.std_monomials()[x2] == (2,)
+    for i, j, value in ((x2, x, field.one()), (x, x2, field.zero())):
+        mul = ext.table.mul.copy()
+        mul[i, j, s] = field.one()
+        skew = _with_table(ext, mul=mul)
+        assert cocycle_from_extension(skew) == _literal_class(skew, [[field.zero()]]) == (value,)
+
+
+def test_class_read_refuses_tables_off_the_section(any_field):
+    field = any_field
+    # d(x^3 + x^2)/dx is nonzero in every characteristic
+    B = make_algebra(field, ["x"], ["x^3 + x^2"])
+    J = FiniteModule.regular(B)
+    ext = extension_from_cocycle(B, J, [field.one(), field.zero(), field.one()])
+    s = ext.s
+    cases = {
+        "product of B": (1, 1, 0),
+        "not square-zero": (s, s + 1, s),
+        "action disagrees": (1, s, s + 1),
+        "not an ideal": (1, s, 0),
+    }
+    for msg, (i, j, k) in cases.items():
+        mul = ext.table.mul.copy()
+        mul[i, j, k] = mul[j, i, k] = field.add(mul[i, j, k], field.one())
+        with pytest.raises(ValueError, match=msg):
+            cocycle_from_extension(_with_table(ext, mul=mul))
+    imgs = [list(v) for v in ext.table.gen_images]
+    imgs[0][1] = field.add(imgs[0][1], field.one())
+    with pytest.raises(ValueError, match="off the section"):
+        cocycle_from_extension(_with_table(ext, gen_images=imgs))
+    # the fiber part of an image is an offset, not an error
+    imgs = [list(v) for v in ext.table.gen_images]
+    imgs[0][s] = field.one()
+    moved = _with_table(ext, gen_images=imgs)
+    assert cocycle_from_extension(moved) == _literal_class(moved, [[field.zero()] * J.rank])
+    assert cocycle_from_extension(moved) != cocycle_from_extension(ext)
+
+
+def test_module_action_block_is_shared_by_tables_and_reads(monkeypatch):
+    B = make_algebra(GF(3), ["x"], ["x^3"])
+    J = FiniteModule.regular(B)
+    ext = extension_from_cocycle(B, J, [1, 0, 2])
+    block = J.action_block()
+    calls = []
+    monkeypatch.setattr(J, "monomial_action", lambda m: calls.append(m))
+    assert ext.validate() == []
+    cocycle_from_extension(ext)
+    assert calls == [] and J.action_block() is block

@@ -7,7 +7,7 @@ tiny; the point is exactness of the counts, not coverage of shapes."""
 import numpy as np
 import pytest
 
-from defalg import GF
+from defalg import GF, oracle, reports
 from defalg.algebras import FiniteModule, StructureAlgebra
 from defalg.budget import BudgetExceeded, EnumerationBudget
 from defalg.cotangent import t_modules
@@ -28,7 +28,8 @@ from defalg.oracle import (
     enumerate_extensions,
     enumerate_lifts,
 )
-from defalg.problems import parse_polynomial
+from defalg.corpus import run_suite, showcase_problem_set
+from defalg.problems import load_problem_file, parse_polynomial
 
 from .conftest import dual_numbers, fat_point, make_algebra
 
@@ -407,3 +408,59 @@ def test_lift_cases_cover_the_edges():
     assert no_rel.B.n_gens == 0 and enumerate_lifts(no_rel).count == 1
     bud = EnumerationBudget(1 << 20)
     assert enumerate_lifts(early, budget=bud).candidates == 0 and bud.spent == 0
+
+
+# ---------------------------------------------------------------------------
+# the band: every orbit of a scan has p^((s-1)t - dim T0) states
+
+
+_BAND_SUITES = ("showcase", "deformations", "presentations", "integrity")
+
+
+@pytest.mark.parametrize("field", ["F2", "F3"])
+def test_the_band_holds_on_the_corpus_problems(field, monkeypatch):
+    seen = []
+    has_band = oracle._StructureScan.has_band
+
+    def spy(scan, t0_dim):
+        ok = has_band(scan, t0_dim)
+        seen.append((ok, scan.count // max(scan.class_count, 1)))
+        return ok
+
+    monkeypatch.setattr(oracle._StructureScan, "has_band", spy)
+    for suite in _BAND_SUITES:
+        rep = run_suite(suite, field=field, opts=reports.RunOptions(oracle=True))
+        # the showcase's expected blocks are frozen for F2; the oracles must agree
+        assert all((e.get("oracle") or {}).get("match") is not False for e in rep.problems)
+    assert len(seen) >= 20 and all(ok for ok, _ in seen)
+    # orbits of more than one state occur, so the check is not vacuous
+    assert max(size for _, size in seen) > 1
+
+
+@pytest.mark.parametrize("kind", ["tmods", "deform"])
+def test_a_corrupted_orbit_flips_the_oracle_match(kind, monkeypatch):
+    name = {"tmods": "enumerate_extensions", "deform": "enumerate_deformations"}[kind]
+    scan_fn = getattr(reports, name)
+
+    def corrupted(*args, **kwargs):
+        scan = scan_fn(*args, **kwargs)
+        if scan.orbit_of:
+            # one state moved to the next orbit: the class count stands
+            state = next(iter(scan.orbit_of))
+            scan.orbit_of[state] = (scan.orbit_of[state] + 1) % max(scan.class_count, 2)
+        return scan
+
+    ps = load_problem_file(showcase_problem_set("F3"))
+    opts = reports.RunOptions(oracle=True)
+    clean = reports.run_problem_set(ps, opts, kinds=[kind])
+    monkeypatch.setattr(reports, name, corrupted)
+    broken = reports.run_problem_set(ps, opts, kinds=[kind])
+    assert [e["oracle"]["match"] for e in clean.problems] == [True] * len(clean.problems)
+    classes = {"tmods": "extension_classes", "deform": "classes"}[kind]
+    flipped = [e["oracle"]["match"] for e in broken.problems if e["oracle"][classes]]
+    assert flipped and not any(flipped)
+    # only the match moved: the counts in the report are unchanged
+    for a, b in zip(clean.problems, broken.problems):
+        assert {k: v for k, v in a["oracle"].items() if k != "match"} == {
+            k: v for k, v in b["oracle"].items() if k != "match"
+        }
