@@ -65,6 +65,7 @@ class PresentedAlgebra:
         self._structure: Optional["StructureAlgebra"] = None  # see to_structure
         self._divisions: Optional[dict] = None  # (i, j) -> (product, normal form, quotients), see to_structure
         self._cofactors = None  # see product_cofactors
+        self._gen_cofactors = None  # see generator_cofactors
         self._relation_tensor = None  # see relation_tensor
 
     # -- construction conveniences --------------------------------------
@@ -289,17 +290,36 @@ class PresentedAlgebra:
         checked."""
         if self._cofactors is None:
             self.to_structure()
-            terms: dict = {}
-            entries = []
-            for q, (p, nf, quots) in enumerate(self._divisions.values()):
-                for g, h in enumerate(certified_cofactors(p, self.groebner(), nf, quots)):
-                    for mo, c in h.terms.items():
-                        entries.append((q, terms.setdefault((g, mo), len(terms)), c))
-            coeffs = np.zeros((len(self._divisions), len(terms)), self.field.dtype)
-            for q, k, c in entries:
-                coeffs[q, k] = c
-            self._cofactors = (tuple(self._divisions), tuple(terms), self.field.array(coeffs))
+            self._cofactors = (tuple(self._divisions), *self._cofactor_table(list(self._divisions.values())))
         return self._cofactors
+
+    def generator_cofactors(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, Monomial], ...], np.ndarray]:
+        """The same for the generators that are not standard monomials,
+        as (variables, terms, coeffs): x_v = (normal form) + sum_k
+        coeffs[q, k] * mo * gens[g] for v = variables[q].  Built once."""
+        if self._gen_cofactors is None:
+            std = set(self.std_monomials())
+            divisions = {}
+            for v in range(self.nvars):
+                p = self.var(v)
+                if next(iter(p.terms)) not in std:
+                    divisions[v] = (p, *normal_form_quotients(p, self.groebner()))
+            self._gen_cofactors = (tuple(divisions), *self._cofactor_table(list(divisions.values())))
+        return self._gen_cofactors
+
+    def _cofactor_table(self, divisions) -> Tuple[Tuple[Tuple[int, Monomial], ...], np.ndarray]:
+        """(terms, coeffs) of the certified cofactors of each division
+        (p, normal form, quotients), one coeffs row per division."""
+        terms: dict = {}
+        entries = []
+        for q, (p, nf, quots) in enumerate(divisions):
+            for g, h in enumerate(certified_cofactors(p, self.groebner(), nf, quots)):
+                for mo, c in h.terms.items():
+                    entries.append((q, terms.setdefault((g, mo), len(terms)), c))
+        coeffs = np.zeros((len(divisions), len(terms)), self.field.dtype)
+        for q, k, c in entries:
+            coeffs[q, k] = c
+        return tuple(terms), self.field.array(coeffs)
 
     def relation_tensor(self) -> Tuple[np.ndarray, np.ndarray]:
         """(W, D), built once: the relative relations' values in any
@@ -451,7 +471,7 @@ class StructureAlgebra:
         ua = f.array(u)
         va = f.array(v)
         # contract over the nonzero coordinates only: over Q every term
-        # is a Fraction product
+        # is a Python-object product
         a = np.flatnonzero(ua)
         b = np.flatnonzero(va)
         coef = f.reduce(ua[a, None] * va[b]).reshape(-1)

@@ -50,17 +50,9 @@ from .cotangent import (
 )
 from .differential import derivation_space
 from .fields import PrimeField, Scalar
-from .groebner import buchberger, certified_cofactors, normal_form, normal_form_quotients
+from .groebner import buchberger, normal_form
 from .linalg import Matrix, in_span, solve_affine, vec_add, vec_is_zero, vec_scale, vec_sub
 from .poly import GREVLEX, Polynomial
-
-
-def division_data(B: PresentedAlgebra, p: Polynomial) -> Tuple[Polynomial, List[Polynomial]]:
-    """Deterministic division: p = nf + sum_i cof_i * gens_i with the
-    cofactors indexed like B.ideal_gens(); the identity is re-checked."""
-    gb = B.groebner()
-    nf, quots = normal_form_quotients(p, gb)
-    return nf, certified_cofactors(p, gb, nf, quots)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +128,9 @@ def extension_from_cocycle(B: PresentedAlgebra, J: FiniteModule, psi: Sequence[S
     must be killed by the syzygies, which is re-checked through the
     associativity of the produced table.
     """
-    f = B.field
-    t = J.rank
-    if len(psi) != len(B.relations) * t:
+    if len(psi) != len(B.relations) * J.rank:
         raise ValueError("cocycle vector has the wrong length")
-    gen_images = [list(v) + [f.zero()] * t for v in B.to_structure().gen_images]
+    gen_images = _gen_images(B, J, psi)
     tab = _extension_table(B, J, psi, gen_images, base_names=B.base_names, base_images=gen_images[: B.n_base])
     bad = validate(tab)
     if bad:
@@ -171,6 +161,21 @@ def _term_values(
             p = Polynomial.monomial(f, B.nvars, mo) * B.base_relations[g]
             rows.append(_push_fiber(prob, prob.aprime_presentation().reduce_to_fiber(p)))
     return f.array(rows).reshape(len(rows), t)
+
+
+def _gen_images(
+    B: PresentedAlgebra, J: FiniteModule, values: Sequence[Scalar], prob: Optional["BaseDeformationProblem"] = None
+) -> list:
+    """The generator images in section coordinates: sigma(x_v), plus on
+    each generator that is not a standard monomial the fiber value of
+    its division cofactors (through _term_values), as any other
+    reducible word gets in _extension_table."""
+    f = B.field
+    fiber = np.zeros((B.nvars, J.rank), f.dtype)
+    gens, terms, coeffs = B.generator_cofactors()
+    if gens:
+        fiber[list(gens)] = f.matmul(coeffs, _term_values(B, J, values, terms, prob))
+    return [list(v) + row for v, row in zip(B.to_structure().gen_images, fiber.tolist())]
 
 
 def _extension_table(
@@ -790,14 +795,7 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
 
     s = B.dim()
     t = J.rank
-    # generators that are not standard monomials pick up the same
-    # fiber correction as any other reducible word
-    gen_images = []
-    for v, coords in enumerate(B.to_structure().gen_images):
-        cof = division_data(B, B.var(v))[1]
-        terms = [(g, mo) for g, h in enumerate(cof) for mo in h.terms]
-        coefs = f.array([c for h in cof for c in h.terms.values()]).reshape(len(terms))
-        gen_images.append(list(coords) + f.matmul(coefs, _term_values(B, J, xi, terms, prob)).tolist())
+    gen_images = _gen_images(B, J, xi, prob)
     tab = _extension_table(B, J, xi, gen_images, prob)
     bad = validate(tab)
     if bad:

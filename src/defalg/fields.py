@@ -1,12 +1,18 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
-Scalars are plain Python objects: ints in ``range(p)`` for GF(p),
-``fractions.Fraction`` for the rationals.  A field object bundles the
-arithmetic so matrices and polynomials can stay field-agnostic.
+Scalars are plain Python objects: ints in ``range(p)`` for GF(p);
+canonical rationals for Q, that is a Python ``int`` when the value is
+integral and a ``fractions.Fraction`` (in lowest terms, denominator > 1)
+only when it is not.  ``rational`` is the one place that rule lives;
+every Q operation returns canonical values, so integral relations, their
+syzygies, divisions and matrices run on Python ints.  ``==``, ``hash``
+and ``str`` agree between an int and the equal ``Fraction``.  A field
+object bundles the arithmetic so matrices and polynomials can stay
+field-agnostic.
 
 Arrays of scalars (matrices, multiplication tables) are numpy arrays
 whose dtype the field decides: int64 residues for GF(p), object arrays
-of ``Fraction`` for Q.  The field owns the operations that differ
+of canonical rationals for Q.  The field owns the operations that differ
 between the two: building an array from scalars (``array``), bringing
 entries back to canonical form (``reduce``), the reduced product
 (``matmul``) and row reduction (``rref``).  Sums of int64 products are
@@ -14,13 +20,14 @@ exact only while contraction length * (p-1)^2 < 2^63; ``matmul`` checks
 that bound and runs the same product on Python ints beyond it, so every
 accepted p gets exact answers.  Over Q, ``matmul`` clears the
 denominators of each operand once, multiplies the two Python-int arrays
-and divides by the product of the two denominators when it builds the
-resulting ``Fraction``s: exact at any size, with no ``Fraction``
+and divides by the product of the two denominators only where an entry
+is not a multiple of it: exact at any size, with no ``Fraction``
 arithmetic inside the sums.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -134,13 +141,43 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
 
+def rational(x) -> Scalar:
+    """x as a canonical rational: an int when integral, else a Fraction.
+
+    Python ints pass unchanged; numpy integers become ints through
+    ``operator.index``, also inside a Fraction, so no int64 numerator
+    can wrap later; a Fraction with denominator 1 becomes its numerator.
+    Floats and anything else that is not an exact integer or Fraction
+    raise ``TypeError``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        n, d = x.numerator, x.denominator
+        if type(n) is not int or type(d) is not int:
+            # numpy integers inside a Fraction would wrap in later arithmetic
+            n, d = operator.index(n), operator.index(d)
+            x = Fraction(n, d)
+        return n if d == 1 else x
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"not an exact rational: {x!r}") from None
+
+
+def _ratio(x: int, den: int) -> Scalar:
+    """The canonical rational x / den of two ints."""
+    q, r = divmod(x, den)
+    return Fraction(x, den) if r else q
+
+
 def _clear_denominators(xs):
     """(integers, den) with xs[i] == integers[i] / den, where den is the
-    lcm of the denominators of the Fractions (or ints) xs."""
-    den = lcm(*{x.denominator for x in xs})
-    if den == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    lcm of the denominators of the canonical rationals xs."""
+    dens = {x.denominator for x in xs if type(x) is not int}
+    if not dens:
+        return xs, 1
+    den = lcm(*dens)
+    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _as_int_rows(rows):
@@ -156,7 +193,7 @@ def _as_int_rows(rows):
 
 
 def _rref_fracfree(rows, ncols):
-    """Full RREF over Q. Returns (Fraction rows, pivot cols)."""
+    """Full RREF over Q. Returns (canonical rows, pivot cols)."""
     work = _as_int_rows(rows)
     nrows = len(work)
     pivots = []
@@ -188,21 +225,18 @@ def _rref_fracfree(rows, ncols):
     for r in range(nrows):
         if r < rank:
             pv = work[r][pivots[r]]
-            out.append([Fraction(x, pv) for x in work[r]])
+            out.append([_ratio(x, pv) for x in work[r]])
         else:
-            out.append([Fraction(0)] * ncols)
+            out.append([0] * ncols)
     return out, pivots
 
 
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
-_to_fractions = np.frompyfunc(_fraction, 1, 1)
+_to_rationals = np.frompyfunc(rational, 1, 1)
 
 
 class RationalField:
-    """The rationals; scalars are ``Fraction`` (always in lowest terms)."""
+    """The rationals; scalars are canonical (see ``rational``): an int
+    when integral, a Fraction in lowest terms otherwise."""
 
     __slots__ = ()
 
@@ -210,63 +244,69 @@ class RationalField:
     char = 0
     dtype = object
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n) -> Scalar:
+        return rational(n)
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
+        c = a + b
+        return c if type(c) is int else rational(c)
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
+    def sub(self, a: Scalar, b: Scalar) -> Scalar:
+        c = a - b
+        return c if type(c) is int else rational(c)
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: Scalar) -> Scalar:
         return -a
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
+        c = a * b
+        return c if type(c) is int else rational(c)
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: Scalar) -> Scalar:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / a
+        return self.div(1, a)
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
+    def div(self, a: Scalar, b: Scalar) -> Scalar:
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        if type(a) is int and type(b) is int:
+            return _ratio(a, b)
+        return rational(Fraction(a, b))
 
-    def is_zero(self, a: Fraction) -> bool:
+    def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
     def array(self, data) -> np.ndarray:
-        """(Nested) scalars as an object array of Fractions."""
+        """(Nested) scalars as an object array of canonical rationals."""
         return self.reduce(np.array(data, object))
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        """Every entry a Fraction: int inputs and empty sums yield ints."""
-        return _to_fractions(a)
+        """Every entry canonical: sums that came out integral become ints."""
+        return _to_rationals(a)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b on cleared-denominator integers, divided once per entry."""
+        """a @ b on cleared-denominator integers, divided once per entry
+        that is not a multiple of the common denominator."""
         ia, da = _clear_denominators(a.ravel().tolist())
         ib, db = _clear_denominators(b.ravel().tolist())
         prod = np.array(ia, object).reshape(a.shape) @ np.array(ib, object).reshape(b.shape)
         den = da * db
         if den == 1:
-            return self.reduce(prod)
-        return np.array([Fraction(x, den) for x in prod.ravel().tolist()], object).reshape(prod.shape)
+            return prod
+        return np.array([_ratio(x, den) for x in prod.ravel().tolist()], object).reshape(prod.shape)
 
     def rref(self, a: np.ndarray):
         """(reduced array, pivot column tuple, rank), fraction-free:
         integer rows, gcd-normalized after every update."""
         rows, piv = _rref_fracfree(a.tolist(), a.shape[1])
-        return self.array(rows).reshape(a.shape), tuple(piv), len(piv)
+        return np.array(rows, object).reshape(a.shape), tuple(piv), len(piv)
 
     def __repr__(self) -> str:
         return "QQ"

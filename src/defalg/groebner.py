@@ -449,20 +449,27 @@ def module_groebner(
     return ModuleGroebnerBasis(field, nvars, ncomp, order, basis)
 
 
+def _divide(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder]):
+    """(basis, normal form, quotient dicts) of f divided by gb, which is
+    built from generators first when it is not a GroebnerBasis."""
+    if not isinstance(gb, GroebnerBasis):
+        gb = buchberger(list(gb), order or GREVLEX)
+    nf, quots = _v_divmod(gb.field, _poly_to_v(f), *gb._division, gb.order)
+    return gb, _v_to_vec(nf, gb.field, gb.nvars, 1)[0], quots
+
+
 def normal_form(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder] = None) -> Polynomial:
-    """Canonical representative of f modulo the ideal."""
-    return normal_form_quotients(f, gb, order)[0]
+    """Canonical representative of f modulo the ideal; the quotients of
+    the division are dropped as dicts, never built as polynomials."""
+    return _divide(f, gb, order)[1]
 
 
 def normal_form_quotients(
     f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder] = None
 ) -> Tuple[Polynomial, List[Polynomial]]:
     """(normal form, quotients over gb.basis): f = sum q_j basis_j + nf."""
-    if not isinstance(gb, GroebnerBasis):
-        gb = buchberger(list(gb), order or GREVLEX)
-    nf, quots = _v_divmod(gb.field, _poly_to_v(f), *gb._division, gb.order)
-    nf_poly = _v_to_vec(nf, gb.field, gb.nvars, 1)[0]
-    return nf_poly, [_q_to_poly(q, gb.field, gb.nvars) for q in quots]
+    gb, nf, quots = _divide(f, gb, order)
+    return nf, [_q_to_poly(q, gb.field, gb.nvars) for q in quots]
 
 
 def ideal_member(

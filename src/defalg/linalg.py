@@ -2,14 +2,16 @@
 
 A matrix is one numpy array whose dtype and arithmetic its field owns
 (see ``fields``): int64 residues for GF(p), row-reduced by the numpy
-kernel in ``_kernels``; ``Fraction`` objects for Q, row-reduced fraction-free
-(integer rows, gcd-normalized after every update) to control
-coefficient growth.  Products are exact for every accepted prime.
-Pivoting is deterministic: first nonzero entry scanning rows top-down,
-columns left-to-right, so identical input yields identical output.
+kernel in ``_kernels``; canonical rationals for Q (an int when integral,
+a ``Fraction`` only when not), row-reduced fraction-free (integer rows,
+gcd-normalized after every update) to control coefficient growth.
+Products are exact for every accepted prime.  Pivoting is
+deterministic: first nonzero entry scanning rows top-down, columns
+left-to-right, so identical input yields identical output.
 
 Vectors are plain Python lists of field scalars throughout; entries
-leave a matrix through ``tolist``, as Python ints or Fractions.
+leave a matrix through ``tolist``, as Python ints or (over Q, for
+non-integral values only) Fractions.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Shared fixtures and small builders used across the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from defalg import GF, QQ
@@ -14,6 +16,15 @@ def any_field(request):
 @pytest.fixture(params=["F2", "F3"], ids=["F2", "F3"])
 def prime_field(request):
     return GF(2) if request.param == "F2" else GF(3)
+
+
+def is_canonical(field, x):
+    """The scalar contract: an int in range(p) over GF(p); over Q an int
+    when integral and a Fraction only when its denominator exceeds 1
+    (never a Fraction with denominator 1, never a float)."""
+    if field is not QQ:
+        return type(x) is int and 0 <= x < field.p
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def make_algebra(field, gens, relations, base_gens=(), base_relations=()):

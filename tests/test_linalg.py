@@ -22,6 +22,8 @@ from defalg.linalg import (
     vec_is_zero,
 )
 
+from .conftest import is_canonical
+
 FIELDS = [GF(2), GF(3), GF(5), QQ]
 
 
@@ -244,8 +246,7 @@ def ref_rref(field, rows, ncols):
 
 
 def exact_type(field, rows):
-    want = Fraction if field is QQ else int
-    return all(type(x) is want for row in rows for x in row)
+    return all(is_canonical(field, x) for row in rows for x in row)
 
 
 @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
