@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .algebras import FiniteModule, PresentedAlgebra
 from .differential import block_matrix, jacobian_entries, relation_syzygies
-from .groebner import module_syzygies, normal_form, prune_generators
+from .groebner import combinations_vanish, module_syzygies, prune_generators
 from .linalg import Matrix, complete_basis, kernel_basis, solve_affine, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
@@ -79,39 +79,24 @@ def base_vectors(B: PresentedAlgebra) -> List[List[Polynomial]]:
 
 def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
     """The complex of B, built once per algebra (cached on B, the way its
-    Groebner basis is); its structural identities are asserted on every call."""
+    Groebner basis is); its structural identities are asserted on every
+    call, the Jacobian one against the cached rows that D0 is built from."""
     if B._cotangent is None:
         B._cotangent = _build_complex(B)
     cx = B._cotangent
-    m = cx.n_rels
-    base_gb = B.base_groebner()
-    for vec in cx.syz:
-        acc = B.zero_poly()
-        for j in range(m):
-            acc = acc + vec[j] * B.relations[j]
-        if not normal_form(acc, base_gb).is_zero():
-            raise AssertionError("syzygy does not pair to zero over the base")
-        for i in range(B.n_gens):
-            d = B.zero_poly()
-            for j in range(m):
-                d = d + vec[j] * B.relations[j].derivative(B.n_base + i)
-            if not B.normal_form(d).is_zero():
-                raise AssertionError("syzygy does not compose to zero with the Jacobian")
-    for vec in cx.kos:
-        acc = B.zero_poly()
-        for j in range(m):
-            acc = acc + vec[j] * B.relations[j]
-        if not acc.is_zero():
-            raise AssertionError("Koszul vector is not a syzygy")
+    gb = B.groebner()
+    rels = [(r,) for r in B.relations]
+    # each check: one packed combination per vector, then one division
+    # per component by the cached basis
+    if not combinations_vanish(cx.syz, rels, B.base_groebner()):
+        raise AssertionError("syzygy does not pair to zero over the base")
+    if not combinations_vanish(cx.syz, cx.jac, gb):
+        raise AssertionError("syzygy does not compose to zero with the Jacobian")
+    if not combinations_vanish(cx.kos, rels, gb, reduce=False):
+        raise AssertionError("Koszul vector is not a syzygy")
     # the c-part of each relation row must pair with the syzygy vectors into the ideal
-    for crow in cx.w_rows:
-        for j in range(m):
-            acc = B.zero_poly()
-            for c, vec in zip(crow, cx.syz):
-                if not c.is_zero():
-                    acc = acc + c * vec[j]
-            if not B.normal_form(acc).is_zero():
-                raise AssertionError("relation row does not kill the syzygy classes")
+    if not combinations_vanish(cx.w_rows, cx.syz, gb):
+        raise AssertionError("relation row does not kill the syzygy classes")
     return cx
 
 

@@ -107,6 +107,10 @@ class PrimeField:
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
 
+    def denominator(self, values) -> int:
+        """A nonzero d with every d * x integral: always 1 here."""
+        return 1
+
     def elements(self):
         return range(self.p)
 
@@ -283,6 +287,11 @@ class RationalField:
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
+    def denominator(self, values) -> int:
+        """The lcm of the denominators of canonical rationals: the least
+        d > 0 with every d * x an int."""
+        return lcm(1, *{x.denominator for x in values if type(x) is not int})
+
     def array(self, data) -> np.ndarray:
         """(Nested) scalars as an object array of canonical rationals."""
         return self.reduce(np.array(data, object))
@@ -333,6 +342,8 @@ _FIELD_NAMES = {"Q": lambda: QQ, "QQ": lambda: QQ}
 
 def field_by_name(name: str) -> Field:
     """Resolve "F2", "F3", "F5", ..., "Q" to a field object."""
+    if not isinstance(name, str):
+        raise ValueError(f"field name must be a string, not {name!r}")
     key = name.strip()
     if key in _FIELD_NAMES:
         return _FIELD_NAMES[key]()

@@ -2,17 +2,51 @@
 cofactor tracking and Schreyer syzygies.
 
 Everything runs at module level internally: a vector in P^c is a dict
-from (component, monomial) to coefficient, ordered term-over-position
-(ring order on the monomial, ties broken toward the earlier component).
-Ring polynomials are the c = 1 case.  The working basis is kept monic.
+from term to coefficient, ordered term-over-position (ring order on the
+monomial, ties broken toward the earlier component).  Ring polynomials
+are the c = 1 case.  The working basis is kept monic.
 
-Division (``_v_divmod``) keeps the pending terms in a heap and reduces
-the largest one each step by the first basis element, among those of
-its component, whose leading term divides it: the reduction order of
-"take the max over what is left", at a heap pop per step.  A basis
-carries its division data (vectors and leading terms), built once.  The
-engine builds the cofactors of an S-pair only when its remainder is
-nonzero and joins the basis; most pairs reduce to zero.
+Terms are packed exponent vectors (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+2007).  A term x^m e_comp is one Python int; a ``_Pack`` holds the
+layout for one (nvars, order), from the high bits down:
+
+  * the order key, a list of linear forms in the exponents.  For grevlex
+    (variables taken in the order's priority, y_0 most significant) it
+    is the degree, then y_0 + .. + y_(i-1) for i = n-1 down to 2; for lex
+    it is empty;
+  * the exponents y_0, .., y_(n-1), most significant first;
+  * CMASK - comp in the low COMP_BITS bits.
+
+Each field of the key and of the exponents is FIELD_BITS wide: value
+bits and a guard bit on top, which a valid term keeps clear.  Every
+field is linear in the exponents, so x^s * t is the integer sum s + t
+(a shift s has zero low bits), and comparing two terms as integers is
+comparing them in the term-over-position order.  The lead L divides
+the term T, component included, exactly when (T - L) & DIVMASK == 0,
+where DIVMASK holds the exponent guard bits and the component bits: a
+field of T below that of L borrows, which sets its guard bit, and a
+component mismatch leaves the low bits nonzero.  When the test holds,
+T - L is the packed shift.
+
+Overflow rule: packing refuses (OverflowError) an exponent or, for a
+graded order, a degree above MAX_EXPONENT, and a component above CMASK.
+The sum of two valid terms is still exact, with at most a guard bit set,
+so every sum that can grow past the degrees of its inputs (S-vectors,
+cofactor combinations, lcms, division steps under lex) is checked
+against the guard mask before it is used again.  Under grevlex a
+division step never raises a field above the degree of the term it
+reduces; its check never fires, and nothing ever wraps.  Polynomials
+keep tuple monomials; terms are packed and unpacked at the API below.
+
+Division (``_v_divmod``) keeps the pending terms in a heap of negated
+ints and reduces the largest one each step by the first basis element,
+among those of its component, whose leading term divides it: the
+reduction order of "take the max over what is left", at a heap pop per
+step.  A basis carries its division data (leading terms, tails and the
+pack), built once.  The engine builds the cofactors of an S-pair only
+when its remainder is nonzero and joins the basis; most pairs reduce to
+zero.
 
 ``prune_generators`` keeps, of a family of candidate vectors, those
 needed beside a fixed family to generate the same submodule: one engine
@@ -33,137 +67,203 @@ Correctness notes baked into the code:
 from __future__ import annotations
 
 import heapq
+import operator
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .fields import Field, Scalar
-from .poly import (
-    GREVLEX,
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, mono_coprime, mono_lcm
 
-VTerm = Tuple[int, Monomial]
-VDict = Dict[VTerm, Scalar]
-QDict = Dict[Monomial, Scalar]
+FIELD_BITS = 16  # two bytes: see _Pack.exponents
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+COMP_BITS = 16
+CMASK = (1 << COMP_BITS) - 1
+
+VDict = Dict[int, Scalar]  # packed term -> coefficient
+QDict = Dict[int, Scalar]  # packed shift (zero low bits) -> coefficient
+Tail = Tuple[Tuple[int, Scalar], ...]
 
 
-def _vkey(order: MonomialOrder):
-    def key(t: VTerm):
-        return (order.key(t[1]), -t[0])
+class _Pack:
+    """The packed term layout for one (nvars, order); see the module doc."""
 
-    return key
+    __slots__ = ("nvars", "graded", "units", "guard", "divmask", "expmask", "_unpack", "_where")
+
+    def __init__(self, nvars: int, order: MonomialOrder):
+        prio = order.perm if order.perm is not None else tuple(range(nvars))
+        self.nvars = nvars
+        self.graded = order.kind == "grevlex"
+        key = [prio, *(prio[:i] for i in range(nvars - 1, 1, -1))] if self.graded else []
+        fields = key + [(v,) for v in prio]  # most significant first
+        at = [COMP_BITS + FIELD_BITS * (len(fields) - 1 - f) for f in range(len(fields))]
+        self.units = tuple(
+            sum(1 << at[f] for f, vs in enumerate(fields) if v in vs) for v in range(nvars)
+        )
+        # the exponent fields are the lowest ones above the component:
+        # two bytes each, read back in one struct call
+        self.expmask = (1 << (FIELD_BITS * nvars)) - 1
+        self._unpack = struct.Struct(f">{nvars}H").unpack
+        self._where = None if prio == tuple(range(nvars)) else tuple(prio.index(v) for v in range(nvars))
+        guards = [1 << (a + FIELD_BITS - 1) for a in at]
+        self.guard = sum(guards)
+        self.divmask = sum(guards[len(key):]) | CMASK
+
+    def mono(self, m: Monomial) -> int:
+        """x^m as a packed shift."""
+        top = sum(m) if self.graded else max(m, default=0)
+        if top > MAX_EXPONENT:
+            what = "degree" if self.graded else "exponent"
+            raise OverflowError(
+                f"{what} {top} does not fit the packed field (at most {MAX_EXPONENT})"
+            )
+        return sum(map(operator.mul, m, self.units))
+
+    def exponents(self, t: int) -> Monomial:
+        e = self._unpack(((t >> COMP_BITS) & self.expmask).to_bytes(2 * self.nvars, "big"))
+        return e if self._where is None else tuple([e[i] for i in self._where])
+
+    def check(self, v) -> None:
+        """Refuse terms whose sum overflowed a field (a set guard bit)."""
+        guard = self.guard
+        if any(t & guard for t in v):
+            raise OverflowError(
+                f"a product exceeds the packed field (exponents at most {MAX_EXPONENT})"
+            )
 
 
-def _v_is_zero(v: VDict) -> bool:
-    return not v
+@lru_cache(maxsize=None)
+def _pack(nvars: int, order: MonomialOrder) -> _Pack:
+    return _Pack(nvars, order)
 
 
-def _v_shift_diff(field: Field, a: VDict, sa: Monomial, b: VDict, sb: Monomial) -> VDict:
+def _unit(comp: int) -> int:
+    """The term 1 * e_comp."""
+    if not 0 <= comp <= CMASK:
+        raise OverflowError(f"component {comp} does not fit the packed field")
+    return CMASK - comp
+
+
+def _comp(t: int) -> int:
+    return CMASK - (t & CMASK)
+
+
+def _tail(v: VDict, lead: int) -> Tail:
+    return tuple(item for item in v.items() if item[0] != lead)
+
+
+def _v_shift_diff(field: Field, a: VDict, sa: int, b: VDict, sb: int, pack: _Pack) -> VDict:
     """x^sa * a - x^sb * b."""
-    out = {(comp, mono_mul(sa, m)): c for (comp, m), c in a.items()}
-    _v_sub_into(field, out, {(comp, mono_mul(sb, m)): c for (comp, m), c in b.items()})
-    return out
-
-
-def _v_sub_into(field: Field, acc: VDict, v: VDict) -> None:
-    for t, c in v.items():
-        cur = acc.get(t)
-        nc = field.neg(c) if cur is None else field.sub(cur, c)
-        if field.is_zero(nc):
-            acc.pop(t, None)
+    out = {sa + t: c for t, c in a.items()}
+    neg, sub = field.neg, field.sub
+    for t, c in b.items():
+        u = sb + t
+        cur = out.get(u)
+        if cur is None:
+            out[u] = neg(c)
+        elif not (c := sub(cur, c)):
+            del out[u]
         else:
-            acc[t] = nc
-
-
-def _v_mul_poly(field: Field, v: VDict, q: QDict) -> VDict:
-    out: VDict = {}
-    for (comp, m), c in v.items():
-        for qm, qc in q.items():
-            t = (comp, mono_mul(m, qm))
-            cur = out.get(t)
-            nc = field.mul(c, qc)
-            nc = nc if cur is None else field.add(cur, nc)
-            if field.is_zero(nc):
-                out.pop(t, None)
-            else:
-                out[t] = nc
+            out[u] = c
+    pack.check(out)
     return out
 
 
-def _v_combine(field: Field, quots: Sequence[QDict], vecs: Sequence[VDict]) -> VDict:
-    """sum_k quots[k] * vecs[k]."""
-    out: VDict = {}
+def _v_combine(
+    field: Field,
+    quots: Sequence[QDict],
+    vecs: Sequence[VDict],
+    pack: _Pack,
+    acc: Optional[VDict] = None,
+    negate: bool = False,
+) -> VDict:
+    """acc + sum_k quots[k] * vecs[k] (minus the sum when negate),
+    accumulated in place in one dict (a new one when acc is None)."""
+    out: VDict = {} if acc is None else acc
+    get = out.get
+    add, mul, neg = field.add, field.mul, field.neg
+    # field results are canonical scalars, so a zero sum is falsy
     for q, v in zip(quots, vecs):
-        if q:
-            _v_sub_into(field, out, _v_mul_poly(field, v, {m: field.neg(c) for m, c in q.items()}))
+        if not q:
+            continue
+        items = v.items()
+        for s, c in q.items():
+            if negate:
+                c = neg(c)
+            for t, d in items:
+                u = s + t
+                p = mul(c, d)
+                cur = get(u)
+                if cur is None:
+                    out[u] = p
+                elif not (p := add(cur, p)):
+                    del out[u]
+                else:
+                    out[u] = p
+    pack.check(out)
     return out
 
 
 def _v_split(v: VDict, ncomp: int) -> List[QDict]:
-    """The components of v, as ring polynomials."""
+    """The components of v, as ring polynomials keyed by packed shifts."""
     out: List[QDict] = [dict() for _ in range(ncomp)]
-    for (comp, m), c in v.items():
-        out[comp][m] = c
+    for t, c in v.items():
+        out[_comp(t)][t & ~CMASK] = c
     return out
 
 
 def _v_divmod(
-    field: Field, v: VDict, basis: Sequence[VDict], leads: Sequence[VTerm], order: MonomialOrder
+    field: Field, v: VDict, leads: Sequence[int], tails: Sequence[Tail], pack: _Pack
 ) -> Tuple[VDict, List[QDict]]:
-    """Full division of v by a monic basis: (normal form, quotients).
+    """Full division of v by a monic basis, given by its leading terms and
+    tails: (normal form, quotients).
 
     Deterministic: always reduces the currently largest term, choosing
     the first basis element whose leading term divides it.  Pending
-    terms sit in a heap keyed by the descending order, with lazy
-    deletion: a popped term no longer in ``work`` was cancelled.  Every
-    term that a reduction step creates is smaller than the term it
-    reduces, so a term once popped never comes back.
+    terms sit in a heap of negated terms, with lazy deletion: a popped
+    term no longer in ``work`` was cancelled.  Every term that a
+    reduction step creates is smaller than the term it reduces, so a
+    term once popped never comes back.
     """
-    rkey = order.rkey
-    by_comp: Dict[int, List[Tuple[int, Monomial]]] = {}
-    for idx, (lc, lm) in enumerate(leads):
-        by_comp.setdefault(lc, []).append((idx, lm))
+    by_comp: Dict[int, List[Tuple[int, int, Tail]]] = {}
+    for idx, lead in enumerate(leads):
+        by_comp.setdefault(lead & CMASK, []).append((idx, lead, tails[idx]))
+    divmask, guard = pack.divmask, pack.guard
     work = dict(v)
-    heap = [(rkey(m), c, m) for c, m in work]
+    heap = [-t for t in work]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     nf: VDict = {}
-    quots: List[QDict] = [dict() for _ in basis]
-    add, mul, is_zero = field.add, field.mul, field.is_zero
+    quots: List[QDict] = [dict() for _ in leads]
+    get = work.get
+    add, mul, neg = field.add, field.mul, field.neg
     while heap:
-        _, comp, mono = heapq.heappop(heap)
-        t = (comp, mono)
+        t = -heappop(heap)
         coeff = work.pop(t, None)
         if coeff is None:
             continue
-        for hit, lm in by_comp.get(comp, ()):
-            if mono_divides(lm, mono):
+        for hit, lead, tail in by_comp.get(t & CMASK, ()):
+            if not (t - lead) & divmask:
                 break
         else:
             nf[t] = coeff
             continue
-        shift = mono_div(mono, lm)
+        shift = t - lead
         quots[hit][shift] = coeff  # terms only decrease: no shift comes twice
         # work -= coeff * x^shift * basis[hit], whose lead cancels t
-        neg = field.neg(coeff)
-        for (bc, bm), bcoeff in basis[hit].items():
-            if bm == lm and bc == comp:
-                continue
-            m = mono_mul(shift, bm)
-            u = (bc, m)
-            c = mul(neg, bcoeff)
-            cur = work.get(u)
+        c0 = neg(coeff)
+        for bt, bc in tail:
+            u = shift + bt
+            c = mul(c0, bc)
+            cur = get(u)
             if cur is None:
+                if u & guard:
+                    pack.check((u,))
                 work[u] = c
-                heapq.heappush(heap, (rkey(m), bc, m))
-            elif is_zero(c := add(cur, c)):
+                heappush(heap, -u)
+            elif not (c := add(cur, c)):
                 del work[u]
             else:
                 work[u] = c
@@ -173,116 +273,117 @@ def _v_divmod(
 class _Engine:
     """Tracked module-level Buchberger + interreduction."""
 
-    def __init__(self, field: Field, nvars: int, ncomp: int, order: MonomialOrder):
+    def __init__(self, field: Field, pack: _Pack, ncomp: int):
         self.field = field
-        self.nvars = nvars
+        self.pack = pack
         self.ncomp = ncomp
-        self.order = order
         self.basis: List[VDict] = []
-        self.leads: List[VTerm] = []
+        self.leads: List[int] = []
+        self.tails: List[Tail] = []
+        self.lead_exps: List[Monomial] = []  # for lcms and the coprime test
         self.reps: List[VDict] = []  # basis[i] as combination of original gens
         self.pairs: list = []
         self.done: set = set()
 
+    def _lcm(self, i: int, j: int) -> int:
+        """The lcm of two leading monomials, as a packed shift."""
+        return self.pack.mono(mono_lcm(self.lead_exps[i], self.lead_exps[j]))
+
     def _push_pairs(self, j: int) -> None:
-        cj, mj = self.leads[j]
+        cj = self.leads[j] & CMASK
         for i in range(j):
-            ci, mi = self.leads[i]
-            if ci != cj:
+            if self.leads[i] & CMASK != cj:
                 continue
-            if self.ncomp == 1 and mono_coprime(mi, mj):
+            if self.ncomp == 1 and mono_coprime(self.lead_exps[i], self.lead_exps[j]):
                 self.done.add((i, j))
                 continue
-            lcm = mono_lcm(mi, mj)
-            heapq.heappush(self.pairs, (self.order.key(lcm), i, j, lcm))
+            heapq.heappush(self.pairs, (self._lcm(i, j), i, j))
 
     def add(self, v: VDict, rep: VDict) -> None:
-        if _v_is_zero(v):
+        if not v:
             return
-        key = _vkey(self.order)
-        lt = max(v, key=key)
-        lc = v[lt]
-        inv = self.field.inv(lc)
-        v = {t: self.field.mul(inv, c) for t, c in v.items()}
-        rep = {t: self.field.mul(inv, c) for t, c in rep.items()}
+        lt = max(v)
+        inv = self.field.inv(v[lt])
+        if inv != 1:
+            v = {t: self.field.mul(inv, c) for t, c in v.items()}
+            rep = {t: self.field.mul(inv, c) for t, c in rep.items()}
         self.basis.append(v)
         self.leads.append(lt)
+        self.tails.append(_tail(v, lt))
+        self.lead_exps.append(self.pack.exponents(lt))
         self.reps.append(rep)
         self._push_pairs(len(self.basis) - 1)
 
     def seed(self, gens_v: Sequence[VDict]) -> None:
-        unit = (0,) * self.nvars
+        one = self.field.one()
         for i, g in enumerate(gens_v):
-            self.add(dict(g), {(i, unit): self.field.one()})
+            self.add(g, {_unit(i): one})
 
-    def _chain_skip(self, i: int, j: int, lcm: Monomial) -> bool:
-        comp = self.leads[i][0]
+    def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
+        divmask = self.pack.divmask
+        lcm_exps = self.pack.exponents(lcm)
         for k in range(len(self.basis)):
-            if k == i or k == j:
+            if k == i or k == j or (lcm - self.leads[k]) & divmask:
                 continue
-            ck, mk = self.leads[k]
-            if ck != comp or not mono_divides(mk, lcm):
-                continue
-            lik = mono_lcm(self.leads[i][1], mk)
-            ljk = mono_lcm(self.leads[j][1], mk)
-            if lik == lcm or ljk == lcm:
+            mk = self.lead_exps[k]
+            if mono_lcm(self.lead_exps[i], mk) == lcm_exps or mono_lcm(self.lead_exps[j], mk) == lcm_exps:
                 continue
             if (min(i, k), max(i, k)) in self.done and (min(j, k), max(j, k)) in self.done:
                 return True
         return False
 
     def run(self) -> None:
-        f = self.field
+        f, pack = self.field, self.pack
         while self.pairs:
-            _, i, j, lcm = heapq.heappop(self.pairs)
+            lcm, i, j = heapq.heappop(self.pairs)
             if (i, j) in self.done:
                 continue
             self.done.add((i, j))
+            lcm += self.leads[i] & CMASK
             if self._chain_skip(i, j, lcm):
                 continue
-            si = mono_div(lcm, self.leads[i][1])
-            sj = mono_div(lcm, self.leads[j][1])
-            s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj)
-            nf, quots = _v_divmod(f, s, self.basis, self.leads, self.order)
-            if _v_is_zero(nf):
+            si = lcm - self.leads[i]
+            sj = lcm - self.leads[j]
+            s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj, pack)
+            nf, quots = _v_divmod(f, s, self.leads, self.tails, pack)
+            if not nf:
                 continue
             # the cofactors of a new basis element; most S-pairs reduce to zero
-            rep = _v_shift_diff(f, self.reps[i], si, self.reps[j], sj)
-            _v_sub_into(f, rep, _v_combine(f, quots, self.reps))
-            self.add(nf, rep)
+            rep = _v_shift_diff(f, self.reps[i], si, self.reps[j], sj, pack)
+            self.add(nf, _v_combine(f, quots, self.reps, pack, rep, negate=True))
 
     def interreduce(self) -> None:
-        f = self.field
-        key = _vkey(self.order)
-        idx = sorted(range(len(self.basis)), key=lambda i: (key(self.leads[i]), i))
+        f, pack = self.field, self.pack
+        idx = sorted(range(len(self.basis)), key=lambda i: (self.leads[i], i))
         kept: List[int] = []
         for i in idx:
-            ci, mi = self.leads[i]
-            if any(
-                self.leads[k][0] == ci and mono_divides(self.leads[k][1], mi) for k in kept
-            ):
+            lead = self.leads[i]
+            if any(not (lead - self.leads[k]) & pack.divmask for k in kept):
                 continue
             kept.append(i)
         basis = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
+        tails = [self.tails[i] for i in kept]
+        lead_exps = [self.lead_exps[i] for i in kept]
         reps = [self.reps[i] for i in kept]
         for pos in range(len(basis)):
-            others = basis[:pos] + basis[pos + 1 :]
-            oleads = leads[:pos] + leads[pos + 1 :]
-            nf, quots = _v_divmod(f, basis[pos], others, oleads, self.order)
-            rep = reps[pos]
-            _v_sub_into(f, rep, _v_combine(f, quots, reps[:pos] + reps[pos + 1 :]))
+            nf, quots = _v_divmod(
+                f, basis[pos], leads[:pos] + leads[pos + 1 :], tails[:pos] + tails[pos + 1 :], pack
+            )
+            _v_combine(f, quots, reps[:pos] + reps[pos + 1 :], pack, reps[pos], negate=True)
             basis[pos] = nf
-            reps[pos] = rep
+            tails[pos] = _tail(nf, leads[pos])
         self.basis = basis
         self.leads = leads
+        self.tails = tails
+        self.lead_exps = lead_exps
         self.reps = reps
 
     def divide_gens(self, gens_v: Sequence[VDict]) -> List[List[QDict]]:
         out = []
         for g in gens_v:
-            nf, quots = _v_divmod(self.field, g, self.basis, self.leads, self.order)
-            if not _v_is_zero(nf):
+            nf, quots = _v_divmod(self.field, g, self.leads, self.tails, self.pack)
+            if nf:
                 raise AssertionError("generator does not reduce to zero against its own basis")
             out.append(quots)
         return out
@@ -290,28 +391,27 @@ class _Engine:
     def schreyer(self) -> List[VDict]:
         """Syzygies of the final basis, one candidate per same-component
         pair, each fully reduced; no pair criteria applied here."""
-        f = self.field
+        f, pack = self.field, self.pack
+        one = f.one()
         n = len(self.basis)
+        units = [{_unit(k): one} for k in range(n)]
         out: List[VDict] = []
         for i in range(n):
-            ci, mi = self.leads[i]
+            ci = self.leads[i] & CMASK
             for j in range(i + 1, n):
-                cj, mj = self.leads[j]
-                if ci != cj:
+                if self.leads[j] & CMASK != ci:
                     continue
-                lcm = mono_lcm(mi, mj)
-                si = mono_div(lcm, mi)
-                sj = mono_div(lcm, mj)
-                s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj)
-                nf, quots = _v_divmod(f, s, self.basis, self.leads, self.order)
-                if not _v_is_zero(nf):
+                lcm = self._lcm(i, j) + ci
+                si = lcm - self.leads[i]
+                sj = lcm - self.leads[j]
+                s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj, pack)
+                nf, quots = _v_divmod(f, s, self.leads, self.tails, pack)
+                if nf:
                     raise AssertionError("S-vector of a Groebner basis fails to reduce to zero")
-                syz: VDict = {(i, si): f.one()}
-                _v_sub_into(f, syz, {(j, sj): f.one()})
-                for k, q in enumerate(quots):
-                    if q:
-                        _v_sub_into(f, syz, {(k, m): c for m, c in q.items()})
-                if not _v_is_zero(syz):
+                # x^si e_i - x^sj e_j - sum_k quots[k] e_k
+                syz = {si + _unit(i): one, sj + _unit(j): f.neg(one)}
+                _v_combine(f, quots, units, pack, syz, negate=True)
+                if syz:
                     out.append(syz)
         return out
 
@@ -320,30 +420,45 @@ class _Engine:
 # polynomial-facing API
 
 
-def _poly_to_v(p: Polynomial, comp: int = 0) -> VDict:
-    return {(comp, m): c for m, c in p.terms.items()}
+def _poly_to_q(p: Polynomial, pack: _Pack) -> QDict:
+    return {pack.mono(m): c for m, c in p.terms.items()}
 
 
-def _vec_to_v(vec: Sequence[Polynomial]) -> VDict:
+def _poly_to_v(p: Polynomial, pack: _Pack, comp: int = 0) -> VDict:
+    low = _unit(comp)
+    return {pack.mono(m) + low: c for m, c in p.terms.items()}
+
+
+def _vec_to_v(vec: Sequence[Polynomial], pack: _Pack) -> VDict:
     out: VDict = {}
     for comp, p in enumerate(vec):
-        for m, c in p.terms.items():
-            out[(comp, m)] = c
+        out.update(_poly_to_v(p, pack, comp))
     return out
 
 
-def _v_to_vec(v: VDict, field: Field, nvars: int, ncomp: int) -> List[Polynomial]:
-    return [Polynomial(field, nvars, b) for b in _v_split(v, ncomp)]
+def _v_to_vec(v: VDict, pack: _Pack, field: Field, ncomp: int) -> List[Polynomial]:
+    out: List[Dict[Monomial, Scalar]] = [dict() for _ in range(ncomp)]
+    for t, c in v.items():
+        out[_comp(t)][pack.exponents(t)] = c
+    return [Polynomial(field, pack.nvars, b) for b in out]
 
 
-def _q_to_poly(q: QDict, field: Field, nvars: int) -> Polynomial:
-    return Polynomial(field, nvars, dict(q))
+def _q_to_poly(q: QDict, pack: _Pack, field: Field) -> Polynomial:
+    return Polynomial(field, pack.nvars, {pack.exponents(s): c for s, c in q.items()})
 
 
-def _division_data(vb: List[VDict], order: MonomialOrder) -> Tuple[List[VDict], List[VTerm]]:
-    """(basis vectors, their leading terms): what _v_divmod divides by,
-    built once per basis."""
-    return vb, [max(v, key=_vkey(order)) for v in vb]
+@dataclass(frozen=True)
+class _Division:
+    """What _v_divmod divides by, built once per basis."""
+
+    leads: List[int]
+    tails: List[Tail]
+    pack: _Pack
+
+
+def _division_data(vb: List[VDict], pack: _Pack) -> _Division:
+    leads = [max(v) for v in vb]
+    return _Division(leads, [_tail(v, lt) for v, lt in zip(vb, leads)], pack)
 
 
 @dataclass(frozen=True)
@@ -361,8 +476,9 @@ class GroebnerBasis:
     from_gens: Tuple[Tuple[Polynomial, ...], ...]
 
     @cached_property
-    def _division(self) -> Tuple[List[VDict], List[VTerm]]:
-        return _division_data([_poly_to_v(b) for b in self.basis], self.order)
+    def _division(self) -> _Division:
+        pack = _pack(self.nvars, self.order)
+        return _division_data([_poly_to_v(b, pack) for b in self.basis], pack)
 
     def contains_one(self) -> bool:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
@@ -380,12 +496,14 @@ class ModuleGroebnerBasis:
     basis: Tuple[Tuple[Polynomial, ...], ...]
 
     @cached_property
-    def _division(self) -> Tuple[List[VDict], List[VTerm]]:
-        return _division_data([_vec_to_v(b) for b in self.basis], self.order)
+    def _division(self) -> _Division:
+        pack = _pack(self.nvars, self.order)
+        return _division_data([_vec_to_v(b, pack) for b in self.basis], pack)
 
     def normal_form(self, vec: Sequence[Polynomial]) -> List[Polynomial]:
-        nf, _ = _v_divmod(self.field, _vec_to_v(vec), *self._division, self.order)
-        return _v_to_vec(nf, self.field, self.nvars, self.ncomp)
+        d = self._division
+        nf, _ = _v_divmod(self.field, _vec_to_v(vec, d.pack), d.leads, d.tails, d.pack)
+        return _v_to_vec(nf, d.pack, self.field, self.ncomp)
 
     def contains(self, vec: Sequence[Polynomial]) -> bool:
         return all(p.is_zero() for p in self.normal_form(vec))
@@ -419,18 +537,16 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
     if not gens:
         raise ValueError("need at least one generator (possibly zero)")
     field, nvars = _context(gens)
-    eng = _Engine(field, nvars, 1, order)
-    eng.seed([_poly_to_v(g) for g in gens])
+    pack = _pack(nvars, order)
+    gens_v = [_poly_to_v(g, pack) for g in gens]
+    eng = _Engine(field, pack, 1)
+    eng.seed(gens_v)
     eng.run()
     eng.interreduce()
-    vdivs = eng.divide_gens([_poly_to_v(g) for g in gens])
-    basis = tuple(_v_to_vec(v, field, nvars, 1)[0] for v in eng.basis)
-    to_gens = tuple(
-        tuple(_v_to_vec(rep, field, nvars, len(gens))) for rep in eng.reps
-    )
-    from_gens = tuple(
-        tuple(_q_to_poly(q, field, nvars) for q in quots) for quots in vdivs
-    )
+    vdivs = eng.divide_gens(gens_v)
+    basis = tuple(_v_to_vec(v, pack, field, 1)[0] for v in eng.basis)
+    to_gens = tuple(tuple(_v_to_vec(rep, pack, field, len(gens))) for rep in eng.reps)
+    from_gens = tuple(tuple(_q_to_poly(q, pack, field) for q in quots) for quots in vdivs)
     return GroebnerBasis(field, nvars, order, tuple(gens), basis, to_gens, from_gens)
 
 
@@ -441,11 +557,12 @@ def module_groebner(
     if not vecs:
         raise ValueError("need at least one vector")
     field, nvars = _context([p for v in vecs for p in v])
-    eng = _Engine(field, nvars, ncomp, order)
-    eng.seed([_vec_to_v(v) for v in vecs])
+    pack = _pack(nvars, order)
+    eng = _Engine(field, pack, ncomp)
+    eng.seed([_vec_to_v(v, pack) for v in vecs])
     eng.run()
     eng.interreduce()
-    basis = tuple(tuple(_v_to_vec(v, field, nvars, ncomp)) for v in eng.basis)
+    basis = tuple(tuple(_v_to_vec(v, pack, field, ncomp)) for v in eng.basis)
     return ModuleGroebnerBasis(field, nvars, ncomp, order, basis)
 
 
@@ -454,8 +571,9 @@ def _divide(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order
     built from generators first when it is not a GroebnerBasis."""
     if not isinstance(gb, GroebnerBasis):
         gb = buchberger(list(gb), order or GREVLEX)
-    nf, quots = _v_divmod(gb.field, _poly_to_v(f), *gb._division, gb.order)
-    return gb, _v_to_vec(nf, gb.field, gb.nvars, 1)[0], quots
+    d = gb._division
+    nf, quots = _v_divmod(gb.field, _poly_to_v(f, d.pack), d.leads, d.tails, d.pack)
+    return gb, _v_to_vec(nf, d.pack, gb.field, 1)[0], quots
 
 
 def normal_form(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder] = None) -> Polynomial:
@@ -469,7 +587,8 @@ def normal_form_quotients(
 ) -> Tuple[Polynomial, List[Polynomial]]:
     """(normal form, quotients over gb.basis): f = sum q_j basis_j + nf."""
     gb, nf, quots = _divide(f, gb, order)
-    return nf, [_q_to_poly(q, gb.field, gb.nvars) for q in quots]
+    pack = gb._division.pack
+    return nf, [_q_to_poly(q, pack, gb.field) for q in quots]
 
 
 def ideal_member(
@@ -503,38 +622,62 @@ def certified_cofactors(f: Polynomial, gb: GroebnerBasis, nf: Polynomial, quots:
     return cof
 
 
-def _syzygies_raw(
-    gens_v: List[VDict], ncomp: int, field: Field, nvars: int, order: MonomialOrder
-) -> List[VDict]:
-    eng = _Engine(field, nvars, ncomp, order)
+def combinations_vanish(
+    rows: Sequence[Sequence[Polynomial]],
+    vecs: Sequence[Sequence[Polynomial]],
+    gb: GroebnerBasis,
+    reduce: bool = True,
+) -> bool:
+    """Whether, for every row r, each component of sum_k r[k] * vecs[k]
+    reduces to zero by gb (is zero outright when reduce is False): one
+    packed combination per row, then one division per component."""
+    d = gb._division
+    pack = d.pack
+    pvecs = [_vec_to_v(v, pack) for v in vecs]
+    for row in rows:
+        acc = _v_combine(gb.field, [_poly_to_q(p, pack) for p in row], pvecs, pack)
+        if not reduce:
+            if acc:
+                return False
+            continue
+        parts: Dict[int, VDict] = {}
+        for t, c in acc.items():
+            parts.setdefault(t & CMASK, {})[t | CMASK] = c  # moved to component 0
+        for part in parts.values():
+            if _v_divmod(gb.field, part, d.leads, d.tails, pack)[0]:
+                return False
+    return True
+
+
+def _canonical_key(v: VDict, pack: _Pack):
+    """v's terms as sorted ((component, exponents), coefficient) items."""
+    return tuple(sorted(((_comp(t), pack.exponents(t)), c) for t, c in v.items()))
+
+
+def _syzygies_raw(gens_v: List[VDict], ncomp: int, field: Field, pack: _Pack) -> List[VDict]:
+    eng = _Engine(field, pack, ncomp)
     eng.seed(gens_v)
     eng.run()
     eng.interreduce()
     ngens = len(gens_v)
     out: List[VDict] = []
     for sig in eng.schreyer():
-        tau: VDict = {}
-        _v_sub_into(field, tau, _v_combine(field, _v_split(sig, len(eng.reps)), eng.reps))
-        if not _v_is_zero(tau):
+        tau = _v_combine(field, _v_split(sig, len(eng.reps)), eng.reps, pack, negate=True)
+        if tau:
             out.append(tau)
     # rows of I - V.U catch generators that collapsed into the basis
     vdivs = eng.divide_gens(gens_v)
-    unit = (0,) * nvars
+    one = field.one()
     for i in range(ngens):
-        row: VDict = {(i, unit): field.one()}
-        _v_sub_into(field, row, _v_combine(field, vdivs[i], eng.reps))
-        if not _v_is_zero(row):
+        row = _v_combine(field, vdivs[i], eng.reps, pack, {_unit(i): one}, negate=True)
+        if row:
             out.append(row)
-    # deterministic presentation: drop duplicates, sort canonically
-    seen = set()
-    uniq = []
+    # deterministic presentation: drop duplicates, sort canonically on
+    # the unpacked terms
+    keyed: Dict[tuple, VDict] = {}
     for v in out:
-        k = tuple(sorted(v.items()))
-        if k not in seen:
-            seen.add(k)
-            uniq.append(v)
-    uniq.sort(key=lambda v: tuple(sorted(v.items())))
-    return uniq
+        keyed.setdefault(_canonical_key(v, pack), v)
+    return [keyed[k] for k in sorted(keyed)]
 
 
 def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> SyzygyMatrix:
@@ -543,8 +686,9 @@ def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> 
     if not gens:
         raise ValueError("need at least one generator")
     field, nvars = _context(gens)
-    raw = _syzygies_raw([_poly_to_v(g) for g in gens], 1, field, nvars, order)
-    cols = tuple(tuple(_v_to_vec(v, field, nvars, len(gens))) for v in raw)
+    pack = _pack(nvars, order)
+    raw = _syzygies_raw([_poly_to_v(g, pack) for g in gens], 1, field, pack)
+    cols = tuple(tuple(_v_to_vec(v, pack, field, len(gens))) for v in raw)
     return SyzygyMatrix(field, nvars, tuple((g,) for g in gens), cols)
 
 
@@ -556,14 +700,60 @@ def module_syzygies(
     if not vecs:
         return []
     field, nvars = _context([p for v in vecs for p in v])
-    raw = _syzygies_raw([_vec_to_v(v) for v in vecs], ncomp, field, nvars, order)
-    return [_v_to_vec(v, field, nvars, len(vecs)) for v in raw]
+    pack = _pack(nvars, order)
+    raw = _syzygies_raw([_vec_to_v(v, pack) for v in vecs], ncomp, field, pack)
+    return [_v_to_vec(v, pack, field, len(vecs)) for v in raw]
 
 
-def _certify(field: Field, cof: VDict, gens_v: Sequence[VDict], target: VDict) -> None:
-    """Re-expand cofactors over gens_v and compare with target exactly."""
-    if _v_combine(field, _v_split(cof, len(gens_v)), gens_v) != target:
+def _scaled(field: Field, d: Scalar, v: VDict) -> VDict:
+    return v if d == 1 else {t: field.mul(d, c) for t, c in v.items()}
+
+
+def _integral(field: Field, v: VDict) -> Tuple[int, VDict]:
+    """(d, d * v), with d the common denominator of v's coefficients."""
+    d = field.denominator(v.values())
+    return d, _scaled(field, d, v)
+
+
+def _z_combine(field: Field, quots: Sequence[QDict], vecs: Sequence[VDict], pack: _Pack) -> VDict:
+    """sum_k quots[k] * vecs[k] for int coefficients (integral rationals or
+    residues): summed as Python ints, each term mapped into the field once."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for q, v in zip(quots, vecs):
+        items = v.items()
+        for s, c in q.items():
+            for t, d in items:
+                u = s + t
+                out[u] = get(u, 0) + c * d
+    pack.check(out)
+    from_int = field.from_int
+    return {t: y for t, x in out.items() if x and (y := from_int(x))}
+
+
+def _certify(field: Field, cof: VDict, d: int, gens_v: Sequence[VDict], target: VDict, pack: _Pack) -> None:
+    """Re-expand the cofactors cof / d over gens_v and compare with target
+    exactly.  cof is integral and gens_v is scaled by its common
+    denominator e, so the sums run on ints:
+    sum_i cof_i * (e gens_i) == d e target."""
+    e = field.denominator(c for g in gens_v for c in g.values())
+    gens_e = [_scaled(field, e, g) for g in gens_v]
+    if _z_combine(field, _v_split(cof, len(gens_v)), gens_e, pack) != _scaled(field, d * e, target):
         raise AssertionError("prune certificate failed to re-expand")
+
+
+def _integral_combination(
+    field: Field, quots: Sequence[QDict], int_vecs: Sequence[Tuple[int, VDict]], pack: _Pack
+) -> Tuple[VDict, int]:
+    """(d * sum_k quots[k] * vecs[k], d) for int_vecs[k] = _integral(vecs[k]),
+    summed on ints."""
+    parts = []
+    for q, (dv, v) in zip(quots, int_vecs):
+        if q:
+            dq, q = _integral(field, q)
+            parts.append((dq * dv, q, v))
+    d = lcm(1, *(dk for dk, _, _ in parts))
+    return _z_combine(field, [_scaled(field, d // dk, q) for dk, q, _ in parts], [v for _, _, v in parts], pack), d
 
 
 def prune_generators(
@@ -582,19 +772,22 @@ def prune_generators(
     if not candidates:
         return []
     field, nvars = _context([p for v in [*fixed, *candidates] for p in v])
-    gens = [_vec_to_v(v) for v in fixed]
-    cands = [_vec_to_v(v) for v in candidates]
-    eng = _Engine(field, nvars, ncomp, order)
+    pack = _pack(nvars, order)
+    gens = [_vec_to_v(v, pack) for v in fixed]
+    cands = [_vec_to_v(v, pack) for v in candidates]
+    eng = _Engine(field, pack, ncomp)
     eng.seed(gens)
     eng.run()
-    unit = (0,) * nvars
     kept: List[int] = []
-    for k in sorted(range(len(cands)), key=lambda k: (max((sum(m) for _, m in cands[k]), default=0), k)):
-        nf, quots = _v_divmod(field, cands[k], eng.basis, eng.leads, order)
-        if _v_is_zero(nf):
-            _certify(field, _v_combine(field, quots, eng.reps), gens, cands[k])
+    int_reps: List[Tuple[int, VDict]] = []  # _integral(eng.reps[j]), built as the basis grows
+    degree = [max((sum(m) for p in v for m in p.terms), default=0) for v in candidates]
+    for k in sorted(range(len(cands)), key=lambda k: (degree[k], k)):
+        nf, quots = _v_divmod(field, cands[k], eng.leads, eng.tails, pack)
+        if not nf:
+            int_reps += [_integral(field, rep) for rep in eng.reps[len(int_reps) :]]
+            _certify(field, *_integral_combination(field, quots, int_reps, pack), gens, cands[k], pack)
             continue
-        eng.add(cands[k], {(len(gens), unit): field.one()})
+        eng.add(cands[k], {_unit(len(gens)): field.one()})
         gens.append(cands[k])
         kept.append(k)
         eng.run()

@@ -3,7 +3,8 @@
 Variables are indexed 0..nvars-1 internally; names exist only at the
 input/output boundary.  A monomial is a plain exponent tuple.  A
 polynomial is an immutable thin wrapper around a dict from monomial to
-nonzero coefficient in a fixed field.
+nonzero coefficient in a fixed field.  The Groebner engine packs these
+tuples into ints at its own boundary (see ``groebner``).
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class MonomialOrder:
     """Total order on monomials: 'grevlex' or 'lex', with an optional
     variable priority permutation (perm[0] is the most significant
     variable index).  key() returns an ascending sort key: the unit
-    monomial is minimal.  rkey() is key() negated entry by entry, so it
-    sorts descending (the largest monomial first, as a min-heap pops)."""
+    monomial is minimal."""
 
     __slots__ = ("kind", "perm")
 
@@ -63,13 +63,6 @@ class MonomialOrder:
         if self.kind == "grevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
         return tuple(m)
-
-    def rkey(self, m: Monomial):
-        if self.perm is not None:
-            m = tuple(m[i] for i in self.perm)
-        if self.kind == "grevlex":
-            return (-sum(m), m[::-1])
-        return tuple(-e for e in m)
 
     def __eq__(self, other):
         return (
@@ -191,11 +184,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
+        """self^e by repeated squaring: O(log e) products."""
         if e < 0:
             raise ValueError("negative power")
         out = Polynomial.one(self.field, self.nvars)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:

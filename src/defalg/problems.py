@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebras import FiniteModule, PresentedAlgebra, validate
 from .fields import Field, Scalar, field_by_name
+from .groebner import MAX_EXPONENT
 from .linalg import Matrix
 from .poly import Polynomial
 
@@ -47,6 +48,10 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/]))")
+
+
+def _too_big(degree: int) -> str:
+    return f"degree {degree} does not fit the packed exponent field (at most {MAX_EXPONENT})"
 
 
 def _tokenize(text: str):
@@ -107,6 +112,8 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError("unexpected trailing input", self.text, tok[2])
+        if p.degree() > MAX_EXPONENT:
+            raise ParseError(_too_big(p.degree()), self.text, 0)
         return p
 
     def expr(self) -> Polynomial:
@@ -144,7 +151,10 @@ class _Parser:
             if etok is None or etok[0] != "int":
                 self.fail("expected an integer exponent")
             self.take()
-            return base ** int(etok[1])
+            e = int(etok[1])
+            if base.degree() * e > MAX_EXPONENT:
+                raise ParseError(_too_big(base.degree() * e), self.text, etok[2])
+            return base ** e
         return base
 
     def atom(self) -> Polynomial:
@@ -184,7 +194,9 @@ class _Parser:
 
 
 def parse_polynomial(text: str, names: Sequence[str], field: Field) -> Polynomial:
-    """Parse text into a polynomial in the given variables."""
+    """Parse text into a polynomial in the given variables.  A degree
+    above groebner.MAX_EXPONENT is refused: the Groebner engine could not
+    pack it."""
     return _Parser(text, names, field).parse()
 
 

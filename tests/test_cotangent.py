@@ -114,6 +114,56 @@ def test_complex_is_built_once_per_algebra_and_checked_on_every_call(any_field):
         cotangent_complex(B)
 
 
+def _bump(B, vectors, k, j):
+    """vectors with entry j of vector k raised by 1."""
+    bad = list(vectors[k])
+    bad[j] = bad[j] + B.one_poly()
+    return vectors[:k] + (tuple(bad),) + vectors[k + 1 :]
+
+
+def _corrupted_call(B, **fields):
+    cx = cotangent_complex(B)
+    B._cotangent = dataclasses.replace(cx, **fields)
+    try:
+        cotangent_complex(B)
+    finally:
+        B._cotangent = cx
+
+
+def test_corrupted_syzygy_is_caught(any_field):
+    B = fat_point(any_field)
+    cx = cotangent_complex(B)
+    with pytest.raises(AssertionError, match="syzygy does not pair to zero over the base"):
+        _corrupted_call(B, syz=_bump(B, cx.syz, 0, 0))
+
+
+def test_corrupted_relation_row_is_caught(any_field):
+    # the first row's entry on syz[0] gains 1, so the row adds syz[0] itself,
+    # whose entries y and -x are not in the ideal
+    B = fat_point(any_field)
+    cx = cotangent_complex(B)
+    with pytest.raises(AssertionError, match="relation row does not kill the syzygy classes"):
+        _corrupted_call(B, w_rows=_bump(B, cx.w_rows, 0, 0))
+
+
+def test_corrupted_koszul_vector_is_caught(any_field):
+    B = fat_point(any_field)
+    cx = cotangent_complex(B)
+    with pytest.raises(AssertionError, match="Koszul vector is not a syzygy"):
+        _corrupted_call(B, kos=_bump(B, cx.kos, 0, 0))
+
+
+def test_syzygy_off_the_cached_jacobian_is_caught(any_field):
+    # A syzygy that pairs to zero over the base composes to zero with the
+    # true Jacobian mod the ideal (differentiate sum s_j f_j = sum a_l g_l),
+    # so the check reads the cached Jacobian that D0 is built from: its
+    # d(xy)/dx entry gains 1, and syz[0] = (0, y, -x) pairs it to y + y^2 - ...
+    B = fat_point(any_field)
+    cx = cotangent_complex(B)
+    with pytest.raises(AssertionError, match="syzygy does not compose to zero with the Jacobian"):
+        _corrupted_call(B, jac=_bump(B, cx.jac, 1, 0))
+
+
 def _unpruned_complex(B):
     """The complex on every vector of relation_syzygies, W from the whole
     family syz + Kos + base, as it was built before pruning."""
@@ -137,11 +187,11 @@ def test_complex_is_pruned_and_certified(any_field, monkeypatch):
     # on the next build
     certify = groebner._certify
 
-    def corrupted(field, cof, gens_v, target):
-        (comp, mono), c = next(iter(cof.items()))
+    def corrupted(field, cof, *rest):
+        term, c = next(iter(cof.items()))  # a packed term
         bad = dict(cof)
-        bad[(comp, mono)] = field.add(c, field.one())
-        certify(field, bad, gens_v, target)
+        bad[term] = field.add(c, field.one())
+        certify(field, bad, *rest)
 
     monkeypatch.setattr(groebner, "_certify", corrupted)
     B._cotangent = None

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from defalg import GF, QQ
+from defalg import groebner
 from defalg.groebner import (
+    MAX_EXPONENT,
+    _division_data,
     _Engine,
+    _pack,
     _v_divmod,
-    _v_mul_poly,
-    _v_sub_into,
-    _vkey,
     buchberger,
     ideal_member,
     module_groebner,
@@ -25,6 +26,7 @@ from defalg.groebner import (
     syzygy_basis,
 )
 from defalg.poly import GREVLEX, LEX, MonomialOrder, Polynomial, mono_div, mono_divides, mono_mul
+from defalg.problems import ParseError
 from defalg.problems import parse_polynomial
 
 NAMES = ("x", "y", "z")
@@ -162,15 +164,100 @@ def test_normal_form_respects_ring_operations(texts, field):
 
 
 # ---------------------------------------------------------------------------
-# heap-driven division against the literal "max over work" loop
+# packed terms: order, divisibility and shifts, up to the top of the field
 
 ORDERS = [GREVLEX, LEX, MonomialOrder("grevlex", perm=(2, 0, 1))]
 
 
+def _tuple_key(order):
+    """The term-over-position order on (component, monomial) tuples:
+    ring order first, ties toward the earlier component."""
+    return lambda t: (order.key(t[1]), -t[0])
+
+
+def _packed(pack, v):
+    return {pack.mono(m) + groebner._unit(c): coeff for (c, m), coeff in v.items()}
+
+
+def _unpacked(pack, v):
+    return {(groebner._comp(t), pack.exponents(t)): c for t, c in v.items()}
+
+
+@st.composite
+def monomials(draw, order, nvars=3):
+    """Exponent vectors that fit the packed field of order: under grevlex
+    the degree is at most MAX_EXPONENT, under lex each exponent is."""
+    top = st.one_of(st.integers(0, 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
+    if order.kind == "lex":
+        return tuple(draw(top) for _ in range(nvars))
+    out, room = [], MAX_EXPONENT
+    for _ in range(nvars):
+        e = min(draw(top), room)
+        out.append(e)
+        room -= e
+    perm = draw(st.permutations(range(nvars)))
+    return tuple(out[i] for i in perm)
+
+
+@st.composite
+def packed_pairs(draw):
+    order = draw(st.sampled_from(ORDERS))
+    comps = st.integers(0, 3)
+    return order, draw(monomials(order)), draw(comps), draw(monomials(order)), draw(comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+def test_packing_preserves_order_divisibility_and_shift(case):
+    order, a, ca, b, cb = case
+    pack = _pack(3, order)
+    ta, tb = pack.mono(a) + groebner._unit(ca), pack.mono(b) + groebner._unit(cb)
+    assert pack.exponents(ta) == a and groebner._comp(ta) == ca
+    key = _tuple_key(order)
+    assert (ta < tb) == (key((ca, a)) < key((cb, b)))
+    assert (ta == tb) == ((ca, a) == (cb, b))
+    divides = ca == cb and mono_divides(a, b)
+    assert (not (tb - ta) & pack.divmask) == divides
+    if divides:
+        assert tb - ta == pack.mono(mono_div(b, a))
+    # a shift is one add; a sum past the field is refused, never wrapped
+    total = mono_mul(a, b)
+    fits = (sum(total) if order.kind == "grevlex" else max(total)) <= MAX_EXPONENT
+    if fits:
+        assert pack.mono(a) + tb == pack.mono(total) + groebner._unit(cb)
+    else:
+        with pytest.raises(OverflowError):
+            pack.check([pack.mono(a) + tb])
+        with pytest.raises(OverflowError):
+            pack.mono(total)
+
+
+def test_exponent_past_the_field_is_refused():
+    f = GF(3)
+    x, y = Polynomial.variable(f, 2, 0), Polynomial.variable(f, 2, 1)
+    with pytest.raises(OverflowError, match="does not fit"):
+        buchberger([x ** (MAX_EXPONENT + 1)])
+    # the lcm of an S-pair grows past the degrees of its inputs
+    with pytest.raises(OverflowError):
+        buchberger([x**20000 * y, x * y**20000])
+    # lex division raises exponents: x^16384 reduces to y^32768 by x - y^2
+    gb = buchberger([x - y**2], LEX)
+    with pytest.raises(OverflowError):
+        normal_form(x**16384, gb)
+    assert normal_form(x**16383, gb) == y ** (MAX_EXPONENT - 1)
+    with pytest.raises(ParseError, match="packed exponent field"):
+        parse_polynomial("x^40000", NAMES, f)
+
+
+# ---------------------------------------------------------------------------
+# heap-driven division against the literal "max over work" loop
+
+
 def _reference_divmod(field, v, basis, leads, order):
-    """Full division, one term at a time: always the largest term of
-    what is left, always the first basis element whose lead divides it."""
-    key = _vkey(order)
+    """Full division on tuple-keyed vectors, one term at a time: always
+    the largest term of what is left, always the first basis element
+    whose lead divides it."""
+    key = _tuple_key(order)
     work = dict(v)
     nf = {}
     quots = [dict() for _ in basis]
@@ -199,11 +286,12 @@ def _reference_divmod(field, v, basis, leads, order):
 
 @st.composite
 def module_division_inputs(draw):
+    """(field, order, v, basis, leads), tuple-keyed: basis monic."""
     field = draw(st.sampled_from([GF(2), GF(3), QQ]))
     order = draw(st.sampled_from(ORDERS))
     ncomp = draw(st.integers(1, 3))
     if field == QQ:
-        scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+        scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).map(QQ.from_int)
     else:
         scalars = st.integers(0, field.p - 1).map(field.from_int)
     terms = st.tuples(st.integers(0, ncomp - 1), st.tuples(*[st.integers(0, 3)] * 3))
@@ -212,7 +300,7 @@ def module_division_inputs(draw):
         raw = draw(st.dictionaries(terms, scalars, min_size=min_size, max_size=5))
         return {t: c for t, c in raw.items() if not field.is_zero(c)}
 
-    key = _vkey(order)
+    key = _tuple_key(order)
     basis, leads = [], []
     for _ in range(draw(st.integers(1, 4))):
         b = vector(1)
@@ -229,19 +317,26 @@ def module_division_inputs(draw):
 @given(module_division_inputs())
 def test_heap_division_matches_the_max_over_work_loop(inputs):
     field, order, v, basis, leads = inputs
-    nf, quots = _v_divmod(field, v, basis, leads, order)
+    pack = _pack(3, order)
+    data = _division_data([_packed(pack, b) for b in basis], pack)
+    assert [(groebner._comp(t), pack.exponents(t)) for t in data.leads] == leads
+    nf, quots = _v_divmod(field, _packed(pack, v), data.leads, data.tails, pack)
     want_nf, want_quots = _reference_divmod(field, v, basis, leads, order)
-    # equal term by term, in the same insertion order
-    assert list(nf.items()) == list(want_nf.items())
-    assert [list(q.items()) for q in quots] == [list(q.items()) for q in want_quots]
+    # equal term by term, in the same insertion order, once unpacked
+    assert list(_unpacked(pack, nf).items()) == list(want_nf.items())
+    got_quots = [[(pack.exponents(s), c) for s, c in q.items()] for q in quots]
+    assert got_quots == [list(q.items()) for q in want_quots]
 
 
-def _combination(field, reps, gens):
-    """sum over (i, m) of rep[(i, m)] * x^m * gens[i], as a module vector."""
+def _combination(field, pack, reps, gens):
+    """sum over (i, m) of rep[(i, m)] * x^m * gens[i], computed on
+    tuple-keyed terms from the unpacked inputs."""
     acc = {}
-    for (i, m), c in reps.items():
-        _v_sub_into(field, acc, _v_mul_poly(field, gens[i], {m: field.neg(c)}))
-    return acc
+    for (i, m), c in _unpacked(pack, reps).items():
+        for (bc, bm), d in _unpacked(pack, gens[i]).items():
+            u = (bc, mono_mul(m, bm))
+            acc[u] = field.add(acc.get(u, field.zero()), field.mul(c, d))
+    return {t: c for t, c in acc.items() if not field.is_zero(c)}
 
 
 @pytest.mark.parametrize("ncomp", [1, 2])
@@ -253,19 +348,17 @@ def test_module_buchberger_cofactors_re_expand_over_q(ncomp):
         ["y*z", "5/7*x^2 + y"],
         ["x^2 - z^2", "x*y*z"],
     ]
-    gens = []
-    for texts in vecs:
-        polys = polys_of(f, *texts[:ncomp])
-        gens.append({(c, m): a for c, p in enumerate(polys) for m, a in p.terms.items()})
-    eng = _Engine(f, 3, ncomp, GREVLEX)
+    pack = _pack(3, GREVLEX)
+    gens = [groebner._vec_to_v(polys_of(f, *texts[:ncomp]), pack) for texts in vecs]
+    eng = _Engine(f, pack, ncomp)
     eng.seed(gens)
     eng.run()
     assert len(eng.basis) > len(gens)  # some S-pairs survived and got cofactors
     for b, rep in zip(eng.basis, eng.reps):
-        assert _combination(f, rep, gens) == b
+        assert _combination(f, pack, rep, gens) == _unpacked(pack, b)
     eng.interreduce()
     for b, rep in zip(eng.basis, eng.reps):
-        assert _combination(f, rep, gens) == b
+        assert _combination(f, pack, rep, gens) == _unpacked(pack, b)
 
 
 def test_division_data_is_built_once_per_basis():

@@ -87,6 +87,18 @@ class TestLoading:
         e = err(variant(field="F6"))
         assert e.location == "field"
 
+    @pytest.mark.parametrize("value", [None, 3])
+    def test_non_string_field_is_a_file_error(self, value):
+        e = err(variant(field=value))
+        assert e.location == "field"
+        assert "must be a string" in str(e)
+
+    def test_degree_past_the_packed_field_is_refused(self):
+        algebras = dict(BASE["algebras"], huge={"gens": ["x"], "relations": ["x^1000000"]})
+        e = err(variant(algebras=algebras))
+        assert e.location == "algebras.huge.relations[0]"
+        assert "does not fit the packed exponent field" in str(e)
+
     def test_truncation_is_honored(self):
         ps = load_problem_file(BASE)
         assert ps.algebra("node", truncate=4).dim() == 7
