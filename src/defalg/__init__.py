@@ -20,6 +20,7 @@ from .differential import Derivation, derivation_space, kaehler
 from .cotangent import (
     CohomologyClass,
     cotangent_complex,
+    are_coboundaries,
     cochain_maps,
     is_coboundary,
     t_module,
@@ -27,6 +28,7 @@ from .cotangent import (
 )
 from .deformation import (
     BaseDeformationProblem,
+    ExtensionStack,
     LiftProblem,
     LiftResult,
     ObstructionResult,
@@ -34,11 +36,15 @@ from .deformation import (
     SquareZeroExtension,
     baer_difference,
     baer_sum,
+    baer_sums,
     classify_extensions,
     cocycle_from_extension,
+    cocycles_from_extensions,
+    equivalent_extensions,
     extension_class,
     extension_from_cocycle,
     extensions_equivalent,
+    extensions_from_cocycles,
     is_trivial_extension,
     lift_homomorphism,
     obstruction_class,

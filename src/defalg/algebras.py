@@ -67,6 +67,7 @@ class PresentedAlgebra:
         self._cofactors = None  # see product_cofactors
         self._gen_cofactors = None  # see generator_cofactors
         self._relation_tensor = None  # see relation_tensor
+        self._extension_maps: dict = {}  # FiniteModule -> deformation._ExtensionMaps, built once per module
 
     # -- construction conveniences --------------------------------------
 
@@ -547,7 +548,16 @@ class FiniteModule:
 
     @classmethod
     def trivial(cls, B: PresentedAlgebra, label: str = "j0") -> "FiniteModule":
-        """The residue module k: every generator acts by zero."""
+        """The residue module k at the origin: every generator acts by
+        zero.  It is a B-module only when no relation has a constant
+        term; one that has is refused with validate's finding."""
+        bad = [
+            f"relation {r.to_string(B.names)} acts nontrivially"
+            for r in B.ideal_gens()
+            if not B.field.is_zero(r.terms.get((0,) * B.nvars, B.field.zero()))
+        ]
+        if bad:
+            raise ValueError(f"the residue field at the origin is not a module over B: {bad}")
         z = Matrix.zeros(B.field, 1, 1)
         return cls(B, (label,), tuple(z for _ in range(B.nvars)))
 
@@ -711,7 +721,7 @@ def validate(obj) -> List[str]:
                 out.append("relation does not reduce to zero in its own quotient")
         return out
     if isinstance(obj, StructureAlgebra):
-        return _validate_structure(obj)
+        return table_findings(obj.field, obj.mul)[0]
     if isinstance(obj, FiniteModule):
         return _validate_module(obj)
     if isinstance(obj, AlgebraHom):
@@ -719,25 +729,39 @@ def validate(obj) -> List[str]:
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
 
-def _validate_structure(S: StructureAlgebra) -> List[str]:
-    out = []
-    f = S.field
-    n = S.dim
-    mul = S.mul
+# entries of one batch of the associativity products: a bound on the
+# temporaries of table_findings, whatever the number of tables
+_ASSOC_BATCH = 2**13
+
+
+def table_findings(field: Field, mul: np.ndarray) -> List[List[str]]:
+    """Structural findings of each multiplication table of a stack
+    (..., n, n, n), in the order of its leading axes: the unit,
+    commutativity and associativity checks of validate, as array
+    compares and batched products over the whole stack."""
+    f = field
+    n = mul.shape[-1]
+    tabs = mul.reshape(int(np.prod(mul.shape[:-3])), n, n, n)
     ident = f.array(np.eye(n, dtype=np.int64))
-    if not np.array_equal(mul[0], ident):
-        out.append("basis element 0 is not a left unit")
-    if not np.array_equal(mul[:, 0], ident):
-        out.append("basis element 0 is not a right unit")
-    if not np.array_equal(mul, mul.transpose(1, 0, 2)):
-        out.append("multiplication is not commutative")
-    # (e_i e_j) e_k and e_i (e_j e_k), both indexed [i, j, k, l]
-    flat = mul.reshape(n * n, n)
-    lhs = f.matmul(flat, mul.reshape(n, n * n)).reshape(n, n, n, n)
-    rhs = f.matmul(flat, mul.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
-    if not np.array_equal(lhs, rhs.transpose(2, 0, 1, 3)):
-        out.append("multiplication is not associative")
-    return out
+    left = (tabs[:, 0] == ident).all(axis=(1, 2))
+    right = (tabs[:, :, 0] == ident).all(axis=(1, 2))
+    comm = (tabs == tabs.transpose(0, 2, 1, 3)).all(axis=(1, 2, 3))
+    # (e_i e_j) e_k and e_i (e_j e_k), both indexed [table, i, j, k, l]
+    assoc = np.ones(len(tabs), bool)
+    step = max(1, _ASSOC_BATCH // n**4)
+    for lo in range(0, len(tabs), step):
+        T = tabs[lo : lo + step]
+        flat = T.reshape(-1, n * n, n)
+        lhs = f.matmul(flat, T.reshape(-1, n, n * n)).reshape(-1, n, n, n, n)
+        rhs = f.matmul(flat, T.transpose(0, 2, 1, 3).reshape(-1, n, n * n)).reshape(-1, n, n, n, n)
+        assoc[lo : lo + step] = (lhs == rhs.transpose(0, 3, 1, 2, 4)).all(axis=(1, 2, 3, 4))
+    checks = (
+        (left, "basis element 0 is not a left unit"),
+        (right, "basis element 0 is not a right unit"),
+        (comm, "multiplication is not commutative"),
+        (assoc, "multiplication is not associative"),
+    )
+    return [[msg for ok, msg in checks if not ok[k]] for k in range(len(tabs))]
 
 
 def _validate_module(J: FiniteModule) -> List[str]:

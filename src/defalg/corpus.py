@@ -16,13 +16,18 @@ import json
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .cotangent import CohomologyClass, cochain_maps, cotangent_complex, is_coboundary
 from .deformation import (
-    baer_sum,
+    baer_sums,
     classify_extensions,
     cocycle_from_extension,
+    cocycles_from_extensions,
+    equivalent_extensions,
     extension_from_cocycle,
     extensions_equivalent,
+    extensions_from_cocycles,
     obstruction_class,
 )
 from .fields import field_by_name
@@ -277,6 +282,11 @@ def classification_problem_set(field: str = "F2") -> dict:
     return d
 
 
+# table entries per batch of the Baer check: bounds its stacks' memory
+# whatever the class count
+_BAER_BATCH = 2**13
+
+
 @_suite("extensions", "classify square-zero extensions; Baer sums agree with cocycle sums")
 def _run_extensions(field, opts):
     ps = load_problem_file(classification_problem_set(field or "F2"))
@@ -294,17 +304,17 @@ def _run_extensions(field, opts):
             )
             continue
         f = B.field
-        reps = cls.representatives
-        cocycles = [cocycle_from_extension(e) for e in reps]
-        total = bad = 0
-        for i in range(len(reps)):
-            for j in range(i, len(reps)):
-                total += 1
-                z = tuple(f.add(a, b) for a, b in zip(cocycles[i], cocycles[j]))
-                geometric = baer_sum(reps[i], reps[j])
-                algebraic = extension_from_cocycle(B, J, z)
-                if not extensions_equivalent(geometric, algebraic, cls.maps):
-                    bad += 1
+        reps = cls.stack
+        cocycles = cocycles_from_extensions(reps)
+        # every pair i <= j, in batches of a bounded number of table entries
+        first, second = np.triu_indices(len(reps))
+        step = max(1, _BAER_BATCH // reps.mul[0].size)
+        total, bad = len(first), 0
+        for lo in range(0, total, step):
+            i, j = first[lo : lo + step], second[lo : lo + step]
+            geometric = baer_sums(reps.take(i), reps.take(j))
+            algebraic = extensions_from_cocycles(B, J, f.reduce(cocycles[i] + cocycles[j]))
+            bad += int(np.count_nonzero(~equivalent_extensions(geometric, algebraic, cls.maps)))
         report.problems.append(
             _check_entry(
                 f"baer.{spec.name}",

@@ -23,10 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .algebras import FiniteModule, PresentedAlgebra
 from .differential import block_matrix, jacobian_entries, relation_syzygies
 from .groebner import combinations_vanish, module_syzygies, prune_generators
-from .linalg import Matrix, complete_basis, kernel_basis, solve_affine, vec_is_zero
+from .linalg import Matrix, complete_basis, kernel_basis, solve_affine_rows, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
 
@@ -243,19 +245,31 @@ def t_module(B: PresentedAlgebra, J: FiniteModule, degree: int) -> TModuleResult
 def is_coboundary(cls: CohomologyClass, maps: Optional[CochainMaps] = None) -> Tuple[bool, Optional[list]]:
     """Decide whether a cocycle bounds; the witness is the preimage
     under the previous differential, re-verified before returning."""
+    ok, witnesses = are_coboundaries(cls.B, cls.J, cls.degree, [cls.vector], maps)
+    return (bool(ok[0]), witnesses[0].tolist() if ok[0] else None)
+
+
+def are_coboundaries(
+    B: PresentedAlgebra, J: FiniteModule, degree: int, vectors, maps: Optional[CochainMaps] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Decide for each row of a (K, N) array of degree-one or degree-two
+    cocycles whether it bounds: (ok, witnesses), witnesses[k] the preimage
+    of row k under the previous differential (free coordinates zero, a
+    zero row where it does not bound).  One reduction of [prev | rows^T]
+    decides all K; the witnesses are re-verified by one product.  Raises
+    ValueError when a row is not a cocycle.  In any other degree nothing
+    bounds but zero, and the witnesses are empty."""
+    f = J.field
     if maps is None:
-        maps = cochain_maps(cotangent_complex(cls.B), cls.J)
-    if cls.degree == 1:
-        prev = maps.d0
-    elif cls.degree == 2:
-        prev = maps.d1
-    else:
-        return (vec_is_zero(cls.J.field, list(cls.vector)), [])
-    if not cls.is_cocycle_of(maps):
+        maps = cochain_maps(cotangent_complex(B), J)
+    if degree not in (1, 2):
+        ok = np.array([vec_is_zero(f, list(v)) for v in vectors], bool)
+        return ok, np.zeros((len(ok), 0), f.dtype)
+    prev, nxt = (maps.d0, maps.d1) if degree == 1 else (maps.d1, maps.w)
+    vecs = f.array(vectors).reshape(len(vectors), prev.nrows)
+    if nxt.mul_rows(vecs).any():
         raise ValueError("vector is not a cocycle")
-    sol = solve_affine(prev, list(cls.vector))
-    if sol is None:
-        return (False, None)
-    if prev.mul_vec(sol) != list(cls.vector):
+    ok, witnesses = solve_affine_rows(prev, vecs)
+    if not np.array_equal(prev.mul_rows(witnesses[ok]), vecs[ok]):
         raise AssertionError("solver returned a bad witness")
-    return (True, sol)
+    return ok, witnesses

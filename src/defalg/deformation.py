@@ -6,16 +6,24 @@ followed by (basis of J), in the coordinates of the monomial section.
 It is the trivial extension (the product of B, B acting on the fiber
 through J, a zero fiber square) plus a fiber correction on each product
 of standard monomials, linear in the relation cocycle: the cocycle fed
-through the division cofactors of that product.  Every such table is
-built as one array from the algebra's one product table
-(``PresentedAlgebra.to_structure``: each product divided once) and its
-certified cofactors (``product_cofactors``); a deformation adds the
-base relations' share, and a Baer sum adds the corrections of two
-tables.  The class of an extension is read linearly off its fiber
-block: the relation values are the fiber corrections pushed through
-the algebra's one relation tensor (``relation_tensor``) and J's action,
-plus the fiber parts of the generator images through the Jacobian;
-the blocks that reading relies on are checked on every read.
+through the division cofactors of that product.
+
+The extension primitives work on stacks (``ExtensionStack``): K
+extensions of one B by one J as one (K, n, n, n) table array and one
+(K, nvars, n) array of generator images, and each scalar primitive is
+the K = 1 call of its stacked one.  Tables are built from a (K, m*t)
+cocycle array by two products through linear maps kept once per (B, J)
+(from the algebra's one product table, ``PresentedAlgebra.to_structure``,
+and its certified cofactors, ``product_cofactors``); a deformation adds
+the base relations' share, and a Baer sum adds the corrections of two
+stacks.  Every table of every stack is validated (``table_findings``:
+batched unit, commutativity and associativity checks).  The class of an
+extension is read linearly off its fiber block: the relation values are
+the fiber corrections pushed through the algebra's one relation tensor
+(``relation_tensor``) and J's action, plus the fiber parts of the
+generator images through the Jacobian, batched over the stack; the
+blocks that reading relies on are checked on every read.  Equivalence
+is decided for a whole stack by one reduction (``are_coboundaries``).
 Obstruction classes against a base extension
 0 -> I -> A' -> A -> 0 are computed literally: pair each syzygy with
 the relations, reduce the result in a presentation of A' where I is
@@ -37,12 +45,14 @@ from .algebras import (
     FiniteModule,
     PresentedAlgebra,
     StructureAlgebra,
+    table_findings,
     validate,
 )
 from .cotangent import (
     CochainMaps,
     CohomologyClass,
     CotangentComplex,
+    are_coboundaries,
     cochain_maps,
     cotangent_complex,
     is_coboundary,
@@ -95,154 +105,294 @@ class SquareZeroExtension:
         return validate(self.table) + self.section_findings()
 
     def section_findings(self) -> List[str]:
-        """Block by block, how the table fails to be in section form
-        over B by J: the product of B on the B block, a square-zero
+        """How the table fails to be in section form over B by J (see
+        ExtensionStack.section_findings)."""
+        if self.table.mul.shape != (self.s + self.t,) * 3:
+            return [_WRONG_DIMENSION]
+        return ExtensionStack.of([self]).section_findings()[0]
+
+
+_WRONG_DIMENSION = "table does not have the dimension of B plus J"
+
+
+def _labels(B: PresentedAlgebra, J: FiniteModule) -> tuple:
+    return B.to_structure().labels + tuple("eps:" + l for l in J.labels)
+
+
+def _nonzero(a: np.ndarray, axis) -> np.ndarray:
+    return (a != 0).any(axis=axis)
+
+
+@dataclass(eq=False)
+class ExtensionStack:
+    """K extensions of one B by one J, in section coordinates: mul is
+    their (K, n, n, n) table array and images their (K, nvars, n)
+    generator images, n = dim B + rank J, both read-only; cocycles is
+    the (K, m*t) array of relation values they were built from, when
+    known.  misfit marks the extensions whose generator images did not
+    have the right number or length: their rows hold the images of the
+    trivial extension, and their section findings say so."""
+
+    B: PresentedAlgebra
+    J: FiniteModule
+    mul: np.ndarray
+    images: np.ndarray
+    cocycles: Optional[np.ndarray] = None
+    misfit: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.mul.flags.writeable = self.images.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.mul)
+
+    @classmethod
+    def of(cls, exts: Sequence[SquareZeroExtension]) -> "ExtensionStack":
+        """The stack of one or more extensions of one B by one J."""
+        first = exts[0]
+        B, J, n = first.B, first.J, first.s + first.t
+        images, misfit = [], []
+        for e in exts:
+            _check_comparable(first, e)
+            if e.table.mul.shape != (n,) * 3:
+                raise ValueError(f"the table is not in section form: {[_WRONG_DIMENSION]}")
+            imgs = e.table.gen_images
+            misfit.append(len(imgs) != B.nvars or any(len(v) != n for v in imgs))
+            images.append(_extension_maps(B, J).images.tolist() if misfit[-1] else imgs)
+        images = B.field.array(images).reshape(len(exts), B.nvars, n)
+        mul = np.stack([e.table.mul for e in exts])
+        return cls(B, J, mul, images, misfit=np.array(misfit) if any(misfit) else None)
+
+    def take(self, idx) -> "ExtensionStack":
+        """The sub-stack at an index array."""
+        pick = lambda a: None if a is None else a[idx]
+        return ExtensionStack(self.B, self.J, self.mul[idx], self.images[idx], pick(self.cocycles), pick(self.misfit))
+
+    def extension(self, k: int) -> SquareZeroExtension:
+        B = self.B
+        imgs = self.images[k].tolist()
+        table = StructureAlgebra(
+            B.field,
+            _labels(B, self.J),
+            self.mul[k],
+            gen_names=B.names,
+            gen_images=imgs,
+            base_names=B.base_names,
+            base_images=imgs[: B.n_base],
+        )
+        cocycle = None if self.cocycles is None else tuple(self.cocycles[k].tolist())
+        return SquareZeroExtension(B, self.J, table, cocycle)
+
+    def extensions(self) -> Tuple[SquareZeroExtension, ...]:
+        return tuple(self.extension(k) for k in range(len(self)))
+
+    def findings(self) -> List[List[str]]:
+        """validate's findings for each extension: its table's, then
+        its section's."""
+        return [a + b for a, b in zip(table_findings(self.B.field, self.mul), self.section_findings())]
+
+    def section_findings(self) -> List[List[str]]:
+        """For each table, block by block, how it fails to be in section
+        form over B by J: the product of B on the B block, a square-zero
         fiber that is an ideal on which B acts through J, and generator
         images whose B parts are those of B.  Array compares only."""
         B, f = self.B, self.B.field
-        s, t = self.s, self.t
         S = B.to_structure()
-        mul = self.table.mul
-        if mul.shape != (s + t,) * 3:
-            return ["table does not have the dimension of B plus J"]
+        s = S.dim
+        mul = self.mul
         act = self.J.action_block()
-        out = []
-        if not (mul[:s, :s, :s] == S.mul).all():
-            out.append("section does not project onto the product of B")
-        if mul[s:, s:].any():
-            out.append("fiber is not square-zero")
-        if mul[:s, s:, :s].any() or mul[s:, :s, :s].any():
-            out.append("fiber is not an ideal")
-        if not (mul[:s, s:, s:] == act).all() or not (mul[s:, :s, s:] == act.transpose(1, 0, 2)).all():
-            out.append("fiber action disagrees with the module structure")
-        imgs = f.array(self.table.gen_images).reshape(-1, s + t)
-        if imgs.shape[0] != B.nvars or not (imgs[:, :s] == f.array(S.gen_images).reshape(-1, s)).all():
-            out.append("a generator image is off the section")
-        return out
+        blocks = (1, 2, 3)
+        checks = (
+            ((mul[:, :s, :s, :s] == S.mul).all(axis=blocks), "section does not project onto the product of B"),
+            (~_nonzero(mul[:, s:, s:], blocks), "fiber is not square-zero"),
+            (
+                ~(_nonzero(mul[:, :s, s:, :s], blocks) | _nonzero(mul[:, s:, :s, :s], blocks)),
+                "fiber is not an ideal",
+            ),
+            (
+                (mul[:, :s, s:, s:] == act).all(axis=blocks) & (mul[:, s:, :s, s:] == act.transpose(1, 0, 2)).all(axis=blocks),
+                "fiber action disagrees with the module structure",
+            ),
+            (
+                (self.images[:, :, :s] == f.array(S.gen_images).reshape(B.nvars, s)).all(axis=(1, 2))
+                & (True if self.misfit is None else ~self.misfit),
+                "a generator image is off the section",
+            ),
+        )
+        return [[msg for ok, msg in checks if not ok[k]] for k in range(len(self))]
+
+
+@dataclass(frozen=True)
+class _ExtensionMaps:
+    """What every extension table of B by J shares, and the linear maps
+    from a cocycle (a flat row in J^m) to what it does not."""
+
+    mul: np.ndarray       # (n, n, n): the trivial extension
+    images: np.ndarray    # (nvars, n): sigma(x_v) with a zero fiber part
+    pairs: Tuple[np.ndarray, np.ndarray]  # (i, j) of the products of standard monomials that are not standard
+    to_pairs: np.ndarray  # (m t, len(pairs) t): cocycle -> the fiber corrections on those products
+    gens: np.ndarray      # the generators that are not standard monomials
+    to_gens: np.ndarray   # (m t, len(gens) t): cocycle -> the fiber parts of their images
+
+
+def _extension_maps(B: PresentedAlgebra, J: FiniteModule) -> _ExtensionMaps:
+    """The maps of (B, J), built once and kept on B."""
+    got = B._extension_maps.get(J)
+    if got is None:
+        f = B.field
+        S = B.to_structure()
+        s, t = S.dim, J.rank
+        mul = np.zeros((s + t,) * 3, f.dtype)
+        mul[:s, :s, :s] = S.mul
+        act = J.action_block()
+        mul[:s, s:, s:] = act
+        mul[s:, :s, s:] = act.transpose(1, 0, 2)
+        images = np.zeros((B.nvars, s + t), f.dtype)
+        images[:, :s] = f.array(S.gen_images).reshape(B.nvars, s)
+        pairs, pterms, pcoeffs = B.product_cofactors()
+        gens, gterms, gcoeffs = B.generator_cofactors()
+        got = _ExtensionMaps(
+            mul,
+            images,
+            tuple(np.array(pairs, np.intp).reshape(len(pairs), 2).T),
+            _cocycle_map(B, J, pterms, pcoeffs),
+            np.array(gens, np.intp),
+            _cocycle_map(B, J, gterms, gcoeffs),
+        )
+        for a in (got.mul, got.images, got.to_pairs, got.to_gens):
+            a.flags.writeable = False
+        B._extension_maps[J] = got
+    return got
+
+
+def _cocycle_map(B: PresentedAlgebra, J: FiniteModule, terms, coeffs: np.ndarray) -> np.ndarray:
+    """(m t, len(coeffs) t): the cocycle psi -> coeffs @ (the fiber value
+    of each cofactor term (g, mo), mo times the g-th ideal generator).
+    A relative relation r's term is rho_J(mo) applied to its value
+    psi[r*t:(r+1)*t]; a base relation's term is zero in an extension
+    (see _base_share for a deformation)."""
+    f = B.field
+    t, m, nb = J.rank, len(B.relations), len(B.base_relations)
+    per_term = np.zeros((len(terms), t, m, t), f.dtype)
+    for k, (g, mo) in enumerate(terms):
+        if g >= nb:
+            per_term[k, :, g - nb] = J.monomial_action(mo).to_rows()
+    rows = len(coeffs)
+    out = f.matmul(coeffs, per_term.reshape(len(terms), t * m * t)).reshape(rows, t, m * t)
+    return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(m * t, rows * t)
+
+
+def _base_share(B: PresentedAlgebra, J: FiniteModule, terms, coeffs: np.ndarray, prob: "BaseDeformationProblem") -> np.ndarray:
+    """(len(coeffs), t): coeffs @ (the fiber value, in a deformation of
+    prob, of each base relation's cofactor term: its reduction in A'
+    pushed into J; zero on a relative relation's term)."""
+    f = B.field
+    nb = len(B.base_relations)
+    vals = np.zeros((len(terms), J.rank), f.dtype)
+    for k, (g, mo) in enumerate(terms):
+        if g < nb:
+            p = Polynomial.monomial(f, B.nvars, mo) * B.base_relations[g]
+            vals[k] = _push_fiber(prob, prob.aprime_presentation().reduce_to_fiber(p))
+    return f.matmul(coeffs, vals)
+
+
+def _extension_arrays(
+    B: PresentedAlgebra, J: FiniteModule, cocycles: np.ndarray, prob: Optional["BaseDeformationProblem"] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(mul, images), (K, n, n, n) and (K, nvars, n), of the extensions
+    whose relation values are the rows of the (K, m t) array cocycles.
+
+    The trivial extension plus, on each product of standard monomials
+    that is not standard and on the image of each generator that is not
+    a standard monomial, the fiber value of its division cofactors: two
+    products through the maps of (B, J); in a deformation of prob, plus
+    the base relations' share of those values."""
+    f = B.field
+    maps = _extension_maps(B, J)
+    k, s, t = len(cocycles), B.dim(), J.rank
+    i, j = maps.pairs
+    corr = f.matmul(cocycles, maps.to_pairs).reshape(k, len(i), t)
+    fiber = f.matmul(cocycles, maps.to_gens).reshape(k, len(maps.gens), t)
+    if prob is not None:
+        corr = f.reduce(corr + _base_share(B, J, *B.product_cofactors()[1:], prob))
+        fiber = f.reduce(fiber + _base_share(B, J, *B.generator_cofactors()[1:], prob))
+    mul = np.repeat(maps.mul[None], k, axis=0)
+    mul[:, i, j, s:] = corr
+    mul[:, j, i, s:] = corr
+    images = np.repeat(maps.images[None], k, axis=0)
+    images[:, maps.gens, s:] = fiber
+    return mul, images
+
+
+def extensions_from_cocycles(B: PresentedAlgebra, J: FiniteModule, cocycles) -> ExtensionStack:
+    """The stack of extensions whose relation values are the rows of
+    cocycles, a (K, m t) array of flat vectors in J^m (one J-value per
+    relative relation).  Each row must be killed by the syzygies, which
+    is re-checked through the associativity of every table."""
+    f = B.field
+    width = len(B.relations) * J.rank
+    psi = f.array(cocycles)
+    if psi.shape == (0,):
+        psi = psi.reshape(0, width)
+    if psi.ndim != 2 or psi.shape[1] != width:
+        raise ValueError("cocycle vector has the wrong length")
+    mul, images = _extension_arrays(B, J, psi)
+    for bad in table_findings(f, mul):
+        if bad:
+            raise ValueError(f"not a cocycle: the table fails validation: {bad}")
+    return ExtensionStack(B, J, mul, images, psi)
 
 
 def extension_from_cocycle(B: PresentedAlgebra, J: FiniteModule, psi: Sequence[Scalar]) -> SquareZeroExtension:
-    """Build the extension table whose relation values are psi.
-
-    psi is a flat vector in J^m (one J-value per relative relation); it
-    must be killed by the syzygies, which is re-checked through the
-    associativity of the produced table.
-    """
+    """Build the extension table whose relation values are psi, a flat
+    vector in J^m: the K = 1 call of extensions_from_cocycles."""
     if len(psi) != len(B.relations) * J.rank:
         raise ValueError("cocycle vector has the wrong length")
-    gen_images = _gen_images(B, J, psi)
-    tab = _extension_table(B, J, psi, gen_images, base_names=B.base_names, base_images=gen_images[: B.n_base])
-    bad = validate(tab)
-    if bad:
-        raise ValueError(f"not a cocycle: the table fails validation: {bad}")
-    return SquareZeroExtension(B, J, tab, cocycle=tuple(psi))
+    return extensions_from_cocycles(B, J, [list(psi)]).extension(0)
 
 
-def _term_values(
-    B: PresentedAlgebra, J: FiniteModule, values: Sequence[Scalar], terms, prob: Optional["BaseDeformationProblem"] = None
-) -> np.ndarray:
-    """(len(terms), t) array: the fiber value of each cofactor term
-    (g, mo), mo times the g-th ideal generator, when relative relation r
-    takes the value values[r*t:(r+1)*t] in J.  A relative relation's term
-    is rho_J(mo) applied to its value; a base relation's term is zero in
-    an extension, and in a deformation of prob its reduction in A'
-    pushed into J."""
-    f = B.field
-    t = J.rank
-    nb = len(B.base_relations)
-    rows = []
-    for g, mo in terms:
-        if g >= nb:
-            r = g - nb
-            rows.append(J.monomial_action(mo).mul_vec(values[r * t : (r + 1) * t]))
-        elif prob is None:
-            rows.append([f.zero()] * t)
-        else:
-            p = Polynomial.monomial(f, B.nvars, mo) * B.base_relations[g]
-            rows.append(_push_fiber(prob, prob.aprime_presentation().reduce_to_fiber(p)))
-    return f.array(rows).reshape(len(rows), t)
+def cocycles_from_extensions(stack: ExtensionStack, gen_offsets=None) -> np.ndarray:
+    """Relation values, as a (K, m t) array, of each extension of the
+    stack under the monomial section, optionally shifted by J-offsets on
+    the relative generator images, a (K, n_gens, t) array.
 
+    Different offsets change the answer by a coboundary and nothing
+    else; with zero offsets this inverts extensions_from_cocycles exactly.
 
-def _gen_images(
-    B: PresentedAlgebra, J: FiniteModule, values: Sequence[Scalar], prob: Optional["BaseDeformationProblem"] = None
-) -> list:
-    """The generator images in section coordinates: sigma(x_v), plus on
-    each generator that is not a standard monomial the fiber value of
-    its division cofactors (through _term_values), as any other
-    reducible word gets in _extension_table."""
-    f = B.field
-    fiber = np.zeros((B.nvars, J.rank), f.dtype)
-    gens, terms, coeffs = B.generator_cofactors()
-    if gens:
-        fiber[list(gens)] = f.matmul(coeffs, _term_values(B, J, values, terms, prob))
-    return [list(v) + row for v, row in zip(B.to_structure().gen_images, fiber.tolist())]
-
-
-def _extension_table(
-    B: PresentedAlgebra,
-    J: FiniteModule,
-    values: Sequence[Scalar],
-    gen_images,
-    prob: Optional["BaseDeformationProblem"] = None,
-    **kwargs,
-) -> StructureAlgebra:
-    """Table on (basis of B) + (basis of J) in section coordinates.
-
-    The trivial extension (the product of B, B acting on the fiber
-    through J, a zero fiber square) plus, on each product of standard
-    monomials that is not standard, the fiber value of its division
-    cofactors: coeffs @ _term_values over B.product_cofactors().
+    Read linearly off the tables through B.relation_tensor(): the fiber
+    corrections C = mul[:, :s, :s, s:] through W, then J's action, plus
+    the fiber parts of the generator images through the Jacobian, each
+    one batched product over the stack.  The blocks that reading relies
+    on are checked first, so a table off the section raises instead of
+    giving a wrong class.
     """
+    bad = next((b for b in stack.section_findings() if b), None)
+    if bad:
+        raise ValueError(f"the table is not in section form: {bad}")
+    B, J = stack.B, stack.J
     f = B.field
-    S = B.to_structure()
-    s, t = S.dim, J.rank
-    mul = np.zeros((s + t,) * 3, f.dtype)
-    mul[:s, :s, :s] = S.mul
+    k, s, t, n, m = len(stack), B.dim(), J.rank, B.nvars, len(B.relations)
     act = J.action_block()
-    mul[:s, s:, s:] = act
-    mul[s:, :s, s:] = act.transpose(1, 0, 2)
-    pairs, terms, coeffs = B.product_cofactors()
-    if pairs:
-        i, j = np.array(pairs).T
-        mul[i, j, s:] = mul[j, i, s:] = f.matmul(coeffs, _term_values(B, J, values, terms, prob))
-    labels = S.labels + tuple("eps:" + l for l in J.labels)
-    return StructureAlgebra(f, labels, mul, gen_names=B.names, gen_images=gen_images, **kwargs)
+    offsets = stack.images[:, :, s:].copy()
+    if gen_offsets is not None:
+        off = f.array(gen_offsets)
+        if off.shape != (k, B.n_gens, t) and off.size + k * B.n_gens * t:
+            raise ValueError("need one offset per relative generator")
+        offsets[:, B.n_base :] = f.reduce(offsets[:, B.n_base :] + off.reshape(k, B.n_gens, t))
+    W, D = B.relation_tensor()
+    # rows (r, b): sum_ij W C[i, j], then rho_J(e_b) applied and summed
+    corr = f.matmul(W, stack.mul[:, :s, :s, s:].reshape(k, s * s, t))
+    # rows (v, b): rho_J(e_b) o_v, paired with the Jacobian coordinates
+    moved = f.matmul(offsets, act.transpose(1, 0, 2).reshape(t, s * t))
+    vals = f.matmul(corr.reshape(k, m, s * t), act.reshape(s * t, t)) + f.matmul(D, moved.reshape(k, n * s, t))
+    return f.reduce(vals).reshape(k, m * t)
 
 
 def cocycle_from_extension(ext: SquareZeroExtension, gen_offsets: Optional[Sequence[Sequence[Scalar]]] = None) -> tuple:
-    """Relation values of the extension under the monomial section,
-    optionally shifted by J-offsets on the relative generator images.
-
-    Different offsets change the answer by a coboundary and nothing
-    else; with zero offsets this inverts extension_from_cocycle exactly.
-
-    Read linearly off the table through B.relation_tensor(): the fiber
-    corrections C = mul[:s, :s, s:] through W, then J's action, plus
-    the fiber parts of the generator images through the Jacobian.  The
-    blocks that reading relies on are checked first, so a table off the
-    section raises instead of giving a wrong class.
-    """
-    bad = ext.section_findings()
-    if bad:
-        raise ValueError(f"the table is not in section form: {bad}")
-    B, J = ext.B, ext.J
-    f = B.field
-    s, t, n = ext.s, ext.t, B.nvars
-    mul = ext.table.mul
-    act = J.action_block()
-    offsets = f.array(ext.table.gen_images).reshape(n, s + t)[:, s:]
-    if gen_offsets is not None:
-        if len(gen_offsets) != B.n_gens:
-            raise ValueError("need one offset per relative generator")
-        offsets[B.n_base :] = f.reduce(offsets[B.n_base :] + f.array(gen_offsets).reshape(B.n_gens, t))
-    W, D = B.relation_tensor()
-    m = len(B.relations)
-    # rows (r, k): sum_ij W C[i, j], then rho_J(e_k) applied and summed
-    corr = f.matmul(W, mul[:s, :s, s:].reshape(s * s, t))
-    # rows (v, k): rho_J(e_k) o_v, paired with the Jacobian coordinates
-    moved = f.matmul(offsets, act.transpose(1, 0, 2).reshape(t, s * t))
-    vals = f.matmul(corr.reshape(m, s * t), act.reshape(s * t, t)) + f.matmul(D, moved.reshape(n * s, t))
-    return tuple(f.reduce(vals).reshape(-1).tolist())
+    """Relation values of one extension: the K = 1 call of
+    cocycles_from_extensions, with one offset per relative generator."""
+    offsets = None if gen_offsets is None else [gen_offsets]
+    return tuple(cocycles_from_extensions(ExtensionStack.of([ext]), offsets)[0].tolist())
 
 
 def trivial_extension(B: PresentedAlgebra, J: FiniteModule) -> SquareZeroExtension:
@@ -259,56 +409,72 @@ def is_trivial_extension(ext: SquareZeroExtension, maps: Optional[CochainMaps] =
     return ok
 
 
-def _check_comparable(e1: SquareZeroExtension, e2: SquareZeroExtension) -> None:
-    """Both extensions must be of the same algebra by the same module."""
-    if e1.B is not e2.B and e1.B.std_monomials() != e2.B.std_monomials():
+def _same_presentation(B1: PresentedAlgebra, B2: PresentedAlgebra) -> bool:
+    return B1 is B2 or (
+        B1.field == B2.field
+        and (B1.base_names, B1.gen_names) == (B2.base_names, B2.gen_names)
+        and (B1.base_relations, B1.relations) == (B2.base_relations, B2.relations)
+    )
+
+
+def _check_comparable(e1, e2) -> None:
+    """Both extensions (or stacks) must be of one presented algebra by
+    one module: the field, the generator names, the relations and the
+    base relations must agree, and so must the module's action."""
+    if not _same_presentation(e1.B, e2.B):
         raise ValueError("extensions are not over the same algebra")
     J1, J2 = e1.J, e2.J
     if J1 is not J2 and (J1.rank != J2.rank or J1.mats != J2.mats):
         raise ValueError("extensions are not by the same module")
 
 
-def extensions_equivalent(e1: SquareZeroExtension, e2: SquareZeroExtension, maps: Optional[CochainMaps] = None) -> bool:
-    _check_comparable(e1, e2)
-    f = e1.B.field
-    c1 = cocycle_from_extension(e1)
-    c2 = cocycle_from_extension(e2)
-    diff = vec_sub(f, list(c1), list(c2))
-    ok, _ = is_coboundary(CohomologyClass(e1.B, e1.J, 1, tuple(diff)), maps)
+def _check_pairable(s1: ExtensionStack, s2: ExtensionStack) -> None:
+    _check_comparable(s1, s2)
+    if len(s1) != len(s2):
+        raise ValueError("stacks of different lengths")
+
+
+def equivalent_extensions(s1: ExtensionStack, s2: ExtensionStack, maps: Optional[CochainMaps] = None) -> np.ndarray:
+    """Whether the k-th extensions of two stacks are equivalent, for
+    every k: their class reads differ by a coboundary, decided for all
+    K by one reduction."""
+    _check_pairable(s1, s2)
+    f = s1.B.field
+    diff = f.reduce(cocycles_from_extensions(s1) - cocycles_from_extensions(s2))
+    ok, _ = are_coboundaries(s1.B, s1.J, 1, diff, maps)
     return ok
 
 
-def baer_sum(e1: SquareZeroExtension, e2: SquareZeroExtension) -> SquareZeroExtension:
-    """Geometric Baer sum: fibered product over B, then quotient by the
-    antidiagonal copy of J, re-coordinatized to section form.
+def extensions_equivalent(e1: SquareZeroExtension, e2: SquareZeroExtension, maps: Optional[CochainMaps] = None) -> bool:
+    return bool(equivalent_extensions(ExtensionStack.of([e1]), ExtensionStack.of([e2]), maps)[0])
+
+
+def baer_sums(s1: ExtensionStack, s2: ExtensionStack) -> ExtensionStack:
+    """Geometric Baer sums of two stacks, table by table: fibered
+    product over B, then quotient by the antidiagonal copy of J,
+    re-coordinatized to section form.
 
     On the basis (sigma(b), sigma(b)), (eps_b, 0) of the fibered product
-    the class map (u + j1, u + j2) -> (u, j1 + j2) gives the table of e1
-    with the fiber corrections of e2 added on the B block."""
-    _check_comparable(e1, e2)
-    B, J = e1.B, e1.J
-    f = B.field
-    s = e1.s
-    m1, m2 = e1.table.mul, e2.table.mul
-    if not np.array_equal(m1[:s, :s, :s], m2[:s, :s, :s]) or np.any(m1[:, s:, :s]):
+    the class map (u + j1, u + j2) -> (u, j1 + j2) gives the table of the
+    first with the fiber corrections of the second added on the B block."""
+    _check_pairable(s1, s2)
+    f = s1.B.field
+    s = s1.B.dim()
+    m1, m2 = s1.mul, s2.mul
+    if not np.array_equal(m1[:, :s, :s, :s], m2[:, :s, :s, :s]) or _nonzero(m1[:, :, s:, :s], None):
         raise AssertionError("product left the fibered subalgebra")
     mul = m1.copy()
-    mul[:s, :s, s:] = f.reduce(m1[:s, :s, s:] + m2[:s, :s, s:])
-    T = e1.table
-    tab = StructureAlgebra(
-        f,
-        T.labels,
-        mul,
-        gen_names=T.gen_names,
-        gen_images=T.gen_images,
-        base_names=T.base_names,
-        base_images=T.base_images,
-    )
-    out = SquareZeroExtension(B, J, tab)
-    bad = out.validate()
+    mul[:, :s, :s, s:] = f.reduce(m1[:, :s, :s, s:] + m2[:, :s, :s, s:])
+    out = ExtensionStack(s1.B, s1.J, mul, s1.images, misfit=s1.misfit)
+    bad = next((b for b in out.findings() if b), None)
     if bad:
         raise AssertionError(f"Baer sum failed validation: {bad}")
     return out
+
+
+def baer_sum(e1: SquareZeroExtension, e2: SquareZeroExtension) -> SquareZeroExtension:
+    """The Baer sum of two extensions: the K = 1 call of baer_sums."""
+    return baer_sums(ExtensionStack.of([e1]), ExtensionStack.of([e2])).extension(0)
 
 
 def baer_difference(e1: SquareZeroExtension, e2: SquareZeroExtension) -> SquareZeroExtension:
@@ -329,37 +495,38 @@ class ExtensionClassification:
     count: Optional[int]  # number of classes when the field is finite
     complete: bool        # whether representatives covers every class
     maps: CochainMaps = dc_field(repr=False, compare=False)  # cochain maps of B with coefficients in J
+    stack: ExtensionStack = dc_field(repr=False, compare=False)  # the representatives as one stack
 
     def class_of(self, ext: SquareZeroExtension) -> int:
-        """Index of the representative equivalent to ext."""
-        for i, rep in enumerate(self.representatives):
-            if extensions_equivalent(ext, rep, self.maps):
-                return i
-        raise AssertionError("extension matches no representative")
+        """Index of the representative equivalent to ext: one read of
+        ext, one stacked read of the representatives, one stacked solve."""
+        one = ExtensionStack.of([ext])
+        _check_comparable(one, self.stack)
+        diff = self.B.field.reduce(cocycles_from_extensions(one) - cocycles_from_extensions(self.stack))
+        ok, _ = are_coboundaries(self.B, self.J, 1, diff, self.maps)
+        hits = np.flatnonzero(ok)
+        if not len(hits):
+            raise AssertionError("extension matches no representative")
+        return int(hits[0])
 
 
 def classify_extensions(B: PresentedAlgebra, J: FiniteModule, max_reps: int = 4096) -> ExtensionClassification:
     _, r1, _ = t_modules(B, J)
     f = B.field
     count = f.p**r1.dim if isinstance(f, PrimeField) else None
-    if count is not None and count <= max_reps:
-        # every class once: span the representative cocycles over the field
-        p = f.p
-        reps = []
-        for n in range(count):
-            vec = [f.zero()] * (len(B.relations) * J.rank)
-            mcur = n
-            for rep in r1.reps:
-                dig = mcur % p
-                mcur //= p
-                if dig:
-                    vec = vec_add(f, vec, vec_scale(f, dig, list(rep)))
-            reps.append(extension_from_cocycle(B, J, vec))
-        return ExtensionClassification(B, J, r1.dim, tuple(reps), count, True, r1.maps)
-    reps = [trivial_extension(B, J)]
-    for rep in r1.reps:
-        reps.append(extension_from_cocycle(B, J, list(rep)))
-    return ExtensionClassification(B, J, r1.dim, tuple(reps), count, r1.dim == 0, r1.maps)
+    reps = f.array(list(r1.reps)).reshape(r1.dim, len(B.relations) * J.rank)
+    complete = count is not None and count <= max_reps
+    if complete:
+        # every class once: the n-th cocycle has the base-p digits of n
+        # as its coordinates on the representatives
+        digits = (np.arange(count)[:, None] // f.p ** np.arange(r1.dim)) % f.p
+        cocycles = f.matmul(digits, reps)
+    else:
+        cocycles = np.concatenate([np.zeros((1, reps.shape[1]), f.dtype), reps])
+    stack = extensions_from_cocycles(B, J, cocycles)
+    return ExtensionClassification(
+        B, J, r1.dim, stack.extensions(), count, complete or r1.dim == 0, r1.maps, stack
+    )
 
 
 def torsor_action(ext: SquareZeroExtension, cls: CohomologyClass) -> SquareZeroExtension:
@@ -795,8 +962,9 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
 
     s = B.dim()
     t = J.rank
-    gen_images = _gen_images(B, J, xi, prob)
-    tab = _extension_table(B, J, xi, gen_images, prob)
+    mul, images = _extension_arrays(B, J, f.array([xi]).reshape(1, len(xi)), prob)
+    gen_images = images[0].tolist()
+    tab = StructureAlgebra(f, _labels(B, J), mul[0], gen_names=B.names, gen_images=gen_images)
     bad = validate(tab)
     if bad:
         raise AssertionError(f"deformed table failed validation: {bad}")

@@ -731,14 +731,12 @@ def _z_combine(field: Field, quots: Sequence[QDict], vecs: Sequence[VDict], pack
     return {t: y for t, x in out.items() if x and (y := from_int(x))}
 
 
-def _certify(field: Field, cof: VDict, d: int, gens_v: Sequence[VDict], target: VDict, pack: _Pack) -> None:
-    """Re-expand the cofactors cof / d over gens_v and compare with target
-    exactly.  cof is integral and gens_v is scaled by its common
-    denominator e, so the sums run on ints:
+def _certify(field: Field, cof: VDict, d: int, gens_e: Sequence[VDict], e: int, target: VDict, pack: _Pack) -> None:
+    """Re-expand the cofactors cof / d over the generators and compare
+    with target exactly.  cof is integral and gens_e holds the generators
+    scaled by their common denominator e, so the sums run on ints:
     sum_i cof_i * (e gens_i) == d e target."""
-    e = field.denominator(c for g in gens_v for c in g.values())
-    gens_e = [_scaled(field, e, g) for g in gens_v]
-    if _z_combine(field, _v_split(cof, len(gens_v)), gens_e, pack) != _scaled(field, d * e, target):
+    if _z_combine(field, _v_split(cof, len(gens_e)), gens_e, pack) != _scaled(field, d * e, target):
         raise AssertionError("prune certificate failed to re-expand")
 
 
@@ -780,15 +778,30 @@ def prune_generators(
     eng.run()
     kept: List[int] = []
     int_reps: List[Tuple[int, VDict]] = []  # _integral(eng.reps[j]), built as the basis grows
+    # the generators scaled by their common denominator e, kept as they grow
+    e, gens_e = 1, []
+    for g in gens:
+        e, gens_e = _join_scaled(field, e, gens_e, g)
     degree = [max((sum(m) for p in v for m in p.terms), default=0) for v in candidates]
     for k in sorted(range(len(cands)), key=lambda k: (degree[k], k)):
         nf, quots = _v_divmod(field, cands[k], eng.leads, eng.tails, pack)
         if not nf:
             int_reps += [_integral(field, rep) for rep in eng.reps[len(int_reps) :]]
-            _certify(field, *_integral_combination(field, quots, int_reps, pack), gens, cands[k], pack)
+            _certify(field, *_integral_combination(field, quots, int_reps, pack), gens_e, e, cands[k], pack)
             continue
-        eng.add(cands[k], {_unit(len(gens)): field.one()})
-        gens.append(cands[k])
+        eng.add(cands[k], {_unit(len(gens_e)): field.one()})
+        e, gens_e = _join_scaled(field, e, gens_e, cands[k])
         kept.append(k)
         eng.run()
     return sorted(kept)
+
+
+def _join_scaled(field: Field, e: int, gens_e: List[VDict], g: VDict) -> Tuple[int, List[VDict]]:
+    """(e', gens_e') for the family gens_e = e * gens joined by g: e' the
+    common denominator of gens and g, the old members rescaled by e'/e
+    only when it grows."""
+    e2 = lcm(e, field.denominator(g.values()))
+    if e2 != e:
+        gens_e = [_scaled(field, e2 // e, v) for v in gens_e]
+    gens_e.append(_scaled(field, e2, g))
+    return e2, gens_e

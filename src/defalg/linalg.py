@@ -16,7 +16,7 @@ non-integral values only) Fractions.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +122,12 @@ class Matrix:
         f = self.field
         return f.matmul(self._a, f.array(list(x))).tolist()
 
+    def mul_rows(self, x: np.ndarray) -> np.ndarray:
+        """The image of every row of a (K, ncols) array, as (K, nrows)."""
+        if x.shape[-1] != self.ncols:
+            raise ValueError("shape mismatch")
+        return self.field.matmul(x, self._a.T)
+
     def add(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -188,15 +194,34 @@ def solve_affine(m: Matrix, b: Sequence[Scalar]) -> Optional[list]:
     """
     if len(b) != m.nrows:
         raise ValueError("shape mismatch")
+    ok, x = solve_affine_rows(m, m.field.array(list(b)).reshape(1, m.nrows))
+    return x[0].tolist() if ok[0] else None
+
+
+def solve_affine_rows(m: Matrix, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """solve_affine for every row of a (K, nrows) array b at once, by one
+    rref of [m | b^T]: (ok, x) with ok[k] whether m x = b[k] is
+    consistent and x[k] its solution with every free coordinate zero (a
+    zero row where it is not).
+
+    The columns of m are reduced first, so a right-hand side is
+    consistent exactly when its column vanishes below the rank of m, and
+    then its entries above are the pivot coordinates: a pivot taken in an
+    inconsistent column lies in a row where every consistent column is
+    zero, so it moves none of them."""
+    if b.ndim != 2 or b.shape[1] != m.nrows:
+        raise ValueError("shape mismatch")
     f = m.field
-    aug = m.hstack(Matrix.from_cols(f, [list(b)], nrows=m.nrows))
-    red, piv, rank = aug.rref()
-    if piv and piv[-1] == m.ncols:
-        return None
-    x = [f.zero()] * m.ncols
-    for i, pc in enumerate(piv):
-        x[pc] = red.entry(i, m.ncols)
-    return x
+    n, k = m.ncols, b.shape[0]
+    red, piv, _ = m.hstack(Matrix(f, m.nrows, k, np.ascontiguousarray(b.T))).rref()
+    piv = [c for c in piv if c < n]
+    a = red._a
+    rank = len(piv)
+    ok = ~a[rank:, n:].astype(bool).any(axis=0)
+    x = np.zeros((k, n), f.dtype)
+    x[:, piv] = a[:rank, n:].T
+    x[~ok] = f.zero()
+    return ok, x
 
 
 # -- span utilities ---------------------------------------------------

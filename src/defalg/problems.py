@@ -380,16 +380,14 @@ class ProblemSet:
             raise ProblemFileError(f"modules.{name}", "never defined")
         spec = self.module_specs[name]
         loc = f"modules.{name}"
-        if spec.kind == "trivial":
-            return FiniteModule.trivial(B)
-        if spec.kind == "regular":
+        builders = {
+            "trivial": lambda: FiniteModule.trivial(B),
+            "regular": lambda: FiniteModule.regular(B),
+            "truncated": lambda: FiniteModule.truncated_regular(B, spec.degree),
+        }
+        if spec.kind in builders:
             try:
-                return FiniteModule.regular(B)
-            except ValueError as e:
-                raise ProblemFileError(loc, str(e)) from e
-        if spec.kind == "truncated":
-            try:
-                return FiniteModule.truncated_regular(B, spec.degree)
+                return builders[spec.kind]()
             except ValueError as e:
                 raise ProblemFileError(loc, str(e)) from e
         # explicit action matrices, one per flattened generator of B

@@ -1,5 +1,7 @@
-"""Shared fixtures and small builders used across the test modules."""
+"""Shared fixtures and small builders used across the test modules, and
+the time per test file printed at the end of a run."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -45,3 +47,18 @@ def dual_numbers(field):
 
 def trivial_module(B):
     return FiniteModule.trivial(B)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Time per test file, setup, call and teardown summed, longest
+    first: beside --durations, which names single tests."""
+    per_file = defaultdict(float)
+    for reports in terminalreporter.stats.values():
+        for rep in reports:
+            if getattr(rep, "when", None) in ("setup", "call", "teardown"):
+                per_file[rep.nodeid.split("::")[0]] += rep.duration
+    if not per_file:
+        return
+    terminalreporter.write_sep("=", f"time per test file ({sum(per_file.values()):.2f}s in all)")
+    for path, secs in sorted(per_file.items(), key=lambda kv: (-kv[1], kv[0])):
+        terminalreporter.write_line(f"{secs:8.2f}s  {path}")

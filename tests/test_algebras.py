@@ -184,6 +184,15 @@ class TestFiniteModule:
         x = parse_polynomial("x", B.names, any_field)
         assert J.action_of_poly(x).is_zero()
 
+    def test_trivial_module_refuses_a_relation_with_a_constant_term(self, any_field):
+        # x^2 - 1 is a unit at the origin: k is not a module over k[x]/(x^2 - 1)
+        B = make_algebra(any_field, ["x"], ["x^2 - 1"])
+        with pytest.raises(ValueError, match="acts nontrivially"):
+            FiniteModule.trivial(B)
+        based = make_algebra(any_field, ["x"], ["x^2"], ["s"], ["s^2 + 1"])
+        with pytest.raises(ValueError, match="acts nontrivially"):
+            FiniteModule.trivial(based)
+
     def test_regular_module(self, prime_field):
         B = dual_numbers(prime_field)
         J = FiniteModule.regular(B)

@@ -64,6 +64,35 @@ class TestSuites:
         got = strip_timing(run_suite(suite, "F3", RunOptions(oracle=True)).to_dict())["problems"]
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
+    def test_baer_check_counts_a_corrupted_sum(self, monkeypatch):
+        # in the first batch of sums only, the sum of the first pair is
+        # replaced by the sum of the second, which is a different class
+        from defalg import corpus
+        from defalg.deformation import ExtensionStack
+
+        baer_sums = corpus.baer_sums
+        calls = []
+
+        def corrupted(s1, s2):
+            out = baer_sums(s1, s2)
+            calls.append(len(out))
+            if len(calls) > 1:
+                return out
+            mul, images = out.mul.copy(), out.images.copy()
+            mul[0], images[0] = out.mul[1], out.images[1]
+            return ExtensionStack(out.B, out.J, mul, images)
+
+        monkeypatch.setattr(corpus, "baer_sums", corrupted)
+        rep = run_suite("extensions", "F3")
+        baer = {e["name"]: (e["ok"], e["detail"]) for e in rep.problems if e["name"].startswith("baer.")}
+        detail = "{} pairs: pullback construction vs summed cocycles, {} disagree"
+        assert baer == {
+            "baer.xsq": (False, detail.format(6, 1)),
+            "baer.xcube": (True, detail.format(6, 0)),
+            "baer.fat": (True, detail.format(378, 0)),
+        }
+        assert calls[0] == 6 and sum(calls) == 390
+
     def test_presentations_suite_checks_agreement(self):
         rep = run_suite("presentations")
         assert rep.exit_code() == 0

@@ -18,6 +18,7 @@ from defalg.cotangent import (
     CohomologyClass,
     CotangentComplex,
     base_vectors,
+    are_coboundaries,
     cochain_maps,
     cotangent_complex,
     is_coboundary,
@@ -285,6 +286,54 @@ def test_is_coboundary_accepts_boundaries(prime_field):
     ok, witness = is_coboundary(CohomologyClass(B, J, 1, tuple(bound)), maps)
     assert ok
     assert maps.d0.mul_vec(witness) == bound
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_stacked_coboundaries_match_one_by_one(any_field, degree):
+    # one reduction decides every row; each witness is the one a single
+    # solve finds, and a row that does not bound gets none
+    f = any_field
+    B = make_algebra(f, ["x", "y"], ["x^2", "x*y", "y^2"], ["s"], ["s^2"])
+    J = FiniteModule.regular(B)
+    r0, r1, r2 = t_modules(B, J)
+    maps = r1.maps
+    prev, res = (maps.d0, r1) if degree == 1 else (maps.d1, r2)
+    images = {}
+    for j in range(prev.ncols):
+        v = prev.mul_vec([f.one() if i == j else f.zero() for i in range(prev.ncols)])
+        if any(v):
+            images.setdefault(tuple(v), v)
+    rows = list(images.values())[:3]
+    rows += [list(res.reps[0]), [f.zero()] * prev.nrows, vec_add(f, rows[0], list(res.reps[-1]))]
+    assert res.dim >= 1 and len(rows) == 6
+    ok, witnesses = are_coboundaries(B, J, degree, rows, maps)
+    alone = [is_coboundary(CohomologyClass(B, J, degree, tuple(r)), maps) for r in rows]
+    assert ok.tolist() == [a for a, _ in alone] == [True, True, True, False, True, False]
+    for row, bound, w, (_, single) in zip(rows, ok, witnesses.tolist(), alone):
+        if bound:
+            assert w == single and prev.mul_vec(w) == row
+        else:
+            assert single is None and not any(w)
+
+
+def test_a_bad_stacked_witness_is_caught(monkeypatch):
+    from defalg import cotangent
+
+    B = fat_point(GF(3))
+    J = FiniteModule.regular(B)
+    maps = cochain_maps(cotangent_complex(B), J)
+    solve = cotangent.solve_affine_rows
+
+    def swapped(m, b):
+        ok, x = solve(m, b)
+        return ok, x[::-1].copy()
+
+    monkeypatch.setattr(cotangent, "solve_affine_rows", swapped)
+    e = [[GF(3).one() if i == j else 0 for i in range(maps.d0.ncols)] for j in (0, 1)]
+    rows = [maps.d0.mul_vec(v) for v in e]
+    assert rows[0] != rows[1]
+    with pytest.raises(AssertionError, match="bad witness"):
+        are_coboundaries(B, J, 1, rows, maps)
 
 
 def test_is_coboundary_rejects_non_cocycles():

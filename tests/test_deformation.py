@@ -3,14 +3,16 @@ obstruction classes for deformations across a thickened base."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defalg import GF, QQ, groebner
-from defalg.algebras import FiniteModule, StructureAlgebra
+from defalg.algebras import FiniteModule, StructureAlgebra, table_findings
 from defalg.cotangent import (
     CohomologyClass,
+    are_coboundaries,
     cochain_maps,
     cotangent_complex,
     is_coboundary,
@@ -21,15 +23,20 @@ from defalg.poly import Polynomial, mono_mul
 from defalg.problems import parse_polynomial
 from defalg.deformation import (
     BaseDeformationProblem,
+    ExtensionStack,
     LiftProblem,
     SquareZeroExtension,
     baer_difference,
     baer_sum,
+    baer_sums,
     classify_extensions,
     cocycle_from_extension,
+    cocycles_from_extensions,
+    equivalent_extensions,
     extension_class,
     extension_from_cocycle,
     extensions_equivalent,
+    extensions_from_cocycles,
     is_trivial_extension,
     lift_homomorphism,
     obstruction_class,
@@ -721,3 +728,181 @@ def test_module_action_block_is_shared_by_tables_and_reads(monkeypatch):
     assert ext.validate() == []
     cocycle_from_extension(ext)
     assert calls == [] and J.action_block() is block
+
+
+# ---------------------------------------------------------------------------
+# stacks: every stacked primitive equals the per-extension results
+
+
+def _each(fn, *stacks):
+    """fn on the k-th extension of each stack alone, for every k: the
+    per-extension results a stacked call must equal."""
+    return [fn(*(s.extension(k) for s in stacks)) for k in range(len(stacks[0]))]
+
+
+def _bounds_alone(maps, vec):
+    """Whether vec bounds, decided by ranks alone: rank [d0 | vec] = rank d0."""
+    aug = maps.d0.hstack(Matrix.from_cols(maps.d0.field, [list(vec)], nrows=maps.d0.nrows))
+    return aug.rank() == maps.d0.rank()
+
+
+@settings(max_examples=20, deadline=None)
+@given(table_cases(), st.data())
+def test_stacks_equal_the_per_extension_results(case, data):
+    field = case[0]
+    B, J = _case_algebra(case)
+    _, r1, _ = t_modules(B, J)
+    maps = r1.maps
+    k = data.draw(st.integers(0, 3), label="K")
+    rows = [_random_cocycle(field, r1, data) for _ in range(k)]
+    more = [_random_cocycle(field, r1, data) for _ in range(k)]
+    stack = extensions_from_cocycles(B, J, rows)
+    other = extensions_from_cocycles(B, J, more)
+    assert stack.mul.shape == (k,) + (B.dim() + J.rank,) * 3
+    assert stack.images.shape == (k, B.nvars, B.dim() + J.rank)
+    # tables and generator images, against the per-entry definition
+    for psi, mul, images in zip(rows, stack.mul, stack.images):
+        table, imgs = _per_entry_table(B, J, psi)
+        assert mul.tolist() == table and images.tolist() == imgs
+    assert stack.findings() == _each(SquareZeroExtension.validate, stack) == [[]] * k
+    # class reads, with and without offsets, against literal evaluation
+    t = J.rank
+    offsets = [[[_small_coef(field, data) for _ in range(t)] for _ in range(B.n_gens)] for _ in range(k)]
+    reads = cocycles_from_extensions(stack, offsets)
+    assert reads.shape == (k, len(B.relations) * t)
+    assert reads.tolist() == [list(_literal_class(e, off)) for e, off in zip(stack.extensions(), offsets)]
+    assert cocycles_from_extensions(stack).tolist() == rows
+    assert [tuple(r) for r in cocycles_from_extensions(stack).tolist()] == _each(cocycle_from_extension, stack)
+    # Baer sums: the table of the summed cocycles, pair by pair
+    sums = baer_sums(stack, other)
+    assert sums.mul.tolist() == [e.table.mul.tolist() for e in _each(baer_sum, stack, other)]
+    summed = extensions_from_cocycles(B, J, [vec_add(field, a, b) for a, b in zip(rows, more)])
+    assert sums.mul.tolist() == summed.mul.tolist()
+    # coboundary decisions: the differences, half of them shifted onto a coboundary
+    diffs = field.reduce(cocycles_from_extensions(stack) - cocycles_from_extensions(other))
+    for i in range(0, k, 2):
+        diffs[i] = field.array(maps.d0.mul_vec([_small_coef(field, data) for _ in range(maps.d0.ncols)]))
+    ok, witnesses = are_coboundaries(B, J, 1, diffs, maps)
+    alone = [is_coboundary(CohomologyClass(B, J, 1, tuple(v)), maps) for v in diffs.tolist()]
+    assert ok.tolist() == [a for a, _ in alone] == [_bounds_alone(maps, v) for v in diffs.tolist()]
+    assert [w for w, a in zip(witnesses.tolist(), ok) if a] == [w for a, w in alone if a]
+    assert equivalent_extensions(stack, other, maps).tolist() == _each(
+        lambda a, b: extensions_equivalent(a, b, maps), stack, other
+    )
+    assert equivalent_extensions(stack, summed, maps).tolist() == [
+        _bounds_alone(maps, vec_scale(field, field.from_int(-1), b)) for b in more
+    ]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f.name)
+def test_empty_and_single_stacks(field):
+    B = make_algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"], ["s"], ["s^2"])
+    J = FiniteModule.regular(B)
+    maps = cochain_maps(cotangent_complex(B), J)
+    n, width = B.dim() + J.rank, len(B.relations) * J.rank
+    empty = extensions_from_cocycles(B, J, [])
+    assert len(empty) == 0 and empty.mul.shape == (0, n, n, n) and empty.images.shape == (0, B.nvars, n)
+    assert empty.findings() == [] and empty.extensions() == ()
+    assert cocycles_from_extensions(empty).shape == (0, width)
+    assert len(baer_sums(empty, empty)) == 0
+    assert equivalent_extensions(empty, empty, maps).shape == (0,)
+    ok, witnesses = are_coboundaries(B, J, 1, np.zeros((0, width), field.dtype), maps)
+    assert ok.shape == (0,) and witnesses.shape == (0, maps.d0.ncols)
+    # K = 1 is the scalar call
+    _, r1, _ = t_modules(B, J)
+    psi = list(r1.reps[-1])
+    one = extensions_from_cocycles(B, J, [psi])
+    ext = extension_from_cocycle(B, J, psi)
+    assert one.mul[0].tolist() == ext.table.mul.tolist()
+    assert one.extension(0).table.gen_images == ext.table.gen_images
+    assert cocycles_from_extensions(one).tolist() == [list(cocycle_from_extension(ext))] == [psi]
+    assert one.extension(0).cocycle == ext.cocycle == tuple(psi)
+
+
+def test_a_corrupted_table_is_reported_for_itself_only(any_field):
+    field = any_field
+    B = make_algebra(field, ["x"], ["x^3"])
+    J = FiniteModule.regular(B)
+    _, r1, _ = t_modules(B, J)
+    stack = extensions_from_cocycles(B, J, [list(r1.reps[0]), list(r1.reps[0]), [field.zero()] * J.rank])
+    s, x, x2 = B.dim(), 1, 2
+    # x^2 * x^2 = x: unit and commutativity hold, associativity fails
+    mul = stack.mul.copy()
+    mul[1, x2, x2, x] = field.one()
+    assert table_findings(field, mul) == [[], ["multiplication is not associative"], []]
+    # a unit off in the middle table only
+    mul = stack.mul.copy()
+    mul[1, 0, x, x] = field.zero()
+    assert table_findings(field, mul)[0::2] == [[], []] and "basis element 0 is not a left unit" in table_findings(field, mul)[1]
+    # the fiber squares to something in the middle table only
+    mul = stack.mul.copy()
+    mul[1, s, s, 0] = field.one()
+    bad = ExtensionStack(B, J, mul, stack.images)
+    assert bad.section_findings() == [[], ["fiber is not square-zero"], []]
+    findings = bad.findings()
+    assert findings[0] == findings[2] == [] and "fiber is not square-zero" in findings[1]
+    assert findings == _each(SquareZeroExtension.validate, bad)
+    with pytest.raises(ValueError, match="not in section form"):
+        cocycles_from_extensions(bad)
+    with pytest.raises(AssertionError, match="fibered subalgebra"):
+        baer_sums(bad, stack)
+    # a generator image off the section in the middle table only
+    images = stack.images.copy()
+    images[1, 0, 0] = field.one()
+    moved = ExtensionStack(B, J, stack.mul, images)
+    assert moved.section_findings() == [[], ["a generator image is off the section"], []]
+    with pytest.raises(AssertionError, match="Baer sum failed validation"):
+        baer_sums(moved, stack)
+
+
+def test_a_non_cocycle_in_the_middle_of_a_stack_is_refused():
+    # three relations give Koszul syzygies, so d1 is nonzero on J = B
+    field = GF(3)
+    B = fat_point(field)
+    J = FiniteModule.regular(B)
+    maps = cochain_maps(cotangent_complex(B), J)
+    _, r1, _ = t_modules(B, J)
+    width = maps.d1.ncols
+    units = [[field.one() if i == j else field.zero() for i in range(width)] for j in range(width)]
+    bad = next(u for u in units if not vec_is_zero(field, maps.d1.mul_vec(u)))
+    good = list(r1.reps[0])
+    with pytest.raises(ValueError, match="not a cocycle"):
+        extensions_from_cocycles(B, J, [good, bad, good])
+    with pytest.raises(ValueError, match="not a cocycle"):
+        are_coboundaries(B, J, 1, [good, bad, good], maps)
+
+
+def test_classification_reads_every_class_in_one_stack():
+    B, J = _fat_setup(GF(3))
+    cl = classify_extensions(B, J)
+    assert len(cl.stack) == cl.count == 27
+    assert [cl.class_of(rep) for rep in cl.representatives] == list(range(27))
+    # the n-th representative has the base-3 digits of n on the T1 basis
+    _, r1, _ = t_modules(B, J)
+    psi = vec_add(GF(3), vec_scale(GF(3), 2, list(r1.reps[0])), list(r1.reps[2]))
+    assert cl.representatives[2 + 9].cocycle == tuple(psi)
+
+
+class TestComparable:
+    def test_refuses_extensions_over_different_presentations(self, prime_field):
+        # both algebras have the standard monomials 1, x; the cocycles have
+        # different lengths
+        f = prime_field
+        B1 = make_algebra(f, ["x"], ["x^2"])
+        B2 = make_algebra(f, ["x"], ["x^2", "x^3"])
+        e1 = extension_from_cocycle(B1, FiniteModule.trivial(B1), [f.one()])
+        e2 = extension_from_cocycle(B2, FiniteModule.trivial(B2), [f.one(), f.zero()])
+        for op in (baer_sum, extensions_equivalent):
+            for a, b in ((e1, e2), (e2, e1)):
+                with pytest.raises(ValueError, match="not over the same algebra"):
+                    op(a, b)
+
+    def test_equal_presentations_built_twice_are_comparable(self, prime_field):
+        f = prime_field
+        B1, B2 = fat_point(f), fat_point(f)
+        _, r1, _ = t_modules(B1, FiniteModule.trivial(B1))
+        psi = list(r1.reps[0])
+        e1 = extension_from_cocycle(B1, FiniteModule.trivial(B1), psi)
+        e2 = extension_from_cocycle(B2, FiniteModule.trivial(B2), psi)
+        assert extensions_equivalent(e1, e2) and extensions_equivalent(e2, e1)
+        assert cocycle_from_extension(baer_sum(e1, e2)) == tuple(vec_add(f, psi, psi))

@@ -369,3 +369,30 @@ def test_division_data_is_built_once_per_basis():
     assert mgb._division is mgb._division
     assert mgb.contains(polys_of(f, "x*y", "y^2"))
     assert not mgb.contains(polys_of(f, "y", "0"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=4),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_the_scaled_family_grows_as_it_is_recomputed(coefs):
+    # the prune keeps its generators scaled by their common denominator
+    # as they grow; each step equals scaling the whole family afresh
+    vecs = [{k: QQ.from_int(c) for k, c in enumerate(cs) if c} for cs in coefs]
+    e, family = 1, []
+    for n, v in enumerate(vecs, 1):
+        e, family = groebner._join_scaled(QQ, e, family, v)
+        want = QQ.denominator(c for w in vecs[:n] for c in w.values())
+        assert e == want
+        assert family == [groebner._scaled(QQ, want, w) for w in vecs[:n]]
+        assert all(type(c) is int for w in family for c in w.values())
+    # over GF(p) the denominator is 1 and the members are the vectors themselves
+    e, family = 1, []
+    residues = [{k: GF(3).from_int(int(c * 6)) for k, c in enumerate(cs)} for cs in coefs]
+    for v in residues:
+        e, family = groebner._join_scaled(GF(3), e, family, v)
+    assert e == 1 and all(a is b for a, b in zip(family, residues))

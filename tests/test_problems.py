@@ -253,6 +253,16 @@ class TestModuleErrors:
         e = err(data)
         assert "missing matrix" in str(e)
 
+    def test_trivial_module_over_a_ring_not_local_at_the_origin(self):
+        # F3[x]/(x^2 - 1) is etale: the residue field at 0 is no module over it
+        data = variant(field="F3")
+        data["algebras"]["etale"] = {"gens": ["x"], "relations": ["x^2 - 1"]}
+        data["modules"]["etale.k"] = {"algebra": "etale", "kind": "trivial"}
+        data["problems"].append({"kind": "exal", "name": "e", "algebra": "etale", "module": "etale.k"})
+        e = err(data)
+        assert e.location == "modules.etale.k"
+        assert "acts nontrivially" in str(e)
+
     def test_truncated_needs_a_degree(self):
         data = variant()
         data["modules"]["m"] = {"algebra": "node", "kind": "truncated", "degree": -1}
