@@ -525,6 +525,9 @@ class FiniteModule:
         self.owner = owner
         self.labels = tuple(labels)
         self.mats = tuple(mats)
+        bad = [l for l in self.labels if not isinstance(l, str)]
+        if bad:
+            raise TypeError(f"module basis labels must be strings, got {bad!r}")
         self._monomial_actions = {}  # exponent tuple -> Matrix, see monomial_action
         self._action_block: Optional[np.ndarray] = None  # see action_block
         t = len(self.labels)

@@ -15,6 +15,11 @@ relation values are affine, because the fiber squares to zero, and are
 read off the zero and unit candidates.  Every lift and every state
 found that way is re-checked by literal evaluation.
 
+Classification is one projection.  A section change moves a state by
+a constant vector, so the isomorphism classes are the cosets of the
+span of those shifts met with the survivor set: each state is labelled
+by its image in F_p^N modulo that span and the labels are grouped.
+
 Candidate spaces grow exponentially; every scan charges its full size
 against an EnumerationBudget before touching a single candidate.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -85,25 +90,21 @@ def _structure_context(B: PresentedAlgebra, J: FiniteModule):
     return S, mul, act
 
 
-def _pair_list(s: int) -> List[Tuple[int, int]]:
-    return [(i, j) for i in range(1, s) for j in range(i, s)]
+def _pairs(s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(pair_i, pair_j): the non-unit basis pairs i <= j, row-major."""
+    pair_i, pair_j = np.triu_indices(s - 1)
+    return pair_i + 1, pair_j + 1
 
 
-def _table_template(B: PresentedAlgebra, S: StructureAlgebra, J: FiniteModule, act) -> np.ndarray:
+def _table_template(S: StructureAlgebra, J: FiniteModule, act) -> np.ndarray:
     """Multiplication tensor of the trivial extension: the B block, the
     fiber action, and a zero fiber square; candidates only add the
     symmetric fiber corrections on top."""
     s, t = S.dim, J.rank
-    dim = s + t
-    mul = np.zeros((dim, dim, dim), np.int64)
+    mul = np.zeros((s + t,) * 3, np.int64)
     mul[:s, :s, :s] = S.mul
-    for i in range(s):
-        for w in range(t):
-            for l in range(t):
-                v = int(act[i, l, w])
-                if v:
-                    mul[i, s + w, s + l] = v
-                    mul[s + w, i, s + l] = v
+    mul[:s, s:, s:] = act.transpose(0, 2, 1)
+    mul[s:, :s, s:] = act.transpose(2, 0, 1)
     return mul
 
 
@@ -112,18 +113,16 @@ def _assemble_table(
     S: StructureAlgebra,
     J: FiniteModule,
     template: np.ndarray,
-    pairs: Sequence[Tuple[int, int]],
+    pairs: Tuple[np.ndarray, np.ndarray],
     cdig: Tuple[int, ...],
 ) -> StructureAlgebra:
     f = B.field
     s, t = S.dim, J.rank
+    pair_i, pair_j = pairs
     mul = template.copy()
-    for q, (i, j) in enumerate(pairs):
-        for l in range(t):
-            d = cdig[q * t + l]
-            if d:
-                mul[i, j, s + l] = d
-                mul[j, i, s + l] = d
+    corr = np.array(cdig, np.int64).reshape(len(pair_i), t)
+    mul[pair_i, pair_j, s:] = corr
+    mul[pair_j, pair_i, s:] = corr
     labels = tuple(S.labels) + tuple("eps:" + l for l in J.labels)
     gen_images = [list(v) + [f.zero()] * t for v in S.gen_images]
     return StructureAlgebra(
@@ -148,30 +147,22 @@ def state_of_table(B: PresentedAlgebra, table: StructureAlgebra, base_images=Non
     t = table.dim - s
     if t < 0:
         raise ValueError("table is smaller than the algebra it should extend")
-    pairs = _pair_list(s)
-    cdig = []
-    for i, j in pairs:
-        for l in range(t):
-            cdig.append(int(table.mul[i, j, s + l]))
+    pair_i, pair_j = _pairs(s)
+    cdig = tuple(table.mul[pair_i, pair_j, s:].ravel().tolist())
     imgs = base_images if base_images is not None else table.gen_images[: B.n_base]
-    eta = []
-    for v in range(B.n_base):
-        eta.extend(int(c) for c in imgs[v][s:])
-    return tuple(cdig), tuple(eta)
+    eta = tuple(int(c) for v in range(B.n_base) for c in imgs[v][s:])
+    return cdig, eta
 
 
 def _scan_tables(B, S, J, mul, act, bud, what):
     """The associative fiber-correction tables, as one row of c-digits
     per survivor in scan order."""
     p = B.field.p
-    s, t = S.dim, J.rank
-    pairs = _pair_list(s)
-    ndig = len(pairs) * t
+    pairs = _pairs(S.dim)
+    ndig = len(pairs[0]) * J.rank
     total = p**ndig
     bud.charge(total, what)
-    pair_i = np.array([i for i, _ in pairs], np.int64)
-    pair_j = np.array([j for _, j in pairs], np.int64)
-    idxs = _kernels.scan_assoc(mul, act, pair_i, pair_j, p, 0, total)
+    idxs = _kernels.scan_assoc(mul, act, *pairs, p, 0, total)
     return pairs, total, _kernels._digits(idxs, ndig, p)
 
 
@@ -231,69 +222,47 @@ def _base_structure_states(B, S, J, template, pairs, survivors, targets, bud, wh
     return states
 
 
-def _section_change_deltas(S, J, mul, act, pairs):
-    """Per elementary section change L (one basis element of B to one
-    basis element of J, zero elsewhere): the constant shifts it applies
-    to the c-digits and the eta-digits of a state."""
+def _section_change_deltas(S, J, act, pairs, p: int) -> np.ndarray:
+    """One row per elementary section change L (one basis element gi of
+    B to one basis element gb of J, zero elsewhere, gi-major): the
+    constant shift, mod p, that it applies to the (c, eta) digits of a
+    state: c(i, j) gains L(x_i x_j) - x_i L(x_j) - x_j L(x_i) and eta
+    gains L of the base generator images."""
     s, t = S.dim, J.rank
-    nbv = len(S.base_images)
-    base_coords = [[int(c) for c in v] for v in S.base_images]
-    deltas = []
-    for gi in range(1, s):
-        for gb in range(t):
-            dc = []
-            for i, j in pairs:
-                for l in range(t):
-                    v = 0
-                    if j == gi:
-                        v += int(act[i, l, gb])
-                    if i == gi:
-                        v += int(act[j, l, gb])
-                    if l == gb:
-                        v -= int(mul[i, j, gi])
-                    dc.append(v)
-            de = []
-            for v in range(nbv):
-                for l in range(t):
-                    de.append(base_coords[v][gi] if l == gb else 0)
-            deltas.append((tuple(dc), tuple(de)))
-    return deltas
+    pair_i, pair_j = pairs
+    hit = np.eye(s, dtype=np.int64)[:, 1:]  # hit[k, gi - 1] = [k == gi]
+    one = np.eye(t, dtype=np.int64)
+    base = np.array([[int(c) for c in v] for v in S.base_images], np.int64).reshape(-1, s)
+    dc = (
+        np.einsum("qg,qlb->gbql", hit[pair_j], act[pair_i])
+        + np.einsum("qg,qlb->gbql", hit[pair_i], act[pair_j])
+        - np.einsum("qg,lb->gbql", S.mul[pair_i, pair_j, 1:], one)
+    )
+    de = np.einsum("vg,lb->gbvl", base[:, 1:], one)
+    n = (s - 1) * t
+    return np.hstack([-dc.reshape(n, len(pair_i) * t), de.reshape(n, len(base) * t)]) % p
 
 
-def _classify_states(states: List[State], deltas, p: int):
-    """Union-find closure of the survivor set under section changes.
-    Every orbit is one isomorphism class; the representative is the
-    lexicographically smallest state of the orbit."""
-    index: Dict[State, int] = {st: k for k, st in enumerate(states)}
-    parent = list(range(len(states)))
+def _classify_states(states: List[State], deltas: np.ndarray, f: PrimeField):
+    """The orbits of the survivor set under section changes, which are
+    its intersections with the cosets of the span of the deltas.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for k, (cd, eta) in enumerate(states):
-        for dc, de in deltas:
-            nc = tuple((a - b) % p for a, b in zip(cd, dc))
-            ne = tuple((a + b) % p for a, b in zip(eta, de))
-            j = index.get((nc, ne))
-            if j is None:
-                raise AssertionError("a section change left the survivor set")
-            ra, rb = find(k), find(j)
-            if ra != rb:
-                parent[rb] = ra
-    groups: Dict[int, List[State]] = {}
-    for k, st in enumerate(states):
-        groups.setdefault(find(k), []).append(st)
-    reps = sorted(min(g) for g in groups.values())
-    orbit_of: Dict[State, int] = {}
-    rep_index = {rep: i for i, rep in enumerate(reps)}
-    for g in groups.values():
-        i = rep_index[min(g)]
-        for st in g:
-            orbit_of[st] = i
-    return tuple(reps), orbit_of
+    Each state is labelled by its projection onto F_p^N / span: the
+    digits minus the pivot digits times the reduced deltas.  Every
+    orbit is one isomorphism class; the representative is the
+    lexicographically smallest state of the orbit.  Once every orbit
+    is checked to be a whole coset, that state is the label itself
+    (its pivot digits are zero), and np.unique sorts the labels in
+    that order."""
+    X = np.array([cd + eta for cd, eta in states], np.int64).reshape(len(states), deltas.shape[1])
+    red, piv, rank = f.rref(deltas)
+    labels = (X - f.matmul(X[:, list(piv)], red[:rank])) % f.p
+    reps, inv, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
+    if np.any(counts != f.p**rank):
+        raise AssertionError("a section change left the survivor set")
+    nc = len(states[0][0]) if states else 0
+    reps = tuple((tuple(r[:nc]), tuple(r[nc:])) for r in reps.tolist())
+    return reps, dict(zip(states, inv.reshape(-1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +329,7 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
 @dataclass(eq=False)
 class _StructureScan:
     """Surviving states of a table scan over B by J in section
-    coordinates, with their isomorphism classes when classify is on."""
+    coordinates, with their isomorphism classes."""
 
     B: PresentedAlgebra
     J: FiniteModule
@@ -370,7 +339,7 @@ class _StructureScan:
     orbit_of: Dict[State, int]
     _S: StructureAlgebra
     _template: np.ndarray
-    _pairs: Tuple[Tuple[int, int], ...]
+    _pairs: Tuple[np.ndarray, np.ndarray]
 
     @property
     def count(self) -> int:
@@ -390,14 +359,13 @@ class _StructureScan:
         stabilizer of a state is Der_A(B, J), so with t0_dim = dim T0
         this is the band of the gerbe of extensions."""
         size = self.B.field.p ** ((self._S.dim - 1) * self.J.rank - t0_dim)
-        sizes = Counter(self.orbit_of.values())
-        return len(sizes) == self.class_count and all(n == size for n in sizes.values())
+        return all(n == size for n in Counter(self.orbit_of.values()).values())
 
     def _table(self, cd: Tuple[int, ...]) -> StructureAlgebra:
         return _assemble_table(self.B, self._S, self.J, self._template, self._pairs, cd)
 
 
-def _scan_structures(scan_cls, B, J, targets, budget, classify, what, **extra):
+def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
     """Scan every symmetric fiber-correction table for associativity,
     then every base-generator image for the base relations hitting
     their fiber targets; the orbits of the surviving states under
@@ -405,14 +373,11 @@ def _scan_structures(scan_cls, B, J, targets, budget, classify, what, **extra):
     S, mul, act = _structure_context(B, J)
     bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
     pairs, total, survivors = _scan_tables(B, S, J, mul, act, bud, what[0])
-    template = _table_template(B, S, J, act)
+    template = _table_template(S, J, act)
     states = _base_structure_states(B, S, J, template, pairs, survivors, targets, bud, what[1])
-    reps: Tuple[State, ...] = ()
-    orbit_of: Dict[State, int] = {}
-    if classify:
-        deltas = _section_change_deltas(S, J, mul, act, pairs)
-        reps, orbit_of = _classify_states(states, deltas, B.field.p)
-    return scan_cls(B, J, total, tuple(states), reps, orbit_of, S, template, tuple(pairs), **extra)
+    deltas = _section_change_deltas(S, J, act, pairs, B.field.p)
+    reps, orbit_of = _classify_states(states, deltas, B.field)
+    return scan_cls(B, J, total, tuple(states), reps, orbit_of, S, template, pairs, **extra)
 
 
 @dataclass(eq=False)
@@ -433,17 +398,12 @@ class ExtensionScan(_StructureScan):
         return state_of_table(self.B, ext.table)
 
 
-def enumerate_extensions(
-    B: PresentedAlgebra,
-    J: FiniteModule,
-    budget=None,
-    classify: bool = True,
-) -> ExtensionScan:
+def enumerate_extensions(B: PresentedAlgebra, J: FiniteModule, budget=None) -> ExtensionScan:
     """The surviving states are exactly the square-zero extensions of B
     by J in section coordinates: every base relation goes to zero."""
     targets = [[0] * J.rank for _ in B.base_relations]
     return _scan_structures(
-        ExtensionScan, B, J, targets, budget, classify,
+        ExtensionScan, B, J, targets, budget,
         ("extension table scan", "base structure scan"),
     )
 
@@ -598,11 +558,7 @@ class DeformationScan(_StructureScan):
         return state_of_table(B, realized.table, base_images=realized.aprime_images[: B.n_base])
 
 
-def enumerate_deformations(
-    problem: BaseDeformationProblem,
-    budget=None,
-    classify: bool = True,
-) -> DeformationScan:
+def enumerate_deformations(problem: BaseDeformationProblem, budget=None) -> DeformationScan:
     """Scan every candidate structure over the extended base.
 
     A state survives when its table is associative and its base images
@@ -615,6 +571,6 @@ def enumerate_deformations(
         raise ValueError("oracle scans need a finite-dimensional algebra; truncate first")
     targets = [problem.phi.mul_vec(list(a)) for a in problem.alpha]
     return _scan_structures(
-        DeformationScan, B, J, targets, budget, classify,
+        DeformationScan, B, J, targets, budget,
         ("deformation table scan", "deformation base scan"), problem=problem,
     )

@@ -193,6 +193,12 @@ class TestFiniteModule:
         with pytest.raises(ValueError, match="acts nontrivially"):
             FiniteModule.trivial(based)
 
+    def test_labels_must_be_strings(self):
+        # extension tables name their fiber basis "eps:" + label
+        B = fat_point(GF(2))
+        with pytest.raises(TypeError, match="labels must be strings"):
+            FiniteModule.trivial(B, 1)
+
     def test_regular_module(self, prime_field):
         B = dual_numbers(prime_field)
         J = FiniteModule.regular(B)

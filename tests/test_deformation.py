@@ -623,7 +623,7 @@ def _scan_table_sample(B, J, data):
     s, t = B.dim(), J.rank
     if not isinstance(f, PrimeField) or f.p ** ((s - 1) * s // 2 * t) > 3**10:
         return []
-    scan = enumerate_extensions(B, J, classify=False)
+    scan = enumerate_extensions(B, J)
     plain = [state for state in scan.states if not any(state[1])]
     return [scan.table_of(data.draw(st.sampled_from(plain)))]
 
@@ -663,7 +663,7 @@ def test_class_read_matches_every_small_scan_table(field, kind):
     # corrections that no cocycle table has
     B = make_algebra(field, ["x"], ["x^3"])
     J = FiniteModule.regular(B) if kind == "regular" else FiniteModule.trivial(B)
-    scan = enumerate_extensions(B, J, classify=False)
+    scan = enumerate_extensions(B, J)
     assert any(cd[: J.rank] != (0,) * J.rank for cd, _ in scan.states)
     one = [[field.one()] * J.rank]
     for state in scan.states:

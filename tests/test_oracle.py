@@ -272,6 +272,59 @@ def literal_structures(B, J, targets):
     return tuple(states), spent
 
 
+def literal_orbits(B, J, states):
+    """(orbit_reps, orbit_of) of a structure scan by the literal loop:
+    every elementary section change (one basis element of B to one of
+    J) applied to every state, the orbits closed by union-find, each
+    represented by its lexicographically smallest state."""
+    p = B.field.p
+    S = B.to_structure()
+    act = J.basis_action_tensor(S)
+    s, t = S.dim, J.rank
+    pairs = [(i, j) for i in range(1, s) for j in range(i, s)]
+    base = [[int(c) for c in v] for v in S.base_images]
+    deltas = []
+    for gi in range(1, s):
+        for gb in range(t):
+            dc = []
+            for i, j in pairs:
+                for l in range(t):
+                    v = 0
+                    if j == gi:
+                        v += int(act[i, l, gb])
+                    if i == gi:
+                        v += int(act[j, l, gb])
+                    if l == gb:
+                        v -= int(S.mul[i, j, gi])
+                    dc.append(v)
+            de = [base[v][gi] if l == gb else 0 for v in range(B.n_base) for l in range(t)]
+            deltas.append((dc, de))
+    index = {st: k for k, st in enumerate(states)}
+    parent = list(range(len(states)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for k, (cd, eta) in enumerate(states):
+        for dc, de in deltas:
+            nc = tuple((a - b) % p for a, b in zip(cd, dc))
+            ne = tuple((a + b) % p for a, b in zip(eta, de))
+            assert (nc, ne) in index, "a section change left the survivor set"
+            ra, rb = find(k), find(index[(nc, ne)])
+            if ra != rb:
+                parent[rb] = ra
+    groups = {}
+    for k, st in enumerate(states):
+        groups.setdefault(find(k), []).append(st)
+    reps = sorted(min(g) for g in groups.values())
+    rep_index = {rep: i for i, rep in enumerate(reps)}
+    orbit_of = {st: rep_index[min(g)] for g in groups.values() for st in g}
+    return tuple(reps), orbit_of
+
+
 def literal_lifts(prob):
     """(candidates, [(images, offsets)], spent) of the lift scan by the
     literal loop; nothing is charged when a base relation already fails
@@ -326,12 +379,15 @@ def _extension_cases(field):
     ci = make_algebra(field, ["x"], ["x^2 - s"], base_gens=["s"], base_relations=["s^2"])
     B = fat_point(field)
     D = dual_numbers(field)
+    k = make_algebra(field, [], [])
     return [
         (B, FiniteModule.trivial(B)),
         (D, FiniteModule.regular(D)),
         (base_only, _explicit_module(base_only, 2)),  # nbv = 1, t = 2
         (base_only, FiniteModule.regular(base_only)),  # eta enters through the action
         (ci, FiniteModule.trivial(ci)),
+        (k, FiniteModule.trivial(k)),  # B = k: no digits at all
+        (B, _explicit_module(B, 0)),  # the zero module: no digits at all
     ]
 
 
@@ -343,6 +399,7 @@ def test_extension_scan_matches_literal_loop(field):
         states, spent = literal_structures(B, J, [[0] * J.rank for _ in B.base_relations])
         assert scan.states == states
         assert bud.spent == spent
+        assert (scan.orbit_reps, scan.orbit_of) == literal_orbits(B, J, states)
 
 
 def _deformation_cases(field):
@@ -365,6 +422,31 @@ def test_deformation_scan_matches_literal_loop(field):
         states, spent = literal_structures(prob.B, prob.J, targets)
         assert scan.states == states
         assert bud.spent == spent
+        assert (scan.orbit_reps, scan.orbit_of) == literal_orbits(prob.B, prob.J, states)
+
+
+def test_regular_module_orbits_match_the_literal_loop():
+    # 2^24 candidates, 4,096 states in 256 classes of 16
+    field = GF(2)
+    B = make_algebra(field, ["x", "y"], ["x^2", "y^2"])
+    J = FiniteModule.regular(B)
+    scan = enumerate_extensions(B, J, budget=1 << 24)
+    assert (scan.count, scan.class_count) == (4096, 256)
+    assert (scan.orbit_reps, scan.orbit_of) == literal_orbits(B, J, scan.states)
+
+
+def test_a_missing_state_fails_the_closure_check():
+    field = GF(3)
+    B = dual_numbers(field)
+    J = FiniteModule.regular(B)
+    scan = enumerate_extensions(B, J)
+    assert scan.count > scan.class_count, "orbits of more than one state"
+    S, _, act = oracle._structure_context(B, J)
+    deltas = oracle._section_change_deltas(S, J, act, oracle._pairs(S.dim), field.p)
+    states = list(scan.states)
+    assert oracle._classify_states(states, deltas, field) == (scan.orbit_reps, scan.orbit_of)
+    with pytest.raises(AssertionError, match="a section change left the survivor set"):
+        oracle._classify_states(states[:-1], deltas, field)
 
 
 def test_the_literal_cases_include_an_obstructed_problem():

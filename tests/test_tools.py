@@ -1,4 +1,6 @@
-"""The Q-against-F_p ratio script reads benchmark results files."""
+"""The scripts under tools/: the Q-against-F_p ratio script reads
+benchmark results files; the stripped-report script writes every corpus
+report in one comparable file."""
 
 import importlib.util
 import json
@@ -6,15 +8,19 @@ import os
 
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "q_vs_fp.py")
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, f"{name}.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def q_vs_fp():
-    spec = importlib.util.spec_from_file_location("q_vs_fp", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return load_tool("q_vs_fp")
 
 
 def write_results(path, passes):
@@ -39,3 +45,26 @@ def test_ratio_of_median_job_times(q_vs_fp, tmp_path, capsys):
     assert q_vs_fp.main([q, fp]) == 0
     assert "reg3: Q 0.400 s, F3 0.0200 s, Q/F3 20.0x" in capsys.readouterr().out
     assert q_vs_fp.main([q]) == 2
+
+
+def test_stripped_reports_of_one_suite(tmp_path, capsys):
+    tool = load_tool("stripped_reports")
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert tool.main([str(first), "showcase"]) == 0
+    assert tool.main([str(second), "showcase"]) == 0
+    # the same checkout gives the same bytes, so cmp is the comparison
+    assert first.read_bytes() == second.read_bytes()
+    text = first.read_text()
+    assert "timing_ms" not in text
+    reports = json.loads(text)
+    assert list(reports) == sorted(
+        f"showcase/{field}/oracle-{mode}"
+        for field in ("default", "F2", "F3", "F5", "Q")
+        for mode in ("off", "on")
+    )
+    assert reports["showcase/F3/oracle-on"]["field"] == "F3"
+    assert all(e.get("oracle") for e in reports["showcase/F3/oracle-on"]["problems"])
+    assert not any(e.get("oracle") for e in reports["showcase/F3/oracle-off"]["problems"])
+    assert tool.main([str(first), "no-such-suite"]) == 2
+    assert "no-such-suite" in capsys.readouterr().err
+    assert tool.main([]) == 2
