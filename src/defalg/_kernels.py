@@ -122,17 +122,33 @@ def _digits(ns, ndig, p):
     return (ns[:, None] // pows[None, :]) % p
 
 
+def _unique_rows(rows, p):
+    """(distinct rows, inverse, counts) of a 2-D array of residues mod p,
+    as ``np.unique(rows, axis=0, ...)`` returns them, rows ascending in
+    lexicographic order.
+
+    While p^width < 2^62 each row is one int64 key, its digits in base p
+    with the first column most significant, so key order is row order
+    and one 1-D sort replaces the row sort.  Wider rows are sorted as
+    rows, narrowed to the smallest unsigned type holding p - 1."""
+    width = rows.shape[1]
+    if int(p) ** width >= 2**62:
+        uniq, inv, counts = np.unique(
+            rows.astype(np.min_scalar_type(p - 1)), axis=0, return_inverse=True, return_counts=True
+        )
+        return uniq, inv.ravel(), counts
+    keys = rows.astype(np.int64) @ (p ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    return rows[first], inv.ravel(), counts
+
+
 def _join_rows(inner, outer, p):
     """Index pairs (i, j) with outer[i] == inner[j], rows of residues
     mod p: every i in order, and for each i its matches j ascending.
 
     Both tables are sorted together by their rows, the inner rows are
     grouped by row value, and each outer row takes its whole group."""
-    # residues fit the smallest unsigned type holding p - 1; narrower
-    # rows sort faster
-    rows = np.concatenate([inner, outer]).astype(np.min_scalar_type(p - 1))
-    uniq, key = np.unique(rows, axis=0, return_inverse=True)
-    key = key.ravel()
+    uniq, key, _ = _unique_rows(np.concatenate([inner, outer]), p)
     key_in, key_out = key[: len(inner)], key[len(inner) :]
     # inner rows grouped by key, ascending within a group
     by_key = np.argsort(key_in, kind="stable")

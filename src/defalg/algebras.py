@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class PresentedAlgebra:
         self._gb: Optional[GroebnerBasis] = None
         self._base_gb: Optional[GroebnerBasis] = None
         self._std: Optional[Tuple[Monomial, ...]] = None
+        self._std_index: Optional[Dict[Monomial, int]] = None  # see std_index
         self._cotangent = None  # cotangent.CotangentComplex, see cotangent_complex
         self._structure: Optional["StructureAlgebra"] = None  # see to_structure
         self._divisions: Optional[dict] = None  # (i, j) -> (product, normal form, quotients), see to_structure
@@ -201,12 +202,18 @@ class PresentedAlgebra:
                 parts.append(f"{self.names[i]}^{e}")
         return "*".join(parts)
 
+    def std_index(self) -> Dict[Monomial, int]:
+        """Each standard monomial's position in std_monomials(), built
+        once per algebra."""
+        if self._std_index is None:
+            self._std_index = {m: i for i, m in enumerate(self.std_monomials())}
+        return self._std_index
+
     def coordinates(self, p: Polynomial) -> List[Scalar]:
         """Coordinates of p's class in the std-monomial basis."""
-        std = self.std_monomials()
-        index = {m: i for i, m in enumerate(std)}
+        index = self.std_index()
         nf = self.normal_form(p)
-        out = [self.field.zero()] * len(std)
+        out = [self.field.zero()] * len(index)
         for m, c in nf.terms.items():
             out[index[m]] = c
         return out
@@ -566,15 +573,22 @@ class FiniteModule:
 
     @classmethod
     def regular(cls, B: PresentedAlgebra) -> "FiniteModule":
-        """B as a module over itself (finite-dimensional B only)."""
+        """B as a module over itself (finite-dimensional B only).  A
+        product x_v * m that is itself standard is a unit column; only
+        the others are divided."""
         std = B.std_monomials()
+        index = B.std_index()
+        zero, one = B.field.zero(), B.field.one()
         mats = []
         for v in range(B.nvars):
             xs = B.var(v)
             cols = []
             for m in std:
-                prod = xs * Polynomial.monomial(B.field, B.nvars, m)
-                cols.append(B.coordinates(prod))
+                k = index.get(m[:v] + (m[v] + 1,) + m[v + 1 :])
+                if k is None:
+                    cols.append(B.coordinates(xs * Polynomial.monomial(B.field, B.nvars, m)))
+                else:
+                    cols.append([zero] * k + [one] + [zero] * (len(std) - k - 1))
             mats.append(Matrix.from_cols(B.field, cols, nrows=len(std)))
         labels = tuple(B.mono_label(m) for m in std)
         return cls(B, labels, mats)

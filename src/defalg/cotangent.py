@@ -14,8 +14,11 @@ syzygies and the base relations times the free module: the syzygy
 generators pruned by one incremental module Groebner basis, each one
 dropped certified redundant by exact re-expansion.  The W rows record
 every relation among the s's modulo the same submodule, so the last
-term is the honest Hom out of the quotient.  The identities D1 D0 = 0 and
-W D1 = 0 hold exactly at the matrix level and are asserted.
+term is the honest Hom out of the quotient.  They come from the prune's
+own final basis, a Groebner basis of Kos + base + kept s's: its
+Schreyer syzygies, restricted to the s's and reduced modulo the ideal
+while still packed.  The identities D1 D0 = 0 and W D1 = 0 hold
+exactly at the matrix level and are asserted.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .algebras import FiniteModule, PresentedAlgebra
 from .differential import block_matrix, jacobian_entries, relation_syzygies
-from .groebner import combinations_vanish, module_syzygies, prune_generators
+from .groebner import combinations_vanish, prune_generators
 from .linalg import Matrix, complete_basis, kernel_basis, solve_affine_rows, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
@@ -108,25 +111,12 @@ def _build_complex(B: PresentedAlgebra) -> CotangentComplex:
     kos = koszul_vectors(B)
     base = base_vectors(B)
     # every phi in Hom(P^m, J) kills Kos and base.P^m: generators of Syz
-    # modulo those suffice, and each one dropped is certified redundant
+    # modulo those suffice, and each one dropped is certified redundant;
+    # the prune's final basis also gives the relations among the kept
+    # syzygies modulo Kos + base, reduced modulo the ideal: the W rows
     syz = relation_syzygies(B)
-    syz = [syz[k] for k in prune_generators(kos + base, syz, m, GREVLEX)]
-
-    r = len(syz)
-    w_rows: List[Tuple[Polynomial, ...]] = []
-    if r:
-        rels = module_syzygies(syz + kos + base, m, GREVLEX)
-        seen = set()
-        for rel in rels:
-            crow = tuple(B.normal_form(rel[k]) for k in range(r))
-            if all(p.is_zero() for p in crow):
-                continue
-            key = tuple(tuple(sorted(p.terms.items())) for p in crow)
-            if key in seen:
-                continue
-            seen.add(key)
-            w_rows.append(crow)
-        w_rows.sort(key=lambda row: [p.key() for p in row])
+    keep, w_rows = prune_generators(kos + base, syz, m, B.groebner(), GREVLEX)
+    syz = [syz[k] for k in keep]
 
     return CotangentComplex(
         B,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .algebras import FiniteModule, PresentedAlgebra
-from .groebner import buchberger, normal_form, syzygy_basis
+from .groebner import buchberger, normal_form, syzygy_rows
 from .linalg import Matrix, kernel_basis, vec_add, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
@@ -141,26 +141,15 @@ def relation_syzygies(B: PresentedAlgebra) -> List[List[Polynomial]]:
     polynomial ring, as vectors with entries reduced modulo the base ideal.
 
     Each returned vector s satisfies: sum_j s_j f_j lies in the ideal of
-    the base relations, exactly, in the flattened ring.
+    the base relations, exactly, in the flattened ring.  Zero vectors and
+    duplicates are dropped and the rest sorted by their terms; with no
+    base relations nothing is reduced.
     """
     m = len(B.relations)
     if m == 0:
         return []
-    gens = list(B.relations) + list(B.base_relations)
-    syz = syzygy_basis(gens, GREVLEX)
-    out = []
-    seen = set()
-    for col in syz.columns:
-        vec = [B.base_normal_form(col[j]) for j in range(m)]
-        if all(p.is_zero() for p in vec):
-            continue
-        key = tuple(tuple(sorted(p.terms.items())) for p in vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(vec)
-    out.sort(key=lambda v: [p.key() for p in v])
-    return out
+    base = B.base_groebner() if B.base_relations else None
+    return [list(v) for v in syzygy_rows(list(B.relations) + list(B.base_relations), m, base, GREVLEX)]
 
 
 class ConormalPresentation(_ModulePresentation):

@@ -15,14 +15,15 @@ whose dtype the field decides: int64 residues for GF(p), object arrays
 of canonical rationals for Q.  The field owns the operations that differ
 between the two: building an array from scalars (``array``), bringing
 entries back to canonical form (``reduce``), the reduced product
-(``matmul``) and row reduction (``rref``).  Sums of int64 products are
-exact only while contraction length * (p-1)^2 < 2^63; ``matmul`` checks
-that bound and runs the same product on Python ints beyond it, so every
-accepted p gets exact answers.  Over Q, ``matmul`` clears the
-denominators of each operand once, multiplies the two Python-int arrays
-and divides by the product of the two denominators only where an entry
-is not a multiple of it: exact at any size, with no ``Fraction``
-arithmetic inside the sums.
+(``matmul``) and row reduction (``rref``).  Both fields multiply integer
+arrays by one rule: in int64 while contraction length * max|a| * max|b|
+< 2^63, so no partial sum can wrap, and on Python ints beyond it.  Over
+GF(p) the bound is length * (p-1)^2, so every accepted p gets exact
+answers.  Over Q, ``matmul`` clears the denominators of each operand
+once, multiplies the two integer arrays by that rule and divides by the
+product of the two denominators only where an entry is not a multiple
+of it: exact at any size, with no ``Fraction`` arithmetic inside the
+sums.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """GF(p) with elements represented as ints in ``range(p)``."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "char")
 
     dtype = np.int64
 
@@ -65,15 +66,11 @@ class PrimeField:
             raise ValueError(f"modulus {p} is not prime")
         if p >= 2**31:
             raise ValueError(f"modulus {p} too large for int64 kernels")
-        self.p = p
+        self.p = self.char = p  # an attribute, not a property: read per Groebner division
 
     @property
     def name(self) -> str:
         return f"F{self.p}"
-
-    @property
-    def char(self) -> int:
-        return self.p
 
     def zero(self) -> int:
         return 0
@@ -126,9 +123,8 @@ class PrimeField:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b mod p, in int64 while its sums cannot wrap."""
-        if a.shape[-1] * (self.p - 1) ** 2 < 2**63:
-            return (a @ b) % self.p
-        return ((a.astype(object) @ b.astype(object)) % self.p).astype(np.int64)
+        prod = _int_matmul(a, b, a.shape[-1] * (self.p - 1) ** 2)
+        return (prod % self.p).astype(np.int64, copy=False)
 
     def rref(self, a: np.ndarray):
         """(reduced array, pivot column tuple, rank) through the kernels."""
@@ -166,6 +162,15 @@ def rational(x) -> Scalar:
         return operator.index(x)
     except TypeError:
         raise TypeError(f"not an exact rational: {x!r}") from None
+
+
+def _int_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a @ b for arrays of integers, exact at any size: in int64 while
+    bound, at least contraction length * max|a| * max|b|, is below 2^63
+    (no partial sum can wrap), on Python ints otherwise."""
+    if bound < 2**63:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return a.astype(object, copy=False) @ b.astype(object, copy=False)
 
 
 def _ratio(x: int, den: int) -> Scalar:
@@ -301,14 +306,17 @@ class RationalField:
         return _to_rationals(a)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b on cleared-denominator integers, divided once per entry
-        that is not a multiple of the common denominator."""
+        """a @ b on cleared-denominator integers (int64 when bounded, as
+        for GF(p)), divided once per entry that is not a multiple of the
+        common denominator."""
         ia, da = _clear_denominators(a.ravel().tolist())
         ib, db = _clear_denominators(b.ravel().tolist())
-        prod = np.array(ia, object).reshape(a.shape) @ np.array(ib, object).reshape(b.shape)
+        # at least 1 per factor, so a bound below 2^63 also fits each entry
+        bound = a.shape[-1] * max(1, max(map(abs, ia), default=0)) * max(1, max(map(abs, ib), default=0))
+        prod = _int_matmul(np.array(ia, object).reshape(a.shape), np.array(ib, object).reshape(b.shape), bound)
         den = da * db
         if den == 1:
-            return prod
+            return prod.astype(object, copy=False)  # Python ints, also from int64
         return np.array([_ratio(x, den) for x in prod.ravel().tolist()], object).reshape(prod.shape)
 
     def rref(self, a: np.ndarray):

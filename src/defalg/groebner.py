@@ -39,20 +39,30 @@ division step never raises a field above the degree of the term it
 reduces; its check never fires, and nothing ever wraps.  Polynomials
 keep tuple monomials; terms are packed and unpacked at the API below.
 
-Division (``_v_divmod``) keeps the pending terms in a heap of negated
+Division (``_z_divmod``) keeps the pending terms in a heap of negated
 ints and reduces the largest one each step by the first basis element,
 among those of its component, whose leading term divides it: the
 reduction order of "take the max over what is left", at a heap pop per
-step.  A basis carries its division data (leading terms, tails and the
-pack), built once.  The engine builds the cofactors of an S-pair only
-when its remainder is nonzero and joins the basis; most pairs reduce to
-zero.
+step.  It runs on Python ints over both fields.  Over F_p the residues
+are summed unreduced and reduced mod p when a term is popped.  Over Q
+the dividend is v / D with v integral, and a monic basis element keeps
+its tail as (l, l * tail), l the common denominator of the tail; when
+l does not divide the popped coefficient, the pending terms, the normal
+form and the quotients are scaled by l / gcd and D with them
+(fraction-free, after Bareiss 1968).  A basis carries this division
+data with its leading terms and pack, built once.  Callers that only
+test the remainder for zero (S-pairs, ``combinations_vanish``) never
+build a Fraction; ``_v_divmod`` returns canonical scalars, one ratio
+per term.  The engine builds the cofactors of an S-pair only when its
+remainder is nonzero and joins the basis; most pairs reduce to zero.
 
 ``prune_generators`` keeps, of a family of candidate vectors, those
 needed beside a fixed family to generate the same submodule: one engine
 is seeded with the fixed vectors, and each candidate in (degree, index)
 order either reduces to zero against the current basis, and is dropped
 with its cofactors re-expanded and checked exactly, or joins the basis.
+The final basis also gives, by Schreyer's syzygies, the relations among
+the kept candidates modulo the fixed ones, with no second engine run.
 
 Correctness notes baked into the code:
   * the product (coprime-lcm) criterion is applied only to ring-level
@@ -71,10 +81,10 @@ import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .fields import Field, Scalar
+from .fields import Field, RationalField, Scalar, _ratio
 from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, mono_coprime, mono_lcm
 
 FIELD_BITS = 16  # two bytes: see _Pack.exponents
@@ -84,7 +94,8 @@ CMASK = (1 << COMP_BITS) - 1
 
 VDict = Dict[int, Scalar]  # packed term -> coefficient
 QDict = Dict[int, Scalar]  # packed shift (zero low bits) -> coefficient
-Tail = Tuple[Tuple[int, Scalar], ...]
+ZDict = Dict[int, int]  # either of those with integer coefficients
+Tail = Tuple[int, Tuple[Tuple[int, int], ...]]  # (l, l * tail): see _tail
 
 
 class _Pack:
@@ -150,25 +161,34 @@ def _comp(t: int) -> int:
     return CMASK - (t & CMASK)
 
 
-def _tail(v: VDict, lead: int) -> Tail:
-    return tuple(item for item in v.items() if item[0] != lead)
+def _tail(v: VDict, lead: int, p: int = 0) -> Tail:
+    """The terms of the monic v below its lead as (l, l * tail), l the
+    common denominator of their coefficients: (1, tail) over F_p (p > 0)."""
+    items = tuple(item for item in v.items() if item[0] != lead)
+    if p:
+        return 1, items
+    ell = lcm(1, *{c.denominator for _, c in items})
+    return ell, tuple((t, c.numerator * (ell // c.denominator)) for t, c in items)
 
 
-def _v_shift_diff(field: Field, a: VDict, sa: int, b: VDict, sb: int, pack: _Pack) -> VDict:
-    """x^sa * a - x^sb * b."""
-    out = {sa + t: c for t, c in a.items()}
-    neg, sub = field.neg, field.sub
-    for t, c in b.items():
-        u = sb + t
-        cur = out.get(u)
-        if cur is None:
-            out[u] = neg(c)
-        elif not (c := sub(cur, c)):
-            del out[u]
-        else:
-            out[u] = c
-    pack.check(out)
-    return out
+def _integral(field: Field, v: VDict) -> Tuple[int, ZDict]:
+    """(d, d * v) as ints, with d the common denominator of v's
+    coefficients: (1, v) over F_p."""
+    if field.char:
+        return 1, v
+    d = lcm(1, *{c.denominator for c in v.values()})
+    return d, {t: c.numerator * (d // c.denominator) for t, c in v.items()}
+
+
+def _over(field: Field, z: ZDict, d: int) -> VDict:
+    """z / d as canonical field scalars, one ratio per term; over F_p z
+    holds residues already and d is 1."""
+    if field.char or (d == 1 and isinstance(field, RationalField)):
+        return z
+    if isinstance(field, RationalField):
+        return {t: _ratio(x, d) for t, x in z.items()}
+    from_int, den = field.from_int, field.from_int(d)
+    return {t: field.div(from_int(x), den) for t, x in z.items()}
 
 
 def _v_combine(
@@ -214,60 +234,103 @@ def _v_split(v: VDict, ncomp: int) -> List[QDict]:
     return out
 
 
-def _v_divmod(
-    field: Field, v: VDict, leads: Sequence[int], tails: Sequence[Tail], pack: _Pack
-) -> Tuple[VDict, List[QDict]]:
-    """Full division of v by a monic basis, given by its leading terms and
-    tails: (normal form, quotients).
+def _z_divmod(
+    p: int, v: ZDict, d: int, leads: Sequence[int], tails: Sequence[Tail], pack: _Pack
+) -> Tuple[ZDict, List[ZDict], int]:
+    """Full division of v / d, v integral, by a monic basis given by its
+    leading terms and tails (see ``_tail``): (nf, quots, d') with the
+    normal form nf / d' and the quotients quots / d'.
 
     Deterministic: always reduces the currently largest term, choosing
     the first basis element whose leading term divides it.  Pending
     terms sit in a heap of negated terms, with lazy deletion: a popped
     term no longer in ``work`` was cancelled.  Every term that a
     reduction step creates is smaller than the term it reduces, so a
-    term once popped never comes back.
+    term once popped never comes back.  Over F_p (p > 0) the sums run on
+    unreduced ints, reduced mod p when popped, and d stays 1.  Over Q a
+    step by a tail (l, l * tail) whose l does not divide the popped
+    coefficient first scales work, normal form and quotients by
+    l / gcd, and d with them.
     """
-    by_comp: Dict[int, List[Tuple[int, int, Tail]]] = {}
+    by_comp: Dict[int, List[Tuple[int, int, int, tuple]]] = {}
     for idx, lead in enumerate(leads):
-        by_comp.setdefault(lead & CMASK, []).append((idx, lead, tails[idx]))
+        by_comp.setdefault(lead & CMASK, []).append((idx, lead, *tails[idx]))
     divmask, guard = pack.divmask, pack.guard
     work = dict(v)
     heap = [-t for t in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    nf: VDict = {}
-    quots: List[QDict] = [dict() for _ in leads]
+    nf: ZDict = {}
+    quots: List[ZDict] = [dict() for _ in leads]
     get = work.get
-    add, mul, neg = field.add, field.mul, field.neg
     while heap:
         t = -heappop(heap)
         coeff = work.pop(t, None)
         if coeff is None:
             continue
-        for hit, lead, tail in by_comp.get(t & CMASK, ()):
+        if p:
+            coeff %= p
+            if not coeff:
+                continue
+        for hit, lead, ell, tail in by_comp.get(t & CMASK, ()):
             if not (t - lead) & divmask:
                 break
         else:
             nf[t] = coeff
             continue
+        if ell != 1 and coeff % ell:
+            s = ell // gcd(coeff, ell)
+            d *= s
+            coeff *= s
+            for z in (work, nf, *quots):
+                for u in z:
+                    z[u] *= s
         shift = t - lead
         quots[hit][shift] = coeff  # terms only decrease: no shift comes twice
         # work -= coeff * x^shift * basis[hit], whose lead cancels t
-        c0 = neg(coeff)
+        c0 = -coeff // ell
         for bt, bc in tail:
             u = shift + bt
-            c = mul(c0, bc)
+            c = c0 * bc
             cur = get(u)
             if cur is None:
                 if u & guard:
                     pack.check((u,))
                 work[u] = c
                 heappush(heap, -u)
-            elif not (c := add(cur, c)):
+            elif not (c := cur + c):
                 del work[u]
             else:
                 work[u] = c
-    return nf, quots
+    return nf, quots, d
+
+
+def _v_divmod(
+    field: Field, v: VDict, leads: Sequence[int], tails: Sequence[Tail], pack: _Pack
+) -> Tuple[VDict, List[QDict]]:
+    """_z_divmod on field scalars: (normal form, quotients) of v."""
+    if field.char:
+        return _z_divmod(field.char, v, 1, leads, tails, pack)[:2]
+    d, z = _integral(field, v)
+    nf, quots, d = _z_divmod(0, z, d, leads, tails, pack)
+    return _over(field, nf, d), [_over(field, q, d) for q in quots]
+
+
+def _z_spair(ti: Tail, si: int, tj: Tail, sj: int, pack: _Pack) -> Tuple[ZDict, int]:
+    """(S, l) with S / l = x^si * b_i - x^sj * b_j for the monic b_i, b_j
+    with tails ti, tj and shifts onto a common lead, which cancels."""
+    (li, ti), (lj, tj) = ti, tj
+    ell = lcm(li, lj)
+    a, b = ell // li, ell // lj
+    out = {si + t: a * c for t, c in ti}
+    for t, c in tj:
+        u = sj + t
+        if x := out.get(u, 0) - b * c:
+            out[u] = x
+        else:
+            del out[u]
+    pack.check(out)
+    return out, ell
 
 
 class _Engine:
@@ -309,7 +372,7 @@ class _Engine:
             rep = {t: self.field.mul(inv, c) for t, c in rep.items()}
         self.basis.append(v)
         self.leads.append(lt)
-        self.tails.append(_tail(v, lt))
+        self.tails.append(_tail(v, lt, self.field.char))
         self.lead_exps.append(self.pack.exponents(lt))
         self.reps.append(rep)
         self._push_pairs(len(self.basis) - 1)
@@ -332,6 +395,12 @@ class _Engine:
                 return True
         return False
 
+    def _spair_divmod(self, i: int, j: int, si: int, sj: int) -> Tuple[ZDict, List[ZDict], int]:
+        """The S-vector of basis elements i and j divided by the basis,
+        on ints: (nf, quots, d) as from _z_divmod."""
+        s, d = _z_spair(self.tails[i], si, self.tails[j], sj, self.pack)
+        return _z_divmod(self.field.char, s, d, self.leads, self.tails, self.pack)
+
     def run(self) -> None:
         f, pack = self.field, self.pack
         while self.pairs:
@@ -344,13 +413,14 @@ class _Engine:
                 continue
             si = lcm - self.leads[i]
             sj = lcm - self.leads[j]
-            s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj, pack)
-            nf, quots = _v_divmod(f, s, self.leads, self.tails, pack)
+            nf, quots, d = self._spair_divmod(i, j, si, sj)
             if not nf:
                 continue
             # the cofactors of a new basis element; most S-pairs reduce to zero
-            rep = _v_shift_diff(f, self.reps[i], si, self.reps[j], sj, pack)
-            self.add(nf, _v_combine(f, quots, self.reps, pack, rep, negate=True))
+            one = f.one()
+            rep = _v_combine(f, [{si: one}, {sj: f.neg(one)}], [self.reps[i], self.reps[j]], pack)
+            quots = [_over(f, q, d) for q in quots]
+            self.add(_over(f, nf, d), _v_combine(f, quots, self.reps, pack, rep, negate=True))
 
     def interreduce(self) -> None:
         f, pack = self.field, self.pack
@@ -372,30 +442,31 @@ class _Engine:
             )
             _v_combine(f, quots, reps[:pos] + reps[pos + 1 :], pack, reps[pos], negate=True)
             basis[pos] = nf
-            tails[pos] = _tail(nf, leads[pos])
+            tails[pos] = _tail(nf, leads[pos], f.char)
         self.basis = basis
         self.leads = leads
         self.tails = tails
         self.lead_exps = lead_exps
         self.reps = reps
 
-    def divide_gens(self, gens_v: Sequence[VDict]) -> List[List[QDict]]:
+    def divide_gens(self, gens_v: Sequence[VDict]) -> List[Tuple[List[ZDict], int]]:
+        """(quots, d) per generator: its quotients quots / d by the basis."""
         out = []
         for g in gens_v:
-            nf, quots = _v_divmod(self.field, g, self.leads, self.tails, self.pack)
+            d, z = _integral(self.field, g)
+            nf, quots, d = _z_divmod(self.field.char, z, d, self.leads, self.tails, self.pack)
             if nf:
                 raise AssertionError("generator does not reduce to zero against its own basis")
-            out.append(quots)
+            out.append((quots, d))
         return out
 
-    def schreyer(self) -> List[VDict]:
-        """Syzygies of the final basis, one candidate per same-component
-        pair, each fully reduced; no pair criteria applied here."""
-        f, pack = self.field, self.pack
-        one = f.one()
+    def schreyer(self) -> List[Tuple[List[ZDict], int]]:
+        """Syzygies of the final basis, one per same-component pair, each
+        fully reduced; no pair criteria applied here.  Each is (z, d) with
+        z[k] / d the coefficient of basis element k in minus the syzygy
+        x^si e_i - x^sj e_j - sum_k quots_k e_k."""
         n = len(self.basis)
-        units = [{_unit(k): one} for k in range(n)]
-        out: List[VDict] = []
+        out = []
         for i in range(n):
             ci = self.leads[i] & CMASK
             for j in range(i + 1, n):
@@ -404,15 +475,12 @@ class _Engine:
                 lcm = self._lcm(i, j) + ci
                 si = lcm - self.leads[i]
                 sj = lcm - self.leads[j]
-                s = _v_shift_diff(f, self.basis[i], si, self.basis[j], sj, pack)
-                nf, quots = _v_divmod(f, s, self.leads, self.tails, pack)
+                nf, quots, d = self._spair_divmod(i, j, si, sj)
                 if nf:
                     raise AssertionError("S-vector of a Groebner basis fails to reduce to zero")
-                # x^si e_i - x^sj e_j - sum_k quots[k] e_k
-                syz = {si + _unit(i): one, sj + _unit(j): f.neg(one)}
-                _v_combine(f, quots, units, pack, syz, negate=True)
-                if syz:
-                    out.append(syz)
+                quots[i][si] = quots[i].get(si, 0) - d
+                quots[j][sj] = quots[j].get(sj, 0) + d
+                out.append((quots, d))
         return out
 
 
@@ -456,9 +524,9 @@ class _Division:
     pack: _Pack
 
 
-def _division_data(vb: List[VDict], pack: _Pack) -> _Division:
+def _division_data(vb: List[VDict], pack: _Pack, p: int = 0) -> _Division:
     leads = [max(v) for v in vb]
-    return _Division(leads, [_tail(v, lt) for v, lt in zip(vb, leads)], pack)
+    return _Division(leads, [_tail(v, lt, p) for v, lt in zip(vb, leads)], pack)
 
 
 @dataclass(frozen=True)
@@ -478,7 +546,7 @@ class GroebnerBasis:
     @cached_property
     def _division(self) -> _Division:
         pack = _pack(self.nvars, self.order)
-        return _division_data([_poly_to_v(b, pack) for b in self.basis], pack)
+        return _division_data([_poly_to_v(b, pack) for b in self.basis], pack, self.field.char)
 
     def contains_one(self) -> bool:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
@@ -498,7 +566,7 @@ class ModuleGroebnerBasis:
     @cached_property
     def _division(self) -> _Division:
         pack = _pack(self.nvars, self.order)
-        return _division_data([_vec_to_v(b, pack) for b in self.basis], pack)
+        return _division_data([_vec_to_v(b, pack) for b in self.basis], pack, self.field.char)
 
     def normal_form(self, vec: Sequence[Polynomial]) -> List[Polynomial]:
         d = self._division
@@ -546,7 +614,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
     vdivs = eng.divide_gens(gens_v)
     basis = tuple(_v_to_vec(v, pack, field, 1)[0] for v in eng.basis)
     to_gens = tuple(tuple(_v_to_vec(rep, pack, field, len(gens))) for rep in eng.reps)
-    from_gens = tuple(tuple(_q_to_poly(q, pack, field) for q in quots) for quots in vdivs)
+    from_gens = tuple(tuple(_q_to_poly(_over(field, q, d), pack, field) for q in quots) for quots, d in vdivs)
     return GroebnerBasis(field, nvars, order, tuple(gens), basis, to_gens, from_gens)
 
 
@@ -630,21 +698,23 @@ def combinations_vanish(
 ) -> bool:
     """Whether, for every row r, each component of sum_k r[k] * vecs[k]
     reduces to zero by gb (is zero outright when reduce is False): one
-    packed combination per row, then one division per component."""
+    packed combination per row, then one division per component, all on
+    ints, the row and the vectors scaled by their common denominators."""
     d = gb._division
-    pack = d.pack
-    pvecs = [_vec_to_v(v, pack) for v in vecs]
+    field, pack = gb.field, d.pack
+    zvecs = _integral_family(field, [_vec_to_v(v, pack) for v in vecs])
     for row in rows:
-        acc = _v_combine(gb.field, [_poly_to_q(p, pack) for p in row], pvecs, pack)
+        zrow = _integral_family(field, [_poly_to_q(p, pack) for p in row])
+        acc = _z_combine(field, zrow, zvecs, pack)
         if not reduce:
             if acc:
                 return False
             continue
-        parts: Dict[int, VDict] = {}
+        parts: Dict[int, ZDict] = {}
         for t, c in acc.items():
             parts.setdefault(t & CMASK, {})[t | CMASK] = c  # moved to component 0
         for part in parts.values():
-            if _v_divmod(gb.field, part, d.leads, d.tails, pack)[0]:
+            if _z_divmod(field.char, part, 1, d.leads, d.tails, pack)[0]:
                 return False
     return True
 
@@ -654,30 +724,69 @@ def _canonical_key(v: VDict, pack: _Pack):
     return tuple(sorted(((_comp(t), pack.exponents(t)), c) for t, c in v.items()))
 
 
+def _engine_syzygies(eng: _Engine, gens_v: Sequence[VDict]) -> List[Tuple[ZDict, int]]:
+    """Generators of the syzygies of gens_v, from an engine that holds a
+    Groebner basis of them with cofactors over them: the Schreyer
+    syzygies of the basis mapped through the cofactors, and the rows of
+    I - V.U, which catch generators that collapsed into the basis.  Each
+    is (z, d), the syzygy z / d, summed on ints.  The basis is
+    interreduced first, which leaves fewer pairs."""
+    eng.interreduce()
+    f, pack = eng.field, eng.pack
+    int_reps = [_integral(f, rep) for rep in eng.reps]
+    out = [_integral_combination(f, quots, d, int_reps, pack) for quots, d in eng.schreyer()]
+    for i, (quots, d) in enumerate(eng.divide_gens(gens_v)):
+        # e_i - sum_k quots[k] / d * reps[k], e_i as one more vector
+        minus = [{s: -c for s, c in q.items()} for q in quots]
+        out.append(_integral_combination(f, minus + [{0: d}], d, int_reps + [(1, {_unit(i): 1})], pack))
+    return [(z, d) for z, d in out if z]
+
+
 def _syzygies_raw(gens_v: List[VDict], ncomp: int, field: Field, pack: _Pack) -> List[VDict]:
+    """Syzygy generators of gens_v in a deterministic presentation:
+    duplicates dropped, sorted canonically on the unpacked terms."""
     eng = _Engine(field, pack, ncomp)
     eng.seed(gens_v)
     eng.run()
-    eng.interreduce()
-    ngens = len(gens_v)
-    out: List[VDict] = []
-    for sig in eng.schreyer():
-        tau = _v_combine(field, _v_split(sig, len(eng.reps)), eng.reps, pack, negate=True)
-        if tau:
-            out.append(tau)
-    # rows of I - V.U catch generators that collapsed into the basis
-    vdivs = eng.divide_gens(gens_v)
-    one = field.one()
-    for i in range(ngens):
-        row = _v_combine(field, vdivs[i], eng.reps, pack, {_unit(i): one}, negate=True)
-        if row:
-            out.append(row)
-    # deterministic presentation: drop duplicates, sort canonically on
-    # the unpacked terms
     keyed: Dict[tuple, VDict] = {}
-    for v in out:
+    for z, d in _engine_syzygies(eng, gens_v):
+        v = _over(field, z, d)
         keyed.setdefault(_canonical_key(v, pack), v)
     return [keyed[k] for k in sorted(keyed)]
+
+
+def _reduced_rows(
+    field: Field, pack: _Pack, rows: Iterable[Tuple[List[ZDict], int]], modulo: Optional[GroebnerBasis]
+) -> List[Tuple[Polynomial, ...]]:
+    """The rows z / d of packed ring polynomials, every entry reduced on
+    ints modulo the ring basis ``modulo`` (left as it is when that is
+    None), zero rows and duplicates dropped, as polynomial tuples sorted
+    by their terms."""
+    div = modulo._division if modulo is not None else None
+    seen = set()
+    out = []
+    for row, d in rows:
+        if div is not None:
+            row = [_reduced_entry(field, q, d, div) for q in row]
+        else:
+            row = [_over(field, q, d) for q in row]
+        if not any(row):
+            continue
+        key = tuple(tuple(sorted(q.items())) for q in row)
+        if key not in seen:
+            seen.add(key)
+            out.append(tuple(_q_to_poly(q, pack, field) for q in row))
+    out.sort(key=lambda row: [p.key() for p in row])
+    return out
+
+
+def _reduced_entry(field: Field, q: ZDict, d: int, div: _Division) -> QDict:
+    """The normal form of the ring polynomial q / d (packed shifts, q
+    integral) by a ring basis: moved to component 0 and back."""
+    if not q:
+        return q
+    nf, _, d = _z_divmod(field.char, {s | CMASK: c for s, c in q.items()}, d, div.leads, div.tails, div.pack)
+    return _over(field, {t & ~CMASK: c for t, c in nf.items()}, d)
 
 
 def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> SyzygyMatrix:
@@ -690,6 +799,26 @@ def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> 
     raw = _syzygies_raw([_poly_to_v(g, pack) for g in gens], 1, field, pack)
     cols = tuple(tuple(_v_to_vec(v, pack, field, len(gens))) for v in raw)
     return SyzygyMatrix(field, nvars, tuple((g,) for g in gens), cols)
+
+
+def syzygy_rows(
+    gens: Sequence[Polynomial], r: int, modulo: Optional[GroebnerBasis] = None, order: MonomialOrder = GREVLEX
+) -> List[Tuple[Polynomial, ...]]:
+    """The first r entries of generators of the syzygies of gens, each
+    entry reduced modulo the ring basis ``modulo`` (left as it is when
+    that is None), zero rows and duplicates dropped, sorted by their
+    terms.  Packed throughout: each entry becomes a Polynomial once."""
+    gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    field, nvars = _context(gens)
+    pack = _pack(nvars, order)
+    eng = _Engine(field, pack, 1)
+    gens_v = [_poly_to_v(g, pack) for g in gens]
+    eng.seed(gens_v)
+    eng.run()
+    rows = ((_v_split(z, len(gens))[:r], d) for z, d in _engine_syzygies(eng, gens_v))
+    return _reduced_rows(field, pack, rows, modulo)
 
 
 def module_syzygies(
@@ -709,15 +838,17 @@ def _scaled(field: Field, d: Scalar, v: VDict) -> VDict:
     return v if d == 1 else {t: field.mul(d, c) for t, c in v.items()}
 
 
-def _integral(field: Field, v: VDict) -> Tuple[int, VDict]:
-    """(d, d * v), with d the common denominator of v's coefficients."""
-    d = field.denominator(v.values())
-    return d, _scaled(field, d, v)
+def _integral_family(field: Field, vs: Sequence[VDict]) -> List[ZDict]:
+    """[e * v for v in vs] as ints, e the common denominator of the
+    family: vs over F_p."""
+    ints = [_integral(field, v) for v in vs]
+    e = lcm(1, *(d for d, _ in ints))
+    return [z if d == e else {t: c * (e // d) for t, c in z.items()} for d, z in ints]
 
 
-def _z_combine(field: Field, quots: Sequence[QDict], vecs: Sequence[VDict], pack: _Pack) -> VDict:
+def _z_combine(field: Field, quots: Sequence[ZDict], vecs: Sequence[ZDict], pack: _Pack) -> ZDict:
     """sum_k quots[k] * vecs[k] for int coefficients (integral rationals or
-    residues): summed as Python ints, each term mapped into the field once."""
+    residues), summed as Python ints: reduced once per term over F_p."""
     out: Dict[int, int] = {}
     get = out.get
     for q, v in zip(quots, vecs):
@@ -727,48 +858,55 @@ def _z_combine(field: Field, quots: Sequence[QDict], vecs: Sequence[VDict], pack
                 u = s + t
                 out[u] = get(u, 0) + c * d
     pack.check(out)
-    from_int = field.from_int
-    return {t: y for t, x in out.items() if x and (y := from_int(x))}
+    if p := field.char:
+        return {t: y for t, x in out.items() if (y := x % p)}
+    return {t: x for t, x in out.items() if x}
 
 
 def _certify(field: Field, cof: VDict, d: int, gens_e: Sequence[VDict], e: int, target: VDict, pack: _Pack) -> None:
     """Re-expand the cofactors cof / d over the generators and compare
     with target exactly.  cof is integral and gens_e holds the generators
     scaled by their common denominator e, so the sums run on ints:
-    sum_i cof_i * (e gens_i) == d e target."""
-    if _z_combine(field, _v_split(cof, len(gens_e)), gens_e, pack) != _scaled(field, d * e, target):
+    sum_i cof_i * (e gens_i) == d e target, both sides times the
+    common denominator of target."""
+    dt, zt = _integral(field, target)
+    lhs = _z_combine(field, _v_split(cof, len(gens_e)), gens_e, pack)
+    if {t: dt * c for t, c in lhs.items()} != {t: d * e * x for t, x in zt.items()}:
         raise AssertionError("prune certificate failed to re-expand")
 
 
 def _integral_combination(
-    field: Field, quots: Sequence[QDict], int_vecs: Sequence[Tuple[int, VDict]], pack: _Pack
+    field: Field, quots: Sequence[ZDict], d: int, int_vecs: Sequence[Tuple[int, ZDict]], pack: _Pack
 ) -> Tuple[VDict, int]:
-    """(d * sum_k quots[k] * vecs[k], d) for int_vecs[k] = _integral(vecs[k]),
-    summed on ints."""
-    parts = []
-    for q, (dv, v) in zip(quots, int_vecs):
-        if q:
-            dq, q = _integral(field, q)
-            parts.append((dq * dv, q, v))
-    d = lcm(1, *(dk for dk, _, _ in parts))
-    return _z_combine(field, [_scaled(field, d // dk, q) for dk, q, _ in parts], [v for _, _, v in parts], pack), d
+    """(d' * sum_k (quots[k] / d) * vecs[k], d') for integral quots and
+    int_vecs[k] = _integral(vecs[k]), summed on ints."""
+    parts = [(dv, q, v) for q, (dv, v) in zip(quots, int_vecs) if q]
+    e = lcm(1, *(dv for dv, _, _ in parts))
+    scaled = [q if dv == e else {s: c * (e // dv) for s, c in q.items()} for dv, q, _ in parts]
+    return _z_combine(field, scaled, [v for _, _, v in parts], pack), d * e
 
 
 def prune_generators(
     fixed: Sequence[Sequence[Polynomial]],
     candidates: Sequence[Sequence[Polynomial]],
     ncomp: int,
+    modulo: GroebnerBasis,
     order: MonomialOrder = GREVLEX,
-) -> List[int]:
-    """Indices, ascending, of candidates that generate together with the
-    fixed vectors the submodule that all of them generate.
+) -> Tuple[List[int], List[Tuple[Polynomial, ...]]]:
+    """(kept, relations): the indices, ascending, of candidates that
+    generate together with the fixed vectors the submodule that all of
+    them generate, and generators of the relations among the kept
+    candidates modulo the fixed vectors.
 
     One incremental module Groebner basis, seeded with the fixed vectors:
     the candidates are taken by (degree, index); one that does not reduce
     to zero is kept and joins the basis, one that does is dropped, and its
-    cofactors over fixed and kept are re-expanded and checked exactly."""
+    cofactors over fixed and kept are re-expanded and checked exactly.
+    The final basis then gives the syzygies of kept + fixed; a relation
+    is the kept part of one, its entries reduced modulo the ring basis
+    ``modulo``, zero rows and duplicates dropped, sorted by their terms."""
     if not candidates:
-        return []
+        return [], []
     field, nvars = _context([p for v in [*fixed, *candidates] for p in v])
     pack = _pack(nvars, order)
     gens = [_vec_to_v(v, pack) for v in fixed]
@@ -776,24 +914,38 @@ def prune_generators(
     eng = _Engine(field, pack, ncomp)
     eng.seed(gens)
     eng.run()
-    kept: List[int] = []
-    int_reps: List[Tuple[int, VDict]] = []  # _integral(eng.reps[j]), built as the basis grows
+    joined: List[int] = []  # kept candidates in the order they joined
+    int_reps: List[Tuple[int, ZDict]] = []  # _integral(eng.reps[j]), built as the basis grows
     # the generators scaled by their common denominator e, kept as they grow
     e, gens_e = 1, []
     for g in gens:
         e, gens_e = _join_scaled(field, e, gens_e, g)
     degree = [max((sum(m) for p in v for m in p.terms), default=0) for v in candidates]
     for k in sorted(range(len(cands)), key=lambda k: (degree[k], k)):
-        nf, quots = _v_divmod(field, cands[k], eng.leads, eng.tails, pack)
+        d, z = _integral(field, cands[k])
+        nf, quots, d = _z_divmod(field.char, z, d, eng.leads, eng.tails, pack)
         if not nf:
             int_reps += [_integral(field, rep) for rep in eng.reps[len(int_reps) :]]
-            _certify(field, *_integral_combination(field, quots, int_reps, pack), gens_e, e, cands[k], pack)
+            _certify(field, *_integral_combination(field, quots, d, int_reps, pack), gens_e, e, cands[k], pack)
             continue
         eng.add(cands[k], {_unit(len(gens_e)): field.one()})
         e, gens_e = _join_scaled(field, e, gens_e, cands[k])
-        kept.append(k)
+        joined.append(k)
         eng.run()
-    return sorted(kept)
+    kept = sorted(joined)
+    if not kept:
+        return [], []
+    # engine component len(gens) + a is candidate joined[a]
+    column = {len(gens) + a: kept.index(k) for a, k in enumerate(joined)}
+    rows = []
+    for z, d in _engine_syzygies(eng, gens + [cands[k] for k in joined]):
+        row: List[ZDict] = [dict() for _ in kept]
+        for t, c in z.items():
+            col = column.get(_comp(t))
+            if col is not None:
+                row[col][t & ~CMASK] = c
+        rows.append((row, d))
+    return kept, _reduced_rows(field, pack, rows, modulo)
 
 
 def _join_scaled(field: Field, e: int, gens_e: List[VDict], g: VDict) -> Tuple[int, List[VDict]]:

@@ -252,17 +252,17 @@ def _classify_states(states: List[State], deltas: np.ndarray, f: PrimeField):
     orbit is one isomorphism class; the representative is the
     lexicographically smallest state of the orbit.  Once every orbit
     is checked to be a whole coset, that state is the label itself
-    (its pivot digits are zero), and np.unique sorts the labels in
-    that order."""
+    (its pivot digits are zero), and ``_kernels._unique_rows`` sorts
+    the labels in that order."""
     X = np.array([cd + eta for cd, eta in states], np.int64).reshape(len(states), deltas.shape[1])
     red, piv, rank = f.rref(deltas)
     labels = (X - f.matmul(X[:, list(piv)], red[:rank])) % f.p
-    reps, inv, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
+    reps, inv, counts = _kernels._unique_rows(labels, f.p)
     if np.any(counts != f.p**rank):
         raise AssertionError("a section change left the survivor set")
     nc = len(states[0][0]) if states else 0
     reps = tuple((tuple(r[:nc]), tuple(r[nc:])) for r in reps.tolist())
-    return reps, dict(zip(states, inv.reshape(-1).tolist()))
+    return reps, dict(zip(states, inv.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,29 @@ class TestFiniteModule:
         x = parse_polynomial("x", B.names, prime_field)
         assert J.action_of_poly(x).col(0) == [0, 1]  # x * 1 = x
 
+    @pytest.mark.parametrize(
+        "gens, rels, base",
+        [
+            (["x", "y"], ["x^2", "y^2"], ()),
+            (["x", "y"], ["x^3 - y^2", "x*y", "y^3"], ()),
+            (["x", "y", "z"], ["x^2 - y*z", "y^2", "z^2", "x*y"], ()),
+            (["x", "y"], ["x^2 + s", "x*y", "y^2 - s*x"], (["s"], ["s^2"])),
+        ],
+        ids=["square", "cusp", "three", "based"],
+    )
+    def test_regular_module_matches_the_divided_products(self, any_field, gens, rels, base):
+        # standard products x_v * m become unit columns without a division;
+        # every column still equals the coordinates of the product
+        B = make_algebra(any_field, gens, rels, *(base or ((), ())))
+        J = FiniteModule.regular(B)
+        std = B.std_monomials()
+        for v, mat in enumerate(J.mats):
+            want = [B.coordinates(B.var(v) * Polynomial.monomial(any_field, B.nvars, m)) for m in std]
+            assert [mat.col(c) for c in range(len(std))] == want
+        assert validate(J) == []
+        assert B.std_index() is B.std_index()
+        assert list(B.std_index()) == list(std)
+
     def test_truncated_regular(self):
         B = make_algebra(GF(2), ["x", "y"], ["x*y"])
         J = FiniteModule.truncated_regular(B, 2)

@@ -28,7 +28,7 @@ from defalg.cotangent import (
 )
 from defalg.deformation import BaseDeformationProblem, obstruction_class
 from defalg.differential import jacobian_entries, relation_syzygies
-from defalg.groebner import module_groebner, module_syzygies
+from defalg.groebner import module_groebner, module_syzygies, syzygy_basis
 from defalg.linalg import Matrix, vec_add
 from defalg.problems import parse_polynomial
 
@@ -250,6 +250,56 @@ def test_pruned_complex_agrees_with_unpruned(case):
     assert cotangent_complex(B).n_syz <= len(relation_syzygies(B))
     B._cotangent = _unpruned_complex(B)
     assert invariants() == pruned
+
+
+def _reference_relation_syzygies(B):
+    """relation_syzygies as built on polynomials: the syzygy columns of
+    relations + base relations, their relation part reduced modulo the
+    base ideal, zero vectors and duplicates dropped, sorted."""
+    m = len(B.relations)
+    out, seen = [], set()
+    for col in syzygy_basis(list(B.relations) + list(B.base_relations)).columns:
+        vec = [B.base_normal_form(col[j]) for j in range(m)]
+        key = tuple(p.key() for p in vec)
+        if all(p.is_zero() for p in vec) or key in seen:
+            continue
+        seen.add(key)
+        out.append(vec)
+    return sorted(out, key=lambda v: [p.key() for p in v])
+
+
+def _algebra_of(case):
+    field, gens, rels, based, _ = case
+    return make_algebra(field, gens, rels, *((["s"], ["s^2"]) if based else ((), ())))
+
+
+@settings(max_examples=30, deadline=None)
+@given(presented_cases())
+def test_relation_syzygies_match_the_polynomial_reference(case):
+    B = _algebra_of(case)
+    assert relation_syzygies(B) == _reference_relation_syzygies(B)
+
+
+def _spans_within(rows, others, B, r):
+    """Whether every row lies in the B-submodule of B^r spanned by the
+    other rows: containment in their span plus the ideal in every slot."""
+    ideal = [[g if k == j else B.zero_poly() for k in range(r)] for g in B.ideal_gens() for j in range(r)]
+    mgb = module_groebner([list(row) for row in others] + ideal, r)
+    return all(mgb.contains(list(row)) for row in rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(presented_cases())
+def test_w_rows_span_the_relations_from_a_fresh_syzygy_run(case):
+    B = _algebra_of(case)
+    cx = cotangent_complex(B)
+    r = cx.n_syz
+    if not r:
+        return
+    family = [list(v) for v in cx.syz] + koszul_vectors(B) + base_vectors(B)
+    fresh = [[B.normal_form(rel[k]) for k in range(r)] for rel in module_syzygies(family, len(B.relations))]
+    assert _spans_within(cx.w_rows, fresh, B, r)
+    assert _spans_within(fresh, cx.w_rows, B, r)
 
 
 def test_module_action_matters():

@@ -178,6 +178,39 @@ def test_array_ops_match_plain_fractions(data):
     assert canonical_rows(red.tolist())
 
 
+@st.composite
+def bounded_products(draw):
+    """(a, b) as Fraction lists of shapes (n, k) and (k, m) whose cleared
+    integers fall on either side of the int64 bound of matmul."""
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    top = draw(st.sampled_from([3, 2**29, 2**31, 2**33]))
+    entries = st.builds(Fraction, st.integers(-top, top), st.sampled_from([1, 1, 2, 3]))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(bounded_products())
+def test_matmul_on_either_side_of_the_int64_bound_matches_plain_fractions(case):
+    a, b = case
+    k = len(b)
+    want = [[sum((row[t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(len(b[0]))] for row in a]
+    got = QQ.matmul(QQ.array(a), QQ.array(b)).tolist()
+    assert got == want and canonical_rows(got)
+
+
+def test_matmul_bound_is_strict():
+    # k * max|a| * max|b| = 2^63 exactly: the sum would wrap in int64
+    a = QQ.array([[2**31, 2**31]])
+    assert QQ.matmul(a, a.T).tolist() == [[2**63]]
+    assert type(QQ.matmul(a, a.T)[0, 0]) is int
+    # one below the bound takes int64 and still returns Python ints
+    c = QQ.array([[2**31 - 1, 2**31 - 1]])
+    got = QQ.matmul(c, c.T)
+    assert got.tolist() == [[2 * (2**31 - 1) ** 2]] and type(got[0, 0]) is int
+
+
 # -- polynomials and Groebner normal forms ---------------------------------
 
 

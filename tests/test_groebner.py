@@ -328,6 +328,66 @@ def test_heap_division_matches_the_max_over_work_loop(inputs):
     assert got_quots == [list(q.items()) for q in want_quots]
 
 
+PRIMES_TO_97 = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
+
+
+@st.composite
+def coprime_denominator_inputs(draw):
+    """(order, v, basis, leads) over Q, tuple-keyed: every coefficient has
+    a prime denominator up to 97, so the monic tails carry large coprime
+    denominators and the division rescales its work again and again."""
+    order = draw(st.sampled_from(ORDERS))
+    ncomp = draw(st.integers(1, 2))
+    scalars = st.builds(Fraction, st.integers(1, 90) | st.integers(-90, -1), st.sampled_from(PRIMES_TO_97))
+    terms = st.tuples(st.integers(0, ncomp - 1), st.tuples(*[st.integers(0, 3)] * 3))
+    key = _tuple_key(order)
+    basis, leads = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        b = {t: QQ.from_int(c) for t, c in draw(st.dictionaries(terms, scalars, min_size=2, max_size=5)).items()}
+        lead = max(b, key=key)
+        inv = QQ.inv(b[lead])
+        basis.append({t: QQ.mul(inv, c) for t, c in b.items()})
+        leads.append(lead)
+    v = {t: QQ.from_int(c) for t, c in draw(st.dictionaries(terms, scalars, max_size=8)).items()}
+    return order, v, basis, leads
+
+
+@settings(max_examples=150, deadline=None)
+@given(coprime_denominator_inputs())
+def test_division_with_large_coprime_denominators_matches_the_reference(inputs):
+    order, v, basis, leads = inputs
+    pack = _pack(3, order)
+    data = _division_data([_packed(pack, b) for b in basis], pack)
+    nf, quots = _v_divmod(QQ, _packed(pack, v), data.leads, data.tails, pack)
+    want_nf, want_quots = _reference_divmod(QQ, v, basis, leads, order)
+    assert list(_unpacked(pack, nf).items()) == list(want_nf.items())
+    assert [[(pack.exponents(s), c) for s, c in q.items()] for q in quots] == [list(q.items()) for q in want_quots]
+    assert all(type(c) is int or c.denominator > 1 for q in [nf, *quots] for c in q.values())
+
+
+def test_division_rescales_by_each_new_tail_denominator():
+    # x^3 by x - y/97 and y^2 - z/89 leaves y*z / (97^3 * 89): each step
+    # by a tail whose denominator does not divide the popped coefficient
+    # grows the running denominator, three times by 97 and once by 89
+    pack = _pack(3, GREVLEX)
+    basis = [
+        {(0, (1, 0, 0)): 1, (0, (0, 1, 0)): Fraction(-1, 97)},
+        {(0, (0, 2, 0)): 1, (0, (0, 0, 1)): Fraction(-1, 89)},
+    ]
+    data = _division_data([_packed(pack, b) for b in basis], pack)
+    assert [ell for ell, _ in data.tails] == [97, 89]
+    v = _packed(pack, {(0, (3, 0, 0)): 1})
+    nf, quots, d = groebner._z_divmod(0, v, 1, data.leads, data.tails, pack)
+    assert d == 97**3 * 89
+    assert _unpacked(pack, {t: Fraction(c, d) for t, c in nf.items()}) == {(0, (0, 1, 1)): Fraction(1, 97**3 * 89)}
+    want = _reference_divmod(QQ, {(0, (3, 0, 0)): 1}, basis, [(0, (1, 0, 0)), (0, (0, 2, 0))], GREVLEX)
+    assert _v_divmod(QQ, v, data.leads, data.tails, pack) == (_packed(pack, want[0]), [_packed_shifts(pack, q) for q in want[1]])
+
+
+def _packed_shifts(pack, q):
+    return {pack.mono(m): c for m, c in q.items()}
+
+
 def _combination(field, pack, reps, gens):
     """sum over (i, m) of rep[(i, m)] * x^m * gens[i], computed on
     tuple-keyed terms from the unpacked inputs."""

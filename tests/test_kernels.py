@@ -141,6 +141,28 @@ def test_join_rows_matches_literal_pairing(data, p):
     assert list(zip(i.tolist(), j.tolist())) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([(2, 61), (2, 62), (3, 38), (3, 40), (5, 26), (5, 27)]))
+def test_unique_rows_matches_the_row_sort_on_either_side_of_the_key_bound(data, case):
+    """Rows of p^width < 2^62 sort as one packed key each, wider rows as
+    rows; both give np.unique's distinct rows (in lexicographic order),
+    inverse and counts, and the join pairs them the same way.  Rows come
+    from a small pool, so most of them repeat."""
+    p, width = case
+    digit = st.sampled_from([0, 1, p - 1])
+    pool = data.draw(st.lists(st.lists(digit, min_size=width, max_size=width), min_size=1, max_size=3))
+    n = data.draw(st.integers(0, 10))
+    rows = np.array([data.draw(st.sampled_from(pool)) for _ in range(n)], np.int64).reshape(n, width)
+    uniq, inv, counts = _kernels._unique_rows(rows, p)
+    want_uniq, want_inv, want_counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    assert uniq.tolist() == want_uniq.tolist()
+    assert inv.tolist() == want_inv.ravel().tolist() and counts.tolist() == want_counts.tolist()
+    half = n // 2
+    i, j = _kernels._join_rows(rows[:half], rows[half:], p)
+    want = [(a, b) for a in range(n - half) for b in range(half) if np.array_equal(rows[half + a], rows[b])]
+    assert list(zip(i.tolist(), j.tolist())) == want
+
+
 def literal_affine(R, c, p):
     """Every n in [0, p^N) whose digits d have d @ R + c == 0 mod p."""
     ndig = R.shape[0]
