@@ -285,7 +285,6 @@ class PresentedAlgebra:
             gen_images=gen_images,
             base_names=self.base_names,
             base_images=gen_images[: self.n_base],
-            basis_gen_exps=std,
         )
         return self._structure
 
@@ -422,7 +421,6 @@ class StructureAlgebra:
         gen_images: Sequence[Sequence[Scalar]] = None,
         base_names: Sequence[str] = (),
         base_images: Sequence[Sequence[Scalar]] = (),
-        basis_gen_exps: Optional[Sequence[Monomial]] = None,
     ):
         self.field = field
         self.labels = tuple(labels)
@@ -435,15 +433,10 @@ class StructureAlgebra:
             # default designated generators: every non-unit basis element
             gen_names = self.labels[1:]
             gen_images = tuple(self.basis_vector(i) for i in range(1, self.dim))
-            basis_gen_exps = [tuple(0 for _ in range(self.dim - 1))] + [
-                tuple(1 if g == i - 1 else 0 for g in range(self.dim - 1))
-                for i in range(1, self.dim)
-            ]
         self.gen_names = tuple(gen_names)
         self.gen_images = tuple(tuple(v) for v in gen_images)
         self.base_names = tuple(base_names)
         self.base_images = tuple(tuple(v) for v in base_images)
-        self.basis_gen_exps = tuple(tuple(m) for m in basis_gen_exps) if basis_gen_exps is not None else None
         self.truncated_from: Optional[PresentedAlgebra] = None
         self.truncation_degree: Optional[int] = None
 

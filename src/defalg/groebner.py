@@ -39,22 +39,28 @@ division step never raises a field above the degree of the term it
 reduces; its check never fires, and nothing ever wraps.  Polynomials
 keep tuple monomials; terms are packed and unpacked at the API below.
 
+One representation runs from seed to certificate: a packed dict z of
+ints over a positive denominator d, for z / d (over F_p, residues and
+d = 1).  The engine keeps each monic basis element as its lead and its
+tail (l, l * tail), l the least common denominator of the tail
+(``_tail``), and its cofactors over the seeded generators as (r, y),
+y / r in lowest terms; ``_monic`` makes a new element monic and
+rescales its cofactors to match (an inverse mod p, a gcd over Q).
+Cofactors are combined on ints (``_integral_combination``), and only
+for S-pairs with a nonzero remainder, which are few.  ``GroebnerBasis``
+and ``ModuleGroebnerBasis`` take their division data (leads, tails,
+pack) from the engine and keep their cofactors packed; a scalar becomes
+a Fraction only in a returned polynomial, one ratio per term (``_over``).
+
 Division (``_z_divmod``) keeps the pending terms in a heap of negated
 ints and reduces the largest one each step by the first basis element,
 among those of its component, whose leading term divides it: the
 reduction order of "take the max over what is left", at a heap pop per
-step.  It runs on Python ints over both fields.  Over F_p the residues
-are summed unreduced and reduced mod p when a term is popped.  Over Q
-the dividend is v / D with v integral, and a monic basis element keeps
-its tail as (l, l * tail), l the common denominator of the tail; when
-l does not divide the popped coefficient, the pending terms, the normal
-form and the quotients are scaled by l / gcd and D with them
-(fraction-free, after Bareiss 1968).  A basis carries this division
-data with its leading terms and pack, built once.  Callers that only
-test the remainder for zero (S-pairs, ``combinations_vanish``) never
-build a Fraction; ``_v_divmod`` returns canonical scalars, one ratio
-per term.  The engine builds the cofactors of an S-pair only when its
-remainder is nonzero and joins the basis; most pairs reduce to zero.
+step.  Over F_p the residues are summed unreduced and reduced mod p
+when a term is popped.  Over Q, when the l of the reducing tail does not
+divide the popped coefficient, the pending terms, the normal form and
+the quotients are scaled by l / gcd, and d with them (fraction-free,
+after Bareiss 1968).
 
 ``prune_generators`` keeps, of a family of candidate vectors, those
 needed beside a fixed family to generate the same submodule: one engine
@@ -63,6 +69,10 @@ order either reduces to zero against the current basis, and is dropped
 with its cofactors re-expanded and checked exactly, or joins the basis.
 The final basis also gives, by Schreyer's syzygies, the relations among
 the kept candidates modulo the fixed ones, with no second engine run.
+There is one certificate rule, ``_certify``: the cofactors, combined
+with the generators on ints, must give the target exactly.
+``certified_cofactors`` checks a division by a ``GroebnerBasis`` with
+it too.
 
 Correctness notes baked into the code:
   * the product (coprime-lcm) criterion is applied only to ring-level
@@ -76,6 +86,7 @@ Correctness notes baked into the code:
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import operator
 import struct
@@ -84,7 +95,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .fields import Field, RationalField, Scalar, _ratio
+from .fields import Field, Scalar, _ratio
 from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, mono_coprime, mono_lcm
 
 FIELD_BITS = 16  # two bytes: see _Pack.exponents
@@ -96,6 +107,7 @@ VDict = Dict[int, Scalar]  # packed term -> coefficient
 QDict = Dict[int, Scalar]  # packed shift (zero low bits) -> coefficient
 ZDict = Dict[int, int]  # either of those with integer coefficients
 Tail = Tuple[int, Tuple[Tuple[int, int], ...]]  # (l, l * tail): see _tail
+Rep = Tuple[int, ZDict]  # (d, z) for the vector z / d, d > 0: see _integral, _Engine
 
 
 class _Pack:
@@ -161,17 +173,39 @@ def _comp(t: int) -> int:
     return CMASK - (t & CMASK)
 
 
-def _tail(v: VDict, lead: int, p: int = 0) -> Tail:
-    """The terms of the monic v below its lead as (l, l * tail), l the
-    common denominator of their coefficients: (1, tail) over F_p (p > 0)."""
-    items = tuple(item for item in v.items() if item[0] != lead)
+def _tail(z: ZDict, lead: int, p: int = 0) -> Tail:
+    """The terms below the lead of the monic multiple of z (integral, or
+    residues over F_p for p > 0) as (l, l * tail), l the least common
+    denominator of their coefficients: (1, tail) over F_p."""
+    c = z[lead]
     if p:
-        return 1, items
-    ell = lcm(1, *{c.denominator for _, c in items})
-    return ell, tuple((t, c.numerator * (ell // c.denominator)) for t, c in items)
+        inv = pow(c, -1, p)
+        return 1, tuple((t, x * inv % p) for t, x in z.items() if t != lead)
+    g = gcd(*z.values())
+    if c < 0:
+        g = -g
+    return c // g, tuple((t, x // g) for t, x in z.items() if t != lead)
 
 
-def _integral(field: Field, v: VDict) -> Tuple[int, ZDict]:
+def _monic(p: int, z: ZDict, d: int, lead: int, rep: Rep) -> Tuple[Tail, Rep]:
+    """The tail of the monic multiple of the vector z / d (see _tail), and
+    its cofactors rep = (r, y), y / r, scaled to match: y * d / (r * lc),
+    in lowest terms with a positive denominator."""
+    r, y = rep
+    k, r = d, r * z[lead]
+    if p:
+        k = k * pow(r, -1, p) % p
+        return _tail(z, lead, p), (1, {t: x * k % p for t, x in y.items()})
+    if r < 0:
+        k, r = -k, -r
+    y = {t: k * x for t, x in y.items()}
+    g = gcd(r, *y.values())
+    if g > 1:
+        r, y = r // g, {t: x // g for t, x in y.items()}
+    return _tail(z, lead), (r, y)
+
+
+def _integral(field: Field, v: VDict) -> Rep:
     """(d, d * v) as ints, with d the common denominator of v's
     coefficients: (1, v) over F_p."""
     if field.char:
@@ -180,50 +214,14 @@ def _integral(field: Field, v: VDict) -> Tuple[int, ZDict]:
     return d, {t: c.numerator * (d // c.denominator) for t, c in v.items()}
 
 
-def _over(field: Field, z: ZDict, d: int) -> VDict:
+def _over(z: ZDict, d: int) -> VDict:
     """z / d as canonical field scalars, one ratio per term; over F_p z
     holds residues already and d is 1."""
-    if field.char or (d == 1 and isinstance(field, RationalField)):
-        return z
-    if isinstance(field, RationalField):
-        return {t: _ratio(x, d) for t, x in z.items()}
-    from_int, den = field.from_int, field.from_int(d)
-    return {t: field.div(from_int(x), den) for t, x in z.items()}
+    return z if d == 1 else {t: _ratio(x, d) for t, x in z.items()}
 
 
-def _v_combine(
-    field: Field,
-    quots: Sequence[QDict],
-    vecs: Sequence[VDict],
-    pack: _Pack,
-    acc: Optional[VDict] = None,
-    negate: bool = False,
-) -> VDict:
-    """acc + sum_k quots[k] * vecs[k] (minus the sum when negate),
-    accumulated in place in one dict (a new one when acc is None)."""
-    out: VDict = {} if acc is None else acc
-    get = out.get
-    add, mul, neg = field.add, field.mul, field.neg
-    # field results are canonical scalars, so a zero sum is falsy
-    for q, v in zip(quots, vecs):
-        if not q:
-            continue
-        items = v.items()
-        for s, c in q.items():
-            if negate:
-                c = neg(c)
-            for t, d in items:
-                u = s + t
-                p = mul(c, d)
-                cur = get(u)
-                if cur is None:
-                    out[u] = p
-                elif not (p := add(cur, p)):
-                    del out[u]
-                else:
-                    out[u] = p
-    pack.check(out)
-    return out
+def _minus(quots: Sequence[ZDict]) -> List[ZDict]:
+    return [{s: -c for s, c in q.items()} for q in quots]
 
 
 def _v_split(v: VDict, ncomp: int) -> List[QDict]:
@@ -309,11 +307,9 @@ def _v_divmod(
     field: Field, v: VDict, leads: Sequence[int], tails: Sequence[Tail], pack: _Pack
 ) -> Tuple[VDict, List[QDict]]:
     """_z_divmod on field scalars: (normal form, quotients) of v."""
-    if field.char:
-        return _z_divmod(field.char, v, 1, leads, tails, pack)[:2]
     d, z = _integral(field, v)
-    nf, quots, d = _z_divmod(0, z, d, leads, tails, pack)
-    return _over(field, nf, d), [_over(field, q, d) for q in quots]
+    nf, quots, d = _z_divmod(field.char, z, d, leads, tails, pack)
+    return _over(nf, d), [_over(q, d) for q in quots]
 
 
 def _z_spair(ti: Tail, si: int, tj: Tail, sj: int, pack: _Pack) -> Tuple[ZDict, int]:
@@ -334,19 +330,26 @@ def _z_spair(ti: Tail, si: int, tj: Tail, sj: int, pack: _Pack) -> Tuple[ZDict, 
 
 
 class _Engine:
-    """Tracked module-level Buchberger + interreduction."""
+    """Tracked module-level Buchberger + interreduction, on ints, started
+    on the generators gens, each (d, z) for z / d, and run.  Basis
+    element i is the monic vector with leading term leads[i] and tail
+    tails[i] (see _tail); reps[i] = (r, y) gives it as y / r over the
+    generators (component k for generator k), in lowest terms."""
 
-    def __init__(self, field: Field, pack: _Pack, ncomp: int):
+    def __init__(self, field: Field, pack: _Pack, ncomp: int, gens: Sequence[Rep]):
         self.field = field
+        self.p = field.char
         self.pack = pack
         self.ncomp = ncomp
-        self.basis: List[VDict] = []
         self.leads: List[int] = []
         self.tails: List[Tail] = []
         self.lead_exps: List[Monomial] = []  # for lcms and the coprime test
-        self.reps: List[VDict] = []  # basis[i] as combination of original gens
+        self.reps: List[Rep] = []
         self.pairs: list = []
         self.done: set = set()
+        for i, (d, z) in enumerate(gens):
+            self.add(z, d, (1, {_unit(i): 1}))
+        self.run()
 
     def _lcm(self, i: int, j: int) -> int:
         """The lcm of two leading monomials, as a packed shift."""
@@ -362,30 +365,22 @@ class _Engine:
                 continue
             heapq.heappush(self.pairs, (self._lcm(i, j), i, j))
 
-    def add(self, v: VDict, rep: VDict) -> None:
-        if not v:
+    def add(self, z: ZDict, d: int, rep: Rep) -> None:
+        """Join the vector z / d, with cofactors rep, made monic."""
+        if not z:
             return
-        lt = max(v)
-        inv = self.field.inv(v[lt])
-        if inv != 1:
-            v = {t: self.field.mul(inv, c) for t, c in v.items()}
-            rep = {t: self.field.mul(inv, c) for t, c in rep.items()}
-        self.basis.append(v)
+        lt = max(z)
+        tail, rep = _monic(self.p, z, d, lt, rep)
         self.leads.append(lt)
-        self.tails.append(_tail(v, lt, self.field.char))
+        self.tails.append(tail)
         self.lead_exps.append(self.pack.exponents(lt))
         self.reps.append(rep)
-        self._push_pairs(len(self.basis) - 1)
-
-    def seed(self, gens_v: Sequence[VDict]) -> None:
-        one = self.field.one()
-        for i, g in enumerate(gens_v):
-            self.add(g, {_unit(i): one})
+        self._push_pairs(len(self.leads) - 1)
 
     def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
         divmask = self.pack.divmask
         lcm_exps = self.pack.exponents(lcm)
-        for k in range(len(self.basis)):
+        for k in range(len(self.leads)):
             if k == i or k == j or (lcm - self.leads[k]) & divmask:
                 continue
             mk = self.lead_exps[k]
@@ -395,14 +390,20 @@ class _Engine:
                 return True
         return False
 
-    def _spair_divmod(self, i: int, j: int, si: int, sj: int) -> Tuple[ZDict, List[ZDict], int]:
-        """The S-vector of basis elements i and j divided by the basis,
-        on ints: (nf, quots, d) as from _z_divmod."""
+    def _spair_divmod(self, i: int, j: int, lcm: int) -> Tuple[ZDict, List[ZDict], int]:
+        """The S-vector of basis elements i and j, on their lcm term,
+        divided by the basis: (nf, quots, d) with
+        nf / d = -sum_k quots[k] / d * basis[k], the S-vector's own
+        shifts taken into quots[i] and quots[j]."""
+        si = lcm - self.leads[i]
+        sj = lcm - self.leads[j]
         s, d = _z_spair(self.tails[i], si, self.tails[j], sj, self.pack)
-        return _z_divmod(self.field.char, s, d, self.leads, self.tails, self.pack)
+        nf, quots, d = _z_divmod(self.p, s, d, self.leads, self.tails, self.pack)
+        quots[i][si] = quots[i].get(si, 0) - d
+        quots[j][sj] = quots[j].get(sj, 0) + d
+        return nf, quots, d
 
     def run(self) -> None:
-        f, pack = self.field, self.pack
         while self.pairs:
             lcm, i, j = heapq.heappop(self.pairs)
             if (i, j) in self.done:
@@ -411,50 +412,40 @@ class _Engine:
             lcm += self.leads[i] & CMASK
             if self._chain_skip(i, j, lcm):
                 continue
-            si = lcm - self.leads[i]
-            sj = lcm - self.leads[j]
-            nf, quots, d = self._spair_divmod(i, j, si, sj)
-            if not nf:
-                continue
-            # the cofactors of a new basis element; most S-pairs reduce to zero
-            one = f.one()
-            rep = _v_combine(f, [{si: one}, {sj: f.neg(one)}], [self.reps[i], self.reps[j]], pack)
-            quots = [_over(f, q, d) for q in quots]
-            self.add(_over(f, nf, d), _v_combine(f, quots, self.reps, pack, rep, negate=True))
+            nf, quots, d = self._spair_divmod(i, j, lcm)
+            if nf:  # most S-pairs reduce to zero and build no cofactors
+                self.add(nf, d, _integral_combination(self.field, _minus(quots), d, self.reps, self.pack))
 
     def interreduce(self) -> None:
-        f, pack = self.field, self.pack
-        idx = sorted(range(len(self.basis)), key=lambda i: (self.leads[i], i))
+        divmask = self.pack.divmask
         kept: List[int] = []
-        for i in idx:
-            lead = self.leads[i]
-            if any(not (lead - self.leads[k]) & pack.divmask for k in kept):
-                continue
-            kept.append(i)
-        basis = [self.basis[i] for i in kept]
+        for i in sorted(range(len(self.leads)), key=lambda i: (self.leads[i], i)):
+            if not any(not (self.leads[i] - self.leads[k]) & divmask for k in kept):
+                kept.append(i)
         leads = [self.leads[i] for i in kept]
         tails = [self.tails[i] for i in kept]
-        lead_exps = [self.lead_exps[i] for i in kept]
         reps = [self.reps[i] for i in kept]
-        for pos in range(len(basis)):
-            nf, quots = _v_divmod(
-                f, basis[pos], leads[:pos] + leads[pos + 1 :], tails[:pos] + tails[pos + 1 :], pack
+        for pos, lead in enumerate(leads):
+            ell, tail = tails[pos]
+            rest = [k for k in range(len(leads)) if k != pos]
+            # nf / d = basis[pos] - sum_k quots[k] / d * basis[rest[k]], still monic
+            nf, quots, d = _z_divmod(
+                self.p, {lead: ell, **dict(tail)}, ell, [leads[k] for k in rest], [tails[k] for k in rest], self.pack
             )
-            _v_combine(f, quots, reps[:pos] + reps[pos + 1 :], pack, reps[pos], negate=True)
-            basis[pos] = nf
-            tails[pos] = _tail(nf, leads[pos], f.char)
-        self.basis = basis
-        self.leads = leads
-        self.tails = tails
-        self.lead_exps = lead_exps
-        self.reps = reps
+            rep = _integral_combination(self.field, [{0: d}, *_minus(quots)], d, [reps[pos], *(reps[k] for k in rest)], self.pack)
+            tails[pos], reps[pos] = _monic(self.p, nf, d, lead, rep)
+        self.leads, self.tails, self.reps = leads, tails, reps
+        self.lead_exps = [self.lead_exps[i] for i in kept]
 
-    def divide_gens(self, gens_v: Sequence[VDict]) -> List[Tuple[List[ZDict], int]]:
-        """(quots, d) per generator: its quotients quots / d by the basis."""
+    def vectors(self) -> List[VDict]:
+        """The basis as field scalars."""
+        return [{lead: 1, **_over(dict(tail), ell)} for lead, (ell, tail) in zip(self.leads, self.tails)]
+
+    def divide_gens(self, gens: Sequence[Rep]) -> List[Tuple[List[ZDict], int]]:
+        """(quots, d) per generator (e, z), z / e: its quotients quots / d."""
         out = []
-        for g in gens_v:
-            d, z = _integral(self.field, g)
-            nf, quots, d = _z_divmod(self.field.char, z, d, self.leads, self.tails, self.pack)
+        for e, z in gens:
+            nf, quots, d = _z_divmod(self.p, z, e, self.leads, self.tails, self.pack)
             if nf:
                 raise AssertionError("generator does not reduce to zero against its own basis")
             out.append((quots, d))
@@ -462,24 +453,19 @@ class _Engine:
 
     def schreyer(self) -> List[Tuple[List[ZDict], int]]:
         """Syzygies of the final basis, one per same-component pair, each
-        fully reduced; no pair criteria applied here.  Each is (z, d) with
-        z[k] / d the coefficient of basis element k in minus the syzygy
-        x^si e_i - x^sj e_j - sum_k quots_k e_k."""
-        n = len(self.basis)
+        fully reduced; no pair criteria applied here.  Each is (quots, d)
+        from _spair_divmod, quots[k] / d the coefficient of basis element k
+        in minus the syzygy x^si e_i - x^sj e_j - sum_k q_k e_k."""
+        n = len(self.leads)
         out = []
         for i in range(n):
             ci = self.leads[i] & CMASK
             for j in range(i + 1, n):
                 if self.leads[j] & CMASK != ci:
                     continue
-                lcm = self._lcm(i, j) + ci
-                si = lcm - self.leads[i]
-                sj = lcm - self.leads[j]
-                nf, quots, d = self._spair_divmod(i, j, si, sj)
+                nf, quots, d = self._spair_divmod(i, j, self._lcm(i, j) + ci)
                 if nf:
                     raise AssertionError("S-vector of a Groebner basis fails to reduce to zero")
-                quots[i][si] = quots[i].get(si, 0) - d
-                quots[j][sj] = quots[j].get(sj, 0) + d
                 out.append((quots, d))
         return out
 
@@ -517,36 +503,42 @@ def _q_to_poly(q: QDict, pack: _Pack, field: Field) -> Polynomial:
 
 @dataclass(frozen=True)
 class _Division:
-    """What _v_divmod divides by, built once per basis."""
+    """What _z_divmod divides by: an engine's leading terms and tails."""
 
     leads: List[int]
     tails: List[Tail]
     pack: _Pack
 
 
-def _division_data(vb: List[VDict], pack: _Pack, p: int = 0) -> _Division:
-    leads = [max(v) for v in vb]
-    return _Division(leads, [_tail(v, lt, p) for v, lt in zip(vb, leads)], pack)
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced monic basis plus the transformation data both ways:
     basis[j] = sum_i to_gens[j][i] * gens[i] and
-    gens[i]  = sum_j from_gens[i][j] * basis[j]."""
+    gens[i]  = sum_j from_gens[i][j] * basis[j].
+
+    Packed, as the engine leaves them, and left out of equality: the
+    generators as (e, z), z / e; to_gens as the engine's reps; from_gens
+    as (quots, d) per generator.  Polynomials are built only when read."""
 
     field: Field
     nvars: int
     order: MonomialOrder
     gens: Tuple[Polynomial, ...]
     basis: Tuple[Polynomial, ...]
-    to_gens: Tuple[Tuple[Polynomial, ...], ...]
-    from_gens: Tuple[Tuple[Polynomial, ...], ...]
+    _division: _Division = dataclasses.field(compare=False, repr=False)
+    _gens: Tuple[Rep, ...] = dataclasses.field(compare=False, repr=False)
+    _to_gens: Tuple[Rep, ...] = dataclasses.field(compare=False, repr=False)
+    _from_gens: Tuple[Tuple[List[ZDict], int], ...] = dataclasses.field(compare=False, repr=False)
 
     @cached_property
-    def _division(self) -> _Division:
-        pack = _pack(self.nvars, self.order)
-        return _division_data([_poly_to_v(b, pack) for b in self.basis], pack, self.field.char)
+    def to_gens(self) -> Tuple[Tuple[Polynomial, ...], ...]:
+        pack, n = self._division.pack, len(self.gens)
+        return tuple(tuple(_v_to_vec(_over(y, r), pack, self.field, n)) for r, y in self._to_gens)
+
+    @cached_property
+    def from_gens(self) -> Tuple[Tuple[Polynomial, ...], ...]:
+        pack = self._division.pack
+        return tuple(tuple(_q_to_poly(_over(q, d), pack, self.field) for q in quots) for quots, d in self._from_gens)
 
     def contains_one(self) -> bool:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
@@ -562,11 +554,7 @@ class ModuleGroebnerBasis:
     ncomp: int
     order: MonomialOrder
     basis: Tuple[Tuple[Polynomial, ...], ...]
-
-    @cached_property
-    def _division(self) -> _Division:
-        pack = _pack(self.nvars, self.order)
-        return _division_data([_vec_to_v(b, pack) for b in self.basis], pack, self.field.char)
+    _division: _Division = dataclasses.field(compare=False, repr=False)
 
     def normal_form(self, vec: Sequence[Polynomial]) -> List[Polynomial]:
         d = self._division
@@ -606,16 +594,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
         raise ValueError("need at least one generator (possibly zero)")
     field, nvars = _context(gens)
     pack = _pack(nvars, order)
-    gens_v = [_poly_to_v(g, pack) for g in gens]
-    eng = _Engine(field, pack, 1)
-    eng.seed(gens_v)
-    eng.run()
+    gens_z = tuple(_integral(field, _poly_to_v(g, pack)) for g in gens)
+    eng = _Engine(field, pack, 1, gens_z)
     eng.interreduce()
-    vdivs = eng.divide_gens(gens_v)
-    basis = tuple(_v_to_vec(v, pack, field, 1)[0] for v in eng.basis)
-    to_gens = tuple(tuple(_v_to_vec(rep, pack, field, len(gens))) for rep in eng.reps)
-    from_gens = tuple(tuple(_q_to_poly(_over(field, q, d), pack, field) for q in quots) for quots, d in vdivs)
-    return GroebnerBasis(field, nvars, order, tuple(gens), basis, to_gens, from_gens)
+    from_gens = tuple(eng.divide_gens(gens_z))
+    basis = tuple(_v_to_vec(v, pack, field, 1)[0] for v in eng.vectors())
+    division = _Division(eng.leads, eng.tails, pack)
+    return GroebnerBasis(field, nvars, order, tuple(gens), basis, division, gens_z, tuple(eng.reps), from_gens)
 
 
 def module_groebner(
@@ -626,12 +611,10 @@ def module_groebner(
         raise ValueError("need at least one vector")
     field, nvars = _context([p for v in vecs for p in v])
     pack = _pack(nvars, order)
-    eng = _Engine(field, pack, ncomp)
-    eng.seed([_vec_to_v(v, pack) for v in vecs])
-    eng.run()
+    eng = _Engine(field, pack, ncomp, [_integral(field, _vec_to_v(v, pack)) for v in vecs])
     eng.interreduce()
-    basis = tuple(tuple(_v_to_vec(v, pack, field, ncomp)) for v in eng.basis)
-    return ModuleGroebnerBasis(field, nvars, ncomp, order, basis)
+    basis = tuple(tuple(_v_to_vec(v, pack, field, ncomp)) for v in eng.vectors())
+    return ModuleGroebnerBasis(field, nvars, ncomp, order, basis, _Division(eng.leads, eng.tails, pack))
 
 
 def _divide(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder]):
@@ -674,20 +657,15 @@ def ideal_member(
 
 def certified_cofactors(f: Polynomial, gb: GroebnerBasis, nf: Polynomial, quots: Sequence[Polynomial]) -> List[Polynomial]:
     """Cofactors over gb.gens of the division f = nf + sum_j quots_j basis_j:
-    f = nf + sum_i cof_i gens_i, re-expanded and checked exactly."""
-    cof = [Polynomial.zero(gb.field, gb.nvars) for _ in gb.gens]
-    for j, q in enumerate(quots):
-        if q.is_zero():
-            continue
-        for i, u in enumerate(gb.to_gens[j]):
-            if not u.is_zero():
-                cof[i] = cof[i] + q * u
-    check = nf
-    for c, g in zip(cof, gb.gens):
-        check = check + c * g
-    if check != f:
-        raise AssertionError("division certificate failed to re-expand")
-    return cof
+    f = nf + sum_i cof_i gens_i.  The quotients are mapped through the
+    packed cofactors of the basis and the sum is re-expanded, all on ints
+    (``_certify``)."""
+    field, pack = gb.field, gb._division.pack
+    dq, zq = _integral_family(field, [_poly_to_q(q, pack) for q in quots])
+    d, cof = _integral_combination(field, zq, dq, gb._to_gens, pack)
+    (df, zf), (dn, zn) = _integral(field, _poly_to_v(f, pack)), _integral(field, _poly_to_v(nf, pack))
+    _certify(field, cof, d, gb._gens, (df * dn, _z_combine(field, [{0: dn}, {0: -df}], [zf, zn], pack)), pack)
+    return [_q_to_poly(_over(q, d), pack, field) for q in _v_split(cof, len(gb.gens))]
 
 
 def combinations_vanish(
@@ -702,9 +680,9 @@ def combinations_vanish(
     ints, the row and the vectors scaled by their common denominators."""
     d = gb._division
     field, pack = gb.field, d.pack
-    zvecs = _integral_family(field, [_vec_to_v(v, pack) for v in vecs])
+    _, zvecs = _integral_family(field, [_vec_to_v(v, pack) for v in vecs])
     for row in rows:
-        zrow = _integral_family(field, [_poly_to_q(p, pack) for p in row])
+        _, zrow = _integral_family(field, [_poly_to_q(p, pack) for p in row])
         acc = _z_combine(field, zrow, zvecs, pack)
         if not reduce:
             if acc:
@@ -724,33 +702,29 @@ def _canonical_key(v: VDict, pack: _Pack):
     return tuple(sorted(((_comp(t), pack.exponents(t)), c) for t, c in v.items()))
 
 
-def _engine_syzygies(eng: _Engine, gens_v: Sequence[VDict]) -> List[Tuple[ZDict, int]]:
-    """Generators of the syzygies of gens_v, from an engine that holds a
-    Groebner basis of them with cofactors over them: the Schreyer
-    syzygies of the basis mapped through the cofactors, and the rows of
-    I - V.U, which catch generators that collapsed into the basis.  Each
-    is (z, d), the syzygy z / d, summed on ints.  The basis is
-    interreduced first, which leaves fewer pairs."""
+def _engine_syzygies(eng: _Engine, gens: Sequence[Rep]) -> List[Rep]:
+    """Generators of the syzygies of gens, each (e, z) for z / e, from an
+    engine that holds a Groebner basis of them with cofactors over them:
+    the Schreyer syzygies of the basis mapped through the cofactors, and
+    the rows of I - V.U, which catch generators that collapsed into the
+    basis.  Each is (d, z), the syzygy z / d, summed on ints.  The basis
+    is interreduced first, which leaves fewer pairs."""
     eng.interreduce()
     f, pack = eng.field, eng.pack
-    int_reps = [_integral(f, rep) for rep in eng.reps]
-    out = [_integral_combination(f, quots, d, int_reps, pack) for quots, d in eng.schreyer()]
-    for i, (quots, d) in enumerate(eng.divide_gens(gens_v)):
+    out = [_integral_combination(f, quots, d, eng.reps, pack) for quots, d in eng.schreyer()]
+    for i, (quots, d) in enumerate(eng.divide_gens(gens)):
         # e_i - sum_k quots[k] / d * reps[k], e_i as one more vector
-        minus = [{s: -c for s, c in q.items()} for q in quots]
-        out.append(_integral_combination(f, minus + [{0: d}], d, int_reps + [(1, {_unit(i): 1})], pack))
-    return [(z, d) for z, d in out if z]
+        out.append(_integral_combination(f, [*_minus(quots), {0: d}], d, [*eng.reps, (1, {_unit(i): 1})], pack))
+    return [(d, z) for d, z in out if z]
 
 
 def _syzygies_raw(gens_v: List[VDict], ncomp: int, field: Field, pack: _Pack) -> List[VDict]:
     """Syzygy generators of gens_v in a deterministic presentation:
     duplicates dropped, sorted canonically on the unpacked terms."""
-    eng = _Engine(field, pack, ncomp)
-    eng.seed(gens_v)
-    eng.run()
+    gens = [_integral(field, v) for v in gens_v]
     keyed: Dict[tuple, VDict] = {}
-    for z, d in _engine_syzygies(eng, gens_v):
-        v = _over(field, z, d)
+    for d, z in _engine_syzygies(_Engine(field, pack, ncomp, gens), gens):
+        v = _over(z, d)
         keyed.setdefault(_canonical_key(v, pack), v)
     return [keyed[k] for k in sorted(keyed)]
 
@@ -769,7 +743,7 @@ def _reduced_rows(
         if div is not None:
             row = [_reduced_entry(field, q, d, div) for q in row]
         else:
-            row = [_over(field, q, d) for q in row]
+            row = [_over(q, d) for q in row]
         if not any(row):
             continue
         key = tuple(tuple(sorted(q.items())) for q in row)
@@ -786,7 +760,7 @@ def _reduced_entry(field: Field, q: ZDict, d: int, div: _Division) -> QDict:
     if not q:
         return q
     nf, _, d = _z_divmod(field.char, {s | CMASK: c for s, c in q.items()}, d, div.leads, div.tails, div.pack)
-    return _over(field, {t & ~CMASK: c for t, c in nf.items()}, d)
+    return _over({t & ~CMASK: c for t, c in nf.items()}, d)
 
 
 def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> SyzygyMatrix:
@@ -813,12 +787,9 @@ def syzygy_rows(
         raise ValueError("need at least one generator")
     field, nvars = _context(gens)
     pack = _pack(nvars, order)
-    eng = _Engine(field, pack, 1)
-    gens_v = [_poly_to_v(g, pack) for g in gens]
-    eng.seed(gens_v)
-    eng.run()
-    rows = ((_v_split(z, len(gens))[:r], d) for z, d in _engine_syzygies(eng, gens_v))
-    return _reduced_rows(field, pack, rows, modulo)
+    gens_z = [_integral(field, _poly_to_v(g, pack)) for g in gens]
+    syz = _engine_syzygies(_Engine(field, pack, 1, gens_z), gens_z)
+    return _reduced_rows(field, pack, ((_v_split(z, len(gens))[:r], d) for d, z in syz), modulo)
 
 
 def module_syzygies(
@@ -834,16 +805,12 @@ def module_syzygies(
     return [_v_to_vec(v, pack, field, len(vecs)) for v in raw]
 
 
-def _scaled(field: Field, d: Scalar, v: VDict) -> VDict:
-    return v if d == 1 else {t: field.mul(d, c) for t, c in v.items()}
-
-
-def _integral_family(field: Field, vs: Sequence[VDict]) -> List[ZDict]:
-    """[e * v for v in vs] as ints, e the common denominator of the
-    family: vs over F_p."""
+def _integral_family(field: Field, vs: Sequence[VDict]) -> Tuple[int, List[ZDict]]:
+    """(e, [e * v for v in vs]) as ints, e the common denominator of the
+    family: (1, vs) over F_p."""
     ints = [_integral(field, v) for v in vs]
     e = lcm(1, *(d for d, _ in ints))
-    return [z if d == e else {t: c * (e // d) for t, c in z.items()} for d, z in ints]
+    return e, [z if d == e else {t: c * (e // d) for t, c in z.items()} for d, z in ints]
 
 
 def _z_combine(field: Field, quots: Sequence[ZDict], vecs: Sequence[ZDict], pack: _Pack) -> ZDict:
@@ -863,27 +830,26 @@ def _z_combine(field: Field, quots: Sequence[ZDict], vecs: Sequence[ZDict], pack
     return {t: x for t, x in out.items() if x}
 
 
-def _certify(field: Field, cof: VDict, d: int, gens_e: Sequence[VDict], e: int, target: VDict, pack: _Pack) -> None:
-    """Re-expand the cofactors cof / d over the generators and compare
-    with target exactly.  cof is integral and gens_e holds the generators
-    scaled by their common denominator e, so the sums run on ints:
-    sum_i cof_i * (e gens_i) == d e target, both sides times the
-    common denominator of target."""
-    dt, zt = _integral(field, target)
-    lhs = _z_combine(field, _v_split(cof, len(gens_e)), gens_e, pack)
-    if {t: dt * c for t, c in lhs.items()} != {t: d * e * x for t, x in zt.items()}:
-        raise AssertionError("prune certificate failed to re-expand")
-
-
 def _integral_combination(
-    field: Field, quots: Sequence[ZDict], d: int, int_vecs: Sequence[Tuple[int, ZDict]], pack: _Pack
-) -> Tuple[VDict, int]:
-    """(d' * sum_k (quots[k] / d) * vecs[k], d') for integral quots and
-    int_vecs[k] = _integral(vecs[k]), summed on ints."""
-    parts = [(dv, q, v) for q, (dv, v) in zip(quots, int_vecs) if q]
+    field: Field, quots: Sequence[ZDict], d: int, vecs: Sequence[Rep], pack: _Pack
+) -> Rep:
+    """(d', z) with z / d' = sum_k (quots[k] / d) * vecs[k], for integral
+    quots and vecs[k] = (dv, v) standing for v / dv, summed on ints."""
+    parts = [(dv, q, v) for q, (dv, v) in zip(quots, vecs) if q]
     e = lcm(1, *(dv for dv, _, _ in parts))
     scaled = [q if dv == e else {s: c * (e // dv) for s, c in q.items()} for dv, q, _ in parts]
-    return _z_combine(field, scaled, [v for _, _, v in parts], pack), d * e
+    return d * e, _z_combine(field, scaled, [v for _, _, v in parts], pack)
+
+
+def _certify(field: Field, cof: ZDict, d: int, gens: Sequence[Rep], target: Rep, pack: _Pack) -> None:
+    """The one certificate rule: the cofactors cof / d (cof integral,
+    component i that of generator i) re-expanded over the generators,
+    each (e, z) for z / e, must give target = (dt, zt), zt / dt, exactly.
+    Both sides are summed on ints."""
+    e, lhs = _integral_combination(field, _v_split(cof, len(gens)), d, gens, pack)
+    dt, zt = target
+    if {t: dt * c for t, c in lhs.items()} != {t: e * x for t, x in zt.items()}:
+        raise AssertionError("division certificate failed to re-expand")
 
 
 def prune_generators(
@@ -909,36 +875,30 @@ def prune_generators(
         return [], []
     field, nvars = _context([p for v in [*fixed, *candidates] for p in v])
     pack = _pack(nvars, order)
-    gens = [_vec_to_v(v, pack) for v in fixed]
-    cands = [_vec_to_v(v, pack) for v in candidates]
-    eng = _Engine(field, pack, ncomp)
-    eng.seed(gens)
-    eng.run()
+    gens = [_integral(field, _vec_to_v(v, pack)) for v in fixed]  # the engine's generators, as they join
+    cands = [_integral(field, _vec_to_v(v, pack)) for v in candidates]
+    eng = _Engine(field, pack, ncomp, gens)
+    nfixed = len(gens)
     joined: List[int] = []  # kept candidates in the order they joined
-    int_reps: List[Tuple[int, ZDict]] = []  # _integral(eng.reps[j]), built as the basis grows
-    # the generators scaled by their common denominator e, kept as they grow
-    e, gens_e = 1, []
-    for g in gens:
-        e, gens_e = _join_scaled(field, e, gens_e, g)
     degree = [max((sum(m) for p in v for m in p.terms), default=0) for v in candidates]
     for k in sorted(range(len(cands)), key=lambda k: (degree[k], k)):
-        d, z = _integral(field, cands[k])
-        nf, quots, d = _z_divmod(field.char, z, d, eng.leads, eng.tails, pack)
+        e, z = cands[k]
+        nf, quots, d = _z_divmod(field.char, z, e, eng.leads, eng.tails, pack)
         if not nf:
-            int_reps += [_integral(field, rep) for rep in eng.reps[len(int_reps) :]]
-            _certify(field, *_integral_combination(field, quots, d, int_reps, pack), gens_e, e, cands[k], pack)
+            d, cof = _integral_combination(field, quots, d, eng.reps, pack)
+            _certify(field, cof, d, gens, cands[k], pack)
             continue
-        eng.add(cands[k], {_unit(len(gens_e)): field.one()})
-        e, gens_e = _join_scaled(field, e, gens_e, cands[k])
+        eng.add(z, e, (1, {_unit(len(gens)): 1}))
+        gens.append(cands[k])
         joined.append(k)
         eng.run()
     kept = sorted(joined)
     if not kept:
         return [], []
-    # engine component len(gens) + a is candidate joined[a]
-    column = {len(gens) + a: kept.index(k) for a, k in enumerate(joined)}
+    # engine component nfixed + a is candidate joined[a]
+    column = {nfixed + a: kept.index(k) for a, k in enumerate(joined)}
     rows = []
-    for z, d in _engine_syzygies(eng, gens + [cands[k] for k in joined]):
+    for d, z in _engine_syzygies(eng, gens):
         row: List[ZDict] = [dict() for _ in kept]
         for t, c in z.items():
             col = column.get(_comp(t))
@@ -946,14 +906,3 @@ def prune_generators(
                 row[col][t & ~CMASK] = c
         rows.append((row, d))
     return kept, _reduced_rows(field, pack, rows, modulo)
-
-
-def _join_scaled(field: Field, e: int, gens_e: List[VDict], g: VDict) -> Tuple[int, List[VDict]]:
-    """(e', gens_e') for the family gens_e = e * gens joined by g: e' the
-    common denominator of gens and g, the old members rescaled by e'/e
-    only when it grows."""
-    e2 = lcm(e, field.denominator(g.values()))
-    if e2 != e:
-        gens_e = [_scaled(field, e2 // e, v) for v in gens_e]
-    gens_e.append(_scaled(field, e2, g))
-    return e2, gens_e

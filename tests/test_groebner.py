@@ -2,6 +2,7 @@
 and complete syzygy modules."""
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from defalg import GF, QQ
 from defalg import groebner
 from defalg.groebner import (
     MAX_EXPONENT,
-    _division_data,
     _Engine,
     _pack,
     _v_divmod,
@@ -25,6 +25,7 @@ from defalg.groebner import (
     normal_form_quotients,
     syzygy_basis,
 )
+from defalg.linalg import Matrix
 from defalg.poly import GREVLEX, LEX, MonomialOrder, Polynomial, mono_div, mono_divides, mono_mul
 from defalg.problems import ParseError
 from defalg.problems import parse_polynomial
@@ -181,6 +182,14 @@ def _packed(pack, v):
 
 def _unpacked(pack, v):
     return {(groebner._comp(t), pack.exponents(t)): c for t, c in v.items()}
+
+
+def _division_data(basis, pack):
+    """The division data of a monic basis of packed vectors (rationals or
+    residues), each tail built by _tail from the vector's integral form."""
+    leads = [max(v) for v in basis]
+    tails = [groebner._tail(groebner._integral(QQ, v)[1], lead) for v, lead in zip(basis, leads)]
+    return groebner._Division(leads, tails, pack)
 
 
 @st.composite
@@ -400,30 +409,47 @@ def _combination(field, pack, reps, gens):
 
 
 @pytest.mark.parametrize("ncomp", [1, 2])
-def test_module_buchberger_cofactors_re_expand_over_q(ncomp):
-    f = QQ
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f.name)
+def test_module_buchberger_cofactors_re_expand(field, ncomp):
+    # denominators 5, 7 and 11 are units in every field here
     vecs = [
-        ["x^2 - 1/2*y", "3*x*z"],
-        ["2/3*x*y + z", "y^2 - x"],
+        ["x^2 - 1/5*y", "3*x*z"],
+        ["2/7*x*y + z", "y^2 - x"],
         ["y*z", "5/7*x^2 + y"],
-        ["x^2 - z^2", "x*y*z"],
+        ["x^2 - z^2", "4/11*x*y*z"],
     ]
+    p = field.char
     pack = _pack(3, GREVLEX)
-    gens = [groebner._vec_to_v(polys_of(f, *texts[:ncomp]), pack) for texts in vecs]
-    eng = _Engine(f, pack, ncomp)
-    eng.seed(gens)
-    eng.run()
-    assert len(eng.basis) > len(gens)  # some S-pairs survived and got cofactors
-    for b, rep in zip(eng.basis, eng.reps):
-        assert _combination(f, pack, rep, gens) == _unpacked(pack, b)
+    gens = [groebner._vec_to_v(polys_of(field, *texts[:ncomp]), pack) for texts in vecs]
+    eng = _Engine(field, pack, ncomp, [groebner._integral(field, g) for g in gens])
+
+    def check():
+        # each (r, y) is in lowest terms and re-expands over the generators
+        # to a monic vector with the stored lead, whose _tail is the stored one
+        for lead, tail, (r, y) in zip(eng.leads, eng.tails, eng.reps):
+            assert r > 0 and gcd(r, *y.values()) == 1
+            assert not p or (r == 1 and all(0 < c < p for c in y.values()))
+            element = _combination(field, pack, groebner._over(y, r), gens)
+            assert element[groebner._comp(lead), pack.exponents(lead)] == 1
+            z = groebner._integral(field, _packed(pack, element))[1]
+            want = groebner._tail(z, lead, p)
+            assert (tail[0], sorted(tail[1])) == (want[0], sorted(want[1]))
+
+    assert len(eng.leads) > len(gens)  # some S-pairs survived and got cofactors
+    check()
     eng.interreduce()
-    for b, rep in zip(eng.basis, eng.reps):
-        assert _combination(f, pack, rep, gens) == _unpacked(pack, b)
+    check()
 
 
 def test_division_data_is_built_once_per_basis():
+    # the division data of a basis is its engine's: the leads and tails of
+    # the returned polynomials, built once
     f = QQ
-    gb = buchberger(polys_of(f, "x^2 - y", "y^2"))
+    gb = buchberger(polys_of(f, "2*x^2 - y", "y^2 + 3/2*x*z", "x*y*z"))
+    pack = gb._division.pack
+    want = _division_data([groebner._poly_to_v(b, pack) for b in gb.basis], pack)
+    assert gb._division.leads == want.leads
+    assert [(ell, sorted(t)) for ell, t in gb._division.tails] == [(ell, sorted(t)) for ell, t in want.tails]
     assert gb._division is gb._division
     mgb = module_groebner([polys_of(f, "x", "y"), polys_of(f, "y^2", "0")], 2)
     assert mgb._division is mgb._division
@@ -431,28 +457,89 @@ def test_division_data_is_built_once_per_basis():
     assert not mgb.contains(polys_of(f, "y", "0"))
 
 
+# ---------------------------------------------------------------------------
+# syzygy modules against linear algebra, degree by degree
+
+
+def _monomials_of_degree(d, nvars=3):
+    if d < 0:
+        return []
+    return sorted(m for m in itertools.product(range(d + 1), repeat=nvars) if sum(m) == d)
+
+
+@st.composite
+def homogeneous_vectors(draw):
+    """(field, ncomp, vectors, degrees): 1-3 vectors in k[x,y,z]^ncomp,
+    every entry of vector k homogeneous of degree degrees[k] (or zero)."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    ncomp = draw(st.integers(1, 2))
+    if field == QQ:
+        scalars = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(QQ.from_int)
+    else:
+        scalars = st.integers(1, field.p - 1)
+    vectors, degrees = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(1, 3))
+        monos = st.sampled_from(_monomials_of_degree(a))
+        entries = [draw(st.dictionaries(monos, scalars, max_size=3)) for _ in range(ncomp)]
+        vectors.append([Polynomial(field, 3, e) for e in entries])
+        degrees.append(a)
+    return field, ncomp, vectors, degrees
+
+
+def _kernel_dim(field, vectors, degrees, ncomp, d):
+    """dim of the kernel of (h_k) -> sum_k h_k * vectors[k] on the part
+    of shifted degree d, where h_k has degree d - degrees[k]."""
+    target = [(j, m) for j in range(ncomp) for m in _monomials_of_degree(d)]
+    index = {t: i for i, t in enumerate(target)}
+    cols = []
+    for v, a in zip(vectors, degrees):
+        for m in _monomials_of_degree(d - a):
+            col = [field.zero()] * len(target)
+            for j, p in enumerate(v):
+                for mp, c in (Polynomial.monomial(field, 3, m) * p).terms.items():
+                    col[index[j, mp]] = c
+            cols.append(col)
+    if not cols:
+        return 0
+    return len(cols) - Matrix.from_cols(field, cols, nrows=len(target)).rank()
+
+
+def _span_dim(field, columns, degrees, d):
+    """dim of the span, in shifted degree d, of the monomial multiples of
+    the shifted-degree parts of the syzygy columns."""
+    source = [(k, m) for k, a in enumerate(degrees) for m in _monomials_of_degree(d - a)]
+    index = {t: i for i, t in enumerate(source)}
+    rows = []
+    for col in columns:
+        parts = {}
+        for k, h in enumerate(col):
+            for m, c in h.terms.items():
+                parts.setdefault(sum(m) + degrees[k], {})[k, m] = c
+        for e, part in parts.items():
+            for s in _monomials_of_degree(d - e):
+                row = [field.zero()] * len(source)
+                for (k, m), c in part.items():
+                    row[index[k, mono_mul(m, s)]] = c
+                rows.append(row)
+    if not rows:
+        return 0
+    return Matrix.from_rows(field, rows, ncols=len(source)).rank()
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=4),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_the_scaled_family_grows_as_it_is_recomputed(coefs):
-    # the prune keeps its generators scaled by their common denominator
-    # as they grow; each step equals scaling the whole family afresh
-    vecs = [{k: QQ.from_int(c) for k, c in enumerate(cs) if c} for cs in coefs]
-    e, family = 1, []
-    for n, v in enumerate(vecs, 1):
-        e, family = groebner._join_scaled(QQ, e, family, v)
-        want = QQ.denominator(c for w in vecs[:n] for c in w.values())
-        assert e == want
-        assert family == [groebner._scaled(QQ, want, w) for w in vecs[:n]]
-        assert all(type(c) is int for w in family for c in w.values())
-    # over GF(p) the denominator is 1 and the members are the vectors themselves
-    e, family = 1, []
-    residues = [{k: GF(3).from_int(int(c * 6)) for k, c in enumerate(cs)} for cs in coefs]
-    for v in residues:
-        e, family = groebner._join_scaled(GF(3), e, family, v)
-    assert e == 1 and all(a is b for a, b in zip(family, residues))
+@given(homogeneous_vectors())
+def test_syzygy_modules_match_the_kernels_degree_by_degree(case):
+    field, ncomp, vectors, degrees = case
+    results = [module_syzygies(vectors, ncomp)]
+    if ncomp == 1:
+        results.append(syzygy_basis([v[0] for v in vectors]).columns)
+    for columns in results:
+        for col in columns:
+            for j in range(ncomp):
+                acc = Polynomial.zero(field, 3)
+                for h, v in zip(col, vectors):
+                    acc = acc + h * v[j]
+                assert acc.is_zero()
+        for d in range(max(degrees) + 3):
+            assert _span_dim(field, columns, degrees, d) == _kernel_dim(field, vectors, degrees, ncomp, d)
