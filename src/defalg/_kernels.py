@@ -13,22 +13,25 @@ are int64 with entries already reduced mod p.
 The associativity and Leibniz conditions are linear in the digits, so
 those two scans never evaluate a candidate: they build a residual matrix
 R whose row k is the residual of the candidate with digit k equal to 1
-and every other digit 0, and hand it to ``_scan_linear``.  That solves
-digits @ R == 0 mod p by meet-in-the-middle over the two halves of the
-digits (Horowitz and Sahni 1974): about p^(N/2) rows per half plus one
-entry per survivor, instead of p^N candidate evaluations.  The oracle's
-lift and base-structure scans are affine and reuse ``_scan_linear`` and
-its row join ``_join_rows`` directly.  The polynomial-relation scan is
+and every other digit 0, and hand it to ``solve_affine``.  The survivors
+of d @ R + c == 0 mod p form an affine subspace x0 + span(K) of F_p^N,
+which one rref of [R^T | -c^T] yields; its p^(N - rank) points are listed
+directly, already ascending, with no sort and no candidate evaluation.
+The oracle's lift and base-structure scans are affine and call
+``solve_affine`` with their constant.  The polynomial-relation scan is
 not linear and evaluates candidates in batches; only ``hom_enumerate``
 still calls it.
 
-Overflow: a half sum of ``_scan_linear`` adds at most N products of two
-residues and is asserted to fit int64.  ``scan_polyrel`` sums up to
-width^2 products of three residues, width being the largest table
-dimension it contracts over.
+Overflow: a solution row sums one residue and k products of two, k the
+number of free digits, and is asserted to fit int64; ``scan_assoc`` and
+``scan_linmap`` refuse p^N >= 2^63, whose indices would not fit.
+``scan_polyrel`` sums up to width^2 products of three residues, width
+being the largest table dimension it contracts over.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -113,7 +116,7 @@ def rref_modp_numpy(a, p):
 
 
 # ---------------------------------------------------------------------------
-# linear scans: residual rows joined meet-in-the-middle
+# linear scans: the solution space of one rref, enumerated in order
 
 
 def _digits(ns, ndig, p):
@@ -142,51 +145,57 @@ def _unique_rows(rows, p):
     return rows[first], inv.ravel(), counts
 
 
-def _join_rows(inner, outer, p):
-    """Index pairs (i, j) with outer[i] == inner[j], rows of residues
-    mod p: every i in order, and for each i its matches j ascending.
+def solve_affine(R, c, p, lo=0, hi=None):
+    """Every digit row d with d @ R + c == 0 mod p whose candidate index
+    sum_k d_k p^k lies in [lo, hi) (hi None: no upper end), ascending.
+    R is (N x m): row k is the residual of digit k; c is an m-vector or
+    a scalar for every column.
 
-    Both tables are sorted together by their rows, the inner rows are
-    grouped by row value, and each outer row takes its whole group."""
-    uniq, key, _ = _unique_rows(np.concatenate([inner, outer]), p)
-    key_in, key_out = key[: len(inner)], key[len(inner) :]
-    # inner rows grouped by key, ascending within a group
-    by_key = np.argsort(key_in, kind="stable")
-    size = np.bincount(key_in, minlength=len(uniq))
-    first = np.cumsum(size) - size
-    k = size[key_out]  # matching inner rows of each outer row
-    ends = np.cumsum(k)
-    off = np.arange(k.sum()) - np.repeat(ends - k, k)
-    return np.repeat(np.arange(len(outer)), k), by_key[np.repeat(first[key_out], k) + off]
+    One rref of [R^T | -c^T] gives the solutions as x0 + u @ K, u over
+    F_p^k, one row of K per free column.  A pivot digit depends only on
+    the free digits above it, so two solutions first differ, from the
+    top digit down, in a free digit: counting u in base p with the
+    lowest free column least significant lists them ascending, and the
+    window [lo, hi) is a range of that count, found by bisection."""
+    R = np.asarray(R, np.int64) % p
+    ndig = R.shape[0]
+    # K @ R, x0 @ R + c and each row x0 + u @ K sum at most ndig
+    # products of two residues and one residue
+    assert ndig * (p - 1) ** 2 + (p - 1) < 2**63, "sums would overflow int64"
+    c = np.broadcast_to(np.asarray(c, np.int64), R.shape[1]) % p
+    live = R.any(axis=0) | (c != 0)
+    red, piv, rank = rref_modp(np.hstack([R[:, live].T, -c[live, None] % p]), p)
+    piv = piv[:rank].tolist()
+    if ndig in piv:  # a pivot in the constant column: 0 == 1
+        return np.empty((0, ndig), np.int64)
+    free = [j for j in range(ndig) if j not in piv]
+    x0 = np.zeros(ndig, np.int64)
+    x0[piv] = red[:rank, ndig]
+    K = np.zeros((len(free), ndig), np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, piv] = -red[:rank, free].T % p
+    assert not (K @ R % p).any() and not ((x0 @ R + c) % p).any(), "wrong solution basis"
+    count = p ** len(free)
+    assert count < 2**63, "more solutions than int64 can count"
+
+    def row(u):
+        return (x0 + _digits(np.asarray(u, np.int64), len(free), p) @ K) % p
+
+    def index(u):  # candidate index of solution number u
+        return sum(int(d) * p**k for k, d in enumerate(row([u])[0]))
+
+    first = 0 if lo <= 0 else bisect_left(range(count), lo, key=index)
+    stop = count if hi is None else bisect_left(range(count), hi, key=index)
+    return row(np.arange(first, max(first, stop), dtype=np.int64))
 
 
-def _scan_linear(R, p, lo, hi):
-    """Candidates n in [lo, hi), ascending, whose digit vector d has
-    d @ R == 0 mod p.  R is (ndig x m): row k is the residual of digit k.
-
-    The low h = ndig // 2 digits give a = n mod p^h and the rest give
-    b = n // p^h; n survives exactly when the low half sum of a equals
-    minus the high half sum of b, which ``_join_rows`` pairs up.
-
-    An affine condition d @ R + c == 0 is the linear one on R with c
-    stacked as an extra top digit, scanned over [p^N, 2 p^N) so that
-    digit is 1; subtract p^N from the survivors."""
-    if hi <= lo:
-        return np.empty(0, np.int64)
-    R = R % p
-    R = R[:, R.any(axis=0)]
-    ndig, m = R.shape
-    if m == 0:  # no condition left, which includes ndig == 0
-        return np.arange(lo, hi, dtype=np.int64)
-    h = ndig // 2
-    assert (ndig - h) * (p - 1) ** 2 < 2**63, "half sums would overflow int64"
-    P = p**h
-    low = _digits(np.arange(P, dtype=np.int64), h, p) @ R[:h] % p
-    bs = np.arange(lo // P, (hi - 1) // P + 1, dtype=np.int64)
-    high = -(_digits(bs, ndig - h, p) @ R[h:]) % p
-    b, a = _join_rows(low, high, p)
-    n = a + P * bs[b]
-    return n[(n >= lo) & (n < hi)]
+def _scan_indices(R, p, lo, hi):
+    """Candidates n in [lo, hi), ascending, whose digits d have
+    d @ R == 0 mod p, as int64 indices."""
+    ndig = R.shape[0]
+    if p**ndig >= 2**63:
+        raise OverflowError(f"{p}^{ndig} candidates do not fit int64 indices")
+    return solve_affine(R, 0, p, lo, hi) @ (p ** np.arange(ndig, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +208,8 @@ def _scan_linear(R, p, lo, hi):
 #   act[k] @ c[i,j] + sum_m mul[i,j,m] c[m,k]
 #     == act[i] @ c[j,k] + sum_m mul[j,k,m] c[i,m]
 # for all basis triples.  The residual is linear in c, hence in the
-# digits, so scan_assoc_numpy evaluates it on the unit-digit tables only
-# and leaves the search to _scan_linear.
+# digits, so _assoc_residual evaluates it on the unit-digit tables only
+# and solve_affine finds the survivors.
 #
 # Precondition: mul is commutative with unit e_0 and act[0] is the
 # identity.  The literal loop then checks only i, j >= 1 and k >= i: the
@@ -253,7 +262,7 @@ def _scan_assoc_py(mul, act, pair_i, pair_j, p, lo, hi):
     return out[:nout]
 
 
-def scan_assoc_numpy(mul, act, pair_i, pair_j, p, lo, hi):
+def _assoc_residual(mul, act, pair_i, pair_j):
     s = mul.shape[0]
     t = act.shape[1]
     ndig = pair_i.shape[0] * t
@@ -268,7 +277,11 @@ def scan_assoc_numpy(mul, act, pair_i, pair_j, p, lo, hi):
         - np.einsum("jkm,Biml->Bijkl", mul, c)
         - np.einsum("ilm,Bjkm->Bijkl", act, c)
     )
-    return _scan_linear(res.reshape(ndig, s * s * s * t), p, lo, hi)
+    return res.reshape(ndig, s * s * s * t)
+
+
+def scan_assoc_numpy(mul, act, pair_i, pair_j, p, lo, hi):
+    return _scan_indices(_assoc_residual(mul, act, pair_i, pair_j), p, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +291,8 @@ def scan_assoc_numpy(mul, act, pair_i, pair_j, p, lo, hi):
 # D[i, l] for i over basis elements and l over J-coordinates.  Survivors
 # satisfy D(e_i e_j) = e_i D(e_j) + e_j D(e_i) on every basis pair and
 # vanish on the listed vectors (images of base-ring generators).  Both
-# conditions are linear in D, so scan_linmap_numpy evaluates them on the
-# unit-digit maps only and leaves the search to _scan_linear.
+# conditions are linear in D, so _linmap_residual evaluates them on the
+# unit-digit maps only and solve_affine finds the survivors.
 #
 # Precondition: mul is commutative.  The Leibniz residual is then
 # symmetric in (i, j), so the literal loop checks only j >= i; the numpy
@@ -335,7 +348,7 @@ def _scan_linmap_py(mul, act, kill, p, lo, hi):
     return out[:nout]
 
 
-def scan_linmap_numpy(mul, act, kill, p, lo, hi):
+def _linmap_residual(mul, act, kill):
     s = mul.shape[0]
     t = act.shape[1]
     ndig = s * t
@@ -347,8 +360,11 @@ def scan_linmap_numpy(mul, act, kill, p, lo, hi):
         - np.einsum("jlm,Bim->Bijl", act, D)
     )
     kres = np.einsum("bi,Bil->Bbl", kill, D)
-    R = np.concatenate([res.reshape(ndig, s * s * t), kres.reshape(ndig, kill.shape[0] * t)], axis=1)
-    return _scan_linear(R, p, lo, hi)
+    return np.concatenate([res.reshape(ndig, s * s * t), kres.reshape(ndig, kill.shape[0] * t)], axis=1)
+
+
+def scan_linmap_numpy(mul, act, kill, p, lo, hi):
+    return _scan_indices(_linmap_residual(mul, act, kill), p, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ tensors), so an agreement between the two sides is genuine evidence
 and a disagreement is a bug, not a sampling artifact.
 
 Every scan is one linear solve over the candidate digits (see
-``_kernels._scan_linear``).  Associativity and the Leibniz rule are
-linear in them; a lift's relation values and a base structure's
-relation values are affine, because the fiber squares to zero, and are
-read off the zero and unit candidates.  Every lift and every state
-found that way is re-checked by literal evaluation.
+``_kernels.solve_affine``): its survivors are an affine subspace of
+F_p^N, listed point by point in ascending candidate order straight from
+one rref.  Associativity and the Leibniz rule are linear in the digits;
+a lift's relation values and a base structure's relation values are
+affine, because the fiber squares to zero, and are read off the zero
+and unit candidates.  A base structure is solved jointly with its table
+digits, so the states come out table-major with the base digits
+ascending.  Every lift and every state found that way is re-checked by
+literal evaluation.
 
 Classification is one projection.  A section change moves a state by
 a constant vector, so the isomorphism classes are the cosets of the
@@ -154,18 +158,6 @@ def state_of_table(B: PresentedAlgebra, table: StructureAlgebra, base_images=Non
     return cdig, eta
 
 
-def _scan_tables(B, S, J, mul, act, bud, what):
-    """The associative fiber-correction tables, as one row of c-digits
-    per survivor in scan order."""
-    p = B.field.p
-    pairs = _pairs(S.dim)
-    ndig = len(pairs[0]) * J.rank
-    total = p**ndig
-    bud.charge(total, what)
-    idxs = _kernels.scan_assoc(mul, act, *pairs, p, 0, total)
-    return pairs, total, _kernels._digits(idxs, ndig, p)
-
-
 def _affine_rows(values, ndig: int):
     """(R, c) with values(d) == d @ R + c for an affine map values from
     ndig digits to residue lists, read off the zero and unit digits."""
@@ -174,20 +166,22 @@ def _affine_rows(values, ndig: int):
     return R.reshape(ndig, len(c)) - c, c
 
 
-def _base_structure_states(B, S, J, template, pairs, survivors, targets, bud, what):
-    """Extend table survivors by base-generator images: keep the pairs
-    (table, eta) whose structure map sends each base relation to the
-    required fiber value (zero for extensions, phi of the base cocycle
-    for deformations).
+def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what):
+    """The associative fiber-correction tables c (the survivors of the
+    residual R_assoc, in scan order), extended by base-generator images:
+    keep the pairs (c, eta) whose structure map sends each base relation
+    to the required fiber value (zero for extensions, phi of the base
+    cocycle for deformations).
 
     The fiber squares to zero and eta acts only through the module, so
-    the relation values are affine in (c, eta) with no c*eta term: one
-    constant row per survivor and one row per eta are joined on equal
-    residues, survivor-major with eta ascending."""
-    f = B.field
-    p = f.p
+    the relation values are affine in (c, eta) with no c*eta term.  One
+    solve over the digits (eta, c), eta least significant, under the
+    base conditions and the associativity residual R_assoc of c, gives
+    every state survivor-major with eta ascending."""
+    p = B.field.p
     s, t = S.dim, J.rank
     nbv = B.n_base
+    survivors = _kernels.solve_affine(R_assoc, 0, p)
     if nbv == 0:
         return [(cd, ()) for cd in map(tuple, survivors.tolist())]
     neta = t * nbv
@@ -207,15 +201,14 @@ def _base_structure_states(B, S, J, template, pairs, survivors, targets, bud, wh
     R_c, const = _affine_rows(lambda cd: values(table(cd), zero_eta), survivors.shape[1])
     trivial = table((0,) * survivors.shape[1])
     R_eta, _ = _affine_rows(lambda eta: values(trivial, eta), neta)
-    rows_c = (f.matmul(survivors, R_c % p) + const - want) % p
-    etas = _kernels._digits(np.arange(p**neta, dtype=np.int64), neta, p)
-    i_c, i_eta = _kernels._join_rows(f.matmul(etas, R_eta % p), -rows_c % p, p)
+    R = np.block([[R_eta, np.zeros((neta, R_assoc.shape[1]), np.int64)], [R_c, R_assoc]])
+    rows = _kernels.solve_affine(R, np.concatenate([const - want, np.zeros(R_assoc.shape[1], np.int64)]), p)
     states: List[State] = []
-    tab, last = None, -1
-    for i, eta in zip(i_c.tolist(), map(tuple, etas[i_eta].tolist())):
-        cd = tuple(survivors[i].tolist())
-        if i != last:
-            tab, last = table(cd), i
+    tab, last = None, None
+    for row in rows.tolist():
+        cd, eta = tuple(row[neta:]), tuple(row[:neta])
+        if cd != last:
+            tab, last = table(cd), cd
         if values(tab, eta) != want:
             raise AssertionError("base structure scan produced a wrong state")
         states.append((cd, eta))
@@ -300,26 +293,17 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
     p = B.field.p
     s, t = S.dim, J.rank
     nbv = B.n_base
-    if nbv:
-        kill = np.array([[int(c) for c in S.base_images[v]] for v in range(nbv)], np.int64)
-    else:
-        kill = np.zeros((0, s), np.int64)
+    kill = np.array([[int(c) for c in v] for v in S.base_images], np.int64).reshape(nbv, s)
     total = p ** (s * t)
     bud.charge(total, "derivation scan")
-    idxs = _kernels.scan_linmap(mul, act, kill, p, 0, total)
-    mats = []
-    gen_imgs = []
-    for dig in map(tuple, _kernels._digits(idxs, s * t, p).tolist()):
-        mats.append(dig)
-        flat = []
-        for g in range(B.n_gens):
-            coords = [int(c) for c in S.gen_images[nbv + g]]
-            for l in range(t):
-                flat.append(sum(coords[w] * dig[w * t + l] for w in range(s)) % p)
-        gen_imgs.append(tuple(flat))
+    rows = _kernels.solve_affine(_kernels._linmap_residual(mul, act, kill), 0, p)
+    # row digit w*t + l is D(e_w)_l, so generator g's image is coords[g] @ D
+    coords = np.array([[int(c) for c in S.gen_images[nbv + g]] for g in range(B.n_gens)], np.int64)
+    gen = B.field.matmul(rows, np.kron(coords.reshape(B.n_gens, s).T, np.eye(t, dtype=np.int64)))
+    gen_imgs = tuple(map(tuple, gen.tolist()))
     if len(set(gen_imgs)) != len(gen_imgs):
         raise AssertionError("two distinct scan survivors share their generator images")
-    return DerivationScan(B, J, total, tuple(mats), tuple(gen_imgs))
+    return DerivationScan(B, J, total, tuple(map(tuple, rows.tolist())), gen_imgs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +356,12 @@ def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
     section changes are the isomorphism classes."""
     S, mul, act = _structure_context(B, J)
     bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
-    pairs, total, survivors = _scan_tables(B, S, J, mul, act, bud, what[0])
+    pairs = _pairs(S.dim)
+    total = B.field.p ** (len(pairs[0]) * J.rank)
+    bud.charge(total, what[0])
+    R_assoc = _kernels._assoc_residual(mul, act, *pairs)
     template = _table_template(S, J, act)
-    states = _base_structure_states(B, S, J, template, pairs, survivors, targets, bud, what[1])
+    states = _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what[1])
     deltas = _section_change_deltas(S, J, act, pairs, B.field.p)
     reps, orbit_of = _classify_states(states, deltas, B.field)
     return scan_cls(B, J, total, tuple(states), reps, orbit_of, S, template, pairs, **extra)
@@ -435,8 +422,7 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     The ideal squares to zero, so each relation value is affine in the
     offset digits: f(pre + n) = f(pre) + sum_g df/dx_g(pre) n_g, read
     as d @ R + c from one evaluation per relation and per relation and
-    generator, and solved as one linear scan with c stacked as a top
-    digit fixed to 1."""
+    generator, and solved as one affine system."""
     B, Cp = problem.B, problem.Cprime
     f = B.field
     if not isinstance(f, PrimeField):
@@ -452,24 +438,11 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
         # the forced base images already violate a base relation
         return LiftScan(problem, 0, (), ())
     bud.charge(total, "lift scan")
-    span = [list(v) for v in problem.n_basis]
     rels = list(B.relations) + list(B.base_relations)
-
-    def images(dig):
-        imgs = [list(v) for v in problem.preimages]
-        for g in range(ng):
-            vec = imgs[nbv + g]
-            for d in range(t):
-                c = dig[g * t + d]
-                if c:
-                    vec = [(a + c * b) % p for a, b in zip(vec, span[d])]
-            imgs[nbv + g] = vec
-        return imgs
-
     pre = [list(v) for v in problem.preimages]
     const = np.array([c for r in rels for c in Cp.evaluate(r, pre)], np.int64)
     s = Cp.dim
-    N = f.array(span).reshape(t, s)
+    N = f.array([list(v) for v in problem.n_basis]).reshape(t, s)
     table = Cp.mul.reshape(s, s * s)
     R = np.zeros((ndig, len(const)), np.int64)
     for j, r in enumerate(rels):
@@ -477,18 +450,18 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
             # row d of the block is df_j/dx_g(pre) * n_d
             dr = f.array(Cp.evaluate(r.derivative(nbv + g), pre))
             R[g * t : (g + 1) * t, j * s : (j + 1) * s] = f.matmul(N, f.matmul(dr, table).reshape(s, s))
-    idxs = _kernels._scan_linear(np.vstack([R, const]), p, total, 2 * total) - total
+    offsets = _kernels.solve_affine(R, const, p)
+    # generator g's image: its preimage plus offset digits g*t .. g*t + t - 1 through N
+    moved = f.matmul(offsets, np.kron(np.eye(ng, dtype=np.int64), N)) + f.array(pre[nbv:]).reshape(ng * s)
     images_out = []
-    offsets = []
-    for dig in map(tuple, _kernels._digits(idxs, ndig, p).tolist()):
-        imgs = images(dig)
+    for row in (moved % p).reshape(len(offsets), ng, s).tolist():
+        imgs = pre[:nbv] + row
         for r in rels:
             val = Cp.evaluate(r, imgs)
             if any(not f.is_zero(c) for c in val):
                 raise AssertionError("scan produced an invalid lift")
         images_out.append(tuple(tuple(v) for v in imgs))
-        offsets.append(dig)
-    return LiftScan(problem, total, tuple(images_out), tuple(offsets))
+    return LiftScan(problem, total, tuple(images_out), tuple(map(tuple, offsets.tolist())))
 
 
 @dataclass

@@ -1,18 +1,20 @@
 """The linear oracle scans against their literal reference loops.
 
-``scan_assoc`` and ``scan_linmap`` solve their residual conditions by
-meet-in-the-middle; ``_scan_assoc_py`` and ``_scan_linmap_py`` evaluate
-every candidate literally.  Both are compared on random sub-ranges,
-including empty ranges and scans with no digits, on tables that meet
-the kernels' precondition: e_0 is the unit, the multiplication is
-commutative and e_0 acts as the identity.
+``scan_assoc`` and ``scan_linmap`` hand their residual conditions to
+``solve_affine``, which lists the solution space x0 + span(K) of one
+rref in ascending candidate order; ``_scan_assoc_py`` and
+``_scan_linmap_py`` evaluate every candidate literally.  Both are
+compared on random sub-ranges, including empty ranges and scans with no
+digits, on tables that meet the kernels' precondition: e_0 is the unit,
+the multiplication is commutative and e_0 acts as the identity.
 
-The row join shared by ``_scan_linear`` and the oracle's base-structure
-scan, and the affine form d @ R + c == 0 solved with c as a top digit
-fixed to 1, are checked against literal pairing and filtering.
+``solve_affine`` itself is checked against a literal filter of every
+candidate, on consistent and inconsistent constants, zero columns, no
+digits and windows of the candidate range.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,30 +126,13 @@ def test_full_scans_match_reference_loops():
         assert np.array_equal(_kernels.scan_linmap(mul, act, kill, p, 0, total), want)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.sampled_from(PRIMES))
-def test_join_rows_matches_literal_pairing(data, p):
-    """Every (outer, inner) pair with equal rows, outer-major and inner
-    ascending; few distinct rows, so groups are large."""
-    m = data.draw(st.integers(0, 2))
-    n_in = data.draw(st.integers(1, 12))
-    n_out = data.draw(st.integers(0, 12))
-    row = st.lists(st.integers(0, min(p - 1, 1)), min_size=m, max_size=m)
-    inner = np.array(data.draw(st.lists(row, min_size=n_in, max_size=n_in)), np.int64).reshape(n_in, m)
-    outer = np.array(data.draw(st.lists(row, min_size=n_out, max_size=n_out)), np.int64).reshape(n_out, m)
-    want = [(i, j) for i in range(n_out) for j in range(n_in) if np.array_equal(outer[i], inner[j])]
-    i, j = _kernels._join_rows(inner, outer, p)
-    assert i.dtype == j.dtype == np.int64
-    assert list(zip(i.tolist(), j.tolist())) == want
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([(2, 61), (2, 62), (3, 38), (3, 40), (5, 26), (5, 27)]))
 def test_unique_rows_matches_the_row_sort_on_either_side_of_the_key_bound(data, case):
     """Rows of p^width < 2^62 sort as one packed key each, wider rows as
     rows; both give np.unique's distinct rows (in lexicographic order),
-    inverse and counts, and the join pairs them the same way.  Rows come
-    from a small pool, so most of them repeat."""
+    inverse and counts.  Rows come from a small pool, so most of them
+    repeat."""
     p, width = case
     digit = st.sampled_from([0, 1, p - 1])
     pool = data.draw(st.lists(st.lists(digit, min_size=width, max_size=width), min_size=1, max_size=3))
@@ -157,10 +142,6 @@ def test_unique_rows_matches_the_row_sort_on_either_side_of_the_key_bound(data, 
     want_uniq, want_inv, want_counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
     assert uniq.tolist() == want_uniq.tolist()
     assert inv.tolist() == want_inv.ravel().tolist() and counts.tolist() == want_counts.tolist()
-    half = n // 2
-    i, j = _kernels._join_rows(rows[:half], rows[half:], p)
-    want = [(a, b) for a in range(n - half) for b in range(half) if np.array_equal(rows[half + a], rows[b])]
-    assert list(zip(i.tolist(), j.tolist())) == want
 
 
 def literal_affine(R, c, p):
@@ -174,21 +155,31 @@ def literal_affine(R, c, p):
     return out
 
 
-def affine_scan(R, c, p):
-    total = p ** R.shape[0]
-    return _kernels._scan_linear(np.vstack([R, c]), p, total, 2 * total) - total
+def affine_scan(R, c, p, lo=0, hi=None):
+    """The candidate indices of ``solve_affine``'s rows."""
+    rows = _kernels.solve_affine(R, c, p, lo, hi)
+    assert rows.dtype == np.int64 and rows.shape[1] == R.shape[0]
+    return [sum(int(d) * p**k for k, d in enumerate(row)) for row in rows]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from(PRIMES))
-def test_constant_as_top_digit_matches_literal_filter(data, p):
+def test_solve_affine_matches_literal_filter(data, p):
+    """Entries often from {0, 1, p - 1}, so dependent rows, zero columns
+    and inconsistent constants are common; a window [lo, hi) of the
+    candidate range, sometimes empty, is cut from the same solutions."""
     ndig = data.draw(st.integers(0, 5 if p == 2 else 3))
-    m = data.draw(st.integers(1, 3))
-    R = np.array([data.draw(residues(p, m)) for _ in range(ndig)], np.int64).reshape(ndig, m)
-    c = np.array(data.draw(residues(p, m)), np.int64)
+    m = data.draw(st.integers(0, 3))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    R = np.array([[data.draw(entry) for _ in range(m)] for _ in range(ndig)], np.int64).reshape(ndig, m)
+    c = np.array([data.draw(entry) for _ in range(m)], np.int64)
+    want = literal_affine(R, c, p)
     got = affine_scan(R, c, p)
-    assert got.dtype == np.int64
-    assert got.tolist() == literal_affine(R, c, p)
+    assert got == want  # ascending, as the literal filter runs
+    total = p**ndig
+    lo = data.draw(st.integers(0, total))
+    hi = data.draw(st.integers(0, total + 1))
+    assert affine_scan(R, c, p, lo, hi) == [n for n in want if lo <= n < hi]
 
 
 def test_constant_in_a_zero_column_and_no_digits():
@@ -197,11 +188,23 @@ def test_constant_in_a_zero_column_and_no_digits():
         R = np.array([[1, 0], [p - 1, 0], [2 % p, 0]], np.int64)
         c = np.array([0, 1], np.int64)
         assert literal_affine(R, c, p) == []
-        assert affine_scan(R, c, p).tolist() == []
+        assert affine_scan(R, c, p) == []
         # the same column with a zero constant leaves the first condition
         c0 = np.array([1, 0], np.int64)
-        assert affine_scan(R, c0, p).tolist() == literal_affine(R, c0, p) != []
+        assert affine_scan(R, c0, p) == literal_affine(R, c0, p) != []
         # N = 0: the single empty digit vector survives iff c == 0
         empty = np.zeros((0, 2), np.int64)
-        assert affine_scan(empty, np.array([0, 0], np.int64), p).tolist() == [0]
-        assert affine_scan(empty, np.array([0, 1], np.int64), p).tolist() == []
+        assert affine_scan(empty, np.array([0, 0], np.int64), p) == [0]
+        assert affine_scan(empty, np.array([0, 1], np.int64), p) == []
+
+
+def test_scans_refuse_indices_beyond_int64():
+    """2^63 candidates would wrap an int64 index: refused, not wrapped."""
+    mul, act = truncated(9, 7)
+    kill = np.zeros((0, 9), np.int64)
+    with pytest.raises(OverflowError):
+        _kernels.scan_linmap(mul, act, kill, 2, 0, 10)
+    mul, act = truncated(9, 6)  # 2^54 candidates still index
+    assert _kernels.scan_linmap(mul, act, kill, 2, 0, 10).tolist() == _kernels._scan_linmap_py(
+        mul, act, kill, 2, 0, 10
+    ).tolist()

@@ -435,6 +435,30 @@ def test_regular_module_orbits_match_the_literal_loop():
     assert (scan.orbit_reps, scan.orbit_of) == literal_orbits(B, J, scan.states)
 
 
+@pytest.mark.parametrize(
+    "gens, relations, module, budget",
+    [
+        (["x", "y", "z"], ["x^2", "y^2", "z^2"], "trivial", 1 << 28),
+        (["x", "y"], ["x^2", "y^2"], "regular", 1 << 24),
+    ],
+    ids=["trivial-2^28", "regular-2^24"],
+)
+def test_scans_reach_past_the_default_budget(gens, relations, module, budget):
+    """Candidate spaces the default budget refuses, solved from one rref
+    each: the counts are powers of p in dim T0 and dim T1."""
+    field = GF(2)
+    B = make_algebra(field, gens, relations)
+    J = getattr(FiniteModule, module)(B)
+    t0, t1, _ = (m.dim for m in t_modules(B, J))
+    with pytest.raises(BudgetExceeded):
+        enumerate_extensions(B, J)
+    scan = enumerate_extensions(B, J, budget=budget)
+    assert scan.candidates == budget
+    assert scan.class_count == 2**t1
+    assert enumerate_derivations(B, J, budget=budget).count == 2**t0
+    assert scan.has_band(t0)
+
+
 def test_a_missing_state_fails_the_closure_check():
     field = GF(3)
     B = dual_numbers(field)
