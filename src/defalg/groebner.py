@@ -77,11 +77,22 @@ it too.
 Correctness notes baked into the code:
   * the product (coprime-lcm) criterion is applied only to ring-level
     pairs; it is not sound for module pairs sharing a leading component;
-  * the chain criterion is applied in both settings, with the strict
-    lcm inequalities that prevent circular skipping;
-  * the syzygy pass reduces every same-component pair of the final
-    reduced basis and skips nothing, since a skipped pair would silently
-    drop a syzygy generator.
+  * one chain test (``_chain_skip``) serves Buchberger's loop and the
+    syzygy pass.  It drops the pair (i, j) when the lead of some k
+    divides lcm(i, j) and lcm(i, k), lcm(j, k) both divide it strictly.
+    The leading-term syzygies then satisfy
+    tau_ij = (m_ij / m_ik) tau_ik + (m_ij / m_kj) tau_kj, and both
+    partners have a strictly smaller lcm: dropping is well-founded on
+    lcm divisibility, so the kept tau still generate Syz(LT), with no
+    circular skipping;
+  * Buchberger's loop also needs both partner pairs already processed;
+    the syzygy pass works over the final basis and needs nothing more.
+    By the lifting theorem the reductions of the kept pairs generate
+    Syz(G) (Moeller, Mora and Traverso, "Groebner bases computation
+    using syzygies", ISSAC 1992; Gebauer and Moeller, "On an
+    installation of Buchberger's algorithm", 1988), and every kept
+    S-vector reducing to zero is still a complete Groebner-basis test:
+    Buchberger's criterion needs only a generating set of Syz(LT).
 """
 
 from __future__ import annotations
@@ -377,7 +388,10 @@ class _Engine:
         self.reps.append(rep)
         self._push_pairs(len(self.leads) - 1)
 
-    def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
+    def _chain_skip(self, i: int, j: int, lcm: int, done: Optional[set] = None) -> bool:
+        """The strict chain criterion for the pair (i, j) on its lcm term:
+        some k whose lead divides lcm, with lcm(i, k) != lcm != lcm(j, k)
+        and, when done is given, both pairs (i, k) and (j, k) in it."""
         divmask = self.pack.divmask
         lcm_exps = self.pack.exponents(lcm)
         for k in range(len(self.leads)):
@@ -386,7 +400,7 @@ class _Engine:
             mk = self.lead_exps[k]
             if mono_lcm(self.lead_exps[i], mk) == lcm_exps or mono_lcm(self.lead_exps[j], mk) == lcm_exps:
                 continue
-            if (min(i, k), max(i, k)) in self.done and (min(j, k), max(j, k)) in self.done:
+            if done is None or ((min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done):
                 return True
         return False
 
@@ -410,7 +424,7 @@ class _Engine:
                 continue
             self.done.add((i, j))
             lcm += self.leads[i] & CMASK
-            if self._chain_skip(i, j, lcm):
+            if self._chain_skip(i, j, lcm, self.done):
                 continue
             nf, quots, d = self._spair_divmod(i, j, lcm)
             if nf:  # most S-pairs reduce to zero and build no cofactors
@@ -452,10 +466,15 @@ class _Engine:
         return out
 
     def schreyer(self) -> List[Tuple[List[ZDict], int]]:
-        """Syzygies of the final basis, one per same-component pair, each
-        fully reduced; no pair criteria applied here.  Each is (quots, d)
-        from _spair_divmod, quots[k] / d the coefficient of basis element k
-        in minus the syzygy x^si e_i - x^sj e_j - sum_k q_k e_k."""
+        """Generators of the syzygies of the final basis: one per
+        same-component pair that the strict chain criterion keeps, each
+        fully reduced.  The kept leading-term syzygies generate Syz(LT),
+        so their lifts generate the syzygies of the basis, and each kept
+        S-vector must reduce to zero (see the module doc).  No product
+        criterion: a coprime pair still carries a generator.  Each is
+        (quots, d) from _spair_divmod, quots[k] / d the coefficient of
+        basis element k in minus the syzygy
+        x^si e_i - x^sj e_j - sum_k q_k e_k."""
         n = len(self.leads)
         out = []
         for i in range(n):
@@ -463,7 +482,10 @@ class _Engine:
             for j in range(i + 1, n):
                 if self.leads[j] & CMASK != ci:
                     continue
-                nf, quots, d = self._spair_divmod(i, j, self._lcm(i, j) + ci)
+                lcm = self._lcm(i, j) + ci
+                if self._chain_skip(i, j, lcm):
+                    continue
+                nf, quots, d = self._spair_divmod(i, j, lcm)
                 if nf:
                     raise AssertionError("S-vector of a Groebner basis fails to reduce to zero")
                 out.append((quots, d))

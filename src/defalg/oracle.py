@@ -30,7 +30,6 @@ against an EnumerationBudget before touching a single candidate.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -166,26 +165,29 @@ def _affine_rows(values, ndig: int):
     return R.reshape(ndig, len(c)) - c, c
 
 
-def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what):
+def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what) -> np.ndarray:
     """The associative fiber-correction tables c (the survivors of the
     residual R_assoc, in scan order), extended by base-generator images:
     keep the pairs (c, eta) whose structure map sends each base relation
     to the required fiber value (zero for extensions, phi of the base
-    cocycle for deformations).
+    cocycle for deformations).  One row per state, its c digits then its
+    eta digits.
 
     The fiber squares to zero and eta acts only through the module, so
     the relation values are affine in (c, eta) with no c*eta term.  One
     solve over the digits (eta, c), eta least significant, under the
     base conditions and the associativity residual R_assoc of c, gives
-    every state survivor-major with eta ascending."""
+    every state survivor-major with eta ascending.  Its charge, the
+    p^(N - rank R_assoc) survivors times p^neta base images, is read
+    off one rref of R_assoc before anything is enumerated."""
     p = B.field.p
     s, t = S.dim, J.rank
     nbv = B.n_base
-    survivors = _kernels.solve_affine(R_assoc, 0, p)
     if nbv == 0:
-        return [(cd, ()) for cd in map(tuple, survivors.tolist())]
+        return _kernels.solve_affine(R_assoc, 0, p)
     neta = t * nbv
-    bud.charge(len(survivors) * p**neta, what)
+    ndig = R_assoc.shape[0]
+    bud.charge(p ** (ndig - _kernels.rref_modp(R_assoc.T % p, p)[2] + neta), what)
     gs = B.base_algebra().relations
     base = [[int(c) for c in v] for v in S.base_images]
     want = [c for tv in targets for c in [0] * s + [int(x) % p for x in tv]]
@@ -198,21 +200,19 @@ def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what):
         return [c for g in gs for c in tab.evaluate(g, yimgs)]
 
     zero_eta = (0,) * neta
-    R_c, const = _affine_rows(lambda cd: values(table(cd), zero_eta), survivors.shape[1])
-    trivial = table((0,) * survivors.shape[1])
+    R_c, const = _affine_rows(lambda cd: values(table(cd), zero_eta), ndig)
+    trivial = table((0,) * ndig)
     R_eta, _ = _affine_rows(lambda eta: values(trivial, eta), neta)
     R = np.block([[R_eta, np.zeros((neta, R_assoc.shape[1]), np.int64)], [R_c, R_assoc]])
     rows = _kernels.solve_affine(R, np.concatenate([const - want, np.zeros(R_assoc.shape[1], np.int64)]), p)
-    states: List[State] = []
     tab, last = None, None
     for row in rows.tolist():
-        cd, eta = tuple(row[neta:]), tuple(row[:neta])
+        cd, eta = row[neta:], row[:neta]
         if cd != last:
-            tab, last = table(cd), cd
+            tab, last = table(tuple(cd)), cd
         if values(tab, eta) != want:
             raise AssertionError("base structure scan produced a wrong state")
-        states.append((cd, eta))
-    return states
+    return np.hstack([rows[:, neta:], rows[:, :neta]])
 
 
 def _section_change_deltas(S, J, act, pairs, p: int) -> np.ndarray:
@@ -236,26 +236,30 @@ def _section_change_deltas(S, J, act, pairs, p: int) -> np.ndarray:
     return np.hstack([-dc.reshape(n, len(pair_i) * t), de.reshape(n, len(base) * t)]) % p
 
 
-def _classify_states(states: List[State], deltas: np.ndarray, f: PrimeField):
+def _as_states(X: np.ndarray, nc: int) -> List[State]:
+    """The rows of X, c digits (the first nc) then eta digits, as states."""
+    return [(tuple(r[:nc]), tuple(r[nc:])) for r in X.tolist()]
+
+
+def _classify_states(X: np.ndarray, nc: int, deltas: np.ndarray, f: PrimeField):
     """The orbits of the survivor set under section changes, which are
-    its intersections with the cosets of the span of the deltas.
+    its intersections with the cosets of the span of the deltas: (orbit
+    representatives as states, the orbit of each row of X, rank of the
+    deltas), X holding one state per row, its nc c digits first.
 
     Each state is labelled by its projection onto F_p^N / span: the
     digits minus the pivot digits times the reduced deltas.  Every
-    orbit is one isomorphism class; the representative is the
-    lexicographically smallest state of the orbit.  Once every orbit
-    is checked to be a whole coset, that state is the label itself
-    (its pivot digits are zero), and ``_kernels._unique_rows`` sorts
-    the labels in that order."""
-    X = np.array([cd + eta for cd, eta in states], np.int64).reshape(len(states), deltas.shape[1])
+    orbit is one isomorphism class of p^rank states, which is checked;
+    the representative is the lexicographically smallest state of the
+    orbit.  Once every orbit is checked to be a whole coset, that state
+    is the label itself (its pivot digits are zero), and
+    ``_kernels._unique_rows`` sorts the labels in that order."""
     red, piv, rank = f.rref(deltas)
     labels = (X - f.matmul(X[:, list(piv)], red[:rank])) % f.p
     reps, inv, counts = _kernels._unique_rows(labels, f.p)
     if np.any(counts != f.p**rank):
         raise AssertionError("a section change left the survivor set")
-    nc = len(states[0][0]) if states else 0
-    reps = tuple((tuple(r[:nc]), tuple(r[nc:])) for r in reps.tolist())
-    return reps, dict(zip(states, inv.tolist()))
+    return tuple(_as_states(reps, nc)), inv, rank
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +325,7 @@ class _StructureScan:
     states: Tuple[State, ...]
     orbit_reps: Tuple[State, ...]
     orbit_of: Dict[State, int]
+    delta_rank: int  # of the section-change shifts: every orbit holds p^delta_rank states
     _S: StructureAlgebra
     _template: np.ndarray
     _pairs: Tuple[np.ndarray, np.ndarray]
@@ -341,9 +346,11 @@ class _StructureScan:
 
         The section changes form a group of size p^((s-1)t) and the
         stabilizer of a state is Der_A(B, J), so with t0_dim = dim T0
-        this is the band of the gerbe of extensions."""
-        size = self.B.field.p ** ((self._S.dim - 1) * self.J.rank - t0_dim)
-        return all(n == size for n in Counter(self.orbit_of.values()).values())
+        this is the band of the gerbe of extensions.  The scan checked
+        that every orbit holds p^delta_rank states, so this compares the
+        exponents; it holds also when there are no states, since the
+        shifts that vanish are exactly the derivations."""
+        return self.delta_rank == (self._S.dim - 1) * self.J.rank - t0_dim
 
     def _table(self, cd: Tuple[int, ...]) -> StructureAlgebra:
         return _assemble_table(self.B, self._S, self.J, self._template, self._pairs, cd)
@@ -361,10 +368,13 @@ def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
     bud.charge(total, what[0])
     R_assoc = _kernels._assoc_residual(mul, act, *pairs)
     template = _table_template(S, J, act)
-    states = _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what[1])
+    X = _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what[1])
     deltas = _section_change_deltas(S, J, act, pairs, B.field.p)
-    reps, orbit_of = _classify_states(states, deltas, B.field)
-    return scan_cls(B, J, total, tuple(states), reps, orbit_of, S, template, pairs, **extra)
+    nc = len(pairs[0]) * J.rank
+    reps, inv, rank = _classify_states(X, nc, deltas, B.field)
+    states = _as_states(X, nc)
+    orbit_of = dict(zip(states, inv.tolist()))
+    return scan_cls(B, J, total, tuple(states), reps, orbit_of, rank, S, template, pairs, **extra)
 
 
 @dataclass(eq=False)

@@ -181,7 +181,12 @@ def _unpruned_complex(B):
 
 
 def test_complex_is_pruned_and_certified(any_field, monkeypatch):
-    B = fat_point(any_field)
+    # the chain-reduced Schreyer syzygies of the fat point are already
+    # minimal modulo Koszul; those of these five relations in four
+    # variables are not (27 -> 5 over F3 and Q, 18 -> 2 over F2)
+    B = make_algebra(
+        any_field, ["x", "y", "z", "w"], ["x^2 + y*z + w^2", "y^2 - x*w", "z^3", "w^3 - x*y", "x*z - y*w"]
+    )
     cx = cotangent_complex(B)
     assert cx.n_syz < len(relation_syzygies(B))
     # a corrupted cofactor in the certificate of a dropped generator is caught

@@ -543,3 +543,89 @@ def test_syzygy_modules_match_the_kernels_degree_by_degree(case):
                 assert acc.is_zero()
         for d in range(max(degrees) + 3):
             assert _span_dim(field, columns, degrees, d) == _kernel_dim(field, vectors, degrees, ncomp, d)
+
+
+# ---------------------------------------------------------------------------
+# the strict chain criterion in the syzygy pass
+
+
+def _dropped_pairs_lie_in_the_kept_syzygies(field, order, ncomp, vecs):
+    """Build the final basis of vecs, lift the syzygy of every
+    same-component pair as a polynomial vector over the basis, split
+    them by the chain criterion (the kept ones must be what the syzygy
+    pass returns), and check that each dropped one lies in the module
+    the kept ones generate; returns the number dropped."""
+    pack = _pack(3, order)
+    eng = _Engine(field, pack, ncomp, [groebner._integral(field, groebner._vec_to_v(v, pack)) for v in vecs])
+    eng.interreduce()
+    n = len(eng.leads)
+
+    def vector(quots, d):
+        return [groebner._q_to_poly(groebner._over(q, d), pack, field) for q in quots]
+
+    kept, dropped = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ci = eng.leads[i] & groebner.CMASK
+            if eng.leads[j] & groebner.CMASK != ci:
+                continue
+            lcm = eng._lcm(i, j) + ci
+            nf, quots, d = eng._spair_divmod(i, j, lcm)
+            assert not nf
+            (dropped if eng._chain_skip(i, j, lcm) else kept).append(vector(quots, d))
+    assert [vector(quots, d) for quots, d in eng.schreyer()] == kept
+    if dropped:
+        assert kept, "every pair dropped"
+        mgb = module_groebner(kept, n, order)
+        for syz in dropped:
+            assert mgb.contains(syz), "a dropped pair's syzygy is not generated by the kept ones"
+    return len(dropped)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "permuted"])
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f.name)
+def test_the_chain_criterion_keeps_a_generating_set_of_pair_syzygies(field, order):
+    # (xy, xz, yz): all three pair lcms are xyz, so no pair may drop
+    # another; a non-strict criterion would drop all three in a circle
+    assert _dropped_pairs_lie_in_the_kept_syzygies(field, order, 1, [polys_of(field, t) for t in ("x*y", "x*z", "y*z")]) == 0
+    # (x^2, xy, y^2): the pair (x^2, y^2) goes through xy
+    assert _dropped_pairs_lie_in_the_kept_syzygies(field, order, 1, [polys_of(field, t) for t in ("x^2", "x*y", "y^2")]) == 1
+    # both in one module: the chain on the first component, the circle on
+    # the second, and no pair across the two
+    vecs = [polys_of(field, *v) for v in (["x^2", "0"], ["x*y", "0"], ["y^2", "0"], ["0", "x*y"], ["0", "x*z"], ["0", "y*z"])]
+    assert _dropped_pairs_lie_in_the_kept_syzygies(field, order, 2, vecs) == 1
+
+
+_QUADRICS = _monomials_of_degree(2)
+_BELOW_TWO = _monomials_of_degree(0) + _monomials_of_degree(1)
+
+
+@st.composite
+def pair_criterion_inputs(draw):
+    """(field, order, ncomp, vectors): 3-7 vectors in k[x,y,z]^ncomp,
+    ncomp 1-3, each a quadric monomial on one component plus at most one
+    more term of degree at most 2: lcms of quadric leads often pass
+    through a third lead, so the criterion has pairs to drop."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    order = draw(st.sampled_from(ORDERS))
+    ncomp = draw(st.integers(1, 3))
+    if field == QQ:
+        scalars = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(QQ.from_int)
+    else:
+        scalars = st.integers(1, field.p - 1)
+    comps = st.integers(0, ncomp - 1)
+    extra = st.tuples(comps, st.sampled_from(_QUADRICS + _BELOW_TWO))
+    vecs = []
+    for _ in range(draw(st.integers(3, 7))):
+        entries = [dict() for _ in range(ncomp)]
+        entries[draw(comps)][draw(st.sampled_from(_QUADRICS))] = draw(scalars)
+        for (c, m), x in draw(st.dictionaries(extra, scalars, max_size=1)).items():
+            entries[c][m] = x
+        vecs.append([Polynomial(field, 3, e) for e in entries])
+    return field, order, ncomp, vecs
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair_criterion_inputs())
+def test_every_dropped_pair_syzygy_lies_in_the_kept_ones(case):
+    _dropped_pairs_lie_in_the_kept_syzygies(*case)

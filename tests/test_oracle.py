@@ -7,7 +7,7 @@ tiny; the point is exactness of the counts, not coverage of shapes."""
 import numpy as np
 import pytest
 
-from defalg import GF, oracle, reports
+from defalg import GF, _kernels, oracle, reports
 from defalg.algebras import FiniteModule, StructureAlgebra
 from defalg.budget import BudgetExceeded, EnumerationBudget
 from defalg.cotangent import t_modules
@@ -28,7 +28,7 @@ from defalg.oracle import (
     enumerate_extensions,
     enumerate_lifts,
 )
-from defalg.corpus import run_suite, showcase_problem_set
+from defalg.corpus import deformation_problem_set, run_suite, showcase_problem_set
 from defalg.problems import load_problem_file, parse_polynomial
 
 from .conftest import dual_numbers, fat_point, make_algebra
@@ -213,6 +213,37 @@ class TestBudgets:
         prob = _base_problem(GF(2), ["x", "y"], ["x^2 + s", "x*y", "y^2 + s"])
         with pytest.raises(BudgetExceeded):
             enumerate_deformations(prob, budget=32)
+
+    @pytest.mark.parametrize("field", ["F2", "F3"])
+    def test_the_base_scan_charge_comes_before_any_enumeration(self, field, monkeypatch):
+        # fat.dual: its base scan charge (p^3 tables times p base images)
+        # exceeds its table charge, so a budget one below it passes the
+        # table scan and refuses there
+        ps = load_problem_file(deformation_problem_set(field))
+        spec = next(e for e in ps.problems if e.name == "fat.dual")
+        prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+        B, J, p = prob.B, prob.J, prob.B.field.p
+        S, mul, act = oracle._structure_context(B, J)
+        R_assoc = _kernels._assoc_residual(mul, act, *oracle._pairs(S.dim))
+        # what the scan charged when it enumerated the table survivors first
+        old = len(_kernels.solve_affine(R_assoc, 0, p)) * p ** (J.rank * B.n_base)
+        charges = []
+
+        class Recording(EnumerationBudget):
+            def charge(self, n, what="enumeration"):
+                charges.append((n, what))
+                super().charge(n, what)
+
+        enumerate_deformations(prob, budget=Recording(old))
+        assert charges[-1] == (old, "deformation base scan") and charges[0][0] < old
+
+        def refused(*args, **kwargs):
+            raise AssertionError("enumerated before the charge")
+
+        monkeypatch.setattr(oracle._kernels, "solve_affine", refused)
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_deformations(prob, budget=old - 1)
+        assert (exc.value.needed, exc.value.what) == (old, "deformation base scan")
 
     def test_oracles_refuse_the_rationals(self):
         from defalg import QQ
@@ -467,10 +498,13 @@ def test_a_missing_state_fails_the_closure_check():
     assert scan.count > scan.class_count, "orbits of more than one state"
     S, _, act = oracle._structure_context(B, J)
     deltas = oracle._section_change_deltas(S, J, act, oracle._pairs(S.dim), field.p)
-    states = list(scan.states)
-    assert oracle._classify_states(states, deltas, field) == (scan.orbit_reps, scan.orbit_of)
+    nc = len(scan.states[0][0])
+    X = np.array([cd + eta for cd, eta in scan.states], np.int64)
+    reps, inv, rank = oracle._classify_states(X, nc, deltas, field)
+    assert reps == scan.orbit_reps and rank == scan.delta_rank
+    assert inv.tolist() == [scan.orbit_of[state] for state in scan.states]
     with pytest.raises(AssertionError, match="a section change left the survivor set"):
-        oracle._classify_states(states[:-1], deltas, field)
+        oracle._classify_states(X[:-1], nc, deltas, field)
 
 
 def test_the_literal_cases_include_an_obstructed_problem():
@@ -551,9 +585,9 @@ def test_a_corrupted_orbit_flips_the_oracle_match(kind, monkeypatch):
     def corrupted(*args, **kwargs):
         scan = scan_fn(*args, **kwargs)
         if scan.orbit_of:
-            # one state moved to the next orbit: the class count stands
-            state = next(iter(scan.orbit_of))
-            scan.orbit_of[state] = (scan.orbit_of[state] + 1) % max(scan.class_count, 2)
+            # orbits recorded p times larger than the scan checked them:
+            # the class count stands
+            scan.delta_rank += 1
         return scan
 
     ps = load_problem_file(showcase_problem_set("F3"))
