@@ -341,7 +341,8 @@ class PresentedAlgebra:
             sum_k rho_J(e_k) (sum_ij W[r*s + k, i*s + j] C[i, j])
               + sum_v rho_J(D[r, v*s:(v+1)*s]) o_v,
 
-        C = mul[:s, :s, s:], s = dim B.  W is built like evaluate, one
+        C = mul[:s, :s, s:], s = dim B.  W is built like
+        ``evaluate_stack``, along the same ``_prefix_chain``, one
         monomial from its prefix with one power of its last variable
         fewer: W_(a+e_v) = W_a L(x_v) + b_a (x) x_v (x) e_0, with L(x_v)
         the multiplication by x_v and b_a = x^a in B; D holds the
@@ -355,23 +356,17 @@ class PresentedAlgebra:
             by_right = S.mul.transpose(1, 0, 2).reshape(s, s * s)
             L = [f.matmul(g, by_right).reshape(s, s) for g in gens]
             memo = {(0,) * self.nvars: (f.array(S.unit_vector()), np.zeros((s * s, s), f.dtype))}
-
-            def value(a):
-                got = memo.get(a)
-                if got is None:
-                    v = max(i for i, e in enumerate(a) if e)
-                    b, w = value(a[:v] + (a[v] - 1,) + a[v + 1 :])
-                    w = f.matmul(w, L[v])
-                    w[:, 0] = f.reduce(w[:, 0] + np.multiply.outer(b, gens[v]).reshape(-1))
-                    got = memo[a] = (f.matmul(b, L[v]), w)
-                return got
-
+            for a, prefix, v in _prefix_chain([a for r in self.relations for a in r.terms]):
+                b, w = memo[prefix]
+                w = f.matmul(w, L[v])
+                w[:, 0] = f.reduce(w[:, 0] + np.multiply.outer(b, gens[v]).reshape(-1))
+                memo[a] = (f.matmul(b, L[v]), w)
             blocks = []
             for r in self.relations:
                 b = f.array(S.zero_vector())
                 w = np.zeros((s * s, s), f.dtype)
                 for a, c in r.terms.items():
-                    ba, wa = value(a)
+                    ba, wa = memo[a]
                     b, w = f.reduce(b + c * ba), f.reduce(w + c * wa)
                 if np.any(b):
                     raise AssertionError("relation value escaped the fiber")
@@ -402,6 +397,67 @@ def truncate(B: PresentedAlgebra, d: int) -> "StructureAlgebra":
     S.truncated_from = B
     S.truncation_degree = d
     return S
+
+
+def _prefix_chain(monomials) -> List[Tuple[Monomial, Monomial, int]]:
+    """Every non-unit monomial that building the given ones needs, as
+    (m, prefix, v) in build order: m is its prefix, one power of its
+    last variable v fewer, times x_v, and every prefix comes before the
+    monomials built from it."""
+    out, seen = [], set()
+    for m in monomials:
+        todo = []
+        while any(m) and m not in seen:
+            seen.add(m)
+            v = len(m) - 1
+            while not m[v]:
+                v -= 1
+            prefix = m[:v] + (m[v] - 1,) + m[v + 1 :]
+            todo.append((m, prefix, v))
+            m = prefix
+        out.extend(reversed(todo))
+    return out
+
+
+def evaluate_stack(field: Field, mul: np.ndarray, polys: Sequence[Polynomial], images: np.ndarray) -> np.ndarray:
+    """The values of polys at K image tuples, as a (K, len(polys), n)
+    array of canonical scalars.
+
+    images is a (K, nvars, n) field array, one image per variable in
+    each tuple; mul is one (n, n, n) table shared by all K tuples or a
+    (K, n, n, n) stack, one table per tuple.
+
+    Literal: each monomial is the unit multiplied on the right by its
+    variables in ascending order, as a chain of mul_vec calls would; but
+    every monomial is its prefix (one power of its last variable fewer)
+    times that variable, built once for all polys, and the
+    multiplication by each variable that occurs is one (K, n, n) stack
+    of matrices, contracted over the images' joint support.  The
+    coefficients then combine the monomial values in one product.
+    Every product is one ``field.matmul``, exact at every prime and
+    over Q."""
+    f = field
+    K, nvars, n = images.shape
+    if any(p.nvars != nvars for p in polys):
+        raise ValueError("need one image per variable")
+    unit = np.zeros((K, 1, n), f.dtype)
+    unit[:, :, 0] = f.one()
+    memo = {(0,) * nvars: unit}
+    right = {}
+    support = (images != 0).any(axis=0)
+    for m, prefix, v in _prefix_chain([m for p in polys for m in p.terms]):
+        if v not in right:
+            # right[v][k, a] = sum_b images[k, v, b] mul[(k,) a, b], over
+            # the b where some image is nonzero
+            nz = np.flatnonzero(support[v])
+            right[v] = f.matmul(images[:, v][:, None, None, nz], mul[..., nz, :]).reshape(K, n, n)
+        memo[m] = f.matmul(memo[prefix], right[v])
+    monos = {m: k for k, m in enumerate(memo)}
+    coeffs = np.zeros((len(polys), len(monos)), f.dtype)
+    for i, p in enumerate(polys):
+        for m, c in p.terms.items():
+            coeffs[i, monos[m]] = c
+    return f.matmul(coeffs, np.concatenate(list(memo.values()), axis=1))
 
 
 class StructureAlgebra:
@@ -479,36 +535,12 @@ class StructureAlgebra:
         return f.matmul(coef, self.mul[a][:, b].reshape(-1, self.dim)).tolist()
 
     def evaluate(self, p: Polynomial, images: Sequence[Sequence[Scalar]]) -> list:
-        """Evaluate a polynomial at algebra elements, one per variable.
-
-        Literal: each monomial is the unit multiplied on the right by
-        its variables in ascending order, as a chain of mul_vec calls
-        would; but every monomial is its prefix (one power of its last
-        variable fewer) times that variable, memoized for the call, and
-        the multiplication by each variable that occurs is one matrix."""
+        """Evaluate a polynomial at algebra elements, one per variable:
+        the K = 1 case of ``evaluate_stack``, as canonical scalars."""
         if p.nvars != len(images):
             raise ValueError("need one image per variable")
-        f = self.field
-        n = self.dim
-        right = {}
-        memo = {(0,) * p.nvars: f.array(self.unit_vector())}
-
-        def value(m):
-            w = memo.get(m)
-            if w is None:
-                v = max(i for i, e in enumerate(m) if e)
-                if v not in right:
-                    # w -> w * images[v], contracted over the image's support
-                    u = f.array(images[v])
-                    nz = np.flatnonzero(u)
-                    right[v] = f.matmul(u[nz], self.mul[:, nz, :].transpose(1, 0, 2).reshape(len(nz), n * n)).reshape(n, n)
-                w = memo[m] = f.matmul(value(m[:v] + (m[v] - 1,) + m[v + 1 :]), right[v])
-            return w
-
-        acc = f.array(self.zero_vector())
-        for m, c in p.terms.items():
-            acc = f.reduce(acc + c * value(m))
-        return acc.tolist()
+        imgs = self.field.array(images).reshape(1, p.nvars, self.dim)
+        return evaluate_stack(self.field, self.mul, [p], imgs)[0, 0].tolist()
 
     def mul_entry(self, i: int, j: int) -> list:
         return self.mul[i, j].tolist()
@@ -805,21 +837,20 @@ def _encode_relations(B: PresentedAlgebra, C: StructureAlgebra, base_imgs=None):
         base_imgs = [list(v) for v in base_imgs]
         if len(base_imgs) != nb:
             raise ValueError("need one image per base generator")
-    rel_rows = []
+    # each relation grouped by relative exponents: the base part of each
+    # group is one polynomial in the base generators, evaluated at once
+    groups = []
     for r in B.ideal_gens():
-        terms = {}
+        parts = {}
         for m, c in r.terms.items():
-            w = C.unit_vector()
-            for v in range(nb):
-                for _ in range(m[v]):
-                    w = C.mul_vec(w, base_imgs[v])
-            w = C.scale(c, w)
-            key = m[nb:]
-            if key in terms:
-                terms[key] = C.add(terms[key], w)
-            else:
-                terms[key] = w
-        terms = {e: w for e, w in terms.items() if any(not f.is_zero(x) for x in w)}
+            parts.setdefault(m[nb:], {})[m[:nb]] = c
+        groups.append(parts)
+    polys = [Polynomial(f, nb, part) for parts in groups for part in parts.values()]
+    vals = evaluate_stack(f, C.mul, polys, f.array(base_imgs).reshape(1, nb, C.dim))[0].tolist()
+    rel_rows = []
+    for parts in groups:
+        ws, vals = vals[: len(parts)], vals[len(parts) :]
+        terms = {e: w for e, w in zip(parts, ws) if any(not f.is_zero(x) for x in w)}
         if not terms:
             continue
         if all(mono_deg(e) == 0 for e in terms):

@@ -14,10 +14,12 @@ F_p^N, listed point by point in ascending candidate order straight from
 one rref.  Associativity and the Leibniz rule are linear in the digits;
 a lift's relation values and a base structure's relation values are
 affine, because the fiber squares to zero, and are read off the zero
-and unit candidates.  A base structure is solved jointly with its table
-digits, so the states come out table-major with the base digits
-ascending.  Every lift and every state found that way is re-checked by
-literal evaluation.
+and unit candidates by a stacked evaluation (``evaluate_stack``) of
+the relations at all of them.  A base structure is solved jointly with
+its table digits, so the states come out table-major with the base
+digits ascending.  Every lift and every state found that way is
+re-checked by literal evaluation.  The reads and the re-checks evaluate
+stacks of at most CHUNK tables or image tuples.
 
 Classification is one projection.  A section change moves a state by
 a constant vector, so the isomorphism classes are the cosets of the
@@ -31,6 +33,7 @@ against an EnumerationBudget before touching a single candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -41,6 +44,7 @@ from .algebras import (
     PresentedAlgebra,
     StructureAlgebra,
     _encode_relations,
+    evaluate_stack,
     validate,
 )
 from .budget import (
@@ -80,6 +84,10 @@ __all__ = [
 # generator images, both flattened to tuples of ints
 State = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
+# the most tables or image tuples in one stacked evaluation of the
+# affine reads and the literal re-checks, which bounds their memory
+CHUNK = 64
+
 
 def _structure_context(B: PresentedAlgebra, J: FiniteModule):
     f = B.field
@@ -93,10 +101,14 @@ def _structure_context(B: PresentedAlgebra, J: FiniteModule):
     return S, mul, act
 
 
+@lru_cache(maxsize=None)
 def _pairs(s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(pair_i, pair_j): the non-unit basis pairs i <= j, row-major."""
+    """(pair_i, pair_j): the non-unit basis pairs i <= j, row-major;
+    built once per s, read-only."""
     pair_i, pair_j = np.triu_indices(s - 1)
-    return pair_i + 1, pair_j + 1
+    pair_i, pair_j = pair_i + 1, pair_j + 1
+    pair_i.flags.writeable = pair_j.flags.writeable = False
+    return pair_i, pair_j
 
 
 def _table_template(S: StructureAlgebra, J: FiniteModule, act) -> np.ndarray:
@@ -111,6 +123,18 @@ def _table_template(S: StructureAlgebra, J: FiniteModule, act) -> np.ndarray:
     return mul
 
 
+def _state_tables(template: np.ndarray, pairs, t: int, cdig: np.ndarray) -> np.ndarray:
+    """(K, n, n, n) stack of the template with the fiber corrections of
+    each of the K rows of cdig written in."""
+    s = template.shape[0] - t
+    pair_i, pair_j = pairs
+    tabs = np.repeat(template[None], len(cdig), axis=0)
+    corr = cdig.reshape(len(cdig), len(pair_i), t)
+    tabs[:, pair_i, pair_j, s:] = corr
+    tabs[:, pair_j, pair_i, s:] = corr
+    return tabs
+
+
 def _assemble_table(
     B: PresentedAlgebra,
     S: StructureAlgebra,
@@ -120,12 +144,8 @@ def _assemble_table(
     cdig: Tuple[int, ...],
 ) -> StructureAlgebra:
     f = B.field
-    s, t = S.dim, J.rank
-    pair_i, pair_j = pairs
-    mul = template.copy()
-    corr = np.array(cdig, np.int64).reshape(len(pair_i), t)
-    mul[pair_i, pair_j, s:] = corr
-    mul[pair_j, pair_i, s:] = corr
+    t = J.rank
+    mul = _state_tables(template, pairs, t, np.array([cdig], np.int64))[0]
     labels = tuple(S.labels) + tuple("eps:" + l for l in J.labels)
     gen_images = [list(v) + [f.zero()] * t for v in S.gen_images]
     return StructureAlgebra(
@@ -157,12 +177,12 @@ def state_of_table(B: PresentedAlgebra, table: StructureAlgebra, base_images=Non
     return cdig, eta
 
 
-def _affine_rows(values, ndig: int):
-    """(R, c) with values(d) == d @ R + c for an affine map values from
-    ndig digits to residue lists, read off the zero and unit digits."""
-    c = np.array(values((0,) * ndig), np.int64)
-    R = np.array([values(tuple(u)) for u in np.eye(ndig, dtype=int).tolist()], np.int64)
-    return R.reshape(ndig, len(c)) - c, c
+def _probe_values(values, ndig: int) -> np.ndarray:
+    """values at the zero digit row, then at each unit digit row (for an
+    affine map d -> d @ R + c these are c, then R + c), CHUNK rows per
+    call."""
+    probes = np.eye(ndig + 1, ndig, -1, dtype=np.int64)
+    return np.concatenate([values(probes[lo : lo + CHUNK]) for lo in range(0, ndig + 1, CHUNK)])
 
 
 def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what) -> np.ndarray:
@@ -174,13 +194,17 @@ def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what) -> 
     eta digits.
 
     The fiber squares to zero and eta acts only through the module, so
-    the relation values are affine in (c, eta) with no c*eta term.  One
-    solve over the digits (eta, c), eta least significant, under the
-    base conditions and the associativity residual R_assoc of c, gives
-    every state survivor-major with eta ascending.  Its charge, the
-    p^(N - rank R_assoc) survivors times p^neta base images, is read
-    off one rref of R_assoc before anything is enumerated."""
-    p = B.field.p
+    the relation values are affine in (c, eta) with no c*eta term.  They
+    are read off a stacked evaluation at the zero and unit digits.
+    One solve over the digits (eta, c), eta least significant, under
+    the base conditions and the associativity residual R_assoc of c,
+    gives every state survivor-major with eta ascending.  Its charge,
+    the p^(N - rank R_assoc) survivors times p^neta base images, is read
+    off one rref of R_assoc before anything is enumerated.  Every state
+    is then re-checked by literal evaluation.  Both evaluate stacks of
+    at most CHUNK tables."""
+    f = B.field
+    p = f.p
     s, t = S.dim, J.rank
     nbv = B.n_base
     if nbv == 0:
@@ -189,28 +213,22 @@ def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what) -> 
     ndig = R_assoc.shape[0]
     bud.charge(p ** (ndig - _kernels.rref_modp(R_assoc.T % p, p)[2] + neta), what)
     gs = B.base_algebra().relations
-    base = [[int(c) for c in v] for v in S.base_images]
-    want = [c for tv in targets for c in [0] * s + [int(x) % p for x in tv]]
+    base = np.array([[int(c) for c in v] for v in S.base_images], np.int64).reshape(1, nbv, s)
+    want = np.array([[0] * s + [int(x) % p for x in tv] for tv in targets], np.int64).reshape(-1)
 
-    def table(cd):
-        return _assemble_table(B, S, J, template, pairs, cd)
+    def values(rows):
+        """The base relation values of the states (eta digits, then c
+        digits) in rows, one row of values per state."""
+        K = len(rows)
+        imgs = np.concatenate([base.repeat(K, 0), rows[:, :neta].reshape(K, nbv, t)], axis=2)
+        tabs = _state_tables(template, pairs, t, rows[:, neta:])
+        return evaluate_stack(f, tabs, gs, imgs).reshape(K, len(want))
 
-    def values(tab, eta):
-        yimgs = [base[v] + list(eta[v * t : (v + 1) * t]) for v in range(nbv)]
-        return [c for g in gs for c in tab.evaluate(g, yimgs)]
-
-    zero_eta = (0,) * neta
-    R_c, const = _affine_rows(lambda cd: values(table(cd), zero_eta), ndig)
-    trivial = table((0,) * ndig)
-    R_eta, _ = _affine_rows(lambda eta: values(trivial, eta), neta)
-    R = np.block([[R_eta, np.zeros((neta, R_assoc.shape[1]), np.int64)], [R_c, R_assoc]])
-    rows = _kernels.solve_affine(R, np.concatenate([const - want, np.zeros(R_assoc.shape[1], np.int64)]), p)
-    tab, last = None, None
-    for row in rows.tolist():
-        cd, eta = row[neta:], row[:neta]
-        if cd != last:
-            tab, last = table(tuple(cd)), cd
-        if values(tab, eta) != want:
+    vals = _probe_values(values, neta + ndig)
+    R = np.hstack([vals[1:] - vals[0], np.vstack([np.zeros((neta, R_assoc.shape[1]), np.int64), R_assoc])])
+    rows = _kernels.solve_affine(R, np.concatenate([vals[0] - want, np.zeros(R_assoc.shape[1], np.int64)]), p)
+    for lo in range(0, len(rows), CHUNK):
+        if np.any(values(rows[lo : lo + CHUNK]) != want):
             raise AssertionError("base structure scan produced a wrong state")
     return np.hstack([rows[:, neta:], rows[:, :neta]])
 
@@ -303,7 +321,7 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
     rows = _kernels.solve_affine(_kernels._linmap_residual(mul, act, kill), 0, p)
     # row digit w*t + l is D(e_w)_l, so generator g's image is coords[g] @ D
     coords = np.array([[int(c) for c in S.gen_images[nbv + g]] for g in range(B.n_gens)], np.int64)
-    gen = B.field.matmul(rows, np.kron(coords.reshape(B.n_gens, s).T, np.eye(t, dtype=np.int64)))
+    gen = B.field.matmul(coords.reshape(B.n_gens, s), rows.reshape(len(rows), s, t)).reshape(len(rows), B.n_gens * t)
     gen_imgs = tuple(map(tuple, gen.tolist()))
     if len(set(gen_imgs)) != len(gen_imgs):
         raise AssertionError("two distinct scan survivors share their generator images")
@@ -317,14 +335,19 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
 @dataclass(eq=False)
 class _StructureScan:
     """Surviving states of a table scan over B by J in section
-    coordinates, with their isomorphism classes."""
+    coordinates, with their isomorphism classes.
+
+    The scan keeps its survivors as one row per state (c digits, then
+    eta digits) and the orbit of each row; ``states`` and ``orbit_of``
+    are built from them when first read.  Membership and ``class_of``
+    find a state's row by its candidate index."""
 
     B: PresentedAlgebra
     J: FiniteModule
     candidates: int
-    states: Tuple[State, ...]
+    _rows: np.ndarray
     orbit_reps: Tuple[State, ...]
-    orbit_of: Dict[State, int]
+    _orbit_index: np.ndarray
     delta_rank: int  # of the section-change shifts: every orbit holds p^delta_rank states
     _S: StructureAlgebra
     _template: np.ndarray
@@ -332,14 +355,58 @@ class _StructureScan:
 
     @property
     def count(self) -> int:
-        return len(self.states)
+        return len(self._rows)
 
     @property
     def class_count(self) -> int:
         return len(self.orbit_reps)
 
+    @property
+    def _nc(self) -> int:
+        return len(self._pairs[0]) * self.J.rank
+
+    @cached_property
+    def states(self) -> Tuple[State, ...]:
+        return tuple(_as_states(self._rows, self._nc))
+
+    @cached_property
+    def orbit_of(self) -> Dict[State, int]:
+        return dict(zip(self.states, self._orbit_index.tolist()))
+
+    @cached_property
+    def _weights(self) -> List[int]:
+        """p^k for the digit each column is of the candidate index: the
+        scan solves the eta digits least significant, then the c digits."""
+        n = self._rows.shape[1]
+        return [self.B.field.p ** int(k) for k in np.roll(np.arange(n), self._nc)]
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The candidate index of each row; the scan lists its rows in
+        that order, so the keys ascend, which is checked."""
+        dtype = np.int64 if self.B.field.p ** self._rows.shape[1] < 2**63 else object
+        keys = self._rows.astype(dtype) @ np.array(self._weights, dtype)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise AssertionError("scan rows are not in ascending candidate order")
+        return keys
+
+    def _row_of(self, state: State) -> int:
+        """The row of state, or -1 when it is not a surviving state."""
+        row = [int(d) for d in state[0]] + [int(d) for d in state[1]]
+        p = self.B.field.p
+        if len(row) != len(self._weights) or not all(0 <= d < p for d in row):
+            return -1
+        i = int(np.searchsorted(self._keys, sum(d * w for d, w in zip(row, self._weights))))
+        return i if i < self.count and self._rows[i].tolist() == row else -1
+
+    def __contains__(self, state: State) -> bool:
+        return self._row_of(state) >= 0
+
     def class_of(self, state: State) -> int:
-        return self.orbit_of[state]
+        i = self._row_of(state)
+        if i < 0:
+            raise KeyError(state)
+        return int(self._orbit_index[i])
 
     def has_band(self, t0_dim: int) -> bool:
         """Whether every orbit has p^((s-1)t - t0_dim) states.
@@ -372,9 +439,7 @@ def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
     deltas = _section_change_deltas(S, J, act, pairs, B.field.p)
     nc = len(pairs[0]) * J.rank
     reps, inv, rank = _classify_states(X, nc, deltas, B.field)
-    states = _as_states(X, nc)
-    orbit_of = dict(zip(states, inv.tolist()))
-    return scan_cls(B, J, total, tuple(states), reps, orbit_of, rank, S, template, pairs, **extra)
+    return scan_cls(B, J, total, X, reps, inv, rank, S, template, pairs, **extra)
 
 
 @dataclass(eq=False)
@@ -430,9 +495,11 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     image and keep the tuples that satisfy all relations exactly.
 
     The ideal squares to zero, so each relation value is affine in the
-    offset digits: f(pre + n) = f(pre) + sum_g df/dx_g(pre) n_g, read
-    as d @ R + c from one evaluation per relation and per relation and
-    generator, and solved as one affine system."""
+    offset digits: f(pre + n) = f(pre) + sum_g df/dx_g(pre) n_g.  It is
+    read as d @ R + c from a stacked evaluation of every relation at
+    the preimages and at each unit offset, and solved as one affine
+    system.  Every lift found is re-checked by literal evaluation.  Both
+    evaluate stacks of at most CHUNK image tuples."""
     B, Cp = problem.B, problem.Cprime
     f = B.field
     if not isinstance(f, PrimeField):
@@ -450,28 +517,27 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     bud.charge(total, "lift scan")
     rels = list(B.relations) + list(B.base_relations)
     pre = [list(v) for v in problem.preimages]
-    const = np.array([c for r in rels for c in Cp.evaluate(r, pre)], np.int64)
     s = Cp.dim
+    pre_a = f.array(pre).reshape(B.nvars, s)
     N = f.array([list(v) for v in problem.n_basis]).reshape(t, s)
-    table = Cp.mul.reshape(s, s * s)
-    R = np.zeros((ndig, len(const)), np.int64)
-    for j, r in enumerate(rels):
-        for g in range(ng):
-            # row d of the block is df_j/dx_g(pre) * n_d
-            dr = f.array(Cp.evaluate(r.derivative(nbv + g), pre))
-            R[g * t : (g + 1) * t, j * s : (j + 1) * s] = f.matmul(N, f.matmul(dr, table).reshape(s, s))
-    offsets = _kernels.solve_affine(R, const, p)
-    # generator g's image: its preimage plus offset digits g*t .. g*t + t - 1 through N
-    moved = f.matmul(offsets, np.kron(np.eye(ng, dtype=np.int64), N)) + f.array(pre[nbv:]).reshape(ng * s)
-    images_out = []
-    for row in (moved % p).reshape(len(offsets), ng, s).tolist():
-        imgs = pre[:nbv] + row
-        for r in rels:
-            val = Cp.evaluate(r, imgs)
-            if any(not f.is_zero(c) for c in val):
-                raise AssertionError("scan produced an invalid lift")
-        images_out.append(tuple(tuple(v) for v in imgs))
-    return LiftScan(problem, total, tuple(images_out), tuple(map(tuple, offsets.tolist())))
+
+    def moved(offsets):
+        """The relative generator images at these offsets: digit
+        g*t + d moves generator g by n_d."""
+        return f.reduce(f.matmul(offsets.reshape(len(offsets), ng, t), N) + pre_a[nbv:])
+
+    def values(offsets):
+        K = len(offsets)
+        imgs = np.concatenate([np.broadcast_to(pre_a[:nbv], (K, nbv, s)), moved(offsets)], axis=1)
+        return evaluate_stack(f, Cp.mul, rels, imgs).reshape(K, len(rels) * s)
+
+    vals = _probe_values(values, ndig)
+    offsets = _kernels.solve_affine(vals[1:] - vals[0], vals[0], p)
+    for lo in range(0, len(offsets), CHUNK):
+        if np.any(values(offsets[lo : lo + CHUNK])):
+            raise AssertionError("scan produced an invalid lift")
+    images_out = tuple(tuple(map(tuple, pre[:nbv] + row)) for row in moved(offsets).tolist())
+    return LiftScan(problem, total, images_out, tuple(map(tuple, offsets.tolist())))
 
 
 @dataclass
@@ -518,7 +584,7 @@ class DeformationScan(_StructureScan):
 
     @property
     def solvable(self) -> bool:
-        return bool(self.states)
+        return self.count > 0
 
     def table_of(self, state: State):
         """The multiplication table and base-generator images of a

@@ -294,7 +294,7 @@ def run_deform(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) -> dict:
             if classes is not None:
                 match = match and scan.class_count == classes
             if realized is not None:
-                match = match and scan.state_of(realized) in set(scan.states)
+                match = match and scan.state_of(realized) in scan
             return {
                 "tables": scan.count,
                 "classes": scan.class_count,

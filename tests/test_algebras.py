@@ -1,5 +1,8 @@
 """Presented algebras, structure tables, modules, and homomorphisms."""
 
+import gc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from defalg.algebras import (
     PresentedAlgebra,
     StructureAlgebra,
     compose,
+    evaluate_stack,
     hom_enumerate,
     truncate,
     validate,
@@ -284,22 +288,58 @@ def _chain_evaluate(S, p, images):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([GF(2), GF(3), GF(2**31 - 1), QQ]), st.integers(1, 4), st.integers(1, 3), st.data())
-def test_evaluate_matches_the_mul_vec_chain(field, dim, nvars, data):
+@given(
+    st.sampled_from([GF(2), GF(3), GF(2**31 - 1), QQ]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([1, 3]),
+    st.booleans(),
+    st.data(),
+)
+def test_evaluate_matches_the_mul_vec_chain(field, dim, nvars, K, shared, data):
     # any tensor, not only associative or commutative ones: both sides
-    # multiply on the right in the same order
+    # multiply on the right in the same order.  K image tuples in one
+    # shared table or in one table each; variable nvars (the last) is in
+    # no polynomial, so its images are never multiplied in
     def scalars(n):
         big = 2**40
         return [field.from_int(c) for c in data.draw(st.lists(st.integers(-big, big), min_size=n, max_size=n))]
 
-    import numpy as np
-
-    mul = np.array(scalars(dim**3), dtype=field.dtype).reshape(dim, dim, dim)
-    S = StructureAlgebra(field, [f"e{i}" for i in range(dim)], mul)
-    images = [scalars(dim) if data.draw(st.booleans()) else [field.zero()] * dim for _ in range(nvars)]
+    tables = [np.array(scalars(dim**3), field.dtype).reshape(dim, dim, dim) for _ in range(1 if shared else K)]
+    images = [
+        [scalars(dim) if data.draw(st.booleans()) else [field.zero()] * dim for _ in range(nvars + 1)]
+        for _ in range(K)
+    ]
     monos = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=6, unique=True))
-    p = Polynomial(field, nvars, dict(zip(monos, scalars(len(monos)))))
-    assert S.evaluate(p, images) == _chain_evaluate(S, p, images)
+    drawn = {m + (0,): c for m, c in zip(monos, scalars(len(monos)))}
+    polys = [
+        Polynomial(field, nvars + 1, drawn),
+        Polynomial(field, nvars + 1, {**drawn, (0,) * (nvars + 1): field.from_int(data.draw(st.integers(1, 9)))}),
+        Polynomial.zero(field, nvars + 1),
+        Polynomial.constant(field, nvars + 1, 5),
+    ]
+    got = evaluate_stack(field, field.array(tables[0] if shared else tables), polys, field.array(images))
+    assert got.shape == (K, len(polys), dim)
+    for k in range(K):
+        S = StructureAlgebra(field, [f"e{i}" for i in range(dim)], tables[0 if shared else k])
+        chains = [_chain_evaluate(S, p, images[k]) for p in polys]
+        assert got[k].tolist() == chains
+        assert [S.evaluate(p, images[k]) for p in polys] == chains
+
+
+def test_evaluate_leaves_nothing_for_the_cyclic_collector(any_field):
+    B = make_algebra(any_field, ["x", "y"], ["x^3", "y^2"])
+    S = B.to_structure()
+    p = parse_polynomial("x^2*y + 2*x*y - 3", B.names, any_field)
+    images = [list(v) for v in S.gen_images]
+    expected = S.evaluate(p, images)
+    gc.collect()
+    gc.disable()
+    try:
+        assert S.evaluate(p, images) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestAlgebraHom:

@@ -28,8 +28,8 @@ from defalg.oracle import (
     enumerate_extensions,
     enumerate_lifts,
 )
-from defalg.corpus import deformation_problem_set, run_suite, showcase_problem_set
-from defalg.problems import load_problem_file, parse_polynomial
+from defalg.corpus import deformation_problem_set, lift_problem_set, run_suite, showcase_problem_set
+from defalg.problems import LiftSpec, load_problem_file, parse_polynomial
 
 from .conftest import dual_numbers, fat_point, make_algebra
 
@@ -548,6 +548,118 @@ def test_lift_cases_cover_the_edges():
     assert no_rel.B.n_gens == 0 and enumerate_lifts(no_rel).count == 1
     bud = EnumerationBudget(1 << 20)
     assert enumerate_lifts(early, budget=bud).candidates == 0 and bud.spent == 0
+
+
+# ---------------------------------------------------------------------------
+# the literal re-checks, their chunks, and the lift scan's affine rows
+
+
+def _corrupt_first_row(monkeypatch, columns):
+    """Patch the oracle's solve_affine so that its first row moves by a
+    unit digit that changes one of the first ``columns`` values of
+    d @ R + c: the returned row is no solution."""
+    real = _kernels.solve_affine
+
+    def corrupt(R, c, p, *args, **kwargs):
+        rows = real(R, c, p, *args, **kwargs).copy()
+        k = next(k for k in range(len(R)) if np.any(np.asarray(R)[k, :columns] % p))
+        rows[0, k] = (rows[0, k] + 1) % p
+        return rows
+
+    monkeypatch.setattr(oracle._kernels, "solve_affine", corrupt)
+
+
+def test_a_corrupted_structure_row_fails_the_literal_recheck(monkeypatch):
+    field = GF(3)
+    B, J = _extension_cases(field)[4]  # base and relative generators
+    prob = _deformation_cases(field)[0]
+    assert enumerate_extensions(B, J).count and enumerate_deformations(prob).count
+    # the base relation values come first in the scan's joint residual
+    _corrupt_first_row(monkeypatch, len(B.base_relations) * (B.dim() + J.rank))
+    with pytest.raises(AssertionError, match="base structure scan produced a wrong state"):
+        enumerate_extensions(B, J)
+    with pytest.raises(AssertionError, match="base structure scan produced a wrong state"):
+        enumerate_deformations(prob)
+
+
+def test_a_corrupted_lift_row_fails_the_literal_recheck(monkeypatch):
+    prob = _lift_cases(GF(3))[2]
+    assert enumerate_lifts(prob).count
+    _corrupt_first_row(monkeypatch, None)
+    with pytest.raises(AssertionError, match="scan produced an invalid lift"):
+        enumerate_lifts(prob)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_the_chunk_size_changes_no_scan(chunk, monkeypatch):
+    field = GF(5)
+    B, J = _extension_cases(field)[4]
+    prob = _deformation_cases(field)[0]
+    lift = _lift_cases(field)[2]
+
+    def scans():
+        ext, dfm, lifts = enumerate_extensions(B, J), enumerate_deformations(prob), enumerate_lifts(lift)
+        return ext.states, dfm.states, (lifts.images, lifts.offsets)
+
+    before = scans()
+    survivors = [len(before[0]), len(before[1]), len(before[2][0])]
+    assert min(survivors) > 7
+    calls = []
+    evaluate_stack = oracle.evaluate_stack
+
+    def spy(field, mul, polys, images):
+        calls.append(len(images))
+        return evaluate_stack(field, mul, polys, images)
+
+    monkeypatch.setattr(oracle, "evaluate_stack", spy)
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    assert scans() == before
+    # every survivor is re-checked, in stacks of at most chunk
+    rechecks = [k for k in calls if k <= chunk]
+    assert len(rechecks) >= sum(-(-n // chunk) for n in survivors)
+
+
+def _derivative_rows(prob):
+    """(R, const) of the lift scan from the partial derivatives: block
+    (g, j) of R holds df_j/dx_g(pre) * n_d in row d, and const holds
+    every f_j(pre)."""
+    B, Cp = prob.B, prob.Cprime
+    f = B.field
+    nbv, ng, t, s = B.n_base, B.n_gens, len(prob.n_basis), Cp.dim
+    rels = list(B.relations) + list(B.base_relations)
+    pre = [list(v) for v in prob.preimages]
+    const = np.array([c for r in rels for c in Cp.evaluate(r, pre)], np.int64)
+    N = f.array([list(v) for v in prob.n_basis]).reshape(t, s)
+    table = Cp.mul.reshape(s, s * s)
+    R = np.zeros((ng * t, len(const)), np.int64)
+    for j, r in enumerate(rels):
+        for g in range(ng):
+            dr = f.array(Cp.evaluate(r.derivative(nbv + g), pre))
+            R[g * t : (g + 1) * t, j * s : (j + 1) * s] = f.matmul(N, f.matmul(dr, table).reshape(s, s))
+    return R, const
+
+
+@pytest.mark.parametrize("field", ["F2", "F3"])
+def test_lift_rows_from_unit_offsets_match_the_derivatives(field, monkeypatch):
+    ps = load_problem_file(lift_problem_set(field))
+    p = ps.field.p
+    seen = []
+    real = _kernels.solve_affine
+
+    def spy(R, c, p, *args, **kwargs):
+        seen.append((np.asarray(R) % p, np.asarray(c) % p))
+        return real(R, c, p, *args, **kwargs)
+
+    monkeypatch.setattr(oracle._kernels, "solve_affine", spy)
+    specs = [spec for spec in ps.problems if isinstance(spec, LiftSpec)]
+    for spec in specs:
+        prob = reports._build_lift_problem(ps, spec)
+        seen.clear()
+        enumerate_lifts(prob)
+        (R, c), = seen
+        R0, c0 = _derivative_rows(prob)
+        assert R.tolist() == (R0 % p).tolist() and c.tolist() == (c0 % p).tolist()
+    assert len(specs) >= 30
 
 
 # ---------------------------------------------------------------------------

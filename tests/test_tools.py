@@ -1,6 +1,7 @@
 """The scripts under tools/: the Q-against-F_p ratio script reads
 benchmark results files; the stripped-report script writes every corpus
-report in one comparable file."""
+report in one comparable file and names the reports two such files
+differ in."""
 
 import importlib.util
 import json
@@ -68,3 +69,28 @@ def test_stripped_reports_of_one_suite(tmp_path, capsys):
     assert tool.main([str(first), "no-such-suite"]) == 2
     assert "no-such-suite" in capsys.readouterr().err
     assert tool.main([]) == 2
+
+
+def test_stripped_reports_diff_names_the_differing_keys(tmp_path, capsys):
+    tool = load_tool("stripped_reports")
+    report = {"field": "F2", "problems": [{"name": "a", "ok": True}]}
+    base = {"s/F2/oracle-on": report, "s/F2/oracle-off": report, "s/Q/oracle-on": report}
+    change = {
+        "s/F2/oracle-on": {"field": "F2", "problems": [{"name": "a", "ok": False}]},
+        "s/F2/oracle-off": report,
+        "s/F3/oracle-on": report,
+    }
+    paths = {}
+    for name, data in (("base", base), ("change", change)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data, indent=1, sort_keys=True))
+    capsys.readouterr()
+    assert tool.main(["--diff", str(paths["base"]), str(paths["change"])]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "s/F2/oracle-on",
+        "s/F3/oracle-on (only in change)",
+        "s/Q/oracle-on (only in base)",
+    ]
+    assert tool.main(["--diff", str(paths["base"]), str(paths["base"])]) == 0
+    assert capsys.readouterr().out == ""
+    assert tool.main(["--diff", str(paths["base"])]) == 2

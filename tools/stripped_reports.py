@@ -2,13 +2,16 @@
 """Every corpus report with its timing stripped, in one JSON file.
 
     PYTHONPATH=src python3 tools/stripped_reports.py OUT.json [SUITE ...]
+    python3 tools/stripped_reports.py --diff BASE.json CHANGE.json
 
 Runs each built-in suite of ``defalg.corpus`` (all of them when no
 SUITE is named) over its default field and over F2, F3, F5 and Q, each
 with the oracle checks off and on, and writes the ``strip_timing`` form
 of every report under the key ``suite/field/oracle-off|on``, with
 sorted keys.  Two checkouts give the same reports exactly when the two
-files compare equal byte for byte (``cmp``).
+files compare equal byte for byte (``cmp``).  ``--diff`` names what
+``cmp`` does not: it prints each key whose report differs between two
+such files, or that only one of them has, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -16,15 +19,15 @@ from __future__ import annotations
 import json
 import sys
 
-from defalg import corpus
-from defalg.reports import RunOptions, strip_timing
-
 FIELDS = (None, "F2", "F3", "F5", "Q")
 
 
 def stripped_reports(suites) -> dict:
     """Key -> stripped report dict, for every suite, field and oracle
     setting."""
+    from defalg import corpus
+    from defalg.reports import RunOptions, strip_timing
+
     out = {}
     for suite in suites:
         for field in FIELDS:
@@ -35,11 +38,33 @@ def stripped_reports(suites) -> dict:
     return out
 
 
+def differing_keys(base: dict, change: dict) -> list:
+    """The keys, sorted, whose reports differ or that one side lacks."""
+    missing = object()
+    return sorted(k for k in base.keys() | change.keys() if base.get(k, missing) != change.get(k, missing))
+
+
+def diff(base_path: str, change_path: str) -> int:
+    with open(base_path) as fh:
+        base = json.load(fh)
+    with open(change_path) as fh:
+        change = json.load(fh)
+    keys = differing_keys(base, change)
+    for k in keys:
+        side = " (only in base)" if k not in change else " (only in change)" if k not in base else ""
+        print(f"{k}{side}")
+    return 1 if keys else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not argv:
+    if argv[:1] == ["--diff"] and len(argv) == 3:
+        return diff(argv[1], argv[2])
+    if not argv or argv[0].startswith("--"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    from defalg import corpus
+
     path, suites = argv[0], argv[1:] or corpus.suite_names()
     unknown = sorted(set(suites) - set(corpus.suite_names()))
     if unknown:
