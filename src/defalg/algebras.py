@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .budget import DEFAULT_ENUM_BUDGET, as_budget
 from .fields import Field, PrimeField, Scalar
-from .groebner import GroebnerBasis, buchberger, certified_cofactors, normal_form, normal_form_quotients
+from .groebner import GroebnerBasis, buchberger, normal_form
 from .linalg import Matrix
 from .poly import GREVLEX, Monomial, Polynomial, mono_deg, mono_divides, mono_mul
 
@@ -64,7 +64,7 @@ class PresentedAlgebra:
         self._std_index: Optional[Dict[Monomial, int]] = None  # see std_index
         self._cotangent = None  # cotangent.CotangentComplex, see cotangent_complex
         self._structure: Optional["StructureAlgebra"] = None  # see to_structure
-        self._divisions: Optional[dict] = None  # (i, j) -> (product, normal form, quotients), see to_structure
+        self._divisions: Optional[dict] = None  # (i, j) -> packed division of std[i] * std[j], see to_structure
         self._cofactors = None  # see product_cofactors
         self._gen_cofactors = None  # see generator_cofactors
         self._relation_tensor = None  # see relation_tensor
@@ -211,10 +211,15 @@ class PresentedAlgebra:
 
     def coordinates(self, p: Polynomial) -> List[Scalar]:
         """Coordinates of p's class in the std-monomial basis."""
+        if p.nvars != self.nvars or p.field != self.field:
+            raise ValueError("polynomial not in the flattened ring")
+        return self._coordinates(p.terms)
+
+    def _coordinates(self, terms: Dict[Monomial, Scalar]) -> List[Scalar]:
+        """The same for {monomial: scalar} terms, divided as they are."""
         index = self.std_index()
-        nf = self.normal_form(p)
         out = [self.field.zero()] * len(index)
-        for m, c in nf.terms.items():
+        for m, c in self.groebner().divide(terms)[0].items():
             out[index[m]] = c
         return out
 
@@ -250,8 +255,8 @@ class PresentedAlgebra:
         """Structure table on the standard monomials, built once.
 
         Each product of two standard monomials is divided once; the
-        normal form and quotients of every product that is not itself
-        standard are kept for product_cofactors."""
+        packed division of every product that is not itself standard is
+        kept for product_cofactors."""
         if self._structure is not None:
             return self._structure
         std = self.std_monomials()
@@ -262,7 +267,7 @@ class PresentedAlgebra:
             raise AssertionError("unit monomial missing from basis")
         f = self.field
         gb = self.groebner()
-        index = {m: i for i, m in enumerate(std)}
+        index = self.std_index()
         mul = np.zeros((n, n, n), f.dtype)
         self._divisions = {}
         for i in range(n):
@@ -271,12 +276,11 @@ class PresentedAlgebra:
                 if mo in index:
                     mul[i, j, index[mo]] = mul[j, i, index[mo]] = 1
                     continue
-                p = Polynomial.monomial(f, self.nvars, mo)
-                nf, quots = normal_form_quotients(p, gb)
-                for m, c in nf.terms.items():
+                nf, self._divisions[i, j] = gb.divide({mo: f.one()})
+                for m, c in nf.items():
                     mul[i, j, index[m]] = mul[j, i, index[m]] = c
-                self._divisions[i, j] = (p, nf, quots)
-        gen_images = tuple(self.coordinates(self.var(v)) for v in range(self.nvars))
+        units = [tuple(int(w == v) for w in range(self.nvars)) for v in range(self.nvars)]
+        gen_images = tuple(self._coordinates({mo: f.one()}) for mo in units)
         self._structure = StructureAlgebra(
             f,
             tuple(self.mono_label(m) for m in std),
@@ -305,23 +309,23 @@ class PresentedAlgebra:
         as (variables, terms, coeffs): x_v = (normal form) + sum_k
         coeffs[q, k] * mo * gens[g] for v = variables[q].  Built once."""
         if self._gen_cofactors is None:
-            std = set(self.std_monomials())
+            std = self.std_index()
             divisions = {}
             for v in range(self.nvars):
-                p = self.var(v)
-                if next(iter(p.terms)) not in std:
-                    divisions[v] = (p, *normal_form_quotients(p, self.groebner()))
+                mo = tuple(int(w == v) for w in range(self.nvars))
+                if mo not in std:
+                    divisions[v] = self.groebner().divide({mo: self.field.one()})[1]
             self._gen_cofactors = (tuple(divisions), *self._cofactor_table(list(divisions.values())))
         return self._gen_cofactors
 
     def _cofactor_table(self, divisions) -> Tuple[Tuple[Tuple[int, Monomial], ...], np.ndarray]:
-        """(terms, coeffs) of the certified cofactors of each division
-        (p, normal form, quotients), one coeffs row per division."""
+        """(terms, coeffs) of the certified cofactors of each packed
+        division (see GroebnerBasis.divide), one coeffs row per division."""
         terms: dict = {}
         entries = []
-        for q, (p, nf, quots) in enumerate(divisions):
-            for g, h in enumerate(certified_cofactors(p, self.groebner(), nf, quots)):
-                for mo, c in h.terms.items():
+        for q, division in enumerate(divisions):
+            for g, h in enumerate(self.groebner().certify(division)):
+                for mo, c in h.items():
                     entries.append((q, terms.setdefault((g, mo), len(terms)), c))
         coeffs = np.zeros((len(divisions), len(terms)), self.field.dtype)
         for q, k, c in entries:
@@ -534,13 +538,15 @@ class StructureAlgebra:
         coef = f.reduce(ua[a, None] * va[b]).reshape(-1)
         return f.matmul(coef, self.mul[a][:, b].reshape(-1, self.dim)).tolist()
 
+    def evaluate_many(self, polys: Sequence[Polynomial], images: Sequence[Sequence[Scalar]]) -> np.ndarray:
+        """The values of polys at algebra elements, one per variable, as
+        a (len(polys), dim) array: the K = 1 case of ``evaluate_stack``."""
+        imgs = self.field.array(images).reshape(1, len(images), self.dim)
+        return evaluate_stack(self.field, self.mul, polys, imgs)[0]
+
     def evaluate(self, p: Polynomial, images: Sequence[Sequence[Scalar]]) -> list:
-        """Evaluate a polynomial at algebra elements, one per variable:
-        the K = 1 case of ``evaluate_stack``, as canonical scalars."""
-        if p.nvars != len(images):
-            raise ValueError("need one image per variable")
-        imgs = self.field.array(images).reshape(1, p.nvars, self.dim)
-        return evaluate_stack(self.field, self.mul, [p], imgs)[0, 0].tolist()
+        """The value of one polynomial, as canonical scalars."""
+        return self.evaluate_many([p], images)[0].tolist()
 
     def mul_entry(self, i: int, j: int) -> list:
         return self.mul[i, j].tolist()
@@ -598,22 +604,14 @@ class FiniteModule:
 
     @classmethod
     def regular(cls, B: PresentedAlgebra) -> "FiniteModule":
-        """B as a module over itself (finite-dimensional B only).  A
-        product x_v * m that is itself standard is a unit column; only
-        the others are divided."""
+        """B as a module over itself (finite-dimensional B only): column
+        m of the action of x_v holds the coordinates of the monomial
+        x_v * m."""
         std = B.std_monomials()
-        index = B.std_index()
-        zero, one = B.field.zero(), B.field.one()
+        one = B.field.one()
         mats = []
         for v in range(B.nvars):
-            xs = B.var(v)
-            cols = []
-            for m in std:
-                k = index.get(m[:v] + (m[v] + 1,) + m[v + 1 :])
-                if k is None:
-                    cols.append(B.coordinates(xs * Polynomial.monomial(B.field, B.nvars, m)))
-                else:
-                    cols.append([zero] * k + [one] + [zero] * (len(std) - k - 1))
+            cols = [B._coordinates({m[:v] + (m[v] + 1,) + m[v + 1 :]: one}) for m in std]
             mats.append(Matrix.from_cols(B.field, cols, nrows=len(std)))
         labels = tuple(B.mono_label(m) for m in std)
         return cls(B, labels, mats)
@@ -628,13 +626,24 @@ class FiniteModule:
     # -- action ------------------------------------------------------------
 
     def action_of_poly(self, p: Polynomial) -> Matrix:
-        if p.nvars != self.owner.nvars:
+        return Matrix(self.field, self.rank, self.rank, self.action_stack([p])[0])
+
+    def action_stack(self, polys: Sequence[Polynomial]) -> np.ndarray:
+        """The actions of polys, as a (len(polys), t, t) array: one
+        product of their coefficient matrix with the stacked memoized
+        actions of the monomials they use."""
+        f, t = self.field, self.rank
+        if any(p.nvars != self.owner.nvars for p in polys):
             raise ValueError("polynomial not in the flattened ring")
-        acc = None
-        for m, c in p.terms.items():
-            w = self.monomial_action(m).scale(c)
-            acc = w if acc is None else acc.add(w)
-        return Matrix.zeros(self.field, self.rank, self.rank) if acc is None else acc
+        monos = {m: k for k, m in enumerate(dict.fromkeys(m for p in polys for m in p.terms))}
+        coeffs = np.zeros((len(polys), len(monos)), f.dtype)
+        for i, p in enumerate(polys):
+            for m, c in p.terms.items():
+                coeffs[i, monos[m]] = c
+        actions = np.zeros((len(monos), t, t), f.dtype)
+        for m, k in monos.items():
+            actions[k] = self.monomial_action(m)._a
+        return f.matmul(coeffs, actions.reshape(len(monos), t * t)).reshape(len(polys), t, t)
 
     def monomial_action(self, m: tuple) -> Matrix:
         """Action of the monomial with exponents m, memoized: mats[v]
@@ -705,16 +714,14 @@ class AlgebraHom:
         return self.target.evaluate(p, [list(im) for im in self.images])
 
     def validate(self) -> List[str]:
-        out = []
         if len(self.images) != self.source.nvars:
             return ["wrong number of generator images"]
-        for r in self.source.ideal_gens():
-            img = self.apply_poly(r)
-            bad = (not img.is_zero()) if isinstance(img, Polynomial) else any(
-                not self.source.field.is_zero(c) for c in img
-            )
-            if bad:
-                out.append(f"relation {r.to_string(self.source.names)} does not map to zero")
+        rels = self.source.ideal_gens()
+        if isinstance(self.target, StructureAlgebra):
+            bad = self.target.evaluate_many(rels, self.images).any(axis=1).tolist()
+        else:
+            bad = [not self.apply_poly(r).is_zero() for r in rels]
+        out = [f"relation {r.to_string(self.source.names)} does not map to zero" for r, b in zip(rels, bad) if b]
         out.extend(self._base_compat())
         return out
 
@@ -813,8 +820,8 @@ def _validate_module(J: FiniteModule) -> List[str]:
         for w in range(v + 1, B.nvars):
             if J.mats[v].mul(J.mats[w]) != J.mats[w].mul(J.mats[v]):
                 out.append(f"actions of {B.names[v]} and {B.names[w]} do not commute")
-    for r in B.ideal_gens():
-        if not J.action_of_poly(r).is_zero():
+    for r, action in zip(B.ideal_gens(), J.action_stack(B.ideal_gens())):
+        if action.any():
             out.append(f"relation {r.to_string(B.names)} acts nontrivially")
     return out
 

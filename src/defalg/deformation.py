@@ -61,7 +61,7 @@ from .cotangent import (
 from .differential import derivation_space
 from .fields import PrimeField, Scalar
 from .groebner import buchberger, normal_form
-from .linalg import Matrix, in_span, solve_affine, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import Matrix, in_span, solve_affine, vec_add, vec_is_zero, vec_sub
 from .poly import GREVLEX, Polynomial
 
 
@@ -611,18 +611,16 @@ class LiftProblem:
         B, Cp = self.B, self.Cprime
         f = B.field
         out = []
-        imgs = [list(v) for v in self.preimages]
-        for fj in B.relations:
-            val = Cp.evaluate(fj, imgs)
+        m = len(B.relations)
+        vals = Cp.evaluate_many([*B.relations, *B.base_relations], self.preimages)
+        for val in vals[:m].tolist():
             coords = in_span(f, self.n_basis, val)
             if coords is None:
                 raise ValueError("a relation value is not in the ideal: the map does not land in C")
             out.extend(coords)
         # base relations must hold on the nose for the base structure to lift
-        for g in B.base_relations:
-            val = Cp.evaluate(g, imgs)
-            if any(not f.is_zero(c) for c in val):
-                raise ValueError("a base relation fails in the total ring")
+        if vals[m:].any():
+            raise ValueError("a base relation fails in the total ring")
         return out
 
 
@@ -664,27 +662,16 @@ def lift_homomorphism(problem: LiftProblem) -> LiftResult:
     t = J.rank
     if eta is None:
         return LiftResult(problem, False, cls, None, None, ds.dim, 0 if isinstance(f, PrimeField) else None, maps)
-    # corrected preimages: v_i + eta_i, verified to kill every relation
-    Cp = problem.Cprime
-    nb = [list(v) for v in problem.n_basis]
-    imgs = []
-    for v in range(B.nvars):
-        vec = list(problem.preimages[v])
-        if v >= B.n_base:
-            i = v - B.n_base
-            off = eta[i * t : (i + 1) * t]
-            lift_off = [f.zero()] * Cp.dim
-            for b, c in enumerate(off):
-                if not f.is_zero(c):
-                    lift_off = vec_add(f, lift_off, vec_scale(f, c, nb[b]))
-            vec = vec_add(f, vec, lift_off)
-        imgs.append(vec)
-    for fj in list(B.relations) + list(B.base_relations):
-        val = Cp.evaluate(fj, imgs)
-        if any(not f.is_zero(c) for c in val):
-            raise AssertionError("corrected images do not satisfy the relations")
+    # corrected preimages: v_i + eta_i, the ideal coordinates eta_i of
+    # each relative generator read through n_basis, verified to kill
+    # every relation
+    imgs = f.array(problem.preimages)
+    offsets = f.matmul(f.array(eta).reshape(B.n_gens, t), f.array(problem.n_basis))
+    imgs[B.n_base :] = f.reduce(imgs[B.n_base :] + offsets)
+    if problem.Cprime.evaluate_many([*B.relations, *B.base_relations], imgs).any():
+        raise AssertionError("corrected images do not satisfy the relations")
     count = f.p**ds.dim if isinstance(f, PrimeField) else None
-    return LiftResult(problem, True, cls, tuple(eta), tuple(tuple(v) for v in imgs), ds.dim, count, maps)
+    return LiftResult(problem, True, cls, tuple(eta), tuple(map(tuple, imgs.tolist())), ds.dim, count, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -987,8 +974,7 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
 
     # the quotient by the fiber must return B with its base structure:
     # relation values of B' must land in the fiber and equal xi
-    for j, fj in enumerate(B.relations):
-        val = tab.evaluate(fj, [list(v) for v in gen_images])
+    for j, val in enumerate(tab.evaluate_many(B.relations, gen_images).tolist()):
         if any(not f.is_zero(c) for c in val[:s]):
             raise AssertionError("a relation value escaped the fiber")
         if val[s:] != xi[j * t : (j + 1) * t]:

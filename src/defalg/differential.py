@@ -21,12 +21,12 @@ from .poly import GREVLEX, Polynomial
 
 def block_matrix(J: FiniteModule, entries: Sequence[Sequence[Polynomial]], nrows: int, ncols: int) -> Matrix:
     """Assemble the scalar matrix of a map J^ncols -> J^nrows whose
-    (j, i) block acts by the polynomial entries[j][i]."""
-    blocks = [
-        [None if entries[j][i].is_zero() else J.action_of_poly(entries[j][i]) for i in range(ncols)]
-        for j in range(nrows)
-    ]
-    return Matrix.from_blocks(J.field, blocks, nrows, ncols, J.rank)
+    (j, i) block acts by the polynomial entries[j][i]: every block from
+    one ``action_stack``."""
+    t = J.rank
+    blocks = J.action_stack([entries[j][i] for j in range(nrows) for i in range(ncols)])
+    a = blocks.reshape(nrows, ncols, t, t).transpose(0, 2, 1, 3).reshape(nrows * t, ncols * t)
+    return Matrix(J.field, nrows * t, ncols * t, a)
 
 
 def jacobian_entries(B: PresentedAlgebra) -> List[List[Polynomial]]:

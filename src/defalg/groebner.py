@@ -49,8 +49,11 @@ rescales its cofactors to match (an inverse mod p, a gcd over Q).
 Cofactors are combined on ints (``_integral_combination``), and only
 for S-pairs with a nonzero remainder, which are few.  ``GroebnerBasis``
 and ``ModuleGroebnerBasis`` take their division data (leads, tails,
-pack) from the engine and keep their cofactors packed; a scalar becomes
-a Fraction only in a returned polynomial, one ratio per term (``_over``).
+pack) from the engine and keep their cofactors packed.  The packed
+format stays in this module: ``GroebnerBasis.divide`` takes and returns
+{monomial: scalar} terms, with the division itself as an opaque packed
+tuple that only ``GroebnerBasis.certify`` reads, and a scalar becomes a
+Fraction only where a result leaves, one ratio per term (``_over``).
 
 Division (``_z_divmod``) keeps the pending terms in a heap of negated
 ints and reduces the largest one each step by the first basis element,
@@ -71,8 +74,7 @@ The final basis also gives, by Schreyer's syzygies, the relations among
 the kept candidates modulo the fixed ones, with no second engine run.
 There is one certificate rule, ``_certify``: the cofactors, combined
 with the generators on ints, must give the target exactly.
-``certified_cofactors`` checks a division by a ``GroebnerBasis`` with
-it too.
+``GroebnerBasis.certify`` checks a division by the basis with it too.
 
 Correctness notes baked into the code:
   * the product (coprime-lcm) criterion is applied only to ring-level
@@ -102,6 +104,7 @@ import heapq
 import operator
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -562,6 +565,36 @@ class GroebnerBasis:
         pack = self._division.pack
         return tuple(tuple(_q_to_poly(_over(q, d), pack, self.field) for q in quots) for quots, d in self._from_gens)
 
+    def divide(self, terms: Dict[Monomial, Scalar]) -> Tuple[Dict[Monomial, Scalar], tuple]:
+        """(normal form, division) of the polynomial whose {monomial:
+        scalar} terms are given, in this basis's ring.  The normal form
+        is {monomial: scalar} too; the division is packed, read only in
+        this module (``certify``): (d, z, e, nf, quots) for the dividend
+        z / d, the normal form nf / e and the quotients over basis
+        quots / e.  Terms from another ring are refused: a monomial of
+        another length, or a coefficient that is not a canonical scalar
+        of this field."""
+        field, div = self.field, self._division
+        p, pack = field.char, div.pack
+        for m, c in terms.items():
+            if len(m) != self.nvars or not (type(c) is int and 0 <= c < p if p else type(c) in (int, Fraction)):
+                raise ValueError(f"the term {c!r} * x^{m} is not in the ring of the basis, over {field.name}")
+        d, z = _integral(field, {pack.mono(m) + CMASK: c for m, c in terms.items()})
+        nf, quots, e = _z_divmod(p, z, d, div.leads, div.tails, pack)
+        return {pack.exponents(t): c for t, c in _over(nf, e).items()}, (d, z, e, nf, quots)
+
+    def certify(self, division: tuple) -> List[Dict[Monomial, Scalar]]:
+        """The cofactors over gens, as {monomial: scalar} dicts, of a
+        division from ``divide``: dividend = normal form + sum_i cof_i
+        gens_i.  The quotients are mapped through the packed cofactors
+        of the basis and the sum is re-expanded, all on ints
+        (``_certify``)."""
+        d, z, e, nf, quots = division
+        field, pack = self.field, self._division.pack
+        ec, cof = _integral_combination(field, quots, e, self._to_gens, pack)
+        _certify(field, cof, ec, self._gens, (d * e, _z_combine(field, [{0: e}, {0: -d}], [z, nf], pack)), pack)
+        return [{pack.exponents(s): c for s, c in _over(q, ec).items()} for q in _v_split(cof, len(self.gens))]
+
     def contains_one(self) -> bool:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
 
@@ -579,6 +612,8 @@ class ModuleGroebnerBasis:
     _division: _Division = dataclasses.field(compare=False, repr=False)
 
     def normal_form(self, vec: Sequence[Polynomial]) -> List[Polynomial]:
+        if len(vec) != self.ncomp or any(p.field != self.field or p.nvars != self.nvars for p in vec):
+            raise ValueError(f"the vector is not in the free module of rank {self.ncomp} over the ring of the basis")
         d = self._division
         nf, _ = _v_divmod(self.field, _vec_to_v(vec, d.pack), d.leads, d.tails, d.pack)
         return _v_to_vec(nf, d.pack, self.field, self.ncomp)
@@ -639,29 +674,30 @@ def module_groebner(
     return ModuleGroebnerBasis(field, nvars, ncomp, order, basis, _Division(eng.leads, eng.tails, pack))
 
 
-def _divide(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder]):
-    """(basis, normal form, quotient dicts) of f divided by gb, which is
-    built from generators first when it is not a GroebnerBasis."""
+def _basis(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder]) -> GroebnerBasis:
+    """gb, built from generators first when it is not a GroebnerBasis;
+    f must lie in its ring."""
     if not isinstance(gb, GroebnerBasis):
         gb = buchberger(list(gb), order or GREVLEX)
-    d = gb._division
-    nf, quots = _v_divmod(gb.field, _poly_to_v(f, d.pack), d.leads, d.tails, d.pack)
-    return gb, _v_to_vec(nf, d.pack, gb.field, 1)[0], quots
+    if f.field != gb.field or f.nvars != gb.nvars:
+        raise ValueError("the polynomial is not in the ring of the basis")
+    return gb
 
 
 def normal_form(f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder] = None) -> Polynomial:
-    """Canonical representative of f modulo the ideal; the quotients of
-    the division are dropped as dicts, never built as polynomials."""
-    return _divide(f, gb, order)[1]
+    """Canonical representative of f modulo the ideal."""
+    gb = _basis(f, gb, order)
+    return Polynomial(gb.field, gb.nvars, gb.divide(f.terms)[0])
 
 
 def normal_form_quotients(
     f: Polynomial, gb: Union[GroebnerBasis, Sequence[Polynomial]], order: Optional[MonomialOrder] = None
 ) -> Tuple[Polynomial, List[Polynomial]]:
     """(normal form, quotients over gb.basis): f = sum q_j basis_j + nf."""
-    gb, nf, quots = _divide(f, gb, order)
+    gb = _basis(f, gb, order)
+    nf, (_, _, e, _, quots) = gb.divide(f.terms)
     pack = gb._division.pack
-    return nf, [_q_to_poly(q, pack, gb.field) for q in quots]
+    return Polynomial(gb.field, gb.nvars, nf), [_q_to_poly(_over(q, e), pack, gb.field) for q in quots]
 
 
 def ideal_member(
@@ -669,25 +705,11 @@ def ideal_member(
 ) -> Tuple[bool, Optional[List[Polynomial]]]:
     """Membership with certificate: cofactors over the *original*
     generators, re-expanded and checked exactly before returning."""
-    if not isinstance(gb, GroebnerBasis):
-        gb = buchberger(list(gb), order or GREVLEX)
-    nf, quots = normal_form_quotients(f, gb)
-    if not nf.is_zero():
+    gb = _basis(f, gb, order)
+    nf, division = gb.divide(f.terms)
+    if nf:
         return False, None
-    return True, certified_cofactors(f, gb, nf, quots)
-
-
-def certified_cofactors(f: Polynomial, gb: GroebnerBasis, nf: Polynomial, quots: Sequence[Polynomial]) -> List[Polynomial]:
-    """Cofactors over gb.gens of the division f = nf + sum_j quots_j basis_j:
-    f = nf + sum_i cof_i gens_i.  The quotients are mapped through the
-    packed cofactors of the basis and the sum is re-expanded, all on ints
-    (``_certify``)."""
-    field, pack = gb.field, gb._division.pack
-    dq, zq = _integral_family(field, [_poly_to_q(q, pack) for q in quots])
-    d, cof = _integral_combination(field, zq, dq, gb._to_gens, pack)
-    (df, zf), (dn, zn) = _integral(field, _poly_to_v(f, pack)), _integral(field, _poly_to_v(nf, pack))
-    _certify(field, cof, d, gb._gens, (df * dn, _z_combine(field, [{0: dn}, {0: -df}], [zf, zn], pack)), pack)
-    return [_q_to_poly(_over(q, d), pack, field) for q in _v_split(cof, len(gb.gens))]
+    return True, [Polynomial(gb.field, gb.nvars, h) for h in gb.certify(division)]
 
 
 def combinations_vanish(

@@ -59,20 +59,6 @@ class Matrix:
         return cls(field, nrows, ncols, np.full((nrows, ncols), field.zero(), field.dtype))
 
     @classmethod
-    def from_blocks(
-        cls, field: Field, blocks: Sequence[Sequence[Optional["Matrix"]]], nrows: int, ncols: int, t: int
-    ):
-        """The (nrows*t) x (ncols*t) matrix whose (j, i) block is the
-        t x t matrix blocks[j][i], or zero where that is None; the blocks
-        are written into one array the field allocates."""
-        out = cls.zeros(field, nrows * t, ncols * t)
-        for j, row in enumerate(blocks):
-            for i, b in enumerate(row):
-                if b is not None:
-                    out._a[j * t : (j + 1) * t, i * t : (i + 1) * t] = b._a
-        return out
-
-    @classmethod
     def identity(cls, field: Field, n: int):
         return cls(field, n, n, field.array(np.eye(n, dtype=np.int64)))
 
@@ -127,15 +113,6 @@ class Matrix:
         if x.shape[-1] != self.ncols:
             raise ValueError("shape mismatch")
         return self.field.matmul(x, self._a.T)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.field, self.nrows, self.ncols, self.field.reduce(self._a + other._a))
-
-    def scale(self, c: Scalar) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols, f.reduce(self._a * f.from_int(c)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:

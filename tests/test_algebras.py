@@ -163,10 +163,26 @@ class TestStructureAlgebra:
         # a corrupted quotient is caught when the cofactors are built
         C = make_algebra(any_field, ["x", "y"], ["x^2 - y^2", "x*y", "y^3"])
         C.to_structure()
-        key, (p, nf, quots) = next(iter(C._divisions.items()))
-        C._divisions[key] = (p, nf, [q + C.one_poly() for q in quots])
+        key, (d, z, e, nf, quots) = next(iter(C._divisions.items()))
+        # one more unit in the first quotient: shift 0 is the packed monomial 1
+        C._divisions[key] = (d, z, e, nf, [{**quots[0], 0: quots[0].get(0, 0) + e}, *quots[1:]])
         with pytest.raises(AssertionError, match="certificate"):
             C.product_cofactors()
+
+    def test_tables_and_coordinates_build_no_polynomial(self, any_field, monkeypatch):
+        # x is not standard (x = y), so the generator cofactors divide too
+        B = make_algebra(any_field, ["x", "y"], ["x - y", "y^3"], ["s"], ["s^2"])
+        p = parse_polynomial("x^3*y + s*x + 2", B.names, any_field)
+        B.groebner()
+        built = []
+        init = Polynomial.__init__
+        monkeypatch.setattr(Polynomial, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        S = B.to_structure()
+        assert B.product_cofactors()[0] and B.generator_cofactors()[0] == (1,)
+        assert B.coordinates(p) == S.evaluate(p, S.gen_images)
+        J = FiniteModule.regular(B)
+        assert built == []
+        assert validate(J) == []
 
     def test_truncate_leaves_the_source_memo_untouched(self, any_field):
         B = make_algebra(any_field, ["x", "y"], ["x^3", "y^2"])
@@ -222,8 +238,7 @@ class TestFiniteModule:
         ids=["square", "cusp", "three", "based"],
     )
     def test_regular_module_matches_the_divided_products(self, any_field, gens, rels, base):
-        # standard products x_v * m become unit columns without a division;
-        # every column still equals the coordinates of the product
+        # every column equals the coordinates of the product x_v * m
         B = make_algebra(any_field, gens, rels, *(base or ((), ())))
         J = FiniteModule.regular(B)
         std = B.std_monomials()

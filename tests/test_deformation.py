@@ -81,8 +81,8 @@ class TestSquareZeroExtension:
         _, r1, _ = t_modules(B, J)
         first = extension_from_cocycle(B, J, list(r1.reps[0]))
         calls = []
-        divmod_ = groebner._v_divmod
-        monkeypatch.setattr(groebner, "_v_divmod", lambda *args: calls.append(args) or divmod_(*args))
+        divmod_ = groebner._z_divmod
+        monkeypatch.setattr(groebner, "_z_divmod", lambda *args: calls.append(args) or divmod_(*args))
         second = extension_from_cocycle(B, J, list(r1.reps[1]))
         assert baer_sum(first, second).validate() == []
         assert calls == []
@@ -331,6 +331,35 @@ class TestLifting:
         with pytest.raises(ValueError, match="does not land"):
             prob.defect()
 
+    def test_base_relation_must_hold_in_the_total_ring(self, any_field):
+        # s -> w with s^2 = 0 in the base, but w^2 != 0 in C'
+        B = make_algebra(any_field, ["x"], ["x"], base_gens=["s"], base_relations=["s^2"])
+        Cp = make_algebra(any_field, ["w", "e"], ["w^3", "w*e", "e^2"])
+        ideal = [parse_polynomial("e", Cp.names, any_field)]
+        phi = [parse_polynomial(t, Cp.names, any_field) for t in ("w", "0")]
+        prob = LiftProblem.from_presented(B, Cp, ideal, phi)
+        with pytest.raises(ValueError, match="a base relation fails in the total ring"):
+            prob.defect()
+
+    def test_corrected_images_are_checked(self, any_field, monkeypatch):
+        # the relation values at the corrected images come from the second
+        # evaluation; a nonzero one there must be caught
+        prob = self._solvable_problem(any_field)
+        evaluate_many = StructureAlgebra.evaluate_many
+        calls = []
+
+        def perturbed(self, polys, images):
+            vals = evaluate_many(self, polys, images).copy()
+            calls.append(polys)
+            if len(calls) == 2:
+                vals[0, 0] = self.field.add(vals[0, 0], self.field.one())
+            return vals
+
+        monkeypatch.setattr(StructureAlgebra, "evaluate_many", perturbed)
+        with pytest.raises(AssertionError, match="corrected images do not satisfy the relations"):
+            lift_homomorphism(prob)
+        assert len(calls) == 2
+
 
 def _base_problem(field, gens, relations, thick_rel, ideal_str, base_rel):
     B = make_algebra(field, gens, relations, base_gens=["s"], base_relations=[base_rel])
@@ -413,6 +442,29 @@ class TestObstructions:
         with pytest.raises(ValueError, match="twist"):
             realize_deformation(prob, result=res, twist=bad)
 
+    @pytest.mark.parametrize(
+        "where, msg",
+        [(0, "a relation value escaped the fiber"), (1, "relation values disagree with the chosen witness")],
+        ids=["base-part", "fiber-part"],
+    )
+    def test_realize_checks_the_relation_values(self, any_field, monkeypatch, where, msg):
+        # one more unit in the first relation's value of the deformed
+        # table, in its B part or in its first fiber coordinate
+        prob = _base_problem(any_field, ["x"], ["x^2 - s"], "s^3", "s^2", "s^2")
+        evaluate_many = StructureAlgebra.evaluate_many
+        s = prob.B.dim()
+
+        def perturbed(self, polys, images):
+            vals = evaluate_many(self, polys, images).copy()
+            if list(polys) == list(prob.B.relations):
+                k = 0 if where == 0 else s
+                vals[0, k] = self.field.add(vals[0, k], self.field.one())
+            return vals
+
+        monkeypatch.setattr(StructureAlgebra, "evaluate_many", perturbed)
+        with pytest.raises(AssertionError, match=msg):
+            realize_deformation(prob)
+
     def test_realize_refuses_infinite_dimensional(self):
         field = GF(2)
         B = make_algebra(
@@ -451,10 +503,10 @@ def _per_entry_table(B, J, values, prob=None):
 
     def word(p):
         gb = B.groebner()
-        nf, quots = groebner.normal_form_quotients(p, gb)
-        cof = groebner.certified_cofactors(p, gb, nf, quots)
+        nf, division = gb.divide(p.terms)
+        cof = [Polynomial(f, B.nvars, h) for h in gb.certify(division)]
         vec = [f.zero()] * (s + t)
-        for m, c in nf.terms.items():
+        for m, c in nf.items():
             vec[std.index(m)] = c
         fiber = vec[s:]
         for r in range(len(B.relations)):

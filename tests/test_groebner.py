@@ -25,6 +25,7 @@ from defalg.groebner import (
     normal_form_quotients,
     syzygy_basis,
 )
+from defalg.algebras import PresentedAlgebra
 from defalg.linalg import Matrix
 from defalg.poly import GREVLEX, LEX, MonomialOrder, Polynomial, mono_div, mono_divides, mono_mul
 from defalg.problems import ParseError
@@ -105,6 +106,49 @@ def test_ideal_member_certificate():
     assert acc == polys_of(f, "x^4")[0]
     member, cof = ideal_member(polys_of(f, "x^3")[0], gens)
     assert not member and cof is None
+
+
+def test_division_refuses_input_from_another_ring():
+    f = GF(3)
+    B = PresentedAlgebra.from_strings(f, ["x", "y"], ["x^2", "y^2"])
+    gb = B.groebner()
+    # x*z in three variables once read as x by the two-variable layout
+    xz = polys_of(f, "x*z")[0]
+    for divide in (B.coordinates, B.normal_form, lambda p: normal_form(p, gb), lambda p: gb.divide(p.terms)):
+        with pytest.raises(ValueError):
+            divide(xz)
+    # Q polynomials, whether or not their coefficients look like residues
+    for text in ("x", "1/2*x", "-x + y"):
+        q = parse_polynomial(text, B.names, QQ)
+        for divide in (B.coordinates, lambda p: normal_form_quotients(p, gb), lambda p: ideal_member(p, gb)):
+            with pytest.raises(ValueError):
+                divide(q)
+    for coeff in (Fraction(1, 2), 3, -1):
+        with pytest.raises(ValueError):
+            gb.divide({(1, 0): coeff})
+    assert B.coordinates(parse_polynomial("2*x + 1", B.names, f)) == [1, 0, 2, 0]  # basis 1, y, x, x*y
+    # a module basis refuses another rank, field or number of variables
+    mgb = module_groebner([polys_of(f, "x", "y")], 2)
+    foreign = [
+        polys_of(f, "x"),
+        polys_of(f, "x", "y", "z"),
+        polys_of(QQ, "x", "y"),
+        [Polynomial.variable(f, 2, 0), Polynomial.zero(f, 2)],
+    ]
+    for vec in foreign:
+        with pytest.raises(ValueError):
+            mgb.normal_form(vec)
+    assert mgb.contains(polys_of(f, "x*z", "y*z"))
+
+
+def test_divide_and_certify_agree_with_the_polynomial_api():
+    for f in (GF(3), QQ):
+        gb = buchberger(polys_of(f, "x^2 - 1/5*y", "x*y - z", "y^2"))
+        p = polys_of(f, "x^3*y + 2/7*x*z + z^2")[0]
+        nf, division = gb.divide(p.terms)
+        assert Polynomial(f, 3, nf) == normal_form(p, gb)
+        member, cof = ideal_member(p - Polynomial(f, 3, nf), gb)
+        assert member and cof == [Polynomial(f, 3, h) for h in gb.certify(division)]
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f.name)
