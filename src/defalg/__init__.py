@@ -12,7 +12,6 @@ from .algebras import (
     FiniteModule,
     PresentedAlgebra,
     StructureAlgebra,
-    hom_enumerate,
     truncate,
     validate,
 )

@@ -19,8 +19,8 @@ which one rref of [R^T | -c^T] yields; its p^(N - rank) points are listed
 directly, already ascending, with no sort and no candidate evaluation.
 The oracle's lift and base-structure scans are affine and call
 ``solve_affine`` with their constant.  The polynomial-relation scan is
-not linear and evaluates candidates in batches; only ``hom_enumerate``
-still calls it.
+not linear and evaluates candidates in batches; no library code calls
+it, and it stays for the benchmark's kernel timings.
 
 Overflow: a solution row sums one residue and k products of two, k the
 number of free digits, and is asserted to fit int64; ``scan_assoc`` and

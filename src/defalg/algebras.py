@@ -21,8 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import _kernels
-from .budget import DEFAULT_ENUM_BUDGET, as_budget
 from .fields import Field, PrimeField, Scalar
 from .groebner import GroebnerBasis, buchberger, normal_form
 from .linalg import Matrix
@@ -824,112 +822,3 @@ def _validate_module(J: FiniteModule) -> List[str]:
         if action.any():
             out.append(f"relation {r.to_string(B.names)} acts nontrivially")
     return out
-
-
-# ---------------------------------------------------------------------------
-# exhaustive hom enumeration
-
-
-def _encode_relations(B: PresentedAlgebra, C: StructureAlgebra, base_imgs=None):
-    """Relations of B as vector-coefficient term arrays over the
-    relative generators, with base-generator images folded in.
-    Returns None when the base images alone violate a base relation."""
-    f = B.field
-    nb = B.n_base
-    if base_imgs is None:
-        if nb and (not C.base_images or C.base_names != B.base_names):
-            raise ValueError("target does not declare images for the shared base")
-        base_imgs = [list(v) for v in C.base_images[:nb]]
-    else:
-        base_imgs = [list(v) for v in base_imgs]
-        if len(base_imgs) != nb:
-            raise ValueError("need one image per base generator")
-    # each relation grouped by relative exponents: the base part of each
-    # group is one polynomial in the base generators, evaluated at once
-    groups = []
-    for r in B.ideal_gens():
-        parts = {}
-        for m, c in r.terms.items():
-            parts.setdefault(m[nb:], {})[m[:nb]] = c
-        groups.append(parts)
-    polys = [Polynomial(f, nb, part) for parts in groups for part in parts.values()]
-    vals = evaluate_stack(f, C.mul, polys, f.array(base_imgs).reshape(1, nb, C.dim))[0].tolist()
-    rel_rows = []
-    for parts in groups:
-        ws, vals = vals[: len(parts)], vals[len(parts) :]
-        terms = {e: w for e, w in zip(parts, ws) if any(not f.is_zero(x) for x in w)}
-        if not terms:
-            continue
-        if all(mono_deg(e) == 0 for e in terms):
-            return None  # a pure-base relation fails on the declared images
-        rel_rows.append(sorted(terms.items()))
-    return rel_rows
-
-
-def hom_enumerate(
-    B: PresentedAlgebra,
-    C: StructureAlgebra,
-    budget=None,
-) -> Tuple[AlgebraHom, ...]:
-    """All maps from B to a finite-dimensional C fixing the shared base,
-    by exhaustive scan over relative-generator images.
-
-    Candidates are ordered by their scan index, so the output order is
-    deterministic and basis-independent claims can be tested against it.
-    """
-    if not isinstance(B, PresentedAlgebra):
-        raise TypeError("source must be a presented algebra")
-    if not isinstance(C.field, PrimeField) or C.field != B.field:
-        raise TypeError("hom enumeration needs matching prime fields")
-    bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
-    p = C.field.p
-    ng = B.n_gens
-    total = p ** (C.dim * ng)
-    rel_rows = _encode_relations(B, C)
-    if rel_rows is None:
-        return ()
-    bud.charge(total, "hom enumeration")
-    nb = B.n_base
-    ptr = [0]
-    coefv = []
-    exps = []
-    for rows in rel_rows:
-        for e, w in rows:
-            coefv.append([int(x) for x in w])
-            exps.append(list(e))
-        ptr.append(len(coefv))
-    if ng == 0:
-        # no relative generators: the single candidate is the base map itself
-        idxs = [0]
-        for rows in rel_rows:
-            acc = C.zero_vector()
-            for e, w in rows:
-                acc = C.add(acc, list(w))
-            if any(not C.field.is_zero(c) for c in acc):
-                idxs = []
-                break
-    else:
-        mulc = C.mul
-        base = np.zeros((ng, C.dim), np.int64)
-        span = np.zeros((C.dim, C.dim), np.int64)
-        np.fill_diagonal(span, 1)
-        rel_ptr = np.array(ptr, np.int64)
-        coefv_a = np.array(coefv, np.int64).reshape(len(coefv), C.dim)
-        exps_a = np.array(exps, np.int64).reshape(len(exps), ng)
-        idxs = [
-            int(n)
-            for n in _kernels.scan_polyrel(mulc, base, span, rel_ptr, coefv_a, exps_a, p, 0, total)
-        ]
-    out = []
-    pows = [p**k for k in range(C.dim * ng + 1)]
-    for n in idxs:
-        imgs = [list(v) for v in C.base_images[:nb]]
-        for g in range(ng):
-            vec = [(n // pows[g * C.dim + a]) % p for a in range(C.dim)]
-            imgs.append(vec)
-        hom = AlgebraHom(B, C, tuple(tuple(v) for v in imgs))
-        bad = hom.validate()
-        if bad:
-            raise AssertionError(f"scan produced an invalid hom: {bad}")
-        out.append(hom)
-    return tuple(out)

@@ -14,16 +14,18 @@ extensions of one B by one J as one (K, n, n, n) table array and one
 the K = 1 call of its stacked one.  Tables are built from a (K, m*t)
 cocycle array by two products through linear maps kept once per (B, J)
 (from the algebra's one product table, ``PresentedAlgebra.to_structure``,
-and its certified cofactors, ``product_cofactors``); a deformation adds
-the base relations' share, and a Baer sum adds the corrections of two
-stacks.  Every table of every stack is validated (``table_findings``:
-batched unit, commutativity and associativity checks).  The class of an
-extension is read linearly off its fiber block: the relation values are
-the fiber corrections pushed through the algebra's one relation tensor
-(``relation_tensor``) and J's action, plus the fiber parts of the
-generator images through the Jacobian, batched over the stack; the
-blocks that reading relies on are checked on every read.  Equivalence
-is decided for a whole stack by one reduction (``are_coboundaries``).
+and its certified cofactors, ``product_cofactors``) and written over the
+trivial extension by one writer (``_extension_tables``), which the
+oracle scans share; a deformation adds the base relations' share, and a
+Baer sum adds the corrections of two stacks.  Every table of every
+stack is validated (``table_findings``: batched unit, commutativity and
+associativity checks).  The class of an extension is read linearly off
+its fiber block: the relation values are the fiber corrections pushed
+through the algebra's one relation tensor (``relation_tensor``) and J's
+action, plus the fiber parts of the generator images through the
+Jacobian, batched over the stack; the blocks that reading relies on are
+checked on every read.  Equivalence is decided for a whole stack by one
+reduction (``are_coboundaries``).
 Obstruction classes against a base extension
 0 -> I -> A' -> A -> 0 are computed literally: pair each syzygy with
 the relations, reduce the result in a presentation of A' where I is
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +64,7 @@ from .cotangent import (
 from .differential import derivation_space
 from .fields import PrimeField, Scalar
 from .groebner import buchberger, normal_form
-from .linalg import Matrix, in_span, solve_affine, vec_add, vec_is_zero, vec_sub
+from .linalg import Matrix, in_span, solve_affine, solve_affine_rows, vec_add, vec_is_zero, vec_sub
 from .poly import GREVLEX, Polynomial
 
 
@@ -222,47 +225,68 @@ class ExtensionStack:
         return [[msg for ok, msg in checks if not ok[k]] for k in range(len(self))]
 
 
-@dataclass(frozen=True)
 class _ExtensionMaps:
-    """What every extension table of B by J shares, and the linear maps
-    from a cocycle (a flat row in J^m) to what it does not."""
+    """What every extension table of B by J starts from, the trivial
+    extension in section coordinates (B's product, B acting on the fiber
+    through J, a zero fiber square), and the linear maps from a cocycle
+    (a flat row in J^m) to what the others add to it.  The trivial
+    extension needs only B's product and J's action; the cocycle maps,
+    which read B's division cofactors, are built when first read."""
 
-    mul: np.ndarray       # (n, n, n): the trivial extension
-    images: np.ndarray    # (nvars, n): sigma(x_v) with a zero fiber part
-    pairs: Tuple[np.ndarray, np.ndarray]  # (i, j) of the products of standard monomials that are not standard
-    to_pairs: np.ndarray  # (m t, len(pairs) t): cocycle -> the fiber corrections on those products
-    gens: np.ndarray      # the generators that are not standard monomials
-    to_gens: np.ndarray   # (m t, len(gens) t): cocycle -> the fiber parts of their images
+    def __init__(self, B: PresentedAlgebra, J: FiniteModule):
+        f = B.field
+        S = B.to_structure()
+        s, t = S.dim, J.rank
+        self.B, self.J = B, J
+        self.mul = np.zeros((s + t,) * 3, f.dtype)  # (n, n, n)
+        self.mul[:s, :s, :s] = S.mul
+        act = J.action_block()
+        self.mul[:s, s:, s:] = act
+        self.mul[s:, :s, s:] = act.transpose(1, 0, 2)
+        self.images = np.zeros((B.nvars, s + t), f.dtype)  # (nvars, n): sigma(x_v) with a zero fiber part
+        self.images[:, :s] = f.array(S.gen_images).reshape(B.nvars, s)
+        self.mul.flags.writeable = self.images.flags.writeable = False
+
+    @cached_property
+    def cocycle_maps(self) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """(pairs, to_pairs, gens, to_gens): the (i, j) of the products
+        of standard monomials that are not standard, the (m t, len(pairs)
+        t) map from a cocycle to the fiber corrections on them, the
+        generators that are not standard monomials, and the (m t,
+        len(gens) t) map to the fiber parts of their images."""
+        B, J = self.B, self.J
+        pairs, pterms, pcoeffs = B.product_cofactors()
+        gens, gterms, gcoeffs = B.generator_cofactors()
+        to_pairs = _cocycle_map(B, J, pterms, pcoeffs)
+        to_gens = _cocycle_map(B, J, gterms, gcoeffs)
+        to_pairs.flags.writeable = to_gens.flags.writeable = False
+        return tuple(np.array(pairs, np.intp).reshape(len(pairs), 2).T), to_pairs, np.array(gens, np.intp), to_gens
 
 
 def _extension_maps(B: PresentedAlgebra, J: FiniteModule) -> _ExtensionMaps:
     """The maps of (B, J), built once and kept on B."""
     got = B._extension_maps.get(J)
     if got is None:
-        f = B.field
-        S = B.to_structure()
-        s, t = S.dim, J.rank
-        mul = np.zeros((s + t,) * 3, f.dtype)
-        mul[:s, :s, :s] = S.mul
-        act = J.action_block()
-        mul[:s, s:, s:] = act
-        mul[s:, :s, s:] = act.transpose(1, 0, 2)
-        images = np.zeros((B.nvars, s + t), f.dtype)
-        images[:, :s] = f.array(S.gen_images).reshape(B.nvars, s)
-        pairs, pterms, pcoeffs = B.product_cofactors()
-        gens, gterms, gcoeffs = B.generator_cofactors()
-        got = _ExtensionMaps(
-            mul,
-            images,
-            tuple(np.array(pairs, np.intp).reshape(len(pairs), 2).T),
-            _cocycle_map(B, J, pterms, pcoeffs),
-            np.array(gens, np.intp),
-            _cocycle_map(B, J, gterms, gcoeffs),
-        )
-        for a in (got.mul, got.images, got.to_pairs, got.to_gens):
-            a.flags.writeable = False
-        B._extension_maps[J] = got
+        got = B._extension_maps[J] = _ExtensionMaps(B, J)
     return got
+
+
+def _extension_tables(
+    B: PresentedAlgebra, J: FiniteModule, pairs, corr: np.ndarray, gens, fiber: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(mul, images), (K, n, n, n) and (K, nvars, n): K copies of the
+    trivial extension of B by J in section coordinates, the k-th with
+    corr[k], a row of len(pairs[0]) fiber corrections in J, written on
+    the products (i, j) and (j, i) of pairs, and fiber[k], a row of
+    len(gens) values in J, as the fiber parts of the images of gens."""
+    maps = _extension_maps(B, J)
+    k, s, t = len(corr), B.dim(), J.rank
+    i, j = pairs
+    mul = np.repeat(maps.mul[None], k, axis=0)
+    mul[:, i, j, s:] = mul[:, j, i, s:] = corr.reshape(k, len(i), t)
+    images = np.repeat(maps.images[None], k, axis=0)
+    images[:, gens, s:] = fiber.reshape(k, len(gens), t)
+    return mul, images
 
 
 def _cocycle_map(B: PresentedAlgebra, J: FiniteModule, terms, coeffs: np.ndarray) -> np.ndarray:
@@ -308,20 +332,13 @@ def _extension_arrays(
     products through the maps of (B, J); in a deformation of prob, plus
     the base relations' share of those values."""
     f = B.field
-    maps = _extension_maps(B, J)
-    k, s, t = len(cocycles), B.dim(), J.rank
-    i, j = maps.pairs
-    corr = f.matmul(cocycles, maps.to_pairs).reshape(k, len(i), t)
-    fiber = f.matmul(cocycles, maps.to_gens).reshape(k, len(maps.gens), t)
+    pairs, to_pairs, gens, to_gens = _extension_maps(B, J).cocycle_maps
+    corr = f.matmul(cocycles, to_pairs)
+    fiber = f.matmul(cocycles, to_gens)
     if prob is not None:
-        corr = f.reduce(corr + _base_share(B, J, *B.product_cofactors()[1:], prob))
-        fiber = f.reduce(fiber + _base_share(B, J, *B.generator_cofactors()[1:], prob))
-    mul = np.repeat(maps.mul[None], k, axis=0)
-    mul[:, i, j, s:] = corr
-    mul[:, j, i, s:] = corr
-    images = np.repeat(maps.images[None], k, axis=0)
-    images[:, maps.gens, s:] = fiber
-    return mul, images
+        corr = f.reduce(corr + _base_share(B, J, *B.product_cofactors()[1:], prob).reshape(-1))
+        fiber = f.reduce(fiber + _base_share(B, J, *B.generator_cofactors()[1:], prob).reshape(-1))
+    return _extension_tables(B, J, pairs, corr, gens, fiber)
 
 
 def extensions_from_cocycles(B: PresentedAlgebra, J: FiniteModule, cocycles) -> ExtensionStack:
@@ -571,23 +588,14 @@ class LiftProblem:
         nmat = Matrix.from_rows(f, nb, ncols=Cp.dim)
         if nmat.rank() != t:
             raise ValueError("ideal basis is linearly dependent")
-        for u in nb:
-            for v in nb:
-                if any(not f.is_zero(c) for c in Cp.mul_vec(u, v)):
-                    raise ValueError("ideal is not square-zero")
         # J: the ideal as a B-module through the preimages
-        mats = []
-        for v in range(B.nvars):
-            cols = []
-            for w in nb:
-                prod = Cp.mul_vec(list(self.preimages[v]), w)
-                coords = in_span(f, nb, prod)
-                if coords is None:
-                    raise ValueError("ideal is not stable under the generator images")
-                cols.append(coords)
-            mats.append(Matrix.from_cols(f, cols, nrows=t))
+        square_zero, mats = _ideal_module(Cp, nb, self.preimages)
+        if not square_zero:
+            raise ValueError("ideal is not square-zero")
+        if mats is None:
+            raise ValueError("ideal is not stable under the generator images")
         labels = tuple(f"n{i}" for i in range(t))
-        self.J = FiniteModule(B, labels, tuple(mats))
+        self.J = FiniteModule(B, labels, mats)
         bad = validate(self.J)
         if bad:
             raise ValueError(f"ideal does not carry a module structure over B: {bad}")
@@ -622,6 +630,30 @@ class LiftProblem:
         if vals[m:].any():
             raise ValueError("a base relation fails in the total ring")
         return out
+
+
+def _ideal_module(C: StructureAlgebra, basis, elements) -> Tuple[bool, Optional[Tuple[Matrix, ...]]]:
+    """The ideal of C spanned by basis, a list of independent vectors,
+    as a module: whether it squares to zero, and the matrix, on basis,
+    of multiplication by each vector of elements (None when a product
+    leaves the span), from one solve per element."""
+    f, d, t = C.field, C.dim, len(basis)
+    N = f.array([list(v) for v in basis]).reshape(t, d)
+
+    def products(vecs: np.ndarray) -> np.ndarray:
+        """(len(vecs), t, d): each of vecs times each basis vector."""
+        left = f.matmul(vecs, C.mul.reshape(d, d * d)).reshape(len(vecs), d, d)
+        return f.matmul(N, left)
+
+    square_zero = not products(N).astype(bool).any()
+    span = Matrix(f, d, t, np.ascontiguousarray(N.T))
+    mats = []
+    for prods in products(f.array([list(v) for v in elements]).reshape(len(elements), d)):
+        ok, x = solve_affine_rows(span, prods)
+        if not ok.all():
+            return square_zero, None
+        mats.append(Matrix(f, t, t, np.ascontiguousarray(x.T)))
+    return square_zero, tuple(mats)
 
 
 def _ideal_span(A: PresentedAlgebra, ideal_gens: Sequence[Polynomial]) -> List[list]:
@@ -747,21 +779,13 @@ class BaseDeformationProblem:
             raise ValueError("total ring must be presented on the base generators")
         nb = _ideal_span(Aprime, ideal_gens)
         rank = len(nb)
-        for u in nb:
-            for v in nb:
-                if not vec_is_zero(f, Aprime.to_structure().mul_vec(u, v)):
-                    raise ValueError("designated ideal of the total ring is not square-zero")
+        S = Aprime.to_structure()
+        square_zero, mats = _ideal_module(S, nb, S.gen_images)
+        if not square_zero:
+            raise ValueError("designated ideal of the total ring is not square-zero")
+        if mats is None:
+            raise ValueError("ideal is not stable in the total ring")
         labels = tuple(f"i{k}" for k in range(rank))
-        mats = []
-        for v in range(Aprime.nvars):
-            cols = []
-            for u in nb:
-                w = Aprime.to_structure().mul_vec(Aprime.coordinates(Aprime.var(v)), u)
-                coords = in_span(f, nb, w)
-                if coords is None:
-                    raise ValueError("ideal is not stable in the total ring")
-                cols.append(coords)
-            mats.append(Matrix.from_cols(f, cols, nrows=rank))
         alpha = []
         for g in B.base_algebra().relations:
             val = Aprime.coordinates(g)
@@ -773,7 +797,7 @@ class BaseDeformationProblem:
             if J.rank != rank:
                 raise ValueError("phi omitted but J does not have the rank of I")
             phi = Matrix.identity(f, rank)
-        return cls(B, J, labels, tuple(mats), tuple(alpha), phi)
+        return cls(B, J, labels, mats, tuple(alpha), phi)
 
     def aprime_presentation(self) -> "_ZRing":
         return self._zring

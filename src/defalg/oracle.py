@@ -8,6 +8,14 @@ machinery (they only consume multiplication tables and module action
 tensors), so an agreement between the two sides is genuine evidence
 and a disagreement is a bug, not a sampling artifact.
 
+One piece is shared with ``deformation.py``: the section-form table
+builder, that is the trivial extension of B by J (``_extension_maps``,
+of which the oracle reads only the table and the section images) and
+the writer that adds fiber corrections on basis pairs and fiber parts
+on generator images (``_extension_tables``).  Both are built from the
+algebra's product table and the module's action alone; the division
+cofactors, the relation tensor and the cochain maps are never read.
+
 Every scan is one linear solve over the candidate digits (see
 ``_kernels.solve_affine``): its survivors are an affine subspace of
 F_p^N, listed point by point in ascending candidate order straight from
@@ -43,7 +51,6 @@ from .algebras import (
     FiniteModule,
     PresentedAlgebra,
     StructureAlgebra,
-    _encode_relations,
     evaluate_stack,
     validate,
 )
@@ -55,12 +62,16 @@ from .budget import (
 )
 from .deformation import (
     BaseDeformationProblem,
+    ExtensionStack,
     LiftProblem,
     RealizedDeformation,
     SquareZeroExtension,
+    _extension_maps,
+    _extension_tables,
 )
 from .differential import Derivation
 from .fields import PrimeField
+from .poly import Polynomial
 
 __all__ = [
     "BudgetExceeded",
@@ -111,54 +122,6 @@ def _pairs(s: int) -> Tuple[np.ndarray, np.ndarray]:
     return pair_i, pair_j
 
 
-def _table_template(S: StructureAlgebra, J: FiniteModule, act) -> np.ndarray:
-    """Multiplication tensor of the trivial extension: the B block, the
-    fiber action, and a zero fiber square; candidates only add the
-    symmetric fiber corrections on top."""
-    s, t = S.dim, J.rank
-    mul = np.zeros((s + t,) * 3, np.int64)
-    mul[:s, :s, :s] = S.mul
-    mul[:s, s:, s:] = act.transpose(0, 2, 1)
-    mul[s:, :s, s:] = act.transpose(2, 0, 1)
-    return mul
-
-
-def _state_tables(template: np.ndarray, pairs, t: int, cdig: np.ndarray) -> np.ndarray:
-    """(K, n, n, n) stack of the template with the fiber corrections of
-    each of the K rows of cdig written in."""
-    s = template.shape[0] - t
-    pair_i, pair_j = pairs
-    tabs = np.repeat(template[None], len(cdig), axis=0)
-    corr = cdig.reshape(len(cdig), len(pair_i), t)
-    tabs[:, pair_i, pair_j, s:] = corr
-    tabs[:, pair_j, pair_i, s:] = corr
-    return tabs
-
-
-def _assemble_table(
-    B: PresentedAlgebra,
-    S: StructureAlgebra,
-    J: FiniteModule,
-    template: np.ndarray,
-    pairs: Tuple[np.ndarray, np.ndarray],
-    cdig: Tuple[int, ...],
-) -> StructureAlgebra:
-    f = B.field
-    t = J.rank
-    mul = _state_tables(template, pairs, t, np.array([cdig], np.int64))[0]
-    labels = tuple(S.labels) + tuple("eps:" + l for l in J.labels)
-    gen_images = [list(v) + [f.zero()] * t for v in S.gen_images]
-    return StructureAlgebra(
-        field=f,
-        labels=labels,
-        mul=mul,
-        gen_names=B.names,
-        gen_images=gen_images,
-        base_names=B.base_names,
-        base_images=gen_images[: B.n_base],
-    )
-
-
 def state_of_table(B: PresentedAlgebra, table: StructureAlgebra, base_images=None) -> State:
     """Digit state of an extension or deformation table written in
     section coordinates over the standard monomial basis of B.
@@ -185,7 +148,7 @@ def _probe_values(values, ndig: int) -> np.ndarray:
     return np.concatenate([values(probes[lo : lo + CHUNK]) for lo in range(0, ndig + 1, CHUNK)])
 
 
-def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what) -> np.ndarray:
+def _structure_states(B, J, pairs, R_assoc, targets, bud, what) -> np.ndarray:
     """The associative fiber-correction tables c (the survivors of the
     residual R_assoc, in scan order), extended by base-generator images:
     keep the pairs (c, eta) whose structure map sends each base relation
@@ -205,7 +168,7 @@ def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what) -> 
     at most CHUNK tables."""
     f = B.field
     p = f.p
-    s, t = S.dim, J.rank
+    s, t = B.dim(), J.rank
     nbv = B.n_base
     if nbv == 0:
         return _kernels.solve_affine(R_assoc, 0, p)
@@ -213,16 +176,13 @@ def _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what) -> 
     ndig = R_assoc.shape[0]
     bud.charge(p ** (ndig - _kernels.rref_modp(R_assoc.T % p, p)[2] + neta), what)
     gs = B.base_algebra().relations
-    base = np.array([[int(c) for c in v] for v in S.base_images], np.int64).reshape(1, nbv, s)
     want = np.array([[0] * s + [int(x) % p for x in tv] for tv in targets], np.int64).reshape(-1)
 
     def values(rows):
         """The base relation values of the states (eta digits, then c
         digits) in rows, one row of values per state."""
-        K = len(rows)
-        imgs = np.concatenate([base.repeat(K, 0), rows[:, :neta].reshape(K, nbv, t)], axis=2)
-        tabs = _state_tables(template, pairs, t, rows[:, neta:])
-        return evaluate_stack(f, tabs, gs, imgs).reshape(K, len(want))
+        tabs, imgs = _extension_tables(B, J, pairs, rows[:, neta:], np.arange(nbv), rows[:, :neta])
+        return evaluate_stack(f, tabs, gs, imgs[:, :nbv]).reshape(len(rows), len(want))
 
     vals = _probe_values(values, neta + ndig)
     R = np.hstack([vals[1:] - vals[0], np.vstack([np.zeros((neta, R_assoc.shape[1]), np.int64), R_assoc])])
@@ -243,7 +203,7 @@ def _section_change_deltas(S, J, act, pairs, p: int) -> np.ndarray:
     pair_i, pair_j = pairs
     hit = np.eye(s, dtype=np.int64)[:, 1:]  # hit[k, gi - 1] = [k == gi]
     one = np.eye(t, dtype=np.int64)
-    base = np.array([[int(c) for c in v] for v in S.base_images], np.int64).reshape(-1, s)
+    base = _extension_maps(J.owner, J).images[: J.owner.n_base, :s]
     dc = (
         np.einsum("qg,qlb->gbql", hit[pair_j], act[pair_i])
         + np.einsum("qg,qlb->gbql", hit[pair_i], act[pair_j])
@@ -315,13 +275,12 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
     p = B.field.p
     s, t = S.dim, J.rank
     nbv = B.n_base
-    kill = np.array([[int(c) for c in v] for v in S.base_images], np.int64).reshape(nbv, s)
+    images = _extension_maps(B, J).images[:, :s]
     total = p ** (s * t)
     bud.charge(total, "derivation scan")
-    rows = _kernels.solve_affine(_kernels._linmap_residual(mul, act, kill), 0, p)
-    # row digit w*t + l is D(e_w)_l, so generator g's image is coords[g] @ D
-    coords = np.array([[int(c) for c in S.gen_images[nbv + g]] for g in range(B.n_gens)], np.int64)
-    gen = B.field.matmul(coords.reshape(B.n_gens, s), rows.reshape(len(rows), s, t)).reshape(len(rows), B.n_gens * t)
+    rows = _kernels.solve_affine(_kernels._linmap_residual(mul, act, images[:nbv]), 0, p)
+    # row digit w*t + l is D(e_w)_l, so generator g's image is images[nbv + g] @ D
+    gen = B.field.matmul(images[nbv:], rows.reshape(len(rows), s, t)).reshape(len(rows), B.n_gens * t)
     gen_imgs = tuple(map(tuple, gen.tolist()))
     if len(set(gen_imgs)) != len(gen_imgs):
         raise AssertionError("two distinct scan survivors share their generator images")
@@ -349,8 +308,6 @@ class _StructureScan:
     orbit_reps: Tuple[State, ...]
     _orbit_index: np.ndarray
     delta_rank: int  # of the section-change shifts: every orbit holds p^delta_rank states
-    _S: StructureAlgebra
-    _template: np.ndarray
     _pairs: Tuple[np.ndarray, np.ndarray]
 
     @property
@@ -417,10 +374,15 @@ class _StructureScan:
         that every orbit holds p^delta_rank states, so this compares the
         exponents; it holds also when there are no states, since the
         shifts that vanish are exactly the derivations."""
-        return self.delta_rank == (self._S.dim - 1) * self.J.rank - t0_dim
+        return self.delta_rank == (self.B.dim() - 1) * self.J.rank - t0_dim
 
-    def _table(self, cd: Tuple[int, ...]) -> StructureAlgebra:
-        return _assemble_table(self.B, self._S, self.J, self._template, self._pairs, cd)
+    def _extension(self, cd: Tuple[int, ...], eta: Tuple[int, ...]) -> SquareZeroExtension:
+        """The extension with the fiber corrections cd on the non-unit
+        basis pairs and the fiber parts eta on the base generators."""
+        B, J = self.B, self.J
+        corr, fiber = np.array([cd], np.int64), np.array([eta], np.int64)
+        mul, images = _extension_tables(B, J, self._pairs, corr, np.arange(B.n_base), fiber)
+        return ExtensionStack(B, J, mul, images).extension(0)
 
 
 def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
@@ -434,12 +396,11 @@ def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
     total = B.field.p ** (len(pairs[0]) * J.rank)
     bud.charge(total, what[0])
     R_assoc = _kernels._assoc_residual(mul, act, *pairs)
-    template = _table_template(S, J, act)
-    X = _structure_states(B, S, J, template, pairs, R_assoc, targets, bud, what[1])
+    X = _structure_states(B, J, pairs, R_assoc, targets, bud, what[1])
     deltas = _section_change_deltas(S, J, act, pairs, B.field.p)
     nc = len(pairs[0]) * J.rank
     reps, inv, rank = _classify_states(X, nc, deltas, B.field)
-    return scan_cls(B, J, total, X, reps, inv, rank, S, template, pairs, **extra)
+    return scan_cls(B, J, total, X, reps, inv, rank, pairs, **extra)
 
 
 @dataclass(eq=False)
@@ -450,7 +411,7 @@ class ExtensionScan(_StructureScan):
         cd, eta = state
         if any(eta):
             raise ValueError("state carries a nontrivial base structure; build it from the table directly")
-        ext = SquareZeroExtension(self.B, self.J, self._table(cd))
+        ext = self._extension(cd, eta)
         bad = ext.validate()
         if bad:
             raise AssertionError(f"scan survivor fails table validation: {bad}")
@@ -490,6 +451,25 @@ class LiftScan:
         return len(self.images)
 
 
+def _base_images_fail(B: PresentedAlgebra, C: StructureAlgebra, base_imgs) -> bool:
+    """Whether a relation of B fails in C at these images of the base
+    generators whatever the relative generators go to: evaluated at
+    them, the base coefficient of its relative monomial 1 is nonzero
+    and that of every other relative monomial is zero."""
+    f, nb = B.field, B.n_base
+    groups = []
+    for r in B.ideal_gens():
+        parts: Dict[tuple, dict] = {}
+        for m, c in r.terms.items():
+            parts.setdefault(m[nb:], {})[m[:nb]] = c
+        groups.append(parts)
+    polys = [Polynomial(f, nb, part) for parts in groups for part in parts.values()]
+    nonzero = iter(evaluate_stack(f, C.mul, polys, f.array(base_imgs).reshape(1, nb, C.dim))[0].any(axis=1).tolist())
+    one = (0,) * B.n_gens
+    # zip takes from nonzero only while parts lasts: each group reads its own values
+    return any({e for e, nz in zip(parts, nonzero) if nz} == {one} for parts in groups)
+
+
 def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     """Scan the coset preimage + ideal for every relative generator
     image and keep the tuples that satisfy all relations exactly.
@@ -511,8 +491,7 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     t = len(problem.n_basis)
     ndig = ng * t
     total = p**ndig
-    if _encode_relations(B, Cp, base_imgs=problem.preimages[:nbv]) is None:
-        # the forced base images already violate a base relation
+    if _base_images_fail(B, Cp, problem.preimages[:nbv]):
         return LiftScan(problem, 0, (), ())
     bud.charge(total, "lift scan")
     rels = list(B.relations) + list(B.base_relations)
@@ -590,17 +569,11 @@ class DeformationScan(_StructureScan):
         """The multiplication table and base-generator images of a
         surviving state, revalidated."""
         cd, eta = state
-        tab = self._table(cd)
+        tab = self._extension(cd, (0,) * len(eta)).table
         bad = validate(tab)
         if bad:
             raise AssertionError(f"scan survivor fails table validation: {bad}")
-        t = self.J.rank
-        yimgs = []
-        for v in range(self.B.n_base):
-            yimgs.append(
-                tuple([int(c) for c in self._S.base_images[v]] + list(eta[v * t : (v + 1) * t]))
-            )
-        return tab, tuple(yimgs)
+        return tab, self._extension(cd, eta).table.base_images
 
     def state_of(self, realized: RealizedDeformation) -> State:
         B = self.B

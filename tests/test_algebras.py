@@ -15,11 +15,9 @@ from defalg.algebras import (
     StructureAlgebra,
     compose,
     evaluate_stack,
-    hom_enumerate,
     truncate,
     validate,
 )
-from defalg.budget import BudgetExceeded
 from defalg.poly import Polynomial, mono_mul
 from defalg.problems import parse_polynomial
 
@@ -389,28 +387,3 @@ class TestAlgebraHom:
         assert good.is_valid()
         bad = AlgebraHom(B, C, (C.zero_vector(), C.gen_images[1]))
         assert any("canonical image" in m for m in bad.validate())
-
-
-class TestHomEnumeration:
-    def test_counts_maps_into_dual_numbers(self):
-        # maps k[x]/(x^2) -> k[e]/(e^2): x can land on any multiple of e
-        B = dual_numbers(GF(3))
-        C = dual_numbers(GF(3)).to_structure()
-        homs = hom_enumerate(B, C)
-        assert len(homs) == 3
-
-    def test_respects_budget(self):
-        B = dual_numbers(GF(3))
-        C = fat_point(GF(3)).to_structure()
-        with pytest.raises(BudgetExceeded):
-            hom_enumerate(B, C, budget=10)
-
-    def test_all_maps_valid_and_deterministic(self):
-        B = fat_point(GF(2))
-        C = fat_point(GF(2)).to_structure()
-        homs = hom_enumerate(B, C)
-        again = hom_enumerate(B, C)
-        assert [h.images for h in homs] == [h.images for h in again]
-        assert all(h.is_valid() for h in homs)
-        # x and y must both land in the span of {x, y}: 4 choices each
-        assert len(homs) == 16

@@ -318,8 +318,16 @@ class TestLifting:
         Cp = make_algebra(field, ["w"], ["w^4"])
         ideal = [parse_polynomial("w", Cp.names, field)]
         phi = [parse_polynomial("w", Cp.names, field)]
-        with pytest.raises(ValueError, match="square-zero"):
+        with pytest.raises(ValueError, match="ideal is not square-zero"):
             LiftProblem.from_presented(B, Cp, ideal, phi)
+        # the span of w^2 squares to zero, but w times it leaves it
+        C = Cp.to_structure()
+        with pytest.raises(ValueError, match="ideal is not stable under the generator images"):
+            LiftProblem(B, C, (C.basis_vector(2),), (C.basis_vector(1),))
+        A = make_algebra(field, [], [], base_gens=["s"], base_relations=["s^2"])
+        Ap = make_algebra(field, ["s"], ["s^4"])
+        with pytest.raises(ValueError, match="designated ideal of the total ring is not square-zero"):
+            BaseDeformationProblem.from_presented_total(A, FiniteModule.trivial(A), Ap, [parse_polynomial("s", ("s",), field)])
 
     def test_relation_value_must_land_in_the_ideal(self):
         field = GF(2)

@@ -7,13 +7,16 @@ tiny; the point is exactness of the counts, not coverage of shapes."""
 import numpy as np
 import pytest
 
-from defalg import GF, _kernels, oracle, reports
-from defalg.algebras import FiniteModule, StructureAlgebra
+from defalg import GF, _kernels, cotangent, deformation, oracle, reports
+from defalg.algebras import FiniteModule, PresentedAlgebra, StructureAlgebra, validate
 from defalg.budget import BudgetExceeded, EnumerationBudget
 from defalg.cotangent import t_modules
 from defalg.deformation import (
     BaseDeformationProblem,
+    ExtensionStack,
     LiftProblem,
+    RealizedDeformation,
+    SquareZeroExtension,
     classify_extensions,
     lift_homomorphism,
     obstruction_class,
@@ -112,9 +115,10 @@ class TestExtensionScan:
         B = fat_point(field)
         J = FiniteModule.trivial(B)
         scan = enumerate_extensions(B, J)
-        for state in scan.states[:4]:
+        for state in scan.states:
             ext = scan.table_of(state)
             assert scan.state_of(ext) == state
+            assert validate(ext.table) == [] and ExtensionStack.of([ext]).section_findings() == [[]]
 
     def test_every_analytic_class_appears_once_in_the_scan(self):
         field = GF(2)
@@ -185,6 +189,23 @@ class TestDeformationScan:
             assert state in set(scan.states)
             hit.add(scan.class_of(state))
         assert len(hit) == prime_field.p, "twists along a basis class reach every class"
+
+    @pytest.mark.parametrize("field", ["F2", "F3"])
+    @pytest.mark.parametrize("name", ["ci_xsq", "fat.dual"])
+    def test_states_round_trip_through_tables(self, field, name):
+        ps = load_problem_file(deformation_problem_set(field))
+        spec = next(e for e in ps.problems if e.name == name)
+        prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+        B, J = prob.B, prob.J
+        scan = enumerate_deformations(prob)
+        assert any(any(eta) for _, eta in scan.states)
+        targets = [[0] * B.dim() + prob.phi.mul_vec(list(a)) for a in prob.alpha]
+        for state in scan.states:
+            tab, yimgs = scan.table_of(state)
+            assert scan.state_of(RealizedDeformation(prob, (), tab, yimgs)) == state
+            assert validate(tab) == []
+            assert ExtensionStack.of([SquareZeroExtension(B, J, tab)]).section_findings() == [[]]
+            assert tab.evaluate_many(B.base_algebra().relations, yimgs).tolist() == targets
 
 
 class TestBudgets:
@@ -548,6 +569,27 @@ def test_lift_cases_cover_the_edges():
     assert no_rel.B.n_gens == 0 and enumerate_lifts(no_rel).count == 1
     bud = EnumerationBudget(1 << 20)
     assert enumerate_lifts(early, budget=bud).candidates == 0 and bud.spent == 0
+
+
+def test_the_scans_run_without_the_cochain_machinery(monkeypatch):
+    field = GF(3)
+    B, J = _extension_cases(field)[4]  # base and relative generators
+    prob = _deformation_cases(field)[0]
+    lift = _lift_cases(field)[2]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an oracle used the cochain machinery")
+
+    for name in ("product_cofactors", "generator_cofactors", "relation_tensor"):
+        monkeypatch.setattr(PresentedAlgebra, name, refused)
+    monkeypatch.setattr(cotangent, "cochain_maps", refused)
+    monkeypatch.setattr(deformation, "cochain_maps", refused)
+    assert enumerate_derivations(B, J).count
+    ext = enumerate_extensions(B, J)
+    assert all(ext.table_of(state) for state in ext.states if not any(state[1]))
+    dfm = enumerate_deformations(prob)
+    assert dfm.count and all(dfm.table_of(state) for state in dfm.states)
+    assert enumerate_lifts(lift).count
 
 
 # ---------------------------------------------------------------------------
