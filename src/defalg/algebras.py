@@ -66,6 +66,8 @@ class PresentedAlgebra:
         self._cofactors = None  # see product_cofactors
         self._gen_cofactors = None  # see generator_cofactors
         self._relation_tensor = None  # see relation_tensor
+        self._base_algebra: Optional["PresentedAlgebra"] = None  # see base_algebra
+        self._jacobian = None  # see differential.jacobian_entries
         self._extension_maps: dict = {}  # FiniteModule -> deformation._ExtensionMaps, built once per module
 
     # -- construction conveniences --------------------------------------
@@ -115,12 +117,13 @@ class PresentedAlgebra:
 
     def base_algebra(self) -> "PresentedAlgebra":
         """The base ring as an algebra over the ground field, in its own
-        variables (base relations contracted out of the flattened ring)."""
-        nb = self.n_base
-        rels = []
-        for p in self.base_relations:
-            rels.append(Polynomial(self.field, nb, {m[:nb]: c for m, c in p.terms.items()}))
-        return PresentedAlgebra.over_ground(self.field, self.base_names, rels)
+        variables (base relations contracted out of the flattened ring),
+        built once."""
+        if self._base_algebra is None:
+            nb = self.n_base
+            rels = [Polynomial(self.field, nb, {m[:nb]: c for m, c in p.terms.items()}) for p in self.base_relations]
+            self._base_algebra = PresentedAlgebra.over_ground(self.field, self.base_names, rels)
+        return self._base_algebra
 
     def groebner(self) -> GroebnerBasis:
         if self._gb is None:

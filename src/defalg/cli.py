@@ -34,7 +34,7 @@ def _add_common(sp: argparse.ArgumentParser, with_file: bool = True) -> None:
         action="store_true",
         help="cross-check each answer against exhaustive enumeration",
     )
-    sp.add_argument("--truncate", type=int, metavar="D", help="override the truncation degree")
+    sp.add_argument("--truncate", type=int, metavar="D", help="override the truncation degree (at least 1)")
     sp.add_argument("--budget", type=int, metavar="N", help="enumeration budget (candidate tables)")
     sp.add_argument("--field", metavar="NAME", help="override the coefficient field (F2, F3, Q, ...)")
     sp.add_argument("--seed", type=int, metavar="N", help="seed for the independent second lift")
@@ -104,6 +104,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.truncate is not None and args.truncate < 1:
+        print(f"error: --truncate: expected a degree >= 1, got {args.truncate}", file=sys.stderr)
+        return 1
     try:
         if args.command == "corpus":
             return _cmd_corpus(args)

@@ -107,7 +107,7 @@ def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
 
 def _build_complex(B: PresentedAlgebra) -> CotangentComplex:
     m = len(B.relations)
-    jac = tuple(tuple(r) for r in jacobian_entries(B))
+    jac = jacobian_entries(B)
     kos = koszul_vectors(B)
     base = base_vectors(B)
     # every phi in Hom(P^m, J) kills Kos and base.P^m: generators of Syz

@@ -659,12 +659,14 @@ def _ideal_module(C: StructureAlgebra, basis, elements) -> Tuple[bool, Optional[
 def _ideal_span(A: PresentedAlgebra, ideal_gens: Sequence[Polynomial]) -> List[list]:
     """Row-reduced basis, as coordinate vectors, of the ideal of A that
     ideal_gens generate: the span of each generator times each standard
-    monomial."""
-    f = A.field
-    std = A.std_monomials()
-    vecs = [A.coordinates(g * Polynomial.monomial(f, A.nvars, mo)) for g in ideal_gens for mo in std]
-    mat = Matrix.from_rows(f, vecs, ncols=len(std)) if vecs else Matrix.zeros(f, 0, len(std))
-    red, _, rank = mat.rref()
+    monomial, read from the structure table (row m of the product of g's
+    coordinates with the table is g * std_m), in one rref."""
+    f, S = A.field, A.to_structure()
+    n = S.dim
+    table = S.mul.reshape(n, n * n)
+    rows = [f.matmul(f.array(A.coordinates(g)), table).reshape(n, n) for g in ideal_gens]
+    vecs = np.concatenate(rows) if rows else np.zeros((0, n), f.dtype)
+    red, _, rank = Matrix(f, len(vecs), n, vecs).rref()
     return [red.row(i) for i in range(rank)]
 
 

@@ -29,14 +29,16 @@ def block_matrix(J: FiniteModule, entries: Sequence[Sequence[Polynomial]], nrows
     return Matrix(J.field, nrows * t, ncols * t, a)
 
 
-def jacobian_entries(B: PresentedAlgebra) -> List[List[Polynomial]]:
+def jacobian_entries(B: PresentedAlgebra) -> Tuple[Tuple[Polynomial, ...], ...]:
     """Partials of the relative relations by the relative generators,
-    reduced to normal form; entry [j][i] is d f_j / d x_i mod the ideal."""
-    nb = B.n_base
-    out = []
-    for fj in B.relations:
-        out.append([B.normal_form(fj.derivative(nb + i)) for i in range(B.n_gens)])
-    return out
+    reduced to normal form; entry [j][i] is d f_j / d x_i mod the ideal.
+    Built once per algebra and kept on B."""
+    if B._jacobian is None:
+        nb = B.n_base
+        B._jacobian = tuple(
+            tuple(B.normal_form(fj.derivative(nb + i)) for i in range(B.n_gens)) for fj in B.relations
+        )
+    return B._jacobian
 
 
 def derivation_matrix(B: PresentedAlgebra, J: FiniteModule) -> Matrix:
@@ -132,8 +134,7 @@ class KaehlerPresentation(_ModulePresentation):
 
 def kaehler(B: PresentedAlgebra) -> KaehlerPresentation:
     labels = tuple("d" + n for n in B.gen_names)
-    rows = tuple(tuple(r) for r in jacobian_entries(B))
-    return KaehlerPresentation(B, labels, rows)
+    return KaehlerPresentation(B, labels, jacobian_entries(B))
 
 
 def relation_syzygies(B: PresentedAlgebra) -> List[List[Polynomial]]:

@@ -49,7 +49,8 @@ rescales its cofactors to match (an inverse mod p, a gcd over Q).
 Cofactors are combined on ints (``_integral_combination``), and only
 for S-pairs with a nonzero remainder, which are few.  ``GroebnerBasis``
 and ``ModuleGroebnerBasis`` take their division data (leads, tails,
-pack) from the engine and keep their cofactors packed.  The packed
+pack, and the index built from them once) from the engine and keep
+their cofactors packed.  The packed
 format stays in this module: ``GroebnerBasis.divide`` takes and returns
 {monomial: scalar} terms, with the division itself as an opaque packed
 tuple that only ``GroebnerBasis.certify`` reads, and a scalar becomes a
@@ -59,11 +60,20 @@ Division (``_z_divmod``) keeps the pending terms in a heap of negated
 ints and reduces the largest one each step by the first basis element,
 among those of its component, whose leading term divides it: the
 reduction order of "take the max over what is left", at a heap pop per
-step.  Over F_p the residues are summed unreduced and reduced mod p
-when a term is popped.  Over Q, when the l of the reducing tail does not
-divide the popped coefficient, the pending terms, the normal form and
-the quotients are scaled by l / gcd, and d with them (fraction-free,
-after Bareiss 1968).
+step.  It reads the basis from an index, {component: [(k, lead, l,
+l * tail), ...]} in basis order (``_index``), which is kept with the
+basis rather than built per division: the engine appends to it as
+elements join and replaces one entry as each is re-reduced, and a
+``_Division`` builds it once.  ``skip`` leaves one element out, which is
+how interreduction divides an element by all the others.  Quotients
+come back sparse, {basis index: quotient} for the elements used; the
+dense list, one quotient per element, is built only where a result
+leaves (``_v_divmod``, ``from_gens``, ``normal_form_quotients``).  Over
+F_p the residues are summed unreduced and reduced mod p when a term is
+popped.  Over Q, when the l of the reducing tail does not divide the
+popped coefficient, the pending terms, the normal form and the
+quotients are scaled by l / gcd, and d with them (fraction-free, after
+Bareiss 1968).
 
 ``prune_generators`` keeps, of a family of candidate vectors, those
 needed beside a fixed family to generate the same submodule: one engine
@@ -105,7 +115,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -122,6 +132,8 @@ QDict = Dict[int, Scalar]  # packed shift (zero low bits) -> coefficient
 ZDict = Dict[int, int]  # either of those with integer coefficients
 Tail = Tuple[int, Tuple[Tuple[int, int], ...]]  # (l, l * tail): see _tail
 Rep = Tuple[int, ZDict]  # (d, z) for the vector z / d, d > 0: see _integral, _Engine
+Quots = Dict[int, ZDict]  # basis index -> quotient, only the nonzero ones: see _z_divmod
+Index = Dict[int, List[Tuple[int, int, int, tuple]]]  # component bits -> (k, lead, l, l * tail): see _index
 
 
 class _Pack:
@@ -163,9 +175,10 @@ class _Pack:
         return e if self._where is None else tuple([e[i] for i in self._where])
 
     def check(self, v) -> None:
-        """Refuse terms whose sum overflowed a field (a set guard bit)."""
-        guard = self.guard
-        if any(t & guard for t in v):
+        """Refuse terms whose sum overflowed a field (a set guard bit):
+        one OR over the terms, which has a guard bit set exactly when
+        some term has."""
+        if reduce(operator.or_, v, 0) & self.guard:
             raise OverflowError(
                 f"a product exceeds the packed field (exponents at most {MAX_EXPONENT})"
             )
@@ -234,8 +247,17 @@ def _over(z: ZDict, d: int) -> VDict:
     return z if d == 1 else {t: _ratio(x, d) for t, x in z.items()}
 
 
-def _minus(quots: Sequence[ZDict]) -> List[ZDict]:
-    return [{s: -c for s, c in q.items()} for q in quots]
+def _minus(quots: Quots) -> Quots:
+    return {k: {s: -c for s, c in q.items()} for k, q in quots.items()}
+
+
+def _index(leads: Sequence[int], tails: Sequence[Tail]) -> Index:
+    """The division index of a monic basis: for each component, its
+    elements (k, lead, l, l * tail) in basis order."""
+    index: Index = {}
+    for k, (lead, tail) in enumerate(zip(leads, tails)):
+        index.setdefault(lead & CMASK, []).append((k, lead, *tail))
+    return index
 
 
 def _v_split(v: VDict, ncomp: int) -> List[QDict]:
@@ -247,11 +269,12 @@ def _v_split(v: VDict, ncomp: int) -> List[QDict]:
 
 
 def _z_divmod(
-    p: int, v: ZDict, d: int, leads: Sequence[int], tails: Sequence[Tail], pack: _Pack
-) -> Tuple[ZDict, List[ZDict], int]:
+    p: int, v: ZDict, d: int, index: Index, pack: _Pack, skip: int = -1
+) -> Tuple[ZDict, Quots, int]:
     """Full division of v / d, v integral, by a monic basis given by its
-    leading terms and tails (see ``_tail``): (nf, quots, d') with the
-    normal form nf / d' and the quotients quots / d'.
+    index (see ``_index``), leaving out basis element skip: (nf, quots,
+    d') with the normal form nf / d' and the quotients quots / d', as
+    {basis index: quotient} for the elements that were used.
 
     Deterministic: always reduces the currently largest term, choosing
     the first basis element whose leading term divides it.  Pending
@@ -264,16 +287,13 @@ def _z_divmod(
     coefficient first scales work, normal form and quotients by
     l / gcd, and d with them.
     """
-    by_comp: Dict[int, List[Tuple[int, int, int, tuple]]] = {}
-    for idx, lead in enumerate(leads):
-        by_comp.setdefault(lead & CMASK, []).append((idx, lead, *tails[idx]))
     divmask, guard = pack.divmask, pack.guard
     work = dict(v)
     heap = [-t for t in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     nf: ZDict = {}
-    quots: List[ZDict] = [dict() for _ in leads]
+    quots: Quots = {}
     get = work.get
     while heap:
         t = -heappop(heap)
@@ -284,8 +304,8 @@ def _z_divmod(
             coeff %= p
             if not coeff:
                 continue
-        for hit, lead, ell, tail in by_comp.get(t & CMASK, ()):
-            if not (t - lead) & divmask:
+        for hit, lead, ell, tail in index.get(t & CMASK, ()):
+            if not (t - lead) & divmask and hit != skip:
                 break
         else:
             nf[t] = coeff
@@ -294,11 +314,14 @@ def _z_divmod(
             s = ell // gcd(coeff, ell)
             d *= s
             coeff *= s
-            for z in (work, nf, *quots):
+            for z in (work, nf, *quots.values()):
                 for u in z:
                     z[u] *= s
         shift = t - lead
-        quots[hit][shift] = coeff  # terms only decrease: no shift comes twice
+        q = quots.get(hit)
+        if q is None:
+            quots[hit] = q = {}
+        q[shift] = coeff  # terms only decrease: no shift comes twice
         # work -= coeff * x^shift * basis[hit], whose lead cancels t
         c0 = -coeff // ell
         for bt, bc in tail:
@@ -317,13 +340,17 @@ def _z_divmod(
     return nf, quots, d
 
 
-def _v_divmod(
-    field: Field, v: VDict, leads: Sequence[int], tails: Sequence[Tail], pack: _Pack
-) -> Tuple[VDict, List[QDict]]:
-    """_z_divmod on field scalars: (normal form, quotients) of v."""
+def _dense(quots: Quots, n: int) -> List[ZDict]:
+    """Sparse quotients as one dict per basis element, empty when unused."""
+    return [quots.get(k, {}) for k in range(n)]
+
+
+def _v_divmod(field: Field, v: VDict, div: "_Division") -> Tuple[VDict, List[QDict]]:
+    """_z_divmod on field scalars: (normal form, quotients) of v, one
+    quotient per basis element."""
     d, z = _integral(field, v)
-    nf, quots, d = _z_divmod(field.char, z, d, leads, tails, pack)
-    return _over(nf, d), [_over(q, d) for q in quots]
+    nf, quots, d = _z_divmod(field.char, z, d, div.index, div.pack)
+    return _over(nf, d), [_over(q, d) for q in _dense(quots, len(div.leads))]
 
 
 def _z_spair(ti: Tail, si: int, tj: Tail, sj: int, pack: _Pack) -> Tuple[ZDict, int]:
@@ -348,7 +375,9 @@ class _Engine:
     on the generators gens, each (d, z) for z / d, and run.  Basis
     element i is the monic vector with leading term leads[i] and tail
     tails[i] (see _tail); reps[i] = (r, y) gives it as y / r over the
-    generators (component k for generator k), in lowest terms."""
+    generators (component k for generator k), in lowest terms.  index
+    is the division index of leads and tails (``_index``), kept up to
+    date as they change."""
 
     def __init__(self, field: Field, pack: _Pack, ncomp: int, gens: Sequence[Rep]):
         self.field = field
@@ -357,6 +386,7 @@ class _Engine:
         self.ncomp = ncomp
         self.leads: List[int] = []
         self.tails: List[Tail] = []
+        self.index: Index = {}
         self.lead_exps: List[Monomial] = []  # for lcms and the coprime test
         self.reps: List[Rep] = []
         self.pairs: list = []
@@ -385,6 +415,7 @@ class _Engine:
             return
         lt = max(z)
         tail, rep = _monic(self.p, z, d, lt, rep)
+        self.index.setdefault(lt & CMASK, []).append((len(self.leads), lt, *tail))
         self.leads.append(lt)
         self.tails.append(tail)
         self.lead_exps.append(self.pack.exponents(lt))
@@ -407,7 +438,7 @@ class _Engine:
                 return True
         return False
 
-    def _spair_divmod(self, i: int, j: int, lcm: int) -> Tuple[ZDict, List[ZDict], int]:
+    def _spair_divmod(self, i: int, j: int, lcm: int) -> Tuple[ZDict, Quots, int]:
         """The S-vector of basis elements i and j, on their lcm term,
         divided by the basis: (nf, quots, d) with
         nf / d = -sum_k quots[k] / d * basis[k], the S-vector's own
@@ -415,9 +446,10 @@ class _Engine:
         si = lcm - self.leads[i]
         sj = lcm - self.leads[j]
         s, d = _z_spair(self.tails[i], si, self.tails[j], sj, self.pack)
-        nf, quots, d = _z_divmod(self.p, s, d, self.leads, self.tails, self.pack)
-        quots[i][si] = quots[i].get(si, 0) - d
-        quots[j][sj] = quots[j].get(sj, 0) + d
+        nf, quots, d = _z_divmod(self.p, s, d, self.index, self.pack)
+        for k, shift, c in ((i, si, -d), (j, sj, d)):
+            q = quots.setdefault(k, {})
+            q[shift] = q.get(shift, 0) + c
         return nf, quots, d
 
     def run(self) -> None:
@@ -439,36 +471,36 @@ class _Engine:
         for i in sorted(range(len(self.leads)), key=lambda i: (self.leads[i], i)):
             if not any(not (self.leads[i] - self.leads[k]) & divmask for k in kept):
                 kept.append(i)
-        leads = [self.leads[i] for i in kept]
-        tails = [self.tails[i] for i in kept]
-        reps = [self.reps[i] for i in kept]
+        self.leads = leads = [self.leads[i] for i in kept]
+        self.tails = tails = [self.tails[i] for i in kept]
+        self.reps = reps = [self.reps[i] for i in kept]
+        self.lead_exps = [self.lead_exps[i] for i in kept]
+        self.index = _index(leads, tails)
         for pos, lead in enumerate(leads):
             ell, tail = tails[pos]
-            rest = [k for k in range(len(leads)) if k != pos]
-            # nf / d = basis[pos] - sum_k quots[k] / d * basis[rest[k]], still monic
-            nf, quots, d = _z_divmod(
-                self.p, {lead: ell, **dict(tail)}, ell, [leads[k] for k in rest], [tails[k] for k in rest], self.pack
-            )
-            rep = _integral_combination(self.field, [{0: d}, *_minus(quots)], d, [reps[pos], *(reps[k] for k in rest)], self.pack)
+            # nf / d = basis[pos] - sum_k quots[k] / d * basis[k], k != pos, still monic
+            nf, quots, d = _z_divmod(self.p, {lead: ell, **dict(tail)}, ell, self.index, self.pack, skip=pos)
+            rep = _integral_combination(self.field, {pos: {0: d}, **_minus(quots)}, d, reps, self.pack)
             tails[pos], reps[pos] = _monic(self.p, nf, d, lead, rep)
-        self.leads, self.tails, self.reps = leads, tails, reps
-        self.lead_exps = [self.lead_exps[i] for i in kept]
+            entries = self.index[lead & CMASK]
+            at = next(a for a, e in enumerate(entries) if e[0] == pos)
+            entries[at] = (pos, lead, *tails[pos])
 
     def vectors(self) -> List[VDict]:
         """The basis as field scalars."""
         return [{lead: 1, **_over(dict(tail), ell)} for lead, (ell, tail) in zip(self.leads, self.tails)]
 
-    def divide_gens(self, gens: Sequence[Rep]) -> List[Tuple[List[ZDict], int]]:
+    def divide_gens(self, gens: Sequence[Rep]) -> List[Tuple[Quots, int]]:
         """(quots, d) per generator (e, z), z / e: its quotients quots / d."""
         out = []
         for e, z in gens:
-            nf, quots, d = _z_divmod(self.p, z, e, self.leads, self.tails, self.pack)
+            nf, quots, d = _z_divmod(self.p, z, e, self.index, self.pack)
             if nf:
                 raise AssertionError("generator does not reduce to zero against its own basis")
             out.append((quots, d))
         return out
 
-    def schreyer(self) -> List[Tuple[List[ZDict], int]]:
+    def schreyer(self) -> List[Tuple[Quots, int]]:
         """Generators of the syzygies of the final basis: one per
         same-component pair that the strict chain criterion keeps, each
         fully reduced.  The kept leading-term syzygies generate Syz(LT),
@@ -528,11 +560,16 @@ def _q_to_poly(q: QDict, pack: _Pack, field: Field) -> Polynomial:
 
 @dataclass(frozen=True)
 class _Division:
-    """What _z_divmod divides by: an engine's leading terms and tails."""
+    """What _z_divmod divides by: an engine's leading terms and tails,
+    and their index, built once when first read."""
 
     leads: List[int]
     tails: List[Tail]
     pack: _Pack
+
+    @cached_property
+    def index(self) -> Index:
+        return _index(self.leads, self.tails)
 
 
 @dataclass(frozen=True)
@@ -553,7 +590,7 @@ class GroebnerBasis:
     _division: _Division = dataclasses.field(compare=False, repr=False)
     _gens: Tuple[Rep, ...] = dataclasses.field(compare=False, repr=False)
     _to_gens: Tuple[Rep, ...] = dataclasses.field(compare=False, repr=False)
-    _from_gens: Tuple[Tuple[List[ZDict], int], ...] = dataclasses.field(compare=False, repr=False)
+    _from_gens: Tuple[Tuple[Quots, int], ...] = dataclasses.field(compare=False, repr=False)
 
     @cached_property
     def to_gens(self) -> Tuple[Tuple[Polynomial, ...], ...]:
@@ -562,8 +599,10 @@ class GroebnerBasis:
 
     @cached_property
     def from_gens(self) -> Tuple[Tuple[Polynomial, ...], ...]:
-        pack = self._division.pack
-        return tuple(tuple(_q_to_poly(_over(q, d), pack, self.field) for q in quots) for quots, d in self._from_gens)
+        pack, n = self._division.pack, len(self.basis)
+        return tuple(
+            tuple(_q_to_poly(_over(q, d), pack, self.field) for q in _dense(quots, n)) for quots, d in self._from_gens
+        )
 
     def divide(self, terms: Dict[Monomial, Scalar]) -> Tuple[Dict[Monomial, Scalar], tuple]:
         """(normal form, division) of the polynomial whose {monomial:
@@ -571,16 +610,16 @@ class GroebnerBasis:
         is {monomial: scalar} too; the division is packed, read only in
         this module (``certify``): (d, z, e, nf, quots) for the dividend
         z / d, the normal form nf / e and the quotients over basis
-        quots / e.  Terms from another ring are refused: a monomial of
-        another length, or a coefficient that is not a canonical scalar
-        of this field."""
+        quots / e, {basis index: quotient}.  Terms from another ring are
+        refused: a monomial of another length, or a coefficient that is
+        not a canonical scalar of this field."""
         field, div = self.field, self._division
         p, pack = field.char, div.pack
         for m, c in terms.items():
             if len(m) != self.nvars or not (type(c) is int and 0 <= c < p if p else type(c) in (int, Fraction)):
                 raise ValueError(f"the term {c!r} * x^{m} is not in the ring of the basis, over {field.name}")
         d, z = _integral(field, {pack.mono(m) + CMASK: c for m, c in terms.items()})
-        nf, quots, e = _z_divmod(p, z, d, div.leads, div.tails, pack)
+        nf, quots, e = _z_divmod(p, z, d, div.index, pack)
         return {pack.exponents(t): c for t, c in _over(nf, e).items()}, (d, z, e, nf, quots)
 
     def certify(self, division: tuple) -> List[Dict[Monomial, Scalar]]:
@@ -615,7 +654,7 @@ class ModuleGroebnerBasis:
         if len(vec) != self.ncomp or any(p.field != self.field or p.nvars != self.nvars for p in vec):
             raise ValueError(f"the vector is not in the free module of rank {self.ncomp} over the ring of the basis")
         d = self._division
-        nf, _ = _v_divmod(self.field, _vec_to_v(vec, d.pack), d.leads, d.tails, d.pack)
+        nf, _ = _v_divmod(self.field, _vec_to_v(vec, d.pack), d)
         return _v_to_vec(nf, d.pack, self.field, self.ncomp)
 
     def contains(self, vec: Sequence[Polynomial]) -> bool:
@@ -697,7 +736,7 @@ def normal_form_quotients(
     gb = _basis(f, gb, order)
     nf, (_, _, e, _, quots) = gb.divide(f.terms)
     pack = gb._division.pack
-    return Polynomial(gb.field, gb.nvars, nf), [_q_to_poly(_over(q, e), pack, gb.field) for q in quots]
+    return Polynomial(gb.field, gb.nvars, nf), [_q_to_poly(_over(q, e), pack, gb.field) for q in _dense(quots, len(gb.basis))]
 
 
 def ideal_member(
@@ -736,7 +775,7 @@ def combinations_vanish(
         for t, c in acc.items():
             parts.setdefault(t & CMASK, {})[t | CMASK] = c  # moved to component 0
         for part in parts.values():
-            if _z_divmod(field.char, part, 1, d.leads, d.tails, pack)[0]:
+            if _z_divmod(field.char, part, 1, d.index, pack)[0]:
                 return False
     return True
 
@@ -756,9 +795,10 @@ def _engine_syzygies(eng: _Engine, gens: Sequence[Rep]) -> List[Rep]:
     eng.interreduce()
     f, pack = eng.field, eng.pack
     out = [_integral_combination(f, quots, d, eng.reps, pack) for quots, d in eng.schreyer()]
+    n = len(eng.reps)
     for i, (quots, d) in enumerate(eng.divide_gens(gens)):
         # e_i - sum_k quots[k] / d * reps[k], e_i as one more vector
-        out.append(_integral_combination(f, [*_minus(quots), {0: d}], d, [*eng.reps, (1, {_unit(i): 1})], pack))
+        out.append(_integral_combination(f, {**_minus(quots), n: {0: d}}, d, [*eng.reps, (1, {_unit(i): 1})], pack))
     return [(d, z) for d, z in out if z]
 
 
@@ -803,7 +843,7 @@ def _reduced_entry(field: Field, q: ZDict, d: int, div: _Division) -> QDict:
     integral) by a ring basis: moved to component 0 and back."""
     if not q:
         return q
-    nf, _, d = _z_divmod(field.char, {s | CMASK: c for s, c in q.items()}, d, div.leads, div.tails, div.pack)
+    nf, _, d = _z_divmod(field.char, {s | CMASK: c for s, c in q.items()}, d, div.index, div.pack)
     return _over({t & ~CMASK: c for t, c in nf.items()}, d)
 
 
@@ -875,11 +915,12 @@ def _z_combine(field: Field, quots: Sequence[ZDict], vecs: Sequence[ZDict], pack
 
 
 def _integral_combination(
-    field: Field, quots: Sequence[ZDict], d: int, vecs: Sequence[Rep], pack: _Pack
+    field: Field, quots: Quots, d: int, vecs: Sequence[Rep], pack: _Pack
 ) -> Rep:
-    """(d', z) with z / d' = sum_k (quots[k] / d) * vecs[k], for integral
-    quots and vecs[k] = (dv, v) standing for v / dv, summed on ints."""
-    parts = [(dv, q, v) for q, (dv, v) in zip(quots, vecs) if q]
+    """(d', z) with z / d' = sum_k (quots[k] / d) * vecs[k] over the k
+    that quots holds, for integral quots and vecs[k] = (dv, v) standing
+    for v / dv, summed on ints."""
+    parts = [(vecs[k][0], q, vecs[k][1]) for k, q in quots.items() if q]
     e = lcm(1, *(dv for dv, _, _ in parts))
     scaled = [q if dv == e else {s: c * (e // dv) for s, c in q.items()} for dv, q, _ in parts]
     return d * e, _z_combine(field, scaled, [v for _, _, v in parts], pack)
@@ -890,7 +931,7 @@ def _certify(field: Field, cof: ZDict, d: int, gens: Sequence[Rep], target: Rep,
     component i that of generator i) re-expanded over the generators,
     each (e, z) for z / e, must give target = (dt, zt), zt / dt, exactly.
     Both sides are summed on ints."""
-    e, lhs = _integral_combination(field, _v_split(cof, len(gens)), d, gens, pack)
+    e, lhs = _integral_combination(field, dict(enumerate(_v_split(cof, len(gens)))), d, gens, pack)
     dt, zt = target
     if {t: dt * c for t, c in lhs.items()} != {t: e * x for t, x in zt.items()}:
         raise AssertionError("division certificate failed to re-expand")
@@ -927,7 +968,7 @@ def prune_generators(
     degree = [max((sum(m) for p in v for m in p.terms), default=0) for v in candidates]
     for k in sorted(range(len(cands)), key=lambda k: (degree[k], k)):
         e, z = cands[k]
-        nf, quots, d = _z_divmod(field.char, z, e, eng.leads, eng.tails, pack)
+        nf, quots, d = _z_divmod(field.char, z, e, eng.index, pack)
         if not nf:
             d, cof = _integral_combination(field, quots, d, eng.reps, pack)
             _certify(field, cof, d, gens, cands[k], pack)

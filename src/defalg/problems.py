@@ -319,26 +319,36 @@ ProblemSpec = Union[TModsSpec, ExalSpec, LiftSpec, DeformSpec]
 @dataclass
 class ProblemSet:
     """A loaded problem file: named algebras and modules plus the
-    problems posed against them."""
+    problems posed against them.
+
+    Each algebra, truncation and module is built once per set and shared
+    by every problem that names it, with everything memoized on it; a
+    build that raises is not kept.  Nothing is shared between two sets,
+    even two loads of one file."""
 
     field: Field
     algebra_defs: Dict[str, dict]
     module_specs: Dict[str, ModuleSpec]
     problems: List[ProblemSpec]
     options: Dict[str, object]
-    _algebras: Dict[str, PresentedAlgebra] = dc_field(default_factory=dict)
+    _algebras: Dict[Tuple[str, Optional[int]], PresentedAlgebra] = dc_field(default_factory=dict)
+    _modules: Dict[Tuple[str, PresentedAlgebra], FiniteModule] = dc_field(default_factory=dict)
 
     def algebra(self, name: str, truncate: Optional[int] = None) -> PresentedAlgebra:
+        """The named algebra, truncated at degree truncate when that is
+        given, built once per (name, truncate)."""
         if name not in self.algebra_defs:
             raise ProblemFileError(f"algebras.{name}", "never defined")
-        if name not in self._algebras:
-            self._algebras[name] = self._build_algebra(name, ())
-        B = self._algebras[name]
-        if truncate is not None:
-            try:
-                B = B.truncated_presentation(truncate)
-            except ValueError as e:
-                raise ProblemFileError(f"algebras.{name}", str(e)) from e
+        B = self._algebras.get((name, truncate))
+        if B is None:
+            if truncate is None:
+                B = self._build_algebra(name, ())
+            else:
+                try:
+                    B = self.algebra(name).truncated_presentation(truncate)
+                except ValueError as e:
+                    raise ProblemFileError(f"algebras.{name}", str(e)) from e
+            self._algebras[name, truncate] = B
         return B
 
     def _build_algebra(self, name: str, stack: Tuple[str, ...]) -> PresentedAlgebra:
@@ -355,9 +365,9 @@ class ProblemSet:
         else:
             if base_name not in self.algebra_defs:
                 raise ProblemFileError(f"{loc}.base", f"unknown algebra {base_name!r}")
-            if base_name not in self._algebras:
-                self._algebras[base_name] = self._build_algebra(base_name, stack + (name,))
-            A = self._algebras[base_name]
+            A = self._algebras.get((base_name, None))
+            if A is None:
+                A = self._algebras[base_name, None] = self._build_algebra(base_name, stack + (name,))
             if A.n_base:
                 raise ProblemFileError(f"{loc}.base", "base algebras must be defined over the ground field")
             base_names = A.gen_names
@@ -376,10 +386,16 @@ class ProblemSet:
             raise ProblemFileError(loc, str(e)) from e
 
     def module(self, name: str, B: PresentedAlgebra) -> FiniteModule:
+        """The named module over B, built once per (name, B)."""
         if name not in self.module_specs:
             raise ProblemFileError(f"modules.{name}", "never defined")
-        spec = self.module_specs[name]
-        loc = f"modules.{name}"
+        J = self._modules.get((name, B))
+        if J is None:
+            J = self._modules[name, B] = self._build_module(self.module_specs[name], B)
+        return J
+
+    def _build_module(self, spec: ModuleSpec, B: PresentedAlgebra) -> FiniteModule:
+        loc = f"modules.{spec.name}"
         builders = {
             "trivial": lambda: FiniteModule.trivial(B),
             "regular": lambda: FiniteModule.regular(B),
@@ -412,6 +428,11 @@ class ProblemSet:
         return mod
 
 
+def _is_degree(value) -> bool:
+    """Whether value is a truncation degree: an int >= 1."""
+    return isinstance(value, int) and value >= 1
+
+
 def _parse_module_spec(name: str, d: dict, loc: str) -> ModuleSpec:
     _check_keys(d, {"algebra", "kind", "degree", "labels", "action"}, loc)
     algebra = _need(d, "algebra", loc)
@@ -420,8 +441,8 @@ def _parse_module_spec(name: str, d: dict, loc: str) -> ModuleSpec:
         raise ProblemFileError(f"{loc}.kind", f"unknown module kind {kind!r}")
     degree = d.get("degree")
     if kind == "truncated":
-        if not isinstance(degree, int) or degree < 0:
-            raise ProblemFileError(f"{loc}.degree", "truncated modules need a degree >= 0")
+        if not _is_degree(degree):
+            raise ProblemFileError(f"{loc}.degree", "truncated modules need a degree >= 1")
     if kind == "explicit":
         labels = tuple(_str_list(_need(d, "labels", loc), f"{loc}.labels"))
         action = _need(d, "action", loc)
@@ -455,8 +476,8 @@ def _parse_problem(d: dict, i: int) -> ProblemSpec:
         _check_keys(d, {"kind", "name", "algebra", "module", "truncate", "expected"}, loc)
         cls = TModsSpec if kind == "tmods" else ExalSpec
         trunc = d.get("truncate")
-        if trunc is not None and (not isinstance(trunc, int) or trunc < 0):
-            raise ProblemFileError(f"{loc}.truncate", "expected a degree >= 0")
+        if trunc is not None and not _is_degree(trunc):
+            raise ProblemFileError(f"{loc}.truncate", "expected a degree >= 1")
         return cls(name, _need(d, "algebra", loc), _need(d, "module", loc), trunc, expected)
     if kind == "lift":
         _check_keys(d, {"kind", "name", "algebra", "through", "ideal", "images", "expected"}, loc)
@@ -478,8 +499,8 @@ def _parse_problem(d: dict, i: int) -> ProblemSpec:
         )
         ideal = tuple(_str_list(_need(d, "ideal", loc), f"{loc}.ideal"))
         trunc = d.get("truncate")
-        if trunc is not None and (not isinstance(trunc, int) or trunc < 0):
-            raise ProblemFileError(f"{loc}.truncate", "expected a degree >= 0")
+        if trunc is not None and not _is_degree(trunc):
+            raise ProblemFileError(f"{loc}.truncate", "expected a degree >= 1")
         seed = d.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise ProblemFileError(f"{loc}.seed", "expected an integer")
@@ -563,8 +584,8 @@ def load_problem_file(source, field: Optional[str] = None) -> ProblemSet:
     if "seed" in options and not isinstance(options["seed"], int):
         raise ProblemFileError("options.seed", "expected an integer")
     if "truncate" in options and options["truncate"] is not None:
-        if not isinstance(options["truncate"], int) or options["truncate"] < 0:
-            raise ProblemFileError("options.truncate", "expected a degree >= 0")
+        if not _is_degree(options["truncate"]):
+            raise ProblemFileError("options.truncate", "expected a degree >= 1")
 
     ps = ProblemSet(f, dict(algebras), module_specs, problems, dict(options))
     # build every referenced object now, exactly as its problem will use

@@ -162,8 +162,10 @@ class TestStructureAlgebra:
         C = make_algebra(any_field, ["x", "y"], ["x^2 - y^2", "x*y", "y^3"])
         C.to_structure()
         key, (d, z, e, nf, quots) = next(iter(C._divisions.items()))
-        # one more unit in the first quotient: shift 0 is the packed monomial 1
-        C._divisions[key] = (d, z, e, nf, [{**quots[0], 0: quots[0].get(0, 0) + e}, *quots[1:]])
+        # one more unit in the quotient of basis element 0 (quotients are
+        # sparse, {basis index: quotient}): shift 0 is the packed monomial 1
+        first = quots.get(0, {})
+        C._divisions[key] = (d, z, e, nf, {**quots, 0: {**first, 0: first.get(0, 0) + e}})
         with pytest.raises(AssertionError, match="certificate"):
             C.product_cofactors()
 

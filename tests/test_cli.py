@@ -71,6 +71,19 @@ class TestExitCodes:
         assert "algebras.b.relations[0]" in err
         assert "offset" in err
 
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["tmods", None], ["corpus", "free"]])
+    def test_truncate_below_one_is_invalid_input(self, good_file, capsys, command, degree):
+        argv = [good_file if a is None else a for a in command]
+        assert main([*argv, "--truncate", degree]) == 1
+        assert f"--truncate: expected a degree >= 1, got {int(degree)}" in capsys.readouterr().err
+
+    def test_truncate_one_is_accepted(self, good_file, capsys):
+        # dual truncated at degree 1 is the ground field: T1 becomes 0,
+        # against the expected 1
+        assert main(["tmods", good_file, "--truncate", "1"]) == 3
+        assert "T0 0  T1 0  T2 0" in capsys.readouterr().out
+
     def test_missing_file_is_one(self, capsys):
         assert main(["tmods", "/does/not/exist.json"]) == 1
         assert "no such file" in capsys.readouterr().err

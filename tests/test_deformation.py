@@ -966,3 +966,27 @@ class TestComparable:
         e2 = extension_from_cocycle(B2, FiniteModule.trivial(B2), psi)
         assert extensions_equivalent(e1, e2) and extensions_equivalent(e2, e1)
         assert cocycle_from_extension(baer_sum(e1, e2)) == tuple(vec_add(f, psi, psi))
+
+
+def _division_span(A, ideal_gens):
+    """The ideal's row-reduced basis the long way: g * std_m multiplied
+    out as a polynomial and divided by the basis of A, for every pair."""
+    f, std = A.field, A.std_monomials()
+    vecs = [A.coordinates(g * Polynomial.monomial(f, A.nvars, mo)) for g in ideal_gens for mo in std]
+    red, _, rank = Matrix.from_rows(f, vecs, ncols=len(std)).rref()
+    return [red.row(i) for i in range(rank)]
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "Q"])
+def test_ideal_span_from_the_table_is_the_division_span(field):
+    from defalg import corpus
+    from defalg.deformation import _ideal_span
+    from defalg.problems import load_problem_file
+
+    ps = load_problem_file(corpus.lift_problem_set(field))
+    lifts = [spec for spec in ps.problems if spec.kind == "lift"]
+    assert lifts
+    for spec in lifts:
+        Cp = ps.algebra(spec.through)
+        ideal = [parse_polynomial(s, Cp.names, ps.field) for s in spec.ideal]
+        assert _ideal_span(Cp, ideal) == _division_span(Cp, ideal), spec.name

@@ -373,7 +373,7 @@ def test_heap_division_matches_the_max_over_work_loop(inputs):
     pack = _pack(3, order)
     data = _division_data([_packed(pack, b) for b in basis], pack)
     assert [(groebner._comp(t), pack.exponents(t)) for t in data.leads] == leads
-    nf, quots = _v_divmod(field, _packed(pack, v), data.leads, data.tails, pack)
+    nf, quots = _v_divmod(field, _packed(pack, v), data)
     want_nf, want_quots = _reference_divmod(field, v, basis, leads, order)
     # equal term by term, in the same insertion order, once unpacked
     assert list(_unpacked(pack, nf).items()) == list(want_nf.items())
@@ -411,7 +411,7 @@ def test_division_with_large_coprime_denominators_matches_the_reference(inputs):
     order, v, basis, leads = inputs
     pack = _pack(3, order)
     data = _division_data([_packed(pack, b) for b in basis], pack)
-    nf, quots = _v_divmod(QQ, _packed(pack, v), data.leads, data.tails, pack)
+    nf, quots = _v_divmod(QQ, _packed(pack, v), data)
     want_nf, want_quots = _reference_divmod(QQ, v, basis, leads, order)
     assert list(_unpacked(pack, nf).items()) == list(want_nf.items())
     assert [[(pack.exponents(s), c) for s, c in q.items()] for q in quots] == [list(q.items()) for q in want_quots]
@@ -430,11 +430,11 @@ def test_division_rescales_by_each_new_tail_denominator():
     data = _division_data([_packed(pack, b) for b in basis], pack)
     assert [ell for ell, _ in data.tails] == [97, 89]
     v = _packed(pack, {(0, (3, 0, 0)): 1})
-    nf, quots, d = groebner._z_divmod(0, v, 1, data.leads, data.tails, pack)
+    nf, quots, d = groebner._z_divmod(0, v, 1, data.index, pack)
     assert d == 97**3 * 89
     assert _unpacked(pack, {t: Fraction(c, d) for t, c in nf.items()}) == {(0, (0, 1, 1)): Fraction(1, 97**3 * 89)}
     want = _reference_divmod(QQ, {(0, (3, 0, 0)): 1}, basis, [(0, (1, 0, 0)), (0, (0, 2, 0))], GREVLEX)
-    assert _v_divmod(QQ, v, data.leads, data.tails, pack) == (_packed(pack, want[0]), [_packed_shifts(pack, q) for q in want[1]])
+    assert _v_divmod(QQ, v, data) == (_packed(pack, want[0]), [_packed_shifts(pack, q) for q in want[1]])
 
 
 def _packed_shifts(pack, q):
@@ -605,7 +605,8 @@ def _dropped_pairs_lie_in_the_kept_syzygies(field, order, ncomp, vecs):
     n = len(eng.leads)
 
     def vector(quots, d):
-        return [groebner._q_to_poly(groebner._over(q, d), pack, field) for q in quots]
+        # sparse {basis index: quotient} as one polynomial per basis element
+        return [groebner._q_to_poly(groebner._over(q, d), pack, field) for q in groebner._dense(quots, n)]
 
     kept, dropped = [], []
     for i in range(n):
@@ -673,3 +674,77 @@ def pair_criterion_inputs(draw):
 @given(pair_criterion_inputs())
 def test_every_dropped_pair_syzygy_lies_in_the_kept_ones(case):
     _dropped_pairs_lie_in_the_kept_syzygies(*case)
+
+
+# ---------------------------------------------------------------------------
+# the kept division index and the overflow guard
+
+
+@st.composite
+def engine_inputs(draw):
+    """(field, order, ncomp, vectors): 1-5 tuple-keyed vectors over F3 or
+    Q in k[x,y,z]^ncomp, ncomp 1-2, for an engine to take one by one;
+    each is 1-3 quadric terms, so that the bases stay small under every
+    order."""
+    field = draw(st.sampled_from([GF(3), QQ]))
+    order = draw(st.sampled_from(ORDERS))
+    ncomp = draw(st.integers(1, 2))
+    if field == QQ:
+        scalars = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5)).map(QQ.from_int)
+    else:
+        scalars = st.integers(1, 2)
+    terms = st.tuples(st.integers(0, ncomp - 1), st.sampled_from(_QUADRICS))
+    vecs = [draw(st.dictionaries(terms, scalars, min_size=1, max_size=3)) for _ in range(draw(st.integers(1, 5)))]
+    return field, order, ncomp, vecs
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_inputs())
+def test_the_engine_keeps_its_division_index(case):
+    # after every add, run and interreduce, the index the engine divides
+    # by is the one built afresh from its leads and tails
+    field, order, ncomp, vecs = case
+    pack = _pack(3, order)
+    eng = _Engine(field, pack, ncomp, [])
+
+    def check():
+        assert eng.index == groebner._index(eng.leads, eng.tails)
+
+    check()
+    gens = [groebner._integral(field, _packed(pack, v)) for v in vecs]
+    for i, (d, z) in enumerate(gens):
+        eng.add(z, d, (1, {groebner._unit(i): 1}))
+        check()
+        eng.run()
+        check()
+    eng.interreduce()
+    check()
+    # and it divides as the basis does: every generator reduces to zero
+    assert len(eng.divide_gens(gens)) == len(gens)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "permuted"])
+def test_pack_check_refuses_a_guard_bit_in_any_term(order):
+    pack = _pack(3, order)
+    top = MAX_EXPONENT
+    if order.kind == "grevlex":  # the degree is the field at its limit
+        edge = [(top, 0, 0), (0, top, 0), (1, top - 2, 1), (0, 0, top), (top - 1, 0, 1)]
+    else:  # each exponent is
+        edge = [(top, top, top), (top, 0, 0), (0, top, 1), (1, 1, top), (0, 0, 0)]
+    terms = [pack.mono(m) + groebner._unit(c) for c, m in enumerate(edge)]
+    assert [pack.exponents(t) for t in terms] == edge
+    pack.check(terms)
+    pack.check(dict.fromkeys(terms, 1))
+    pack.check([])
+    guards = [1 << k for k in range(pack.guard.bit_length()) if pack.guard >> k & 1]
+    # grevlex: the degree and one partial sum, then the three exponents
+    assert len(guards) == (2 + 3 if order.kind == "grevlex" else 3)
+    for bit in guards:
+        for at in (0, len(terms) // 2, len(terms) - 1):
+            bad = list(terms)
+            bad[at] |= bit
+            with pytest.raises(OverflowError, match="exceeds the packed field"):
+                pack.check(bad)
+    # a sum one past the limit sets a guard bit
+    with pytest.raises(OverflowError):
+        pack.check([terms[0], terms[1] + pack.mono((1, 0, 0))])

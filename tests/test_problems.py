@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from defalg.algebras import FiniteModule
 from defalg.problems import ProblemFileError, load_problem_file
+from defalg.reports import RunOptions, run_problem_set
 
 BASE = {
     "field": "F2",
@@ -382,3 +384,119 @@ class TestProblemErrors:
         )
         e = err(data)
         assert e.location == "problems[2].phi"
+
+
+class TestTruncationDegree:
+    """A truncation degree is at least 1 wherever a file gives one; 0 is
+    refused when the file is parsed, at the key that holds it."""
+
+    @pytest.mark.parametrize("kind", ["tmods", "exal"])
+    def test_problem_truncate_zero(self, kind):
+        data = variant()
+        data["problems"][1]["kind"] = kind
+        data["problems"][1]["truncate"] = 0
+        e = err(data)
+        assert e.location == "problems[1].truncate"
+        assert "expected a degree >= 1" in str(e)
+
+    def test_deform_truncate_zero(self):
+        data = variant()
+        data["problems"].append(
+            {
+                "kind": "deform",
+                "name": "d0",
+                "algebra": "dual",
+                "module": "dual.k",
+                "extended_base": "dual",
+                "ideal": ["x"],
+                "truncate": 0,
+            }
+        )
+        e = err(data)
+        assert e.location == "problems[2].truncate"
+        assert "expected a degree >= 1" in str(e)
+
+    def test_options_truncate_zero(self):
+        e = err(variant(options={"truncate": 0}))
+        assert e.location == "options.truncate"
+        assert "expected a degree >= 1" in str(e)
+
+    def test_module_degree_zero(self):
+        data = variant()
+        data["modules"]["node.tr"]["degree"] = 0
+        e = err(data)
+        assert e.location == "modules.node.tr.degree"
+        assert "degree >= 1" in str(e)
+
+    def test_degree_one_is_accepted_everywhere(self):
+        data = variant(options={"truncate": 1})
+        data["problems"][1]["truncate"] = 1
+        data["modules"]["node.tr"]["degree"] = 1
+        ps = load_problem_file(data)
+        assert ps.algebra("node", truncate=1).dim() == 1
+        assert ps.module("node.tr", ps.algebra("node", truncate=1)).rank == 1
+
+
+class TestOneObjectPerSet:
+    """Each algebra, truncation and module is built once per problem set
+    and shared by every problem that names it, and by nothing else."""
+
+    def test_algebras_truncations_and_modules_are_kept(self):
+        ps = load_problem_file(BASE)
+        B = ps.algebra("node", truncate=2)
+        assert ps.algebra("node", truncate=2) is B
+        assert ps.algebra("node") is ps.algebra("node") is not B
+        assert ps.algebra("node", truncate=4) is not B
+        assert ps.module("node.tr", B) is ps.module("node.tr", B)
+        assert ps.module("node.tr", B) is not ps.module("node.tr", ps.algebra("node", truncate=4))
+        dual = ps.algebra("dual")
+        assert ps.module("dual.k", dual) is ps.module("dual.k", dual)
+        assert B.base_algebra() is B.base_algebra()
+
+    def test_a_shared_truncated_module_is_built_once(self, monkeypatch):
+        calls = []
+        build = FiniteModule.truncated_regular.__func__
+        monkeypatch.setattr(
+            FiniteModule, "truncated_regular", classmethod(lambda cls, B, d: calls.append(d) or build(cls, B, d))
+        )
+        data = variant()
+        data["problems"] = [
+            {"kind": "tmods", "name": "t", "algebra": "node", "module": "node.tr", "truncate": 4},
+            {"kind": "exal", "name": "e", "algebra": "node", "module": "node.tr", "truncate": 4},
+        ]
+        ps = load_problem_file(data)
+        report = run_problem_set(ps, RunOptions())
+        assert [e["name"] for e in report.problems] == ["t", "e"]
+        assert "error" not in report.problems[0] and "error" not in report.problems[1]
+        assert calls == [2]
+
+    def test_a_build_that_raises_is_not_kept(self, monkeypatch):
+        calls = []
+        build = FiniteModule.regular.__func__
+        monkeypatch.setattr(FiniteModule, "regular", classmethod(lambda cls, B: calls.append(B) or build(cls, B)))
+        data = variant()
+        # node is infinite-dimensional: its regular module exists only
+        # over a truncation, which is all the problem asks for
+        data["modules"]["node.reg"] = {"algebra": "node", "kind": "regular"}
+        data["problems"][1]["module"] = "node.reg"
+        ps = load_problem_file(data)
+        built = len(calls)
+        node = ps.algebra("node")
+        for _ in range(2):
+            with pytest.raises(ProblemFileError, match="not finite-dimensional") as exc:
+                ps.module("node.reg", node)
+            assert exc.value.location == "modules.node.reg"
+        assert calls[built:] == [node, node]
+
+    def test_two_loads_share_nothing(self):
+        sets = [load_problem_file(BASE), load_problem_file(BASE)]
+        for ps in sets:
+            run_problem_set(ps, RunOptions())
+        algebras = [set(map(id, ps._algebras.values())) for ps in sets]
+        modules = [set(map(id, ps._modules.values())) for ps in sets]
+        bases = [{id(B.groebner()) for B in ps._algebras.values()} for ps in sets]
+        assert len(algebras[0]) == len(algebras[1]) == 4  # dual, fat, node and node at degree 4
+        assert len(modules[0]) == len(modules[1]) == 3
+        assert not algebras[0] & algebras[1]
+        assert not modules[0] & modules[1]
+        assert not bases[0] & bases[1]

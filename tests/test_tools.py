@@ -1,11 +1,14 @@
 """The scripts under tools/: the Q-against-F_p ratio script reads
 benchmark results files; the stripped-report script writes every corpus
 report in one comparable file and names the reports two such files
-differ in."""
+differ in; the work-count script counts calls per suite by wrapping
+functions by name."""
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +97,40 @@ def test_stripped_reports_diff_names_the_differing_keys(tmp_path, capsys):
     assert tool.main(["--diff", str(paths["base"]), str(paths["base"])]) == 0
     assert capsys.readouterr().out == ""
     assert tool.main(["--diff", str(paths["base"])]) == 2
+
+
+def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
+    # in a child process: the counters wrap defalg functions for good
+    src = os.path.join(os.path.dirname(TOOLS), "src")
+    out = tmp_path / "counts.json"
+    run = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "work_counts.py"), "--json", str(out), "showcase"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    counts = json.loads(out.read_text())
+    assert list(counts) == ["showcase", "total"]
+    assert counts["showcase"] == counts["total"]
+    assert set(counts["total"]) == {"buchberger", "z_divmod", "modules", "cotangent"}
+    assert all(n > 0 for n in counts["total"].values())
+    assert run.stdout.splitlines()[0].split() == ["suite", "buchberger", "z_divmod", "modules", "cotangent"]
+    tool = load_tool("work_counts")
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"showcase": {**counts["showcase"], "modules": None}}))
+    lines = tool.compare(str(base), str(out)).splitlines()
+    n = counts["showcase"]
+    assert lines[0] == (
+        f"showcase: buchberger {n['buchberger']} -> {n['buchberger']}, z_divmod {n['z_divmod']} -> {n['z_divmod']}, "
+        f"modules - -> {n['modules']}, cotangent {n['cotangent']} -> {n['cotangent']}"
+    )
+    assert lines[1].startswith("total: buchberger - -> ")
+
+
+def test_work_counts_mark_a_missing_function(monkeypatch):
+    tool = load_tool("work_counts")
+    monkeypatch.setattr(tool, "TARGETS", {"ghost": ("defalg.groebner", "_no_such_function")})
+    counts = {}
+    tool.install(counts)
+    assert counts == {"ghost": None}
