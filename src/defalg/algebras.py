@@ -608,21 +608,13 @@ class FiniteModule:
         """B as a module over itself (finite-dimensional B only): column
         m of the action of x_v holds the coordinates of the monomial
         x_v * m."""
-        std = B.std_monomials()
-        one = B.field.one()
-        mats = []
-        for v in range(B.nvars):
-            cols = [B._coordinates({m[:v] + (m[v] + 1,) + m[v + 1 :]: one}) for m in std]
-            mats.append(Matrix.from_cols(B.field, cols, nrows=len(std)))
-        labels = tuple(B.mono_label(m) for m in std)
-        return cls(B, labels, mats)
+        return cls(B, *_regular_action(B))
 
     @classmethod
     def truncated_regular(cls, B: PresentedAlgebra, d: int) -> "FiniteModule":
-        """B / (all generators)^d as a B-module."""
-        Bq = B.truncated_presentation(d, relative_only=False)
-        J = cls.regular(Bq)
-        return cls(B, J.labels, J.mats)
+        """B / (all generators)^d as a B-module: the regular action of
+        that quotient, on its own presentation, given to B."""
+        return cls(B, *_regular_action(B.truncated_presentation(d, relative_only=False)))
 
     # -- action ------------------------------------------------------------
 
@@ -686,6 +678,19 @@ class FiniteModule:
 
     def __repr__(self):
         return f"<FiniteModule rank {self.rank} over {self.owner!r}>"
+
+
+def _regular_action(A: PresentedAlgebra) -> Tuple[Tuple[str, ...], List[Matrix]]:
+    """(labels, mats) of A acting on itself: the standard monomials, and
+    for each generator x_v the matrix whose column m holds the
+    coordinates of x_v * m."""
+    std = A.std_monomials()
+    one = A.field.one()
+    mats = []
+    for v in range(A.nvars):
+        cols = [A._coordinates({m[:v] + (m[v] + 1,) + m[v + 1 :]: one}) for m in std]
+        mats.append(Matrix.from_cols(A.field, cols, nrows=len(std)))
+    return tuple(A.mono_label(m) for m in std), mats
 
 
 @dataclass

@@ -34,10 +34,31 @@ def _add_common(sp: argparse.ArgumentParser, with_file: bool = True) -> None:
         action="store_true",
         help="cross-check each answer against exhaustive enumeration",
     )
-    sp.add_argument("--truncate", type=int, metavar="D", help="override the truncation degree (at least 1)")
-    sp.add_argument("--budget", type=int, metavar="N", help="enumeration budget (candidate tables)")
+    sp.add_argument("--truncate", metavar="D", help="override the truncation degree (at least 1)")
+    sp.add_argument("--budget", metavar="N", help="enumeration budget (candidate tables, at least 1)")
     sp.add_argument("--field", metavar="NAME", help="override the coefficient field (F2, F3, Q, ...)")
-    sp.add_argument("--seed", type=int, metavar="N", help="seed for the independent second lift")
+    sp.add_argument("--seed", metavar="N", help="seed for the independent second lift")
+
+
+# the integer flags: name -> (least value, what is expected)
+_INT_FLAGS = {"truncate": (1, "a degree >= 1"), "budget": (1, "a positive integer"), "seed": (None, "an integer")}
+
+
+def _int_flags(args: argparse.Namespace) -> Optional[str]:
+    """Turn the integer flags given into ints, in place; the message for
+    the first that is not a valid value, or None."""
+    for name, (least, what) in _INT_FLAGS.items():
+        raw = value = getattr(args, name)
+        if raw is None:
+            continue
+        try:
+            value = int(raw)
+        except ValueError:
+            pass
+        if type(value) is not int or least is not None and value < least:
+            return f"--{name}: expected {what}, got {value!r}"
+        setattr(args, name, value)
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +101,7 @@ def _options(args: argparse.Namespace, force_oracle: bool = False) -> RunOptions
 
 
 def _cmd_file(args: argparse.Namespace) -> int:
-    ps = load_problem_file(args.file, field=args.field)
+    ps = load_problem_file(args.file, field=args.field, truncate=args.truncate, seed=args.seed)
     oracle_all = args.command == "oracle"
     kinds = None if oracle_all else (args.command,)
     report = run_problem_set(ps, _options(args, force_oracle=oracle_all), kinds=kinds)
@@ -104,8 +125,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.truncate is not None and args.truncate < 1:
-        print(f"error: --truncate: expected a degree >= 1, got {args.truncate}", file=sys.stderr)
+    bad = _int_flags(args)
+    if bad is not None:
+        print(f"error: {bad}", file=sys.stderr)
         return 1
     try:
         if args.command == "corpus":

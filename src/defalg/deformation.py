@@ -27,11 +27,17 @@ Jacobian, batched over the stack; the blocks that reading relies on are
 checked on every read.  Equivalence is decided for a whole stack by one
 reduction (``are_coboundaries``).
 Obstruction classes against a base extension
-0 -> I -> A' -> A -> 0 are computed literally: pair each syzygy with
-the relations, reduce the result in a presentation of A' where I is
-spanned by explicit nilpotent variables, and push the coefficients
-into J.  All identities that make these constructions well defined
-are asserted at runtime rather than trusted.
+0 -> I -> A' -> A -> 0 are read off the base relations g_a: each
+syzygy s pairs the relations into their ideal, sum_j s_j f_j =
+sum_a h_a g_a with certified cofactors h_a (one division by the base
+Groebner basis), and since g_a lifts to alpha_a in I, the pairing
+lifts to sum_a h_a alpha_a, which phi sends to sum_a rho_J(h_a)
+phi(alpha_a) in J (the transitivity picture of Lichtenbaum and
+Schlessinger, "The cotangent complex of a morphism", 1967).  A
+deformation's tables take the base relations' share the same way:
+mo * g_a goes to rho_J(mo) phi(alpha_a).  All identities that make
+these constructions well defined are asserted at runtime rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -63,9 +69,8 @@ from .cotangent import (
 )
 from .differential import derivation_space
 from .fields import PrimeField, Scalar
-from .groebner import buchberger, normal_form
-from .linalg import Matrix, in_span, solve_affine, solve_affine_rows, vec_add, vec_is_zero, vec_sub
-from .poly import GREVLEX, Polynomial
+from .linalg import Matrix, in_span, solve_affine, solve_affine_rows, vec_add, vec_is_zero
+from .poly import Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +313,15 @@ def _cocycle_map(B: PresentedAlgebra, J: FiniteModule, terms, coeffs: np.ndarray
 
 def _base_share(B: PresentedAlgebra, J: FiniteModule, terms, coeffs: np.ndarray, prob: "BaseDeformationProblem") -> np.ndarray:
     """(len(coeffs), t): coeffs @ (the fiber value, in a deformation of
-    prob, of each base relation's cofactor term: its reduction in A'
-    pushed into J; zero on a relative relation's term)."""
+    prob, of each base relation's cofactor term (a, mo): mo g_a lifts to
+    mo alpha_a in I, which goes to rho_J(mo) phi(alpha_a); zero on a
+    relative relation's term), from one action_stack."""
     f = B.field
     nb = len(B.base_relations)
+    base = [k for k, (g, _) in enumerate(terms) if g < nb]
+    acts = J.action_stack([Polynomial.monomial(f, B.nvars, terms[k][1]) for k in base])
     vals = np.zeros((len(terms), J.rank), f.dtype)
-    for k, (g, mo) in enumerate(terms):
-        if g < nb:
-            p = Polynomial.monomial(f, B.nvars, mo) * B.base_relations[g]
-            vals[k] = _push_fiber(prob, prob.aprime_presentation().reduce_to_fiber(p))
+    vals[base] = f.matmul(acts, prob.phi_alpha[[terms[k][0] for k in base], :, None])[:, :, 0]
     return f.matmul(coeffs, vals)
 
 
@@ -742,12 +747,10 @@ class BaseDeformationProblem:
         # I as a module over the base, validated through the machinery
         # for the base presented as an algebra over the ground field
         A = B.base_algebra()
-        self._A = A
         I = FiniteModule(A, self.i_labels, self.i_mats)
         bad = validate(I)
         if bad:
             raise ValueError(f"I is not a module over the base: {bad}")
-        self._I = I
         # alpha must be a cocycle for the base over the ground field,
         # which is exactly the condition that the base extension exists
         flat = [c for vec in self.alpha for c in vec]
@@ -760,7 +763,6 @@ class BaseDeformationProblem:
             right = self.J.action_of_poly(B.var(v)).mul(self.phi)
             if left != right:
                 raise ValueError("phi is not linear over the base")
-        self._zring = _ZRing(self)
 
     @classmethod
     def from_presented_total(
@@ -801,48 +803,14 @@ class BaseDeformationProblem:
             phi = Matrix.identity(f, rank)
         return cls(B, J, labels, mats, tuple(alpha), phi)
 
-    def aprime_presentation(self) -> "_ZRing":
-        return self._zring
-
-
-class _ZRing:
-    """Presentation of A' on (base gens, nilpotents, relative gens):
-    base relations shifted by their cocycle values, products of
-    nilpotents, and the action rows; reduction modulo it linearizes
-    anything that lands in the ideal of the base relations."""
-
-    def __init__(self, prob: BaseDeformationProblem):
-        B = prob.B
-        f = B.field
-        nb = B.n_base
-        tI = len(prob.i_labels)
-        n = B.n_gens
-        self.nvars = nb + tI + n
-        self.nb, self.tI, self.n = nb, tI, n
-        self.field = f
-        # old flattened index -> new index (base first, x's after the z block)
-        self.embed_map = list(range(nb)) + [nb + tI + i for i in range(n)]
-        rels = _aprime_relations(prob, n)
-        self.gb = buchberger(rels or [Polynomial.zero(f, self.nvars)], GREVLEX)
-
-    def embed(self, p: Polynomial) -> Polynomial:
-        return p.embed(self.nvars, self.embed_map)
-
-    def reduce_to_fiber(self, p: Polynomial) -> List[Tuple[int, Polynomial]]:
-        """Normal form of an element of the base-relation ideal, split as
-        nilpotent-index, cofactor pairs; asserts the linear shape."""
-        return _split_fiber(self, normal_form(self.embed(p), self.gb))
-
-
-def _push_fiber(prob: BaseDeformationProblem, pairs: List[Tuple[int, Polynomial]]) -> list:
-    """Send sum_b z_b * q_b(x) to sum_b rho_J(q_b) phi(iota_b) in J."""
-    J = prob.J
-    f = J.field
-    out = [f.zero()] * J.rank
-    for b, q in pairs:
-        w = J.action_of_poly(q).mul_vec(prob.phi.col(b))
-        out = vec_add(f, out, w)
-    return out
+    @cached_property
+    def phi_alpha(self) -> np.ndarray:
+        """(base relations, t), read-only: phi(alpha_a), where each base
+        relation g_a lands in J once lifted to A'."""
+        alpha = self.B.field.array([list(a) for a in self.alpha]).reshape(len(self.alpha), len(self.i_labels))
+        out = self.phi.mul_rows(alpha)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -860,7 +828,7 @@ class ObstructionResult:
 
 def obstruction_class(prob: BaseDeformationProblem, second_lift_seed: Optional[int] = None) -> ObstructionResult:
     """The class in T^2 blocking a flat extension of B across the base
-    extension, pushed into J; computed from the literal syzygy pairings.
+    extension, pushed into J; computed from the syzygy pairings.
 
     With a seed the class is computed a second time, with the relations
     lifted as f_j + (nilpotent noise); the two must differ by a
@@ -869,72 +837,72 @@ def obstruction_class(prob: BaseDeformationProblem, second_lift_seed: Optional[i
     f = B.field
     cx = cotangent_complex(B)
     maps = cochain_maps(cx, J)
-    zr = prob.aprime_presentation()
-    m = len(B.relations)
-    psi_t = _obstruction_vector(prob, cx, [Polynomial.zero(f, zr.nvars)] * m)
+    psi = _obstruction_vector(prob, cx)
+    psi_t = tuple(psi.tolist())
     cls = CohomologyClass(B, J, 2, psi_t)
     if not cls.is_cocycle_of(maps):
         raise AssertionError("obstruction vector is not killed by the relation rows")
     if second_lift_seed is not None:
-        # noise: for each relation a z-linear polynomial with small x-monomials
-        rng = random.Random(second_lift_seed)
-        if isinstance(f, PrimeField):
-            pick = lambda: rng.randrange(f.p)
-        else:
-            pick = lambda: rng.randrange(-2, 3)
-        nb, tI, n = zr.nb, zr.tI, zr.n
-        xmonos = [(0,) * n] + [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        noise: List[Polynomial] = []
-        for _ in range(m):
-            terms = {}
-            for b in range(tI):
-                for xm in xmonos:
-                    c = pick()
-                    if c:
-                        terms[(0,) * nb + tuple(1 if k == b else 0 for k in range(tI)) + xm] = f.from_int(c)
-            noise.append(Polynomial(f, zr.nvars, terms))
-        shifted = _obstruction_vector(prob, cx, noise)
-        diff = vec_sub(f, list(shifted), list(psi_t))
-        ok, _ = is_coboundary(CohomologyClass(B, J, 2, tuple(diff)), maps)
+        shifted = _obstruction_vector(prob, cx, _lift_noise(prob, second_lift_seed))
+        ok, _ = is_coboundary(CohomologyClass(B, J, 2, tuple(f.reduce(shifted - psi).tolist())), maps)
         if not ok:
             raise AssertionError("two lifts of the relations gave inequivalent classes")
     xi = solve_affine(maps.d1, list(psi_t))
     return ObstructionResult(prob, cx, maps, psi_t, xi is None, tuple(xi) if xi is not None else None)
 
 
-def _obstruction_vector(prob: BaseDeformationProblem, cx: CotangentComplex, noise: Sequence[Polynomial]) -> tuple:
-    """Pair each syzygy with the relations lifted to A' as f_j + noise_j,
-    reduce in A' and push the result into J."""
-    zr = prob.aprime_presentation()
-    lifted = [zr.embed(fj) + nj for fj, nj in zip(prob.B.relations, noise)]
-    psi: List[Scalar] = []
+def _lift_noise(prob: BaseDeformationProblem, seed: int) -> List[List[Polynomial]]:
+    """noise[j][b]: a second lift of the relations to A'[x] is
+    f_j + sum_b z_b noise[j][b], z_b the b-th basis vector of I, with
+    noise[j][b] drawn from seed: small coefficients on 1 and on each
+    relative generator."""
+    B = prob.B
+    f = B.field
+    rng = random.Random(seed)
+    lo, hi = (0, f.p) if isinstance(f, PrimeField) else (-2, 3)
+    xmonos = [(0,) * B.nvars] + [tuple(int(k == v) for k in range(B.nvars)) for v in range(B.n_base, B.nvars)]
+    return [
+        [Polynomial(f, B.nvars, {xm: f.from_int(rng.randrange(lo, hi)) for xm in xmonos}) for _ in prob.i_labels]
+        for _ in B.relations
+    ]
+
+
+def _obstruction_vector(
+    prob: BaseDeformationProblem, cx: CotangentComplex, noise: Optional[Sequence[Sequence[Polynomial]]] = None
+) -> np.ndarray:
+    """psi, flat in J^r: each syzygy s pairs the relations into the base
+    ideal, sum_j s_j f_j = sum_a h_a g_a (one division by the base
+    Groebner basis, its cofactors certified), and psi_s = sum_a
+    rho_J(h_a) phi(alpha_a).  With noise (see _lift_noise), the
+    relations lifted as f_j + sum_b z_b noise[j][b] add sum_j sum_b
+    rho_J(s_j noise[j][b]) phi(e_b)."""
+    B, J = prob.B, prob.J
+    f, gb = B.field, B.base_groebner()
+    nb = len(B.base_relations)
+    cofactors = []
     for vec in cx.syz:
-        sigma = Polynomial.zero(zr.field, zr.nvars)
-        for c, lj in zip(vec, lifted):
-            sigma = sigma + zr.embed(c) * lj
-        psi.extend(_push_fiber(prob, _split_fiber(zr, normal_form(sigma, zr.gb))))
-    return tuple(psi)
+        paired = sum((c * fj for c, fj in zip(vec, B.relations)), B.zero_poly())
+        nf, division = gb.divide(paired.terms)
+        if nf:
+            raise AssertionError("syzygy does not pair to zero over the base")
+        cofactors.append([Polynomial(f, B.nvars, h) for h in gb.certify(division)[:nb]])
+    psi = _pushed(J, cofactors, prob.phi_alpha)
+    if noise is not None:
+        moved = [
+            [sum((c * nj[b] for c, nj in zip(vec, noise)), B.zero_poly()) for b in range(len(prob.i_labels))]
+            for vec in cx.syz
+        ]
+        psi = f.reduce(psi + _pushed(J, moved, prob.phi._a.T))
+    return psi.reshape(-1)
 
 
-def _split_fiber(zr: _ZRing, nf: Polynomial) -> List[Tuple[int, Polynomial]]:
-    f = zr.field
-    grouped: dict = {}
-    for mo, c in nf.terms.items():
-        zdeg = sum(mo[zr.nb : zr.nb + zr.tI])
-        ydeg = sum(mo[: zr.nb])
-        if zdeg != 1 or ydeg != 0:
-            raise AssertionError("reduction is not linear in the nilpotents")
-        b = next(k for k in range(zr.tI) if mo[zr.nb + k] == 1)
-        xmono = tuple(mo[zr.nb + zr.tI + i] for i in range(zr.n))
-        grouped.setdefault(b, {})[xmono] = c
-    res = []
-    for b in sorted(grouped):
-        terms = {}
-        for xmono, c in grouped[b].items():
-            full = tuple([0] * zr.nb) + tuple(xmono)
-            terms[full] = c
-        res.append((b, Polynomial(f, zr.nb + zr.n, terms)))
-    return res
+def _pushed(J: FiniteModule, polys: Sequence[Sequence[Polynomial]], values: np.ndarray) -> np.ndarray:
+    """(len(polys), t): row k is sum_a rho_J(polys[k][a]) values[a], for
+    values an (A, t) array: one action_stack, one product."""
+    f, t = J.field, J.rank
+    k, a = len(polys), len(values)
+    acts = J.action_stack([p for row in polys for p in row]).reshape(k, a, t, t)
+    return f.matmul(acts.transpose(0, 2, 1, 3).reshape(k * t, a * t), values.reshape(a * t, 1)).reshape(k, t)
 
 
 # ---------------------------------------------------------------------------
@@ -984,15 +952,10 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
 
     # the extended base must map in: base gens to their sections, the
     # nilpotents to phi of the corresponding fiber vectors
-    tI = len(prob.i_labels)
     ap_names = tuple(B.base_names) + tuple("z:" + l for l in prob.i_labels)
-    Aprime = PresentedAlgebra.over_ground(f, ap_names, _aprime_relations(prob, 0))
-    imgs = []
-    for v in range(B.n_base):
-        imgs.append(tuple(gen_images[v]))
-    for b in range(tI):
-        vec = [f.zero()] * s + prob.phi.col(b)
-        imgs.append(tuple(vec))
+    Aprime = PresentedAlgebra.over_ground(f, ap_names, _aprime_relations(prob))
+    imgs = [tuple(gen_images[v]) for v in range(B.n_base)]
+    imgs += [tuple([f.zero()] * s + prob.phi.col(b)) for b in range(len(prob.i_labels))]
     hom = AlgebraHom(Aprime, tab, tuple(imgs))
     bad = hom.validate()
     if bad:
@@ -1008,14 +971,14 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
     return RealizedDeformation(prob, tuple(xi), tab, tuple(imgs))
 
 
-def _aprime_relations(prob: BaseDeformationProblem, n_trailing: int) -> List[Polynomial]:
-    """The relations of A' on (base gens, nilpotents) followed by
-    n_trailing variables they do not involve: base relations shifted by
-    their cocycle values, products of nilpotents, and the action rows."""
+def _aprime_relations(prob: BaseDeformationProblem) -> List[Polynomial]:
+    """The relations of A' on (base gens, nilpotents): base relations
+    shifted by their cocycle values, products of nilpotents, and the
+    action rows."""
     B = prob.B
     f = B.field
     nb, tI = B.n_base, len(prob.i_labels)
-    nvars = nb + tI + n_trailing
+    nvars = nb + tI
 
     def mono(*ks) -> Polynomial:
         exps = [0] * nvars

@@ -52,7 +52,6 @@ from .algebras import (
     PresentedAlgebra,
     StructureAlgebra,
     evaluate_stack,
-    validate,
 )
 from .budget import (
     DEFAULT_ENUM_BUDGET,
@@ -122,21 +121,17 @@ def _pairs(s: int) -> Tuple[np.ndarray, np.ndarray]:
     return pair_i, pair_j
 
 
-def state_of_table(B: PresentedAlgebra, table: StructureAlgebra, base_images=None) -> State:
+def state_of_table(B: PresentedAlgebra, table: StructureAlgebra) -> State:
     """Digit state of an extension or deformation table written in
-    section coordinates over the standard monomial basis of B.
-
-    base_images overrides the table's own base generator images; pass
-    the structure-map images when they differ from the recorded ones.
-    """
+    section coordinates over the standard monomial basis of B: its
+    fiber corrections and the fiber parts of its base generator images."""
     s = B.dim()
     t = table.dim - s
     if t < 0:
         raise ValueError("table is smaller than the algebra it should extend")
     pair_i, pair_j = _pairs(s)
     cdig = tuple(table.mul[pair_i, pair_j, s:].ravel().tolist())
-    imgs = base_images if base_images is not None else table.gen_images[: B.n_base]
-    eta = tuple(int(c) for v in range(B.n_base) for c in imgs[v][s:])
+    eta = tuple(int(c) for v in range(B.n_base) for c in table.gen_images[v][s:])
     return cdig, eta
 
 
@@ -565,19 +560,18 @@ class DeformationScan(_StructureScan):
     def solvable(self) -> bool:
         return self.count > 0
 
-    def table_of(self, state: State):
-        """The multiplication table and base-generator images of a
-        surviving state, revalidated."""
-        cd, eta = state
-        tab = self._extension(cd, (0,) * len(eta)).table
-        bad = validate(tab)
+    def table_of(self, state: State) -> StructureAlgebra:
+        """The table of a surviving state, its base-generator images
+        carrying the fiber parts eta as in realize_deformation,
+        revalidated."""
+        ext = self._extension(*state)
+        bad = ext.validate()
         if bad:
             raise AssertionError(f"scan survivor fails table validation: {bad}")
-        return tab, self._extension(cd, eta).table.base_images
+        return ext.table
 
     def state_of(self, realized: RealizedDeformation) -> State:
-        B = self.B
-        return state_of_table(B, realized.table, base_images=realized.aprime_images[: B.n_base])
+        return state_of_table(self.B, realized.table)
 
 
 def enumerate_deformations(problem: BaseDeformationProblem, budget=None) -> DeformationScan:

@@ -523,11 +523,14 @@ def _parse_problem(d: dict, i: int) -> ProblemSpec:
     raise ProblemFileError(f"{loc}.kind", f"unknown problem kind {kind!r}")
 
 
-def load_problem_file(source, field: Optional[str] = None) -> ProblemSet:
+def load_problem_file(
+    source, field: Optional[str] = None, truncate: Optional[int] = None, seed: Optional[int] = None
+) -> ProblemSet:
     """Read and validate a problem file.
 
     source may be a path to a JSON file or an already-parsed dict.
-    field, when given, overrides the file's coefficient field."""
+    field, when given, overrides the file's coefficient field, and
+    truncate and seed every problem's own keys, which override options."""
     if isinstance(source, dict):
         data = source
     else:
@@ -586,6 +589,12 @@ def load_problem_file(source, field: Optional[str] = None) -> ProblemSet:
     if "truncate" in options and options["truncate"] is not None:
         if not _is_degree(options["truncate"]):
             raise ProblemFileError("options.truncate", "expected a degree >= 1")
+
+    for spec in problems:
+        if spec.kind in ("tmods", "exal", "deform"):
+            spec.truncate = next((d for d in (truncate, spec.truncate, options.get("truncate")) if d is not None), None)
+        if spec.kind == "deform":
+            spec.seed = next((n for n in (seed, spec.seed, options.get("seed")) if n is not None), None)
 
     ps = ProblemSet(f, dict(algebras), module_specs, problems, dict(options))
     # build every referenced object now, exactly as its problem will use

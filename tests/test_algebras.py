@@ -249,9 +249,13 @@ class TestFiniteModule:
         assert B.std_index() is B.std_index()
         assert list(B.std_index()) == list(std)
 
-    def test_truncated_regular(self):
+    def test_truncated_regular(self, monkeypatch):
         B = make_algebra(GF(2), ["x", "y"], ["x*y"])
+        built = []
+        init = FiniteModule.__init__
+        monkeypatch.setattr(FiniteModule, "__init__", lambda self, *a: built.append(a[0]) or init(self, *a))
         J = FiniteModule.truncated_regular(B, 2)
+        assert built == [B]  # no module over the truncated presentation on the way
         assert J.rank == 3  # 1, x, y
         assert validate(J) == []
 

@@ -78,6 +78,21 @@ class TestExitCodes:
         assert main([*argv, "--truncate", degree]) == 1
         assert f"--truncate: expected a degree >= 1, got {int(degree)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--truncate", "--budget", "--seed"])
+    @pytest.mark.parametrize("command", [["tmods", None], ["corpus", "free"]])
+    def test_malformed_integer_flag_is_invalid_input(self, good_file, capsys, command, flag):
+        argv = [good_file if a is None else a for a in command]
+        assert main([*argv, flag, "x"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag}: expected " in err and "got 'x'" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["tmods", None], ["corpus", "free"]])
+    def test_budget_below_one_is_invalid_input(self, good_file, capsys, command, budget):
+        argv = [good_file if a is None else a for a in command]
+        assert main([*argv, "--oracle", "--budget", budget]) == 1
+        assert f"error: --budget: expected a positive integer, got {int(budget)}" in capsys.readouterr().err
+
     def test_truncate_one_is_accepted(self, good_file, capsys):
         # dual truncated at degree 1 is the ground field: T1 becomes 0,
         # against the expected 1
@@ -191,3 +206,73 @@ class TestRealProcess:
         proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+# k[x,y]/(xy) is infinite-dimensional; truncated at degree 4 it has
+# dimension 7 and T = (2, 3, 2) with the trivial module
+CROSS = {
+    "field": "F2",
+    "algebras": {"cross": {"gens": ["x", "y"], "relations": ["x*y"]}, "line": {"gens": ["s"], "relations": ["s^2"]},
+                 "rel": {"base": "line", "gens": ["x"], "relations": ["x^2 - s"]}, "thick": {"gens": ["s"], "relations": ["s^3"]}},
+    "modules": {"cross.k": {"algebra": "cross", "kind": "trivial"}, "rel.k": {"algebra": "rel", "kind": "trivial"}},
+    "problems": [
+        {"kind": "tmods", "name": "dims", "algebra": "cross", "module": "cross.k"},
+        {"kind": "deform", "name": "def", "algebra": "rel", "module": "rel.k", "extended_base": "thick", "ideal": ["s^2"]},
+    ],
+}
+
+
+class TestOptionPrecedence:
+    """truncate and seed: the command line, then the problem's own key,
+    then the file's options."""
+
+    def run(self, tmp_path, capsys, data, *flags):
+        path = write(tmp_path, data)
+        got = {}
+        for kind in ("tmods", "deform"):
+            assert main([kind, path, "--json", *flags]) == 0
+            got.update((e["name"], e) for e in json.loads(capsys.readouterr().out)["problems"])
+        return got
+
+    def test_options_truncate_and_seed_are_read(self, tmp_path, capsys):
+        got = self.run(tmp_path, capsys, {**CROSS, "options": {"truncate": 4, "seed": 11}})
+        dims = got["dims"]
+        assert (dims["t0"], dims["t1"], dims["t2"], dims["algebra_dim"]) == (2, 3, 2, 7)
+        assert got["def"]["second_lift_seed"] == 11
+
+    def test_without_options_nothing_is_truncated(self, tmp_path, capsys):
+        got = self.run(tmp_path, capsys, CROSS)
+        assert (got["dims"]["t0"], got["dims"]["t1"], got["dims"]["t2"]) == (2, 1, 0)
+        assert "algebra_dim" not in got["dims"]
+        assert got["def"]["second_lift_seed"] is None
+
+    def test_the_problem_key_beats_the_options(self, tmp_path, capsys):
+        data = json.loads(json.dumps(CROSS))
+        data["options"] = {"truncate": 2, "seed": 11}
+        data["problems"][0]["truncate"] = 4
+        data["problems"][1]["seed"] = 5
+        got = self.run(tmp_path, capsys, data)
+        assert got["dims"]["algebra_dim"] == 7
+        assert got["def"]["second_lift_seed"] == 5
+
+    def test_the_command_line_beats_both(self, tmp_path, capsys):
+        data = json.loads(json.dumps(CROSS))
+        data["options"] = {"truncate": 2, "seed": 11}
+        data["problems"][0]["truncate"] = 3
+        data["problems"][1]["seed"] = 5
+        got = self.run(tmp_path, capsys, data, "--truncate", "4", "--seed", "7")
+        assert got["dims"]["algebra_dim"] == 7
+        assert got["def"]["second_lift_seed"] == 7
+
+    @pytest.mark.parametrize("where", ["options", "command line"])
+    def test_load_builds_modules_over_the_truncation_the_runner_uses(self, tmp_path, capsys, where):
+        # the regular module of k[x,y]/(xy) exists only once truncated
+        data = json.loads(json.dumps(CROSS))
+        data["modules"]["cross.reg"] = {"algebra": "cross", "kind": "regular"}
+        data["problems"] = [{"kind": "tmods", "name": "reg", "algebra": "cross", "module": "cross.reg"}]
+        flags = ["--truncate", "4"] if where == "command line" else []
+        if where == "options":
+            data["options"] = {"truncate": 4}
+        assert main(["tmods", write(tmp_path, data), "--json", *flags]) == 0
+        (reg,) = json.loads(capsys.readouterr().out)["problems"]
+        assert reg["module_rank"] == reg["algebra_dim"] == 7

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defalg import GF, QQ, groebner
+from defalg import GF, QQ, deformation, groebner, reports
 from defalg.algebras import FiniteModule, StructureAlgebra, table_findings
 from defalg.cotangent import (
     CohomologyClass,
@@ -20,7 +20,8 @@ from defalg.cotangent import (
 )
 from defalg.linalg import Matrix
 from defalg.poly import Polynomial, mono_mul
-from defalg.problems import parse_polynomial
+from defalg.corpus import deformation_problem_set
+from defalg.problems import load_problem_file, parse_polynomial
 from defalg.deformation import (
     BaseDeformationProblem,
     ExtensionStack,
@@ -48,6 +49,7 @@ from defalg.fields import PrimeField
 from defalg.linalg import vec_add, vec_is_zero, vec_scale
 from defalg.oracle import enumerate_extensions
 
+from . import aprime_reference
 from .conftest import dual_numbers, fat_point, make_algebra
 
 
@@ -505,6 +507,7 @@ def _per_entry_table(B, J, values, prob=None):
     f = B.field
     std = B.std_monomials()
     s, t, nb = len(std), J.rank, len(B.base_relations)
+    zr = None if prob is None else aprime_reference.ZRing(prob)
 
     def mono(m):
         return Polynomial.monomial(f, B.nvars, m)
@@ -521,8 +524,7 @@ def _per_entry_table(B, J, values, prob=None):
             fiber = vec_add(f, fiber, J.action_of_poly(cof[nb + r]).mul_vec(list(values[r * t : (r + 1) * t])))
         if prob is not None:
             gpart = sum((c * g for c, g in zip(cof, B.base_relations)), B.zero_poly())
-            for b, q in prob.aprime_presentation().reduce_to_fiber(gpart):
-                fiber = vec_add(f, fiber, J.action_of_poly(q).mul_vec(prob.phi.col(b)))
+            fiber = vec_add(f, fiber, aprime_reference.push_fiber(prob, zr.reduce_to_fiber(gpart)))
         return vec[:s] + fiber
 
     zero = [f.zero()] * (s + t)
@@ -602,6 +604,10 @@ def test_tables_match_the_per_entry_definition(case, data):
     phi = Matrix.from_cols(field, [B.coordinates(B.var(0))]) if regular else None
     prob = BaseDeformationProblem.from_presented_total(B, J, Ap, [parse_polynomial("s^2", ("s",), field)], phi)
     res = obstruction_class(prob)
+    seed = data.draw(st.integers(0, 99))
+    assert list(res.psi) == aprime_reference.obstruction_vector(prob, res.complex)
+    seeded = deformation._obstruction_vector(prob, res.complex, deformation._lift_noise(prob, seed))
+    assert seeded.tolist() == aprime_reference.obstruction_vector(prob, res.complex, seed)
     if res.obstructed:
         return
     real = realize_deformation(prob, res, twist=psi)
@@ -630,6 +636,35 @@ def test_non_standard_generator_images_match_the_definition(field):
         assert [list(v) for v in real.table.gen_images] == images
         fibers.append(images[0][B.dim() :])
     assert any(not field.is_zero(c) for fiber in fibers for c in fiber)
+
+
+def test_obstruction_vectors_match_the_literal_reduction():
+    # psi, the seeded second lifts and the base relations' share of the
+    # tables, read off certified base cofactors, against the reduction
+    # in a presentation of A'[x], on every corpus deformation problem
+    cases = []
+    for fname in ("F2", "F3", "F5", "Q"):
+        ps = load_problem_file(deformation_problem_set(fname))
+        cases += [(ps, spec) for spec in ps.problems if spec.kind == "deform"]
+    assert len(cases) == 50
+    nonzero = {"psi": 0, "seeded": 0, "share": 0}
+    for ps, spec in cases:
+        prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+        B = prob.B
+        cx = cotangent_complex(B)
+        psi = deformation._obstruction_vector(prob, cx).tolist()
+        assert psi == aprime_reference.obstruction_vector(prob, cx)
+        nonzero["psi"] += any(psi)
+        for seed in (3, 17, 99):
+            seeded = deformation._obstruction_vector(prob, cx, deformation._lift_noise(prob, seed)).tolist()
+            assert seeded == aprime_reference.obstruction_vector(prob, cx, seed)
+            nonzero["seeded"] += seeded != psi
+        if B.is_finite_dimensional():
+            for _, terms, coeffs in (B.product_cofactors(), B.generator_cofactors()):
+                share = deformation._base_share(B, prob.J, terms, coeffs, prob).tolist()
+                assert share == aprime_reference.base_share(prob, terms, coeffs).tolist()
+                nonzero["share"] += any(map(any, share))
+    assert all(nonzero.values()), nonzero
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=lambda f: f.name)

@@ -30,6 +30,7 @@ from defalg.oracle import (
     enumerate_derivations,
     enumerate_extensions,
     enumerate_lifts,
+    state_of_table,
 )
 from defalg.corpus import deformation_problem_set, lift_problem_set, run_suite, showcase_problem_set
 from defalg.problems import LiftSpec, load_problem_file, parse_polynomial
@@ -201,10 +202,13 @@ class TestDeformationScan:
         assert any(any(eta) for _, eta in scan.states)
         targets = [[0] * B.dim() + prob.phi.mul_vec(list(a)) for a in prob.alpha]
         for state in scan.states:
-            tab, yimgs = scan.table_of(state)
-            assert scan.state_of(RealizedDeformation(prob, (), tab, yimgs)) == state
+            tab = scan.table_of(state)
+            # one form with realize_deformation: eta sits in the table's own base images
+            assert state_of_table(B, tab) == state
+            assert scan.state_of(RealizedDeformation(prob, (), tab, ())) == state
             assert validate(tab) == []
             assert ExtensionStack.of([SquareZeroExtension(B, J, tab)]).section_findings() == [[]]
+            yimgs = tab.gen_images[: B.n_base]
             assert tab.evaluate_many(B.base_algebra().relations, yimgs).tolist() == targets
 
 

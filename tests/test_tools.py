@@ -113,9 +113,9 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
     counts = json.loads(out.read_text())
     assert list(counts) == ["showcase", "total"]
     assert counts["showcase"] == counts["total"]
-    assert set(counts["total"]) == {"buchberger", "z_divmod", "modules", "cotangent"}
+    assert set(counts["total"]) == {"buchberger", "z_divmod", "modules", "cotangent", "polynomials"}
     assert all(n > 0 for n in counts["total"].values())
-    assert run.stdout.splitlines()[0].split() == ["suite", "buchberger", "z_divmod", "modules", "cotangent"]
+    assert run.stdout.splitlines()[0].split() == ["suite", "buchberger", "z_divmod", "modules", "cotangent", "polynomials"]
     tool = load_tool("work_counts")
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"showcase": {**counts["showcase"], "modules": None}}))
@@ -123,7 +123,8 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
     n = counts["showcase"]
     assert lines[0] == (
         f"showcase: buchberger {n['buchberger']} -> {n['buchberger']}, z_divmod {n['z_divmod']} -> {n['z_divmod']}, "
-        f"modules - -> {n['modules']}, cotangent {n['cotangent']} -> {n['cotangent']}"
+        f"modules - -> {n['modules']}, cotangent {n['cotangent']} -> {n['cotangent']}, "
+        f"polynomials {n['polynomials']} -> {n['polynomials']}"
     )
     assert lines[1].startswith("total: buchberger - -> ")
 

@@ -11,7 +11,8 @@ on, and prints per suite, then in total:
   * ``buchberger``: Groebner basis runs (``groebner.buchberger`` calls);
   * ``z_divmod``: packed divisions (``groebner._z_divmod`` calls);
   * ``modules``: ``FiniteModule`` builds (``FiniteModule.__init__``);
-  * ``cotangent``: cotangent complex builds (``cotangent._build_complex``).
+  * ``cotangent``: cotangent complex builds (``cotangent._build_complex``);
+  * ``polynomials``: ``Polynomial`` builds (``Polynomial.__init__``).
 
 Each function is wrapped by name and called through with ``*args`` and
 ``**kwargs``, and every ``defalg`` module that imported it by name sees
@@ -35,6 +36,7 @@ TARGETS = {
     "z_divmod": ("defalg.groebner", "_z_divmod"),
     "modules": ("defalg.algebras", "FiniteModule.__init__"),
     "cotangent": ("defalg.cotangent", "_build_complex"),
+    "polynomials": ("defalg.poly", "Polynomial.__init__"),
 }
 
 
@@ -91,9 +93,9 @@ def _cell(v: Optional[int]) -> str:
 
 def render(counts: Dict[str, Dict[str, Optional[int]]]) -> str:
     width = max(map(len, counts))
-    lines = [f"{'suite':{width}}  " + "  ".join(f"{k:>10}" for k in TARGETS)]
+    lines = [f"{'suite':{width}}  " + "  ".join(f"{k:>11}" for k in TARGETS)]
     for suite, row in counts.items():
-        lines.append(f"{suite:{width}}  " + "  ".join(f"{_cell(row.get(k)):>10}" for k in TARGETS))
+        lines.append(f"{suite:{width}}  " + "  ".join(f"{_cell(row.get(k)):>11}" for k in TARGETS))
     return "\n".join(lines)
 
 
