@@ -97,17 +97,17 @@ def rref_modp_numpy(a, p):
     piv = []
     rank = 0
     for col in range(ncols):
-        nz = np.nonzero(r[rank:, col])[0]
+        nz = r[rank:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = rank + int(nz[0])
         if pr != rank:
             r[[rank, pr]] = r[[pr, rank]]
         r[rank] = (r[rank] * pow(int(r[rank, col]), p - 2, p)) % p
-        mask = np.nonzero(r[:, col])[0]
+        mask = r[:, col].nonzero()[0]
         mask = mask[mask != rank]
         if mask.size:
-            r[mask] = (r[mask] - np.outer(r[mask, col], r[rank])) % p
+            r[mask] = (r[mask] - r[mask, col, None] * r[rank]) % p
         piv.append(col)
         rank += 1
         if rank == nrows:
@@ -162,13 +162,18 @@ def solve_affine(R, c, p, lo=0, hi=None):
     # K @ R, x0 @ R + c and each row x0 + u @ K sum at most ndig
     # products of two residues and one residue
     assert ndig * (p - 1) ** 2 + (p - 1) < 2**63, "sums would overflow int64"
-    c = np.broadcast_to(np.asarray(c, np.int64), R.shape[1]) % p
+    c = np.asarray(c, np.int64) % p  # a scalar stands for every column
     live = R.any(axis=0) | (c != 0)
-    red, piv, rank = rref_modp(np.hstack([R[:, live].T, -c[live, None] % p]), p)
-    piv = piv[:rank].tolist()
-    if ndig in piv:  # a pivot in the constant column: 0 == 1
+    system = np.empty((np.count_nonzero(live), ndig + 1), np.int64)
+    system[:, :ndig] = R[:, live].T
+    system[:, ndig] = -(c[live] if c.ndim else c) % p
+    red, piv, rank = rref_modp(system, p)
+    piv = piv[:rank]
+    if rank and piv[-1] == ndig:  # a pivot in the constant column: 0 == 1
         return np.empty((0, ndig), np.int64)
-    free = [j for j in range(ndig) if j not in piv]
+    free = np.ones(ndig, bool)
+    free[piv] = False
+    free = free.nonzero()[0]
     x0 = np.zeros(ndig, np.int64)
     x0[piv] = red[:rank, ndig]
     K = np.zeros((len(free), ndig), np.int64)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import Field, PrimeField, Scalar
+from .fields import Field, PrimeField, Scalar, int_scale
 from .groebner import GroebnerBasis, buchberger, normal_form
 from .linalg import Matrix
 from .poly import GREVLEX, Monomial, Polynomial, mono_deg, mono_divides, mono_mul
@@ -619,10 +620,16 @@ class FiniteModule:
     # -- action ------------------------------------------------------------
 
     def action_of_poly(self, p: Polynomial) -> Matrix:
-        return Matrix(self.field, self.rank, self.rank, self.action_stack([p])[0])
+        a, den = self.action_ints([p])
+        return Matrix(self.field, self.rank, self.rank, a[0], den)
 
     def action_stack(self, polys: Sequence[Polynomial]) -> np.ndarray:
-        """The actions of polys, as a (len(polys), t, t) array: one
+        """The actions of polys, as a (len(polys), t, t) field array."""
+        return self.field.scalars(*self.action_ints(polys))
+
+    def action_ints(self, polys: Sequence[Polynomial]) -> Tuple[np.ndarray, int]:
+        """The actions of polys in integer storage (see ``fields``): a
+        (len(polys), t, t) integer array over one denominator, from one
         product of their coefficient matrix with the stacked memoized
         actions of the monomials they use."""
         f, t = self.field, self.rank
@@ -633,10 +640,13 @@ class FiniteModule:
         for i, p in enumerate(polys):
             for m, c in p.terms.items():
                 coeffs[i, monos[m]] = c
-        actions = np.zeros((len(monos), t, t), f.dtype)
-        for m, k in monos.items():
-            actions[k] = self.monomial_action(m)._a
-        return f.matmul(coeffs, actions.reshape(len(monos), t * t)).reshape(len(polys), t, t)
+        coeffs, cden = f.ints(coeffs)
+        acts = [self.monomial_action(m) for m in monos]
+        den = lcm(*(w._den for w in acts))
+        blocks = [w._a if w._den == den else int_scale(w._a, den // w._den) for w in acts]
+        stack = np.array(blocks) if blocks else np.zeros((0, t, t), np.int64)
+        prod = f.int_matmul(coeffs, stack.reshape(len(monos), t * t)).reshape(len(polys), t, t)
+        return f.lowest(prod, cden * den)
 
     def monomial_action(self, m: tuple) -> Matrix:
         """Action of the monomial with exponents m, memoized: mats[v]

@@ -24,14 +24,14 @@ exactly at the matrix level and are asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebras import FiniteModule, PresentedAlgebra
 from .differential import block_matrix, jacobian_entries, relation_syzygies
 from .groebner import combinations_vanish, prune_generators
-from .linalg import Matrix, complete_basis, kernel_basis, solve_affine_rows, vec_is_zero
+from .linalg import Matrix, free_columns, kernel_basis, solve_affine_rows, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
 
@@ -191,38 +191,53 @@ def _quotient_result(
     J: FiniteModule,
     degree: int,
     cocycles: Matrix,
-    coboundary_cols: Matrix,
+    picked: Sequence[int],
+    cob_rank: int,
     maps: CochainMaps,
 ) -> TModuleResult:
-    f = J.field
-    ambient = cocycles.nrows
-    inner = [coboundary_cols.col(c) for c in range(coboundary_cols.ncols)]
-    outer = [cocycles.col(c) for c in range(cocycles.ncols)]
-    from .linalg import span_rank
-
-    cob_rank = span_rank(f, inner, ambient)
-    picked = complete_basis(f, inner, outer, ambient)
+    """The quotient of the cocycles (the columns of a kernel basis) by
+    coboundaries of rank cob_rank, with the picked columns as its
+    representatives."""
     dim = cocycles.ncols - cob_rank
     if len(picked) != dim:
         raise AssertionError("transversal size disagrees with the rank count")
-    reps = tuple(tuple(outer[i]) for i in picked)
+    reps = tuple(map(tuple, cocycles.select(cols=picked).transpose().to_rows()))
     return TModuleResult(B, J, degree, dim, reps, cocycles.ncols, cob_rank, maps)
 
 
+def _transversal(prev: Matrix, nxt: Matrix) -> List[int]:
+    """The columns of kernel_basis(nxt) that extend the image of prev to
+    the whole kernel, each kept when it is not in the span of the image
+    and the columns before it.
+
+    A kernel vector is its coordinates on the free columns of nxt, where
+    the kernel basis is the identity; there the image of prev is spanned
+    by the free rows of prev.  Column j is kept exactly when no image
+    vector has its last nonzero coordinate at j, and those last
+    coordinates are the pivots of one rref of the free rows, transposed
+    with their order reversed."""
+    free = free_columns(nxt)
+    last = {len(free) - 1 - c for c in prev.select(rows=free[::-1]).transpose().rref()[1]}
+    return [j for j in range(len(free)) if j not in last]
+
+
 def t_modules(B: PresentedAlgebra, J: FiniteModule) -> Tuple[TModuleResult, TModuleResult, TModuleResult]:
-    """T^0, T^1, T^2 of B over its base with coefficients in J."""
+    """T^0, T^1, T^2 of B over its base with coefficients in J: one
+    reduction per differential gives its rank and the kernel of the
+    next, and one more per degree 1 and 2 picks the representatives."""
     cx = cotangent_complex(B)
     maps = cochain_maps(cx, J)
-    f = J.field
 
     k0 = kernel_basis(maps.d0)
-    res0 = _quotient_result(B, J, 0, k0, Matrix.zeros(f, k0.nrows, 0), maps)
+    if k0.select(rows=free_columns(maps.d0)) != Matrix.identity(J.field, k0.ncols):
+        raise AssertionError("kernel basis is not the identity on its free coordinates")
+    res0 = _quotient_result(B, J, 0, k0, range(k0.ncols), 0, maps)
 
     k1 = kernel_basis(maps.d1)
-    res1 = _quotient_result(B, J, 1, k1, maps.d0, maps)
+    res1 = _quotient_result(B, J, 1, k1, _transversal(maps.d0, maps.d1), maps.d0.rank(), maps)
 
     k2 = kernel_basis(maps.w)
-    res2 = _quotient_result(B, J, 2, k2, maps.d1, maps)
+    res2 = _quotient_result(B, J, 2, k2, _transversal(maps.d1, maps.w), maps.d1.rank(), maps)
     return res0, res1, res2
 
 

@@ -69,7 +69,7 @@ from .cotangent import (
 )
 from .differential import derivation_space
 from .fields import PrimeField, Scalar
-from .linalg import Matrix, in_span, solve_affine, solve_affine_rows, vec_add, vec_is_zero
+from .linalg import Matrix, solve_affine, solve_affine_rows, vec_add, vec_is_zero
 from .poly import Polynomial
 
 
@@ -623,25 +623,22 @@ class LiftProblem:
         """f_j at the preimages, written in ideal coordinates (flat J^m)."""
         B, Cp = self.B, self.Cprime
         f = B.field
-        out = []
         m = len(B.relations)
         vals = Cp.evaluate_many([*B.relations, *B.base_relations], self.preimages)
-        for val in vals[:m].tolist():
-            coords = in_span(f, self.n_basis, val)
-            if coords is None:
-                raise ValueError("a relation value is not in the ideal: the map does not land in C")
-            out.extend(coords)
+        ok, coords = solve_affine_rows(Matrix.from_cols(f, self.n_basis, nrows=Cp.dim), vals[:m])
+        if not ok.all():
+            raise ValueError("a relation value is not in the ideal: the map does not land in C")
         # base relations must hold on the nose for the base structure to lift
         if vals[m:].any():
             raise ValueError("a base relation fails in the total ring")
-        return out
+        return coords.ravel().tolist()
 
 
 def _ideal_module(C: StructureAlgebra, basis, elements) -> Tuple[bool, Optional[Tuple[Matrix, ...]]]:
     """The ideal of C spanned by basis, a list of independent vectors,
     as a module: whether it squares to zero, and the matrix, on basis,
     of multiplication by each vector of elements (None when a product
-    leaves the span), from one solve per element."""
+    leaves the span), from one solve over every product."""
     f, d, t = C.field, C.dim, len(basis)
     N = f.array([list(v) for v in basis]).reshape(t, d)
 
@@ -651,14 +648,11 @@ def _ideal_module(C: StructureAlgebra, basis, elements) -> Tuple[bool, Optional[
         return f.matmul(N, left)
 
     square_zero = not products(N).astype(bool).any()
-    span = Matrix(f, d, t, np.ascontiguousarray(N.T))
-    mats = []
-    for prods in products(f.array([list(v) for v in elements]).reshape(len(elements), d)):
-        ok, x = solve_affine_rows(span, prods)
-        if not ok.all():
-            return square_zero, None
-        mats.append(Matrix(f, t, t, np.ascontiguousarray(x.T)))
-    return square_zero, tuple(mats)
+    prods = products(f.array([list(v) for v in elements]).reshape(len(elements), d))
+    ok, x = solve_affine_rows(Matrix.from_array(f, N.T), prods.reshape(len(elements) * t, d))
+    if not ok.all():
+        return square_zero, None
+    return square_zero, tuple(Matrix.from_array(f, m.T) for m in x.reshape(len(elements), t, t))
 
 
 def _ideal_span(A: PresentedAlgebra, ideal_gens: Sequence[Polynomial]) -> List[list]:
@@ -671,7 +665,7 @@ def _ideal_span(A: PresentedAlgebra, ideal_gens: Sequence[Polynomial]) -> List[l
     table = S.mul.reshape(n, n * n)
     rows = [f.matmul(f.array(A.coordinates(g)), table).reshape(n, n) for g in ideal_gens]
     vecs = np.concatenate(rows) if rows else np.zeros((0, n), f.dtype)
-    red, _, rank = Matrix(f, len(vecs), n, vecs).rref()
+    red, _, rank = Matrix.from_array(f, vecs).rref()
     return [red.row(i) for i in range(rank)]
 
 
@@ -790,18 +784,16 @@ class BaseDeformationProblem:
         if mats is None:
             raise ValueError("ideal is not stable in the total ring")
         labels = tuple(f"i{k}" for k in range(rank))
-        alpha = []
-        for g in B.base_algebra().relations:
-            val = Aprime.coordinates(g)
-            coords = in_span(f, nb, val)
-            if coords is None:
-                raise ValueError("a base relation does not land in the ideal of the total ring")
-            alpha.append(tuple(coords))
+        rels = B.base_algebra().relations
+        vals = f.array([Aprime.coordinates(g) for g in rels]).reshape(len(rels), S.dim)
+        ok, alpha = solve_affine_rows(Matrix.from_cols(f, nb, nrows=S.dim), vals)
+        if not ok.all():
+            raise ValueError("a base relation does not land in the ideal of the total ring")
         if phi is None:
             if J.rank != rank:
                 raise ValueError("phi omitted but J does not have the rank of I")
             phi = Matrix.identity(f, rank)
-        return cls(B, J, labels, mats, tuple(alpha), phi)
+        return cls(B, J, labels, mats, tuple(map(tuple, alpha.tolist())), phi)
 
     @cached_property
     def phi_alpha(self) -> np.ndarray:
@@ -892,7 +884,7 @@ def _obstruction_vector(
             [sum((c * nj[b] for c, nj in zip(vec, noise)), B.zero_poly()) for b in range(len(prob.i_labels))]
             for vec in cx.syz
         ]
-        psi = f.reduce(psi + _pushed(J, moved, prob.phi._a.T))
+        psi = f.reduce(psi + _pushed(J, moved, prob.phi.to_array().T))
     return psi.reshape(-1)
 
 

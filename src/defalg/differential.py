@@ -22,11 +22,11 @@ from .poly import GREVLEX, Polynomial
 def block_matrix(J: FiniteModule, entries: Sequence[Sequence[Polynomial]], nrows: int, ncols: int) -> Matrix:
     """Assemble the scalar matrix of a map J^ncols -> J^nrows whose
     (j, i) block acts by the polynomial entries[j][i]: every block from
-    one ``action_stack``."""
+    one ``action_ints``, integers over one denominator."""
     t = J.rank
-    blocks = J.action_stack([entries[j][i] for j in range(nrows) for i in range(ncols)])
+    blocks, den = J.action_ints([entries[j][i] for j in range(nrows) for i in range(ncols)])
     a = blocks.reshape(nrows, ncols, t, t).transpose(0, 2, 1, 3).reshape(nrows * t, ncols * t)
-    return Matrix(J.field, nrows * t, ncols * t, a)
+    return Matrix(J.field, nrows * t, ncols * t, a, den)
 
 
 def jacobian_entries(B: PresentedAlgebra) -> Tuple[Tuple[Polynomial, ...], ...]:

@@ -10,20 +10,25 @@ and ``str`` agree between an int and the equal ``Fraction``.  A field
 object bundles the arithmetic so matrices and polynomials can stay
 field-agnostic.
 
-Arrays of scalars (matrices, multiplication tables) are numpy arrays
+Arrays of scalars (multiplication tables, cocycles) are numpy arrays
 whose dtype the field decides: int64 residues for GF(p), object arrays
 of canonical rationals for Q.  The field owns the operations that differ
 between the two: building an array from scalars (``array``), bringing
-entries back to canonical form (``reduce``), the reduced product
-(``matmul``) and row reduction (``rref``).  Both fields multiply integer
-arrays by one rule: in int64 while contraction length * max|a| * max|b|
-< 2^63, so no partial sum can wrap, and on Python ints beyond it.  Over
-GF(p) the bound is length * (p-1)^2, so every accepted p gets exact
-answers.  Over Q, ``matmul`` clears the denominators of each operand
-once, multiplies the two integer arrays by that rule and divides by the
-product of the two denominators only where an entry is not a multiple
-of it: exact at any size, with no ``Fraction`` arithmetic inside the
-sums.
+entries back to canonical form (``reduce``) and the reduced product
+(``matmul``).
+
+Matrices (see ``linalg``) keep integer storage instead: an integer array
+over one positive denominator.  Over GF(p) that is the residues over 1;
+over Q the numerators of all entries over their common denominator.
+``ints`` clears the denominators of scalars once, ``scalars`` builds
+canonical entries back, and ``int_matmul``, ``lowest`` and ``rref``
+work on the integers alone.  An integer array is int64 while its
+entries fit, and Python ints beyond.  Every operation keeps int64 only
+while nothing can wrap: a product while contraction length * max|a| *
+max|b| < 2^63, an elimination step while 2 * max^2 < 2^63; over GF(p)
+the product bound is length * (p-1)^2, so every accepted p gets exact
+answers.  Past a bound the operation runs on Python ints, exact at any
+size.
 """
 
 from __future__ import annotations
@@ -126,10 +131,23 @@ class PrimeField:
         prod = _int_matmul(a, b, a.shape[-1] * (self.p - 1) ** 2)
         return (prod % self.p).astype(np.int64, copy=False)
 
+    # -- integer storage: residues over the denominator 1 ----------------
+
+    def ints(self, data):
+        return self.array(data), 1
+
+    def scalars(self, a: np.ndarray, den: int) -> np.ndarray:
+        return a
+
+    int_matmul = matmul
+
+    def lowest(self, a: np.ndarray, den: int):
+        return a, 1
+
     def rref(self, a: np.ndarray):
-        """(reduced array, pivot column tuple, rank) through the kernels."""
+        """(reduced array, 1, pivot column tuple, rank) through the kernels."""
         r, piv, rank = _kernels.rref_modp(a, self.p)
-        return r, tuple(int(c) for c in piv), rank
+        return r, 1, tuple(piv[:rank].tolist()), rank
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -164,13 +182,58 @@ def rational(x) -> Scalar:
         raise TypeError(f"not an exact rational: {x!r}") from None
 
 
+_INT64 = 2**63
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max |entry| of an integer array, 0 when it is empty."""
+    if a.size == 0:
+        return 0
+    if a.dtype == object:
+        return max(map(abs, a.ravel().tolist()))
+    return max(int(a.max()), -int(a.min()))
+
+
+def _int_array(data) -> np.ndarray:
+    """(Nested) Python ints as int64 when every one fits, else as an
+    object array of Python ints."""
+    try:
+        return np.array(data, np.int64)
+    except OverflowError:
+        return np.array(data, object)
+
+
+def _tiered(a: np.ndarray) -> np.ndarray:
+    """An integer array as int64 when every entry fits."""
+    if a.dtype != object:
+        return a
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a
+
+
 def _int_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     """a @ b for arrays of integers, exact at any size: in int64 while
     bound, at least contraction length * max|a| * max|b|, is below 2^63
     (no partial sum can wrap), on Python ints otherwise."""
-    if bound < 2**63:
+    if bound < _INT64:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return a.astype(object, copy=False) @ b.astype(object, copy=False)
+    return _object_matmul(a.astype(object, copy=False), b.astype(object, copy=False))
+
+
+def _object_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on Python ints.  A matrix a that is mostly zeros (a module's
+    generator action, say) is contracted over its nonzero entries only:
+    one product row per entry, summed per row of a."""
+    if a.ndim != 2 or b.ndim != 2 or 4 * np.count_nonzero(a) >= a.size:
+        return a @ b
+    rows, cols = np.nonzero(a)
+    out = np.zeros((a.shape[0], b.shape[1]), object)
+    if rows.size:
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        out[rows[starts]] = np.add.reduceat(a[rows, cols][:, None] * b[cols], starts, axis=0)
+    return out
 
 
 def _ratio(x: int, den: int) -> Scalar:
@@ -179,65 +242,81 @@ def _ratio(x: int, den: int) -> Scalar:
     return Fraction(x, den) if r else q
 
 
-def _clear_denominators(xs):
-    """(integers, den) with xs[i] == integers[i] / den, where den is the
-    lcm of the denominators of the canonical rationals xs."""
-    dens = {x.denominator for x in xs if type(x) is not int}
-    if not dens:
-        return xs, 1
-    den = lcm(*dens)
-    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in xs], den
+def int_scale(a: np.ndarray, s: int) -> np.ndarray:
+    """s * a for an integer array, on Python ints where int64 could wrap."""
+    if s == 1 or not a.any():
+        return a
+    if a.dtype != object and _max_abs(a) * abs(s) >= _INT64:
+        a = a.astype(object)
+    return a * s
 
 
-def _as_int_rows(rows):
-    """Clear denominators: each row scaled to coprime integers."""
-    out = []
-    for row in rows:
-        ints, _ = _clear_denominators(row)
-        g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
-
-
-def _rref_fracfree(rows, ncols):
-    """Full RREF over Q. Returns (canonical rows, pivot cols)."""
-    work = _as_int_rows(rows)
-    nrows = len(work)
-    pivots = []
-    rank = 0
+def _rref_int(a: np.ndarray):
+    """(r, den, pivot list) with r / den the reduced row echelon form of
+    the integer array a, in lowest terms: integer-preserving Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968), each updated row divided
+    by the gcd of its entries where Bareiss divides by the previous
+    pivot, then each pivot row scaled to the lcm den of the pivots.
+    Steps run in int64 while 2 * max^2 < 2^63, on Python ints past it."""
+    nrows, ncols = a.shape
+    work = _tiered(np.array(a))
+    if nrows and ncols:
+        g = np.gcd.reduce(work, axis=1)
+        g[g == 0] = 1
+        work //= g[:, None]
+    top = _max_abs(work)  # an upper bound of every |entry|
+    piv = []
     for col in range(ncols):
-        pr = -1
-        for r in range(rank, nrows):
-            if work[r][col] != 0:
-                pr = r
-                break
-        if pr < 0:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        pv = work[rank][col]
-        for r in range(nrows):
-            if r == rank or work[r][col] == 0:
-                continue
-            f = work[r][col]
-            row = [work[r][c] * pv - work[rank][c] * f for c in range(ncols)]
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-            work[r] = row
-        pivots.append(col)
-        rank += 1
+        rank = len(piv)
         if rank == nrows:
             break
-    out = []
-    for r in range(nrows):
-        if r < rank:
-            pv = work[r][pivots[r]]
-            out.append([_ratio(x, pv) for x in work[r]])
-        else:
-            out.append([0] * ncols)
-    return out, pivots
+        nz = np.flatnonzero(work[rank:, col])
+        if not nz.size:
+            continue
+        if nz[0]:
+            work[[rank, rank + nz[0]]] = work[[rank + nz[0], rank]]
+        piv.append(col)
+        factors = work[:, col].copy()
+        factors[rank] = 0
+        rows = np.flatnonzero(factors)
+        if not rows.size:
+            continue
+        if work.dtype != object and 2 * top * top >= _INT64:
+            top = _max_abs(work)
+            if 2 * top * top >= _INT64:
+                work = work.astype(object)
+        upd = work[rows] * work[rank, col] - factors[rows, None] * work[rank]
+        g = np.gcd.reduce(upd, axis=1)
+        g[g == 0] = 1
+        upd //= g[:, None]
+        work[rows] = upd
+        if work.dtype != object:
+            top = max(top, _max_abs(upd))
+    rank = len(piv)
+    pivots = [int(work[i, c]) for i, c in enumerate(piv)]
+    den = lcm(1, *pivots)
+    scale = [den // pv for pv in pivots]
+    head = work[:rank]
+    if head.dtype != object and _max_abs(head) * max(map(abs, scale), default=1) >= _INT64:
+        head = head.astype(object)
+    out = np.zeros((nrows, ncols), head.dtype)
+    out[:rank] = head * np.array(scale, head.dtype).reshape(rank, 1)
+    return (*_lowest(out, den), piv)
+
+
+def _lowest(a: np.ndarray, den: int):
+    """(a, den) divided by the gcd of den and every entry of a."""
+    if den == 1:
+        return a, 1
+    if a.dtype == object:
+        g = gcd(den, *a.ravel().tolist())
+    else:
+        g = gcd(den, int(np.gcd.reduce(a.ravel())) if a.size else 0)
+    if g == den and not a.any():
+        return a, 1
+    if g == 1:
+        return a, den
+    return _tiered(a // g), den // g
 
 
 _to_rationals = np.frompyfunc(rational, 1, 1)
@@ -306,24 +385,48 @@ class RationalField:
         return _to_rationals(a)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b on cleared-denominator integers (int64 when bounded, as
-        for GF(p)), divided once per entry that is not a multiple of the
-        common denominator."""
-        ia, da = _clear_denominators(a.ravel().tolist())
-        ib, db = _clear_denominators(b.ravel().tolist())
-        # at least 1 per factor, so a bound below 2^63 also fits each entry
-        bound = a.shape[-1] * max(1, max(map(abs, ia), default=0)) * max(1, max(map(abs, ib), default=0))
-        prod = _int_matmul(np.array(ia, object).reshape(a.shape), np.array(ib, object).reshape(b.shape), bound)
-        den = da * db
+        """a @ b of canonical arrays, through their integer storage."""
+        ia, da = self.ints(a)
+        ib, db = self.ints(b)
+        return self.scalars(self.int_matmul(ia, ib), da * db)
+
+    # -- integer storage: numerators over one positive denominator -------
+
+    def ints(self, data):
+        """(integer array, den) with data == array / den, den the lcm of
+        the denominators of the (nested) scalars data."""
+        a = self.array(data)
+        flat = a.ravel().tolist()
+        dens = {x.denominator for x in flat if type(x) is not int}
+        if not dens:
+            return _int_array(flat).reshape(a.shape), 1
+        den = lcm(*dens)
+        flat = [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in flat]
+        return _int_array(flat).reshape(a.shape), den
+
+    def scalars(self, a: np.ndarray, den: int) -> np.ndarray:
+        """The canonical object array a / den."""
         if den == 1:
-            return prod.astype(object, copy=False)  # Python ints, also from int64
-        return np.array([_ratio(x, den) for x in prod.ravel().tolist()], object).reshape(prod.shape)
+            return a.astype(object)
+        return np.array([_ratio(x, den) for x in a.ravel().tolist()], object).reshape(a.shape)
+
+    def int_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b of integer arrays, in int64 while no sum can wrap."""
+        # at least 1 per factor, so a bound below 2^63 also fits each
+        # entry; an operand on Python ints takes the Python-int product
+        big = a.dtype == object or b.dtype == object
+        bound = _INT64 if big else a.shape[-1] * max(1, _max_abs(a)) * max(1, _max_abs(b))
+        return _tiered(_int_matmul(a, b, bound))
+
+    def lowest(self, a: np.ndarray, den: int):
+        """(a, den) in lowest terms: den and the entries of a coprime."""
+        return _lowest(a, den)
 
     def rref(self, a: np.ndarray):
-        """(reduced array, pivot column tuple, rank), fraction-free:
-        integer rows, gcd-normalized after every update."""
-        rows, piv = _rref_fracfree(a.tolist(), a.shape[1])
-        return np.array(rows, object).reshape(a.shape), tuple(piv), len(piv)
+        """(reduced integer array, den, pivot column tuple, rank) of an
+        integer array: its rref is the array over den."""
+        r, den, piv = _rref_int(a)
+        return r, den, tuple(piv), len(piv)
 
     def __repr__(self) -> str:
         return "QQ"

@@ -227,7 +227,7 @@ def _classify_states(X: np.ndarray, nc: int, deltas: np.ndarray, f: PrimeField):
     orbit.  Once every orbit is checked to be a whole coset, that state
     is the label itself (its pivot digits are zero), and
     ``_kernels._unique_rows`` sorts the labels in that order."""
-    red, piv, rank = f.rref(deltas)
+    red, _, piv, rank = f.rref(deltas)
     labels = (X - f.matmul(X[:, list(piv)], red[:rank])) % f.p
     reps, inv, counts = _kernels._unique_rows(labels, f.p)
     if np.any(counts != f.p**rank):

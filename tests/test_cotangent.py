@@ -29,7 +29,7 @@ from defalg.cotangent import (
 from defalg.deformation import BaseDeformationProblem, obstruction_class
 from defalg.differential import jacobian_entries, relation_syzygies
 from defalg.groebner import module_groebner, module_syzygies, syzygy_basis
-from defalg.linalg import Matrix, vec_add
+from defalg.linalg import Matrix, complete_basis, kernel_basis, vec_add
 from defalg.problems import parse_polynomial
 
 from .conftest import dual_numbers, fat_point, make_algebra
@@ -330,6 +330,47 @@ def test_quotient_accounting(any_field):
         assert rep.is_cocycle_of(r1.maps)
         bounds, _ = is_coboundary(rep, r1.maps)
         assert not bounds, "chosen representatives span a transversal"
+
+
+@pytest.mark.parametrize(
+    "gens, rels",
+    [(["x", "y"], ["x^2", "x*y", "y^2"]), (["x", "y", "z"], ["x^2", "y^2", "z^2", "x*y*z"]), (["x"], ["x^4"])],
+)
+def test_representatives_are_the_greedy_transversal(any_field, gens, rels):
+    # the picks read off the free rows are the cocycle columns that each
+    # raise the rank of the coboundaries and the columns before them
+    B = make_algebra(any_field, gens, rels)
+    res = t_modules(B, FiniteModule.regular(B))
+    maps = res[0].maps
+    for r, prev, nxt in ((res[1], maps.d0, maps.d1), (res[2], maps.d1, maps.w)):
+        outer = [kernel_basis(nxt).col(c) for c in range(r.cocycle_dim)]
+        inner = [prev.col(c) for c in range(prev.ncols)]
+        picked = complete_basis(any_field, inner, outer, prev.nrows)
+        assert r.reps == tuple(tuple(outer[i]) for i in picked)
+        assert r.coboundary_dim == prev.rank()
+
+
+def test_t_modules_checks_its_kernel_and_transversal(monkeypatch):
+    from defalg import cotangent
+
+    f = GF(3)
+    B = fat_point(f)
+    J = FiniteModule.regular(B)
+    kernel = cotangent.kernel_basis
+    transversal = cotangent._transversal
+    # twice a kernel basis is no longer the identity on its free coordinates
+    monkeypatch.setattr(cotangent, "kernel_basis", lambda m: kernel(m).mul(_twice(f, kernel(m).ncols)))
+    with pytest.raises(AssertionError, match="identity on its free coordinates"):
+        t_modules(B, J)
+    monkeypatch.setattr(cotangent, "kernel_basis", kernel)
+    # one representative short of the rank count
+    monkeypatch.setattr(cotangent, "_transversal", lambda prev, nxt: transversal(prev, nxt)[1:])
+    with pytest.raises(AssertionError, match="transversal size disagrees"):
+        t_modules(B, J)
+
+
+def _twice(f, n):
+    return Matrix.from_rows(f, [[2 * (i == j) for j in range(n)] for i in range(n)], ncols=n)
 
 
 def test_is_coboundary_accepts_boundaries(prime_field):

@@ -573,12 +573,11 @@ def _random_cocycle(field, r1, data):
 
 
 def _case_algebra(case):
-    """(B, J) of a table case; over Q a deformation with the regular
-    module of a B of dimension 8 takes a second, so larger B get the
-    trivial module."""
+    """(B, J) of a table case: the regular module up to dim B = 8, the
+    largest B drawn, so every case may get it."""
     field, gens, rels, based, kind = case
     B = make_algebra(field, gens, rels, *((["s"], ["s^2"]) if based else ()))
-    regular = kind == "regular" and B.dim() <= 6
+    regular = kind == "regular" and B.dim() <= 8
     return B, FiniteModule.regular(B) if regular else FiniteModule.trivial(B)
 
 
@@ -665,6 +664,24 @@ def test_obstruction_vectors_match_the_literal_reduction():
                 assert share == aprime_reference.base_share(prob, terms, coeffs).tolist()
                 nonzero["share"] += any(map(any, share))
     assert all(nonzero.values()), nonzero
+
+
+@pytest.mark.parametrize("seed", [3, 17, 99])
+def test_the_seeded_second_lift_check_compares_different_cocycles(seed):
+    # node4.dual over F2 is the corpus problem whose noise term moves psi,
+    # so the second-lift check there compares two different cocycles
+    ps = load_problem_file(deformation_problem_set("F2"))
+    spec = next(s for s in ps.problems if s.name == "node4.dual")
+    prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+    B, J = prob.B, prob.J
+    cx = cotangent_complex(B)
+    maps = cochain_maps(cx, J)
+    psi = deformation._obstruction_vector(prob, cx)
+    seeded = deformation._obstruction_vector(prob, cx, deformation._lift_noise(prob, seed))
+    assert (seeded != psi).any()
+    ok, witnesses = are_coboundaries(B, J, 2, [B.field.reduce(seeded - psi).tolist()], maps)
+    assert ok.all() and witnesses[0].any()
+    obstruction_class(prob, second_lift_seed=seed)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=lambda f: f.name)

@@ -172,10 +172,13 @@ def test_array_ops_match_plain_fractions(data):
     prod = QQ.matmul(A, B).tolist()
     assert prod == [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)] for i in range(n)]
     assert canonical_rows(prod)
-    red, piv, rank = QQ.rref(A)
+    # the reduction works on integer storage: the reduced integers over one denominator
+    ints, den = QQ.ints(A)
+    assert QQ.scalars(ints, den).tolist() == a
+    red, rden, piv, rank = QQ.rref(ints)
     want, want_piv = plain_rref(a, k)
-    assert (red.tolist(), piv, rank) == (want, want_piv, len(want_piv))
-    assert canonical_rows(red.tolist())
+    assert (QQ.scalars(red, rden).tolist(), piv, rank) == (want, want_piv, len(want_piv))
+    assert canonical_rows(QQ.scalars(red, rden).tolist())
 
 
 @st.composite

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defalg import GF, QQ, PresentedAlgebra, StructureAlgebra
@@ -15,10 +15,9 @@ from defalg import _kernels
 from defalg.linalg import (
     Matrix,
     complete_basis,
-    in_span,
     kernel_basis,
     solve_affine,
-    span_rank,
+    solve_affine_rows,
     vec_is_zero,
 )
 
@@ -92,6 +91,10 @@ def test_solve_affine_reports_inconsistency():
     assert solve_affine(m, [1, 1]) == [1, 0]
 
 
+def span_rank(field, vecs, dim):
+    return Matrix.from_rows(field, vecs, ncols=dim).rank()
+
+
 def greedy_complete_basis(field, inner, outer, dim):
     """Reference: keep each outer vector that raises the rank so far."""
     picked = []
@@ -109,8 +112,9 @@ def greedy_complete_basis(field, inner, outer, dim):
 def test_in_span_and_complete_basis():
     f = GF(3)
     vecs = [[1, 0, 0], [0, 1, 0]]
-    assert in_span(f, vecs, [2, 1, 0]) == [2, 1]
-    assert in_span(f, vecs, [0, 0, 1]) is None
+    span = Matrix.from_cols(f, vecs, nrows=3)
+    assert solve_affine(span, [2, 1, 0]) == [2, 1]
+    assert solve_affine(span, [0, 0, 1]) is None
     picked = complete_basis(f, vecs, [[1, 1, 0], [0, 0, 2], [0, 1, 1]], 3)
     assert picked == [1], "only the first rank-raising vector is kept"
     rng = np.random.default_rng(17)
@@ -323,8 +327,115 @@ def test_q_products_match_fraction_reference(shape, data):
     vec = A.mul_vec(x)
     assert vec == [row[0] for row in frac_matmul(a, [[v] for v in x], 1)] and exact_type(QQ, [vec])
     # a 1-D left operand, as StructureAlgebra.mul_vec contracts
-    left = QQ.matmul(QQ.array(x), B._a).tolist()
+    left = QQ.matmul(QQ.array(x), B.to_array()).tolist()
     assert left == frac_matmul([x], b, m)[0] and exact_type(QQ, [left])
+
+
+# -- Q matrices as integers over one denominator ----------------------------
+
+# numerators at the int64 tier bounds: a product sums k terms of at most
+# max|a| max|b|, an elimination step two of at most max^2
+TIER_NUMERATORS = [2**31 - 1, 2**31, 2**31 + 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63]
+
+
+@st.composite
+def q_matrix_case(draw):
+    """(a, b, c, xs, bs) as Fraction rows of shapes (n, k), (k, m),
+    (n, m), (K, k) and (K, n).  Each matrix is integral, over one
+    denominator or over mixed ones, with numerators at the int64 tier
+    bounds or small, so that both integer tiers run."""
+    n, k, m, K = (draw(st.integers(0, 3)) for _ in range(4))
+    nums = st.sampled_from([s * x for x in TIER_NUMERATORS for s in (1, -1)]) | st.integers(-3, 3)
+    dens = st.sampled_from([1, 2, 3, 2**31 - 1, 2**31]) | st.integers(1, 2**31)
+
+    def matrix(rows, cols):
+        mode = draw(st.sampled_from(["integral", "one", "mixed"]))
+        one = draw(dens)
+        den = {"integral": st.just(1), "one": st.just(one), "mixed": dens}[mode]
+        return [[Fraction(draw(nums), draw(den)) for _ in range(cols)] for _ in range(rows)]
+
+    return matrix(n, k), matrix(k, m), matrix(n, m), matrix(K, k), matrix(K, n)
+
+
+def fraction_rref(rows, ncols):
+    red, piv, rank = ref_rref(QQ, rows, ncols)
+    return [[Fraction(x) for x in row] for row in red], piv, rank
+
+
+def fraction_kernel(rows, ncols):
+    """Columns: 1 on one free coordinate, minus the reduced entries on the pivots."""
+    red, piv, rank = fraction_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in piv]
+    cols = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv):
+            v[pc] = -red[i][fc]
+        cols.append(v)
+    return [[v[i] for v in cols] for i in range(ncols)]
+
+
+def fraction_solve(rows, b, ncols):
+    """The solution with free coordinates zero, or None."""
+    red, piv, _ = fraction_rref([row + [x] for row, x in zip(rows, b)], ncols + 1)
+    if ncols in piv:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(piv):
+        x[pc] = red[i][ncols]
+    return x
+
+
+def transposed(rows, nrows, ncols):
+    return [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_matrix_case())
+# k * max|a| * max|b| = 2^63: the product sums 2^62 + 2^62
+@example(([[2**31, 2**31]], [[2**31], [2**31]], [[1]], [], []))
+# 2 * max^2 = 2^63: eliminating column 0 gives 2^62 + 2^62 in column 1
+@example(([[2**31, 2**31, 1], [-(2**31), 2**31, 1]], [[0]] * 3, [[0], [0]], [], []))
+# a common denominator 2 scales 2^62 past int64
+@example(([[2**62]], [[1]], [[Fraction(1, 2)]], [[1]], [[2**62]]))
+def test_q_matrix_ops_match_plain_fractions(case):
+    a, b, c, xs, bs = case
+    n, k = len(a), len(b)
+    m = len(c[0]) if c else (len(b[0]) if b else 0)
+    A = Matrix.from_rows(QQ, a, ncols=k)
+    # construction and entry reads
+    assert A.to_rows() == a and exact_type(QQ, A.to_rows())
+    assert Matrix.from_cols(QQ, transposed(a, n, k), nrows=n) == A
+    for i in range(n):
+        assert A.row(i) == a[i]
+        for j in range(k):
+            assert A.entry(i, j) == a[i][j] and is_canonical(QQ, A.entry(i, j))
+    for j in range(k):
+        assert A.col(j) == [row[j] for row in a]
+    assert A.is_zero() == (not any(x for row in a for x in row))
+    assert A.transpose().to_rows() == transposed(a, n, k)
+    # products
+    Bm = Matrix.from_rows(QQ, b, ncols=m)
+    prod = A.mul(Bm).to_rows()
+    assert prod == frac_matmul(a, b, m) and exact_type(QQ, prod)
+    images = [[row[0] for row in frac_matmul(a, [[v] for v in x], 1)] for x in xs]
+    assert [A.mul_vec(x) for x in xs] == images
+    assert A.mul_rows(QQ.array(xs).reshape(len(xs), k)).tolist() == images
+    # stacking over a common denominator
+    C = Matrix.from_rows(QQ, c, ncols=m)
+    assert A.hstack(C).to_rows() == [ra + rc for ra, rc in zip(a, c)]
+    assert Bm.vstack(C).to_rows() == b + c
+    # elimination, kernel and solutions
+    red, piv, rank = A.rref()
+    assert (red.to_rows(), piv, rank) == fraction_rref(a, k) and exact_type(QQ, red.to_rows())
+    ker = kernel_basis(A)
+    assert ker.to_rows() == fraction_kernel(a, k) and exact_type(QQ, ker.to_rows())
+    ok, sol = solve_affine_rows(A, QQ.array(bs).reshape(len(bs), n))
+    for row, good, x in zip(bs, ok.tolist(), sol.tolist()):
+        want = fraction_solve(a, row, k)
+        assert good == (want is not None)
+        assert x == (want if good else [0] * k) and exact_type(QQ, [x])
 
 
 def test_near_miss_q_product_is_nonzero():

@@ -113,9 +113,11 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
     counts = json.loads(out.read_text())
     assert list(counts) == ["showcase", "total"]
     assert counts["showcase"] == counts["total"]
-    assert set(counts["total"]) == {"buchberger", "z_divmod", "modules", "cotangent", "polynomials"}
-    assert all(n > 0 for n in counts["total"].values())
-    assert run.stdout.splitlines()[0].split() == ["suite", "buchberger", "z_divmod", "modules", "cotangent", "polynomials"]
+    names = ["buchberger", "z_divmod", "modules", "cotangent", "polynomials", "rrefs", "fractions"]
+    assert list(counts["total"]) == names
+    # the showcase runs over F2: every counter but the Fraction builds moves
+    assert all(counts["total"][k] > 0 for k in names[:-1]) and counts["total"]["fractions"] == 0
+    assert run.stdout.splitlines()[0].split() == ["suite", *names]
     tool = load_tool("work_counts")
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"showcase": {**counts["showcase"], "modules": None}}))
@@ -124,14 +126,26 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
     assert lines[0] == (
         f"showcase: buchberger {n['buchberger']} -> {n['buchberger']}, z_divmod {n['z_divmod']} -> {n['z_divmod']}, "
         f"modules - -> {n['modules']}, cotangent {n['cotangent']} -> {n['cotangent']}, "
-        f"polynomials {n['polynomials']} -> {n['polynomials']}"
+        f"polynomials {n['polynomials']} -> {n['polynomials']}, rrefs {n['rrefs']} -> {n['rrefs']}, "
+        f"fractions {n['fractions']} -> {n['fractions']}"
     )
     assert lines[1].startswith("total: buchberger - -> ")
 
 
 def test_work_counts_mark_a_missing_function(monkeypatch):
     tool = load_tool("work_counts")
-    monkeypatch.setattr(tool, "TARGETS", {"ghost": ("defalg.groebner", "_no_such_function")})
+    monkeypatch.setattr(
+        tool,
+        "TARGETS",
+        {
+            "ghost": (("defalg.groebner", "_no_such_function"),),
+            "half": (("defalg.fields", "PrimeField.rref"), ("defalg.fields", "NoSuchField.rref")),
+        },
+    )
     counts = {}
     tool.install(counts)
-    assert counts == {"ghost": None}
+    assert counts == {"ghost": None, "half": None}
+    # a counter with a missing function wraps none of the others
+    from defalg.fields import PrimeField
+
+    assert not hasattr(PrimeField.rref, "__wrapped__")

@@ -12,12 +12,15 @@ on, and prints per suite, then in total:
   * ``z_divmod``: packed divisions (``groebner._z_divmod`` calls);
   * ``modules``: ``FiniteModule`` builds (``FiniteModule.__init__``);
   * ``cotangent``: cotangent complex builds (``cotangent._build_complex``);
-  * ``polynomials``: ``Polynomial`` builds (``Polynomial.__init__``).
+  * ``polynomials``: ``Polynomial`` builds (``Polynomial.__init__``);
+  * ``rrefs``: matrix row reductions (``PrimeField.rref`` and
+    ``RationalField.rref``);
+  * ``fractions``: ``Fraction`` builds (``fractions.Fraction.__new__``).
 
 Each function is wrapped by name and called through with ``*args`` and
 ``**kwargs``, and every ``defalg`` module that imported it by name sees
 the wrapper, so the counts read the same on two trees whose signatures
-differ.  A name that a tree lacks counts as None.  ``--json`` also
+differ.  A counter with a name that a tree lacks counts as None.  ``--json`` also
 writes the counts to a file; ``--compare`` prints two such files side by
 side as base -> change.
 """
@@ -30,13 +33,15 @@ import json
 import sys
 from typing import Dict, Optional
 
-# counter -> (module, dotted attribute)
+# counter -> the (module, dotted attribute) pairs whose calls it sums
 TARGETS = {
-    "buchberger": ("defalg.groebner", "buchberger"),
-    "z_divmod": ("defalg.groebner", "_z_divmod"),
-    "modules": ("defalg.algebras", "FiniteModule.__init__"),
-    "cotangent": ("defalg.cotangent", "_build_complex"),
-    "polynomials": ("defalg.poly", "Polynomial.__init__"),
+    "buchberger": (("defalg.groebner", "buchberger"),),
+    "z_divmod": (("defalg.groebner", "_z_divmod"),),
+    "modules": (("defalg.algebras", "FiniteModule.__init__"),),
+    "cotangent": (("defalg.cotangent", "_build_complex"),),
+    "polynomials": (("defalg.poly", "Polynomial.__init__"),),
+    "rrefs": (("defalg.fields", "PrimeField.rref"), ("defalg.fields", "RationalField.rref")),
+    "fractions": (("fractions", "Fraction.__new__"),),
 }
 
 
@@ -49,26 +54,38 @@ def _counting(counts: Dict[str, Optional[int]], name: str, orig):
     return wrapper
 
 
+def _resolve(modname: str, path: str):
+    """(owner, attribute, function), the function None when missing."""
+    owner = importlib.import_module(modname)
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part, None)
+    return owner, attr, getattr(owner, attr, None)
+
+
 def install(counts: Dict[str, Optional[int]]) -> None:
     """Wrap every target so that each call adds one to counts[name];
-    counts[name] is None when the tree has no such function."""
-    for name, (modname, path) in TARGETS.items():
-        owner = importlib.import_module(modname)
-        *outer, attr = path.split(".")
-        for part in outer:
-            owner = getattr(owner, part)
-        orig = getattr(owner, attr, None)
-        if orig is None:
+    counts[name] is None when the tree lacks one of its functions."""
+    for name, targets in TARGETS.items():
+        found = [(path, *_resolve(modname, path)) for modname, path in targets]
+        if any(orig is None for *_, orig in found):
             counts[name] = None
             continue
         counts[name] = 0
-        wrapper = _counting(counts, name, orig)
-        setattr(owner, attr, wrapper)
-        if outer:
-            continue
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("defalg") and getattr(mod, attr, None) is orig:
-                setattr(mod, attr, wrapper)
+        for path, owner, attr, orig in found:
+            _wrap(counts, name, owner, attr, orig, nested="." in path)
+
+
+def _wrap(counts: Dict[str, Optional[int]], name: str, owner, attr: str, orig, nested: bool) -> None:
+    """Put the counting wrapper of orig in its place, and, for a
+    module-level function, in every defalg module that imported it."""
+    wrapper = _counting(counts, name, orig)
+    setattr(owner, attr, wrapper)
+    if nested:
+        return
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("defalg") and getattr(mod, attr, None) is orig:
+            setattr(mod, attr, wrapper)
 
 
 def suite_counts(suites) -> Dict[str, Dict[str, Optional[int]]]:
