@@ -219,21 +219,7 @@ def _int_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     (no partial sum can wrap), on Python ints otherwise."""
     if bound < _INT64:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return _object_matmul(a.astype(object, copy=False), b.astype(object, copy=False))
-
-
-def _object_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b on Python ints.  A matrix a that is mostly zeros (a module's
-    generator action, say) is contracted over its nonzero entries only:
-    one product row per entry, summed per row of a."""
-    if a.ndim != 2 or b.ndim != 2 or 4 * np.count_nonzero(a) >= a.size:
-        return a @ b
-    rows, cols = np.nonzero(a)
-    out = np.zeros((a.shape[0], b.shape[1]), object)
-    if rows.size:
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        out[rows[starts]] = np.add.reduceat(a[rows, cols][:, None] * b[cols], starts, axis=0)
-    return out
+    return a.astype(object, copy=False) @ b.astype(object, copy=False)
 
 
 def _ratio(x: int, den: int) -> Scalar:
@@ -305,7 +291,9 @@ def _rref_int(a: np.ndarray):
 
 
 def _lowest(a: np.ndarray, den: int):
-    """(a, den) divided by the gcd of den and every entry of a."""
+    """(a, den) divided by the gcd of den and every entry of a, the
+    entries in int64 when they fit."""
+    a = _tiered(a)
     if den == 1:
         return a, 1
     if a.dtype == object:
