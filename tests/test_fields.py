@@ -214,6 +214,20 @@ def test_matmul_bound_is_strict():
     assert got.tolist() == [[2 * (2**31 - 1) ** 2]] and type(got[0, 0]) is int
 
 
+def test_reduced_storage_returns_to_int64_when_it_fits():
+    # Python-int entries that fit go back to int64, with or without a
+    # common factor to divide out, so later products take the int64 path
+    for den, want in ((1, ([[2, 6], [0, 4]], 1)), (3, ([[2, 6], [0, 4]], 3)), (4, ([[1, 3], [0, 2]], 2))):
+        a, d = QQ.lowest(np.array([[2, 6], [0, 4]], object), den)
+        assert a.dtype == np.int64 and (a.tolist(), d) == want
+    # the elimination passes through Python ints, the reduced form is small
+    r, den, piv, rank = QQ.rref(np.array([[2**40, 1], [1, 2**40]], object))
+    assert (r.tolist(), den, piv, rank) == ([[1, 0], [0, 1]], 1, (0, 1), 2)
+    assert r.dtype == np.int64
+    big, _ = QQ.lowest(np.array([[2**63, 1]], object), 1)
+    assert big.dtype == object
+
+
 # -- polynomials and Groebner normal forms ---------------------------------
 
 
