@@ -459,11 +459,17 @@ def evaluate_stack(field: Field, mul: np.ndarray, polys: Sequence[Polynomial], i
             right[v] = f.matmul(images[:, v][:, None, None, nz], mul[..., nz, :]).reshape(K, n, n)
         memo[m] = f.matmul(memo[prefix], right[v])
     monos = {m: k for k, m in enumerate(memo)}
-    coeffs = np.zeros((len(polys), len(monos)), f.dtype)
+    return f.matmul(_coefficients(f, polys, monos), np.concatenate(list(memo.values()), axis=1))
+
+
+def _coefficients(field: Field, polys: Sequence[Polynomial], monos: Dict[Monomial, int]) -> np.ndarray:
+    """The coefficient matrix of polys as a field array: [i, monos[m]]
+    is the coefficient of m in polys[i], for every monomial m they use."""
+    coeffs = np.zeros((len(polys), len(monos)), field.dtype)
     for i, p in enumerate(polys):
         for m, c in p.terms.items():
             coeffs[i, monos[m]] = c
-    return f.matmul(coeffs, np.concatenate(list(memo.values()), axis=1))
+    return coeffs
 
 
 class StructureAlgebra:
@@ -636,11 +642,7 @@ class FiniteModule:
         if any(p.nvars != self.owner.nvars for p in polys):
             raise ValueError("polynomial not in the flattened ring")
         monos = {m: k for k, m in enumerate(dict.fromkeys(m for p in polys for m in p.terms))}
-        coeffs = np.zeros((len(polys), len(monos)), f.dtype)
-        for i, p in enumerate(polys):
-            for m, c in p.terms.items():
-                coeffs[i, monos[m]] = c
-        coeffs, cden = f.ints(coeffs)
+        coeffs, cden = f.ints(_coefficients(f, polys, monos))
         acts = [self.monomial_action(m) for m in monos]
         den = lcm(*(w._den for w in acts))
         blocks = [w._a if w._den == den else int_scale(w._a, den // w._den) for w in acts]
@@ -742,26 +744,18 @@ class AlgebraHom:
         return out
 
     def _base_compat(self) -> List[str]:
-        B = self.source
+        B, T = self.source, self.target
         if not B.base_names:
             return []
-        T = self.target
+        if T.base_names != B.base_names:
+            return ["target does not declare the same base ring"]
+        structure = isinstance(T, StructureAlgebra)
         out = []
-        if isinstance(T, StructureAlgebra):
-            if T.base_names != B.base_names:
-                out.append("target does not declare the same base ring")
-                return out
-            for v in range(B.n_base):
-                if tuple(self.images[v]) != tuple(T.base_images[v]):
-                    out.append(f"base generator {B.base_names[v]} is not sent to its canonical image")
-        else:
-            if T.base_names != B.base_names:
-                out.append("target does not declare the same base ring")
-                return out
-            for v in range(B.n_base):
-                diff = self.images[v] - T.var(v)
-                if not T.normal_form(diff).is_zero():
-                    out.append(f"base generator {B.base_names[v]} is not sent to its canonical image")
+        for v in range(B.n_base):
+            im = self.images[v]
+            same = tuple(im) == T.base_images[v] if structure else T.normal_form(im - T.var(v)).is_zero()
+            if not same:
+                out.append(f"base generator {B.base_names[v]} is not sent to its canonical image")
         return out
 
     def is_valid(self) -> bool:

@@ -77,6 +77,12 @@ def _check_entry(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "kind": "check", "ok": bool(ok), "detail": detail}
 
 
+def _load(data: dict, opts: RunOptions, field: Optional[str] = None):
+    """The problem set of data with the truncate and seed of opts
+    settled into its problems, as the CLI loads a file."""
+    return load_problem_file(data, field=field, truncate=opts.truncate, seed=opts.seed)
+
+
 def _packaged(name: str) -> dict:
     text = resources.files("defalg").joinpath(f"data/{name}").read_text(encoding="utf-8")
     return json.loads(text)
@@ -95,7 +101,7 @@ def showcase_problem_set(field: Optional[str] = None) -> dict:
 
 @_suite("showcase", "one worked problem of every kind, with frozen expected values")
 def _run_showcase(field, opts):
-    ps = load_problem_file(showcase_problem_set(field))
+    ps = _load(showcase_problem_set(field), opts)
     return run_problem_set(ps, opts)
 
 
@@ -140,7 +146,7 @@ def free_problem_set(field: str = "F2") -> dict:
 
 @_suite("free", "polynomial algebras: T1 and T2 vanish for every coefficient module")
 def _run_free(field, opts):
-    ps = load_problem_file(free_problem_set(field or "F2"))
+    ps = _load(free_problem_set(field or "F2"), opts)
     return run_problem_set(ps, opts)
 
 
@@ -253,7 +259,7 @@ def lift_problem_set(field: str = "F2") -> dict:
 
 @_suite("lifts", "lifting through square-zero quotients; lift sets are derivation torsors")
 def _run_lifts(field, opts):
-    ps = load_problem_file(lift_problem_set(field or "F2"))
+    ps = _load(lift_problem_set(field or "F2"), opts)
     return run_problem_set(ps, opts)
 
 
@@ -289,13 +295,12 @@ _BAER_BATCH = 2**13
 
 @_suite("extensions", "classify square-zero extensions; Baer sums agree with cocycle sums")
 def _run_extensions(field, opts):
-    ps = load_problem_file(classification_problem_set(field or "F2"))
+    ps = _load(classification_problem_set(field or "F2"), opts)
     report = run_problem_set(ps, opts)
     for spec in ps.problems:
         if spec.kind != "exal":
             continue
-        trunc = opts.truncate if opts.truncate is not None else spec.truncate
-        B = ps.algebra(spec.algebra, truncate=trunc)
+        B = ps.algebra(spec.algebra, truncate=spec.truncate)
         J = ps.module(spec.module, B)
         cls = classify_extensions(B, J)
         if not cls.complete:
@@ -446,7 +451,7 @@ def deformation_problem_set(field: str = "F2") -> dict:
 
 @_suite("deformations", "obstruction classes decide solvability; class counts follow T1")
 def _run_deformations(field, opts):
-    ps = load_problem_file(deformation_problem_set(field or "F2"))
+    ps = _load(deformation_problem_set(field or "F2"), opts)
     return run_problem_set(ps, opts)
 
 
@@ -488,7 +493,7 @@ def presentation_problem_set(field: str = "F2") -> dict:
 
 @_suite("presentations", "T module dimensions agree across presentations of the same algebra")
 def _run_presentations(field, opts):
-    ps = load_problem_file(presentation_problem_set(field or "F2"))
+    ps = _load(presentation_problem_set(field or "F2"), opts)
     report = run_problem_set(ps, opts)
     by_name = {e["name"]: e for e in report.problems}
     for pair, _, _ in _PRESENTATION_PAIRS:
@@ -516,7 +521,7 @@ def _run_integrity(field, opts):
     ps = load_problem_file(deformation_problem_set(fname))
     spec_by_name = {s.name: s for s in ps.problems}
     for nm in ("ci_xsq", "pinch", "fat.dual"):
-        prob = _build_deform_problem(ps, spec_by_name[nm], RunOptions())
+        prob = _build_deform_problem(ps, spec_by_name[nm])
         r1 = obstruction_class(prob, second_lift_seed=17)
         r2 = obstruction_class(prob, second_lift_seed=101)
         same_verdict = r1.obstructed == r2.obstructed
@@ -556,11 +561,12 @@ def _run_integrity(field, opts):
         )
     )
 
-    # 3. permuting the input relations leaves the report byte-identical
-    def perm_report(rels):
+    # 3. permuting the input relations or generators leaves the report
+    # byte-identical
+    def order_report(gens, rels, run_opts, kinds=None):
         d = {
             "field": fname,
-            "algebras": {"fat": {"gens": ["x", "y"], "relations": rels}},
+            "algebras": {"fat": {"gens": gens, "relations": rels}},
             "modules": {"fat.k": {"algebra": "fat", "kind": "trivial"}},
             "problems": [
                 {"kind": "tmods", "name": "perm", "algebra": "fat", "module": "fat.k"},
@@ -568,28 +574,16 @@ def _run_integrity(field, opts):
             ],
             "options": {},
         }
-        rep = run_problem_set(load_problem_file(d), RunOptions(oracle=opts.oracle))
+        rep = run_problem_set(load_problem_file(d), run_opts, kinds)
         return json.dumps(strip_timing(rep.to_dict()), sort_keys=True)
 
-    j1 = perm_report(["x^2", "x*y", "y^2"])
-    j2 = perm_report(["y^2", "x*y", "x^2"])
+    j1 = order_report(["x", "y"], ["x^2", "x*y", "y^2"], RunOptions(oracle=opts.oracle))
+    j2 = order_report(["x", "y"], ["y^2", "x*y", "x^2"], RunOptions(oracle=opts.oracle))
     report.problems.append(
         _check_entry("perm.relations", j1 == j2, "relation order: reports are byte-identical")
     )
-
-    def gen_report(gens, rels):
-        d = {
-            "field": fname,
-            "algebras": {"fat": {"gens": gens, "relations": rels}},
-            "modules": {"fat.k": {"algebra": "fat", "kind": "trivial"}},
-            "problems": [{"kind": "tmods", "name": "perm", "algebra": "fat", "module": "fat.k"}],
-            "options": {},
-        }
-        rep = run_problem_set(load_problem_file(d), RunOptions())
-        return json.dumps(strip_timing(rep.to_dict()), sort_keys=True)
-
-    g1 = gen_report(["x", "y"], ["x^2", "x*y", "y^2"])
-    g2 = gen_report(["y", "x"], ["y^2", "y*x", "x^2"])
+    g1 = order_report(["x", "y"], ["x^2", "x*y", "y^2"], RunOptions(), ["tmods"])
+    g2 = order_report(["y", "x"], ["y^2", "y*x", "x^2"], RunOptions(), ["tmods"])
     report.problems.append(
         _check_entry("perm.generators", g1 == g2, "generator order: reports are byte-identical")
     )
@@ -623,14 +617,12 @@ def rational_problem_set() -> dict:
 
 @_suite("rational", "dimensions over Q, recomputed over F2 and F3 with oracle checks")
 def _run_rational(field, opts):
-    ps = load_problem_file(rational_problem_set())
+    ps = _load(rational_problem_set(), opts)
     report = run_problem_set(ps, opts)
     report.field = "Q (cross-checked over F2, F3)"
     for fname in ("F2", "F3"):
-        psp = load_problem_file(rational_problem_set(), field=fname)
-        sub = run_problem_set(
-            psp, RunOptions(oracle=True, budget=opts.budget, seed=opts.seed, truncate=opts.truncate)
-        )
+        psp = _load(rational_problem_set(), opts, fname)
+        sub = run_problem_set(psp, RunOptions(oracle=True, budget=opts.budget))
         for entry in sub.problems:
             entry["name"] = f"{fname.lower()}.{entry['name']}"
             report.problems.append(entry)

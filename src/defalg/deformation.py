@@ -568,11 +568,11 @@ def torsor_action(ext: SquareZeroExtension, cls: CohomologyClass) -> SquareZeroE
 class LiftProblem:
     """Lift phi: B -> C through the square-zero quotient C' -> C.
 
-    Concretely: C' is a structure table, the ideal N is the span of the
-    last fiber_dim basis vectors... no assumption that strong: N is any
-    list of coordinate vectors in C' closed under multiplication by C'
-    with N*N = 0, and C-data is derived.  phi is recorded by preimage
-    vectors in C' for every flattened generator of B.
+    C' is a structure table and the ideal N is the span of n_basis, any
+    linearly independent coordinate vectors of C' with N*N = 0 and N
+    stable under multiplication by every preimage; C = C'/N is not
+    built, its data is read through N.  phi is recorded by one preimage vector in C' per
+    flattened generator of B, and J is N as a B-module through them.
     """
 
     B: PresentedAlgebra

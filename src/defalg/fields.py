@@ -109,10 +109,6 @@ class PrimeField:
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
 
-    def denominator(self, values) -> int:
-        """A nonzero d with every d * x integral: always 1 here."""
-        return 1
-
     def elements(self):
         return range(self.p)
 
@@ -358,11 +354,6 @@ class RationalField:
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
-
-    def denominator(self, values) -> int:
-        """The lcm of the denominators of canonical rationals: the least
-        d > 0 with every d * x an int."""
-        return lcm(1, *{x.denominator for x in values if type(x) is not int})
 
     def array(self, data) -> np.ndarray:
         """(Nested) scalars as an object array of canonical rationals."""

@@ -780,11 +780,6 @@ def combinations_vanish(
     return True
 
 
-def _canonical_key(v: VDict, pack: _Pack):
-    """v's terms as sorted ((component, exponents), coefficient) items."""
-    return tuple(sorted(((_comp(t), pack.exponents(t)), c) for t, c in v.items()))
-
-
 def _engine_syzygies(eng: _Engine, gens: Sequence[Rep]) -> List[Rep]:
     """Generators of the syzygies of gens, each (e, z) for z / e, from an
     engine that holds a Groebner basis of them with cofactors over them:
@@ -802,15 +797,18 @@ def _engine_syzygies(eng: _Engine, gens: Sequence[Rep]) -> List[Rep]:
     return [(d, z) for d, z in out if z]
 
 
-def _syzygies_raw(gens_v: List[VDict], ncomp: int, field: Field, pack: _Pack) -> List[VDict]:
-    """Syzygy generators of gens_v in a deterministic presentation:
-    duplicates dropped, sorted canonically on the unpacked terms."""
-    gens = [_integral(field, v) for v in gens_v]
-    keyed: Dict[tuple, VDict] = {}
-    for d, z in _engine_syzygies(_Engine(field, pack, ncomp, gens), gens):
-        v = _over(z, d)
-        keyed.setdefault(_canonical_key(v, pack), v)
-    return [keyed[k] for k in sorted(keyed)]
+def _syzygy_rows(
+    vecs: Sequence[Sequence[Polynomial]], ncomp: int, r: Optional[int], modulo: Optional[GroebnerBasis],
+    order: MonomialOrder,
+) -> List[Tuple[Polynomial, ...]]:
+    """Generators of the syzygies of vecs in P^ncomp as ``_reduced_rows``
+    gives them: their first r entries (all when r is None), reduced
+    modulo the ring basis ``modulo`` when that is not None."""
+    field, nvars = _context([p for v in vecs for p in v])
+    pack = _pack(nvars, order)
+    gens = [_integral(field, _vec_to_v(v, pack)) for v in vecs]
+    syz = _engine_syzygies(_Engine(field, pack, ncomp, gens), gens)
+    return _reduced_rows(field, pack, ((_v_split(z, len(gens))[:r], d) for d, z in syz), modulo)
 
 
 def _reduced_rows(
@@ -848,15 +846,11 @@ def _reduced_entry(field: Field, q: ZDict, d: int, div: _Division) -> QDict:
 
 
 def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> SyzygyMatrix:
-    """Generators of {(h_1..h_r) : sum h_i gens_i = 0} as columns."""
+    """Generators of {(h_1..h_r) : sum h_i gens_i = 0} as columns, in
+    ``syzygy_rows`` order."""
     gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    field, nvars = _context(gens)
-    pack = _pack(nvars, order)
-    raw = _syzygies_raw([_poly_to_v(g, pack) for g in gens], 1, field, pack)
-    cols = tuple(tuple(_v_to_vec(v, pack, field, len(gens))) for v in raw)
-    return SyzygyMatrix(field, nvars, tuple((g,) for g in gens), cols)
+    cols = syzygy_rows(gens, len(gens), order=order)
+    return SyzygyMatrix(gens[0].field, gens[0].nvars, tuple((g,) for g in gens), tuple(cols))
 
 
 def syzygy_rows(
@@ -866,27 +860,19 @@ def syzygy_rows(
     entry reduced modulo the ring basis ``modulo`` (left as it is when
     that is None), zero rows and duplicates dropped, sorted by their
     terms.  Packed throughout: each entry becomes a Polynomial once."""
-    gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    field, nvars = _context(gens)
-    pack = _pack(nvars, order)
-    gens_z = [_integral(field, _poly_to_v(g, pack)) for g in gens]
-    syz = _engine_syzygies(_Engine(field, pack, 1, gens_z), gens_z)
-    return _reduced_rows(field, pack, ((_v_split(z, len(gens))[:r], d) for d, z in syz), modulo)
+    return _syzygy_rows([[g] for g in gens], 1, r, modulo, order)
 
 
 def module_syzygies(
     vecs: Sequence[Sequence[Polynomial]], ncomp: int, order: MonomialOrder = GREVLEX
 ) -> List[List[Polynomial]]:
-    """Generators of the syzygy module of a tuple of vectors in P^ncomp."""
-    vecs = [list(v) for v in vecs]
+    """Generators of the syzygy module of a tuple of vectors in P^ncomp,
+    zero rows and duplicates dropped, sorted by their terms."""
     if not vecs:
         return []
-    field, nvars = _context([p for v in vecs for p in v])
-    pack = _pack(nvars, order)
-    raw = _syzygies_raw([_vec_to_v(v, pack) for v in vecs], ncomp, field, pack)
-    return [_v_to_vec(v, pack, field, len(vecs)) for v in raw]
+    return [list(row) for row in _syzygy_rows(vecs, ncomp, None, None, order)]
 
 
 def _integral_family(field: Field, vs: Sequence[VDict]) -> Tuple[int, List[ZDict]]:

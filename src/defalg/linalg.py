@@ -182,14 +182,16 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free coordinates are set to 1 one at a time in ascending column
     order, which makes the basis deterministic and echelon-shaped: the
     identity on the free rows, minus the reduced matrix's free columns
-    on the pivot rows, all over the reduced matrix's denominator."""
+    on the pivot rows, all over the reduced matrix's denominator.  Over
+    Q the negation widens to Python ints: -(-2^63) has no int64."""
     f = m.field
     red, piv, rank = m.rref()
     free = free_columns(m)
-    r = red._a
-    ker = np.zeros((m.ncols, len(free)), r.dtype)
+    block = red._a[:rank, free]
+    block = f.neg(block) if f.char else int_scale(block, -1)
+    ker = np.zeros((m.ncols, len(free)), block.dtype)
     ker[free, np.arange(len(free))] = red._den
-    ker[list(piv)] = f.neg(r[:rank, free])
+    ker[list(piv)] = block
     return Matrix(f, m.ncols, len(free), ker, red._den)
 
 

@@ -266,7 +266,7 @@ def enumerate_derivations(B: PresentedAlgebra, J: FiniteModule, budget=None) -> 
     """Scan all linear maps B -> J for the Leibniz rule and vanishing
     on the base, with no help from the presentation's relations."""
     S, mul, act = _structure_context(B, J)
-    bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
+    bud = as_budget(budget)
     p = B.field.p
     s, t = S.dim, J.rank
     nbv = B.n_base
@@ -373,11 +373,15 @@ class _StructureScan:
 
     def _extension(self, cd: Tuple[int, ...], eta: Tuple[int, ...]) -> SquareZeroExtension:
         """The extension with the fiber corrections cd on the non-unit
-        basis pairs and the fiber parts eta on the base generators."""
+        basis pairs and the fiber parts eta on the base generators,
+        validated."""
         B, J = self.B, self.J
         corr, fiber = np.array([cd], np.int64), np.array([eta], np.int64)
         mul, images = _extension_tables(B, J, self._pairs, corr, np.arange(B.n_base), fiber)
-        return ExtensionStack(B, J, mul, images).extension(0)
+        ext = ExtensionStack(B, J, mul, images).extension(0)
+        if bad := ext.validate():
+            raise AssertionError(f"scan survivor fails table validation: {bad}")
+        return ext
 
 
 def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
@@ -386,7 +390,7 @@ def _scan_structures(scan_cls, B, J, targets, budget, what, **extra):
     their fiber targets; the orbits of the surviving states under
     section changes are the isomorphism classes."""
     S, mul, act = _structure_context(B, J)
-    bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
+    bud = as_budget(budget)
     pairs = _pairs(S.dim)
     total = B.field.p ** (len(pairs[0]) * J.rank)
     bud.charge(total, what[0])
@@ -406,11 +410,7 @@ class ExtensionScan(_StructureScan):
         cd, eta = state
         if any(eta):
             raise ValueError("state carries a nontrivial base structure; build it from the table directly")
-        ext = self._extension(cd, eta)
-        bad = ext.validate()
-        if bad:
-            raise AssertionError(f"scan survivor fails table validation: {bad}")
-        return ext
+        return self._extension(cd, eta)
 
     def state_of(self, ext: SquareZeroExtension) -> State:
         return state_of_table(self.B, ext.table)
@@ -479,7 +479,7 @@ def enumerate_lifts(problem: LiftProblem, budget=None) -> LiftScan:
     f = B.field
     if not isinstance(f, PrimeField):
         raise TypeError("oracles only run over prime fields")
-    bud = as_budget(budget if budget is not None else DEFAULT_ENUM_BUDGET)
+    bud = as_budget(budget)
     p = f.p
     ng = B.n_gens
     nbv = B.n_base
@@ -564,11 +564,7 @@ class DeformationScan(_StructureScan):
         """The table of a surviving state, its base-generator images
         carrying the fiber parts eta as in realize_deformation,
         revalidated."""
-        ext = self._extension(*state)
-        bad = ext.validate()
-        if bad:
-            raise AssertionError(f"scan survivor fails table validation: {bad}")
-        return ext.table
+        return self._extension(*state).table
 
     def state_of(self, realized: RealizedDeformation) -> State:
         return state_of_table(self.B, realized.table)

@@ -56,6 +56,12 @@ __all__ = [
 
 @dataclass
 class RunOptions:
+    """How problems are run.  truncate and seed override each problem's
+    own keys, but they are applied when a problem set is loaded (by the
+    CLI and by the corpus suites, through ``load_problem_file``): the
+    runners read each problem's settled ``spec.truncate`` and
+    ``spec.seed``, and seed here only labels the report."""
+
     oracle: bool = False
     budget: Optional[int] = None
     seed: Optional[int] = None
@@ -66,16 +72,6 @@ class RunOptions:
         if limit is None:
             limit = ps.options.get("budget", DEFAULT_ENUM_BUDGET)
         return EnumerationBudget(limit=limit)
-
-    def truncate_for(self, spec) -> Optional[int]:
-        if self.truncate is not None:
-            return self.truncate
-        return getattr(spec, "truncate", None)
-
-    def seed_for(self, spec) -> Optional[int]:
-        if self.seed is not None:
-            return self.seed
-        return getattr(spec, "seed", None)
 
 
 def _oracle_feasibility(B: PresentedAlgebra, width: Callable[[], int]) -> Optional[str]:
@@ -106,7 +102,7 @@ def _run_oracle(data: dict, B: PresentedAlgebra, width: Callable[[], int], oracl
 
 
 def run_tmods(ps: ProblemSet, spec: TModsSpec, opts: RunOptions) -> dict:
-    B = ps.algebra(spec.algebra, truncate=opts.truncate_for(spec))
+    B = ps.algebra(spec.algebra, truncate=spec.truncate)
     J = ps.module(spec.module, B)
     t0, t1, t2 = t_modules(B, J)
     data = {
@@ -141,7 +137,7 @@ def run_tmods(ps: ProblemSet, spec: TModsSpec, opts: RunOptions) -> dict:
 
 
 def run_exal(ps: ProblemSet, spec: ExalSpec, opts: RunOptions) -> dict:
-    B = ps.algebra(spec.algebra, truncate=opts.truncate_for(spec))
+    B = ps.algebra(spec.algebra, truncate=spec.truncate)
     J = ps.module(spec.module, B)
     cls = classify_extensions(B, J)
     data = {
@@ -174,15 +170,20 @@ def run_exal(ps: ProblemSet, spec: ExalSpec, opts: RunOptions) -> dict:
     return data
 
 
+def _parse_ideal(ps: ProblemSet, spec, names) -> list:
+    """The polynomials of spec.ideal in the named variables."""
+    try:
+        return [parse_polynomial(s, names, ps.field) for s in spec.ideal]
+    except ParseError as e:
+        raise ProblemFileError(f"problem {spec.name}.ideal", str(e)) from e
+
+
 def _build_lift_problem(ps: ProblemSet, spec: LiftSpec) -> LiftProblem:
     B = ps.algebra(spec.algebra)
     Cp = ps.algebra(spec.through)
     f = ps.field
     loc = f"problem {spec.name}"
-    try:
-        ideal = [parse_polynomial(s, Cp.names, f) for s in spec.ideal]
-    except ParseError as e:
-        raise ProblemFileError(f"{loc}.ideal", str(e)) from e
+    ideal = _parse_ideal(ps, spec, Cp.names)
     images = []
     for nm in B.names:
         if nm not in spec.images:
@@ -236,16 +237,13 @@ def run_lift(ps: ProblemSet, spec: LiftSpec, opts: RunOptions) -> dict:
     return data
 
 
-def _build_deform_problem(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) -> BaseDeformationProblem:
-    B = ps.algebra(spec.algebra, truncate=opts.truncate_for(spec))
+def _build_deform_problem(ps: ProblemSet, spec: DeformSpec) -> BaseDeformationProblem:
+    B = ps.algebra(spec.algebra, truncate=spec.truncate)
     J = ps.module(spec.module, B)
     Ap = ps.algebra(spec.extended_base)
     f = ps.field
     loc = f"problem {spec.name}"
-    try:
-        ideal = [parse_polynomial(s, Ap.names, f) for s in spec.ideal]
-    except ParseError as e:
-        raise ProblemFileError(f"{loc}.ideal", str(e)) from e
+    ideal = _parse_ideal(ps, spec, Ap.names)
     phi = None
     if spec.phi is not None:
         rows = [
@@ -262,10 +260,9 @@ def _build_deform_problem(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) ->
 
 
 def run_deform(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) -> dict:
-    problem = _build_deform_problem(ps, spec, opts)
+    problem = _build_deform_problem(ps, spec)
     B, J = problem.B, problem.J
-    seed = opts.seed_for(spec)
-    res = obstruction_class(problem, second_lift_seed=seed)
+    res = obstruction_class(problem, second_lift_seed=spec.seed)
     t0, t1, t2 = t_modules(B, J)
     f = B.field
     classes = None
@@ -279,7 +276,7 @@ def run_deform(ps: ProblemSet, spec: DeformSpec, opts: RunOptions) -> dict:
         "t1": t1.dim,
         "t2": t2.dim,
         "classes": classes,
-        "second_lift_seed": seed,
+        "second_lift_seed": spec.seed,
     }
     realized = None
     if not res.obstructed and B.is_finite_dimensional():

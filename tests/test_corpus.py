@@ -24,6 +24,21 @@ EXPECTED_SUITES = {
 }
 
 
+def record_loads(monkeypatch) -> list:
+    """The (field, truncate, seed) of every problem set the corpus loads
+    from now on, in order."""
+    from defalg import corpus
+
+    loads = []
+
+    def recording(data, field=None, truncate=None, seed=None):
+        loads.append((field, truncate, seed))
+        return load_problem_file(data, field=field, truncate=truncate, seed=seed)
+
+    monkeypatch.setattr(corpus, "load_problem_file", recording)
+    return loads
+
+
 class TestSuites:
     def test_suite_inventory(self):
         assert set(suite_names()) == EXPECTED_SUITES
@@ -92,6 +107,40 @@ class TestSuites:
             "baer.fat": (True, detail.format(378, 0)),
         }
         assert calls[0] == 6 and sum(calls) == 390
+
+    def test_overrides_reach_every_deform_entry(self):
+        from defalg.corpus import deformation_problem_set
+
+        rep = run_suite("deformations", "F2", RunOptions(truncate=3, seed=5))
+        deform = [e for e in rep.problems if e["kind"] == "deform"]
+        assert rep.seed == 5 and deform and all(e["second_lift_seed"] == 5 for e in deform)
+        by_hand = run_problem_set(load_problem_file(deformation_problem_set("F2"), truncate=3), RunOptions())
+
+        def dims(entries):
+            return [(e["name"], e["t1"], e["t2"], e["obstructed"], e["classes"]) for e in entries]
+
+        assert dims(deform) == dims(by_hand.problems)
+        # and the truncation moves some of them
+        assert dims(deform) != dims(run_suite("deformations", "F2").problems)
+
+    def test_rational_sub_runs_see_the_overrides(self, monkeypatch):
+        loads = record_loads(monkeypatch)
+        rep = run_suite("rational", opts=RunOptions(truncate=3, seed=5))
+        assert loads == [(None, 3, 5), ("F2", 3, 5), ("F3", 3, 5)]
+        # truncated, the node is finite-dimensional, so its oracles run
+        by_name = {e["name"]: e for e in rep.problems}
+        for name in ("f2.node", "f3.node"):
+            assert by_name[name]["oracle"]["match"] is True
+        plain = {e["name"]: e for e in run_suite("rational").problems}
+        assert plain["f2.node"]["oracle"]["match"] is None
+
+    def test_integrity_runs_load_without_overrides(self, monkeypatch):
+        loads = record_loads(monkeypatch)
+        over = run_suite("integrity", "F2", RunOptions(truncate=3, seed=5))
+        assert loads and {(t, s) for _, t, s in loads} == {(None, None)}
+        plain = run_suite("integrity", "F2")
+        assert over.seed == 5
+        assert strip_timing(over.to_dict())["problems"] == strip_timing(plain.to_dict())["problems"]
 
     def test_presentations_suite_checks_agreement(self):
         rep = run_suite("presentations")

@@ -648,7 +648,7 @@ def test_obstruction_vectors_match_the_literal_reduction():
     assert len(cases) == 50
     nonzero = {"psi": 0, "seeded": 0, "share": 0}
     for ps, spec in cases:
-        prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+        prob = reports._build_deform_problem(ps, spec)
         B = prob.B
         cx = cotangent_complex(B)
         psi = deformation._obstruction_vector(prob, cx).tolist()
@@ -672,7 +672,7 @@ def test_the_seeded_second_lift_check_compares_different_cocycles(seed):
     # so the second-lift check there compares two different cocycles
     ps = load_problem_file(deformation_problem_set("F2"))
     spec = next(s for s in ps.problems if s.name == "node4.dual")
-    prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+    prob = reports._build_deform_problem(ps, spec)
     B, J = prob.B, prob.J
     cx = cotangent_complex(B)
     maps = cochain_maps(cx, J)

@@ -399,6 +399,8 @@ def transposed(rows, nrows, ncols):
 @example(([[2**31, 2**31, 1], [-(2**31), 2**31, 1]], [[0]] * 3, [[0], [0]], [], []))
 # a common denominator 2 scales 2^62 past int64
 @example(([[2**62]], [[1]], [[Fraction(1, 2)]], [[1]], [[2**62]]))
+# the kernel negates -2^63, which has no int64 negative
+@example(([[2**31 - 1, -(2**63)]], [[0], [0]], [[0]], [], []))
 def test_q_matrix_ops_match_plain_fractions(case):
     a, b, c, xs, bs = case
     n, k = len(a), len(b)
@@ -436,6 +438,15 @@ def test_q_matrix_ops_match_plain_fractions(case):
         want = fraction_solve(a, row, k)
         assert good == (want is not None)
         assert x == (want if good else [0] * k) and exact_type(QQ, [x])
+
+
+@pytest.mark.parametrize("row", [[1, -(2**63)], [2**31 - 1, -(2**63)]], ids=["one", "prime"])
+def test_q_kernel_of_int64_minimum_is_annihilated(row):
+    """-2^63 is the one int64 whose negative wraps: the kernel widens it."""
+    A = Matrix.from_rows(QQ, [row])
+    K = kernel_basis(A)
+    assert K.ncols == 1 and A.mul(K).is_zero()
+    assert K.to_rows() == fraction_kernel([[Fraction(x) for x in row]], 2)
 
 
 def test_near_miss_q_product_is_nonzero():

@@ -196,7 +196,7 @@ class TestDeformationScan:
     def test_states_round_trip_through_tables(self, field, name):
         ps = load_problem_file(deformation_problem_set(field))
         spec = next(e for e in ps.problems if e.name == name)
-        prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+        prob = reports._build_deform_problem(ps, spec)
         B, J = prob.B, prob.J
         scan = enumerate_deformations(prob)
         assert any(any(eta) for _, eta in scan.states)
@@ -246,7 +246,7 @@ class TestBudgets:
         # table scan and refuses there
         ps = load_problem_file(deformation_problem_set(field))
         spec = next(e for e in ps.problems if e.name == "fat.dual")
-        prob = reports._build_deform_problem(ps, spec, reports.RunOptions())
+        prob = reports._build_deform_problem(ps, spec)
         B, J, p = prob.B, prob.J, prob.B.field.p
         S, mul, act = oracle._structure_context(B, J)
         R_assoc = _kernels._assoc_residual(mul, act, *oracle._pairs(S.dim))

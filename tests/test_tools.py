@@ -62,10 +62,18 @@ def test_stripped_reports_of_one_suite(tmp_path, capsys):
     assert "timing_ms" not in text
     reports = json.loads(text)
     assert list(reports) == sorted(
-        f"showcase/{field}/oracle-{mode}"
-        for field in ("default", "F2", "F3", "F5", "Q")
-        for mode in ("off", "on")
+        [
+            f"showcase/{field}/oracle-{mode}"
+            for field in ("default", "F2", "F3", "F5", "Q")
+            for mode in ("off", "on")
+        ]
+        + ["showcase/default/overrides"]
     )
+    # the overridden run carries its seed into the report and every deform entry
+    over = reports["showcase/default/overrides"]
+    deform = [e for e in over["problems"] if e["kind"] == "deform"]
+    assert over["seed"] == 5 and deform and all(e["second_lift_seed"] == 5 for e in deform)
+    assert not any(e.get("oracle") for e in over["problems"])
     assert reports["showcase/F3/oracle-on"]["field"] == "F3"
     assert all(e.get("oracle") for e in reports["showcase/F3/oracle-on"]["problems"])
     assert not any(e.get("oracle") for e in reports["showcase/F3/oracle-off"]["problems"])

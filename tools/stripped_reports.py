@@ -6,9 +6,11 @@
 
 Runs each built-in suite of ``defalg.corpus`` (all of them when no
 SUITE is named) over its default field and over F2, F3, F5 and Q, each
-with the oracle checks off and on, and writes the ``strip_timing`` form
-of every report under the key ``suite/field/oracle-off|on``, with
-sorted keys.  Two checkouts give the same reports exactly when the two
+with the oracle checks off and on, and once more over its default field
+with the oracle off and the truncate and seed overrides of ``OVERRIDES``.
+It writes the ``strip_timing`` form of every report under the key
+``suite/field/oracle-off|on`` (``suite/default/overrides`` for the last),
+with sorted keys.  Two checkouts give the same reports exactly when the two
 files compare equal byte for byte (``cmp``).  ``--diff`` names what
 ``cmp`` does not: it prints each key whose report differs between two
 such files, or that only one of them has, and exits 1 if there is any.
@@ -20,21 +22,26 @@ import json
 import sys
 
 FIELDS = (None, "F2", "F3", "F5", "Q")
+# RunOptions keywords of the one overridden run per suite
+OVERRIDES = {"truncate": 3, "seed": 5}
 
 
 def stripped_reports(suites) -> dict:
     """Key -> stripped report dict, for every suite, field and oracle
-    setting."""
+    setting, and for every suite under the overrides."""
     from defalg import corpus
     from defalg.reports import RunOptions, strip_timing
 
     out = {}
     for suite in suites:
-        for field in FIELDS:
-            for oracle in (False, True):
-                report = corpus.run_suite(suite, field=field, opts=RunOptions(oracle=oracle))
-                key = f"{suite}/{field or 'default'}/oracle-{'on' if oracle else 'off'}"
-                out[key] = strip_timing(report.to_dict())
+        runs = [
+            (f"{field or 'default'}/oracle-{'on' if oracle else 'off'}", field, RunOptions(oracle=oracle))
+            for field in FIELDS
+            for oracle in (False, True)
+        ]
+        runs.append(("default/overrides", None, RunOptions(**OVERRIDES)))
+        for key, field, opts in runs:
+            out[f"{suite}/{key}"] = strip_timing(corpus.run_suite(suite, field=field, opts=opts).to_dict())
     return out
 
 
