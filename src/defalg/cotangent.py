@@ -19,11 +19,19 @@ own final basis, a Groebner basis of Kos + base + kept s's: its
 Schreyer syzygies, restricted to the s's and reduced modulo the ideal
 while still packed.  The identities D1 D0 = 0 and W D1 = 0 hold
 exactly at the matrix level and are asserted.
+
+D1 reads the s's with every entry in normal form modulo the ideal
+(``syz_nf``, built once per complex): J is a B-module, so its matrix is
+the same, from smaller entries.  Two of the checks read those normal
+forms too, the Jacobian one and the W one, which assert the same
+identities since s = nf(s) modulo the ideal.  The pairing over the base
+reads the honest s, whose pairing lands in the base ideal only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +43,7 @@ from .linalg import Matrix, free_columns, kernel_basis, solve_affine_rows, vec_i
 from .poly import GREVLEX, Polynomial
 
 
-@dataclass
+@dataclass(frozen=True)
 class CotangentComplex:
     """Presentation data of the three-term complex of B."""
 
@@ -44,6 +52,12 @@ class CotangentComplex:
     syz: Tuple[Tuple[Polynomial, ...], ...]       # r vectors in the rank-m free module
     kos: Tuple[Tuple[Polynomial, ...], ...]       # Koszul vectors, for reference
     w_rows: Tuple[Tuple[Polynomial, ...], ...]    # relations among the syzygy classes
+
+    @cached_property
+    def syz_nf(self) -> Tuple[Tuple[Polynomial, ...], ...]:
+        """syz with every entry in normal form modulo B's ideal: the same
+        classes in B^m, built once per complex."""
+        return tuple(tuple(self.B.normal_form(p) for p in v) for v in self.syz)
 
     @property
     def n_gens(self) -> int:
@@ -95,12 +109,12 @@ def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
     # per component by the cached basis
     if not combinations_vanish(cx.syz, rels, B.base_groebner()):
         raise AssertionError("syzygy does not pair to zero over the base")
-    if not combinations_vanish(cx.syz, cx.jac, gb):
+    if not combinations_vanish(cx.syz_nf, cx.jac, gb):
         raise AssertionError("syzygy does not compose to zero with the Jacobian")
     if not combinations_vanish(cx.kos, rels, gb, reduce=False):
         raise AssertionError("Koszul vector is not a syzygy")
     # the c-part of each relation row must pair with the syzygy vectors into the ideal
-    if not combinations_vanish(cx.w_rows, cx.syz, gb):
+    if not combinations_vanish(cx.w_rows, cx.syz_nf, gb):
         raise AssertionError("relation row does not kill the syzygy classes")
     return cx
 
@@ -142,7 +156,7 @@ def cochain_maps(cx: CotangentComplex, J: FiniteModule) -> CochainMaps:
     B = cx.B
     m, n, r = cx.n_rels, cx.n_gens, cx.n_syz
     d0 = block_matrix(J, [list(row) for row in cx.jac], m, n)
-    d1 = block_matrix(J, [[cx.syz[k][j] for j in range(m)] for k in range(r)], r, m)
+    d1 = block_matrix(J, cx.syz_nf, r, m)
     w = block_matrix(J, [[row[k] for k in range(r)] for row in cx.w_rows], len(cx.w_rows), r)
     if not d1.mul(d0).is_zero():
         raise AssertionError("cochain maps do not compose to zero in low degree")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .algebras import FiniteModule, PresentedAlgebra
-from .groebner import buchberger, normal_form, syzygy_rows
+from .groebner import basis_syzygy_rows, buchberger, normal_form
 from .linalg import Matrix, kernel_basis, vec_add, vec_is_zero
 from .poly import GREVLEX, Polynomial
 
@@ -142,15 +142,17 @@ def relation_syzygies(B: PresentedAlgebra) -> List[List[Polynomial]]:
     polynomial ring, as vectors with entries reduced modulo the base ideal.
 
     Each returned vector s satisfies: sum_j s_j f_j lies in the ideal of
-    the base relations, exactly, in the flattened ring.  Zero vectors and
-    duplicates are dropped and the rest sorted by their terms; with no
-    base relations nothing is reduced.
+    the base relations, exactly, in the flattened ring.  They are the
+    relation components of the syzygies of B's ideal generators (base
+    relations first), read off the Groebner basis that B already holds,
+    with no second run.  Zero vectors and duplicates are dropped and the
+    rest sorted by their terms; with no base relations nothing is
+    reduced.
     """
-    m = len(B.relations)
-    if m == 0:
+    if not B.relations:
         return []
     base = B.base_groebner() if B.base_relations else None
-    return [list(v) for v in syzygy_rows(list(B.relations) + list(B.base_relations), m, base, GREVLEX)]
+    return [list(v) for v in basis_syzygy_rows(B.groebner(), len(B.base_relations), base)]
 
 
 class ConormalPresentation(_ModulePresentation):

@@ -81,7 +81,9 @@ is seeded with the fixed vectors, and each candidate in (degree, index)
 order either reduces to zero against the current basis, and is dropped
 with its cofactors re-expanded and checked exactly, or joins the basis.
 The final basis also gives, by Schreyer's syzygies, the relations among
-the kept candidates modulo the fixed ones, with no second engine run.
+the kept candidates modulo the fixed ones, with no second engine run;
+``basis_syzygy_rows`` reads the syzygies of the generators of a finished
+ring basis the same way, off an engine that holds it (``_Engine.holding``).
 There is one certificate rule, ``_certify``: the cofactors, combined
 with the generators on ints, must give the target exactly.
 ``GroebnerBasis.certify`` checks a division by the basis with it too.
@@ -380,20 +382,35 @@ class _Engine:
     date as they change."""
 
     def __init__(self, field: Field, pack: _Pack, ncomp: int, gens: Sequence[Rep]):
+        self._hold(field, pack, ncomp, [], [], [])
+        for i, (d, z) in enumerate(gens):
+            self.add(z, d, (1, {_unit(i): 1}))
+        self.run()
+
+    @classmethod
+    def holding(cls, gb: "GroebnerBasis") -> "_Engine":
+        """An engine that holds the finished ring basis gb, with its
+        cofactors over gb's generators, and runs nothing: its Schreyer
+        syzygies are those of gb's own basis."""
+        eng = cls.__new__(cls)
+        div = gb._division
+        eng._hold(gb.field, div.pack, 1, list(div.leads), list(div.tails), list(gb._to_gens))
+        return eng
+
+    def _hold(
+        self, field: Field, pack: _Pack, ncomp: int, leads: List[int], tails: List[Tail], reps: List[Rep]
+    ) -> None:
         self.field = field
         self.p = field.char
         self.pack = pack
         self.ncomp = ncomp
-        self.leads: List[int] = []
-        self.tails: List[Tail] = []
-        self.index: Index = {}
-        self.lead_exps: List[Monomial] = []  # for lcms and the coprime test
-        self.reps: List[Rep] = []
+        self.leads = leads
+        self.tails = tails
+        self.index: Index = _index(leads, tails)
+        self.lead_exps: List[Monomial] = [pack.exponents(t) for t in leads]  # for lcms and the coprime test
+        self.reps = reps
         self.pairs: list = []
         self.done: set = set()
-        for i, (d, z) in enumerate(gens):
-            self.add(z, d, (1, {_unit(i): 1}))
-        self.run()
 
     def _lcm(self, i: int, j: int) -> int:
         """The lcm of two leading monomials, as a packed shift."""
@@ -780,20 +797,23 @@ def combinations_vanish(
     return True
 
 
-def _engine_syzygies(eng: _Engine, gens: Sequence[Rep]) -> List[Rep]:
-    """Generators of the syzygies of gens, each (e, z) for z / e, from an
-    engine that holds a Groebner basis of them with cofactors over them:
-    the Schreyer syzygies of the basis mapped through the cofactors, and
-    the rows of I - V.U, which catch generators that collapsed into the
-    basis.  Each is (d, z), the syzygy z / d, summed on ints.  The basis
-    is interreduced first, which leaves fewer pairs."""
-    eng.interreduce()
+def _engine_syzygies(eng: _Engine, divisions: Sequence[Tuple[Quots, int]], first: int = 0) -> List[Rep]:
+    """Generators of the syzygies of an engine's generators, from its
+    final (interreduced) basis with cofactors over them and divisions, the
+    quotients (quots, d) of each generator by that basis: the Schreyer
+    syzygies of the basis mapped through the cofactors, and the rows of
+    I - V.U, which catch generators that collapsed into the basis.  Only
+    components first and up are summed: the cofactors and the unit
+    vectors are restricted to them before they are combined.  Each is
+    (d, z), the syzygy z / d, summed on ints."""
     f, pack = eng.field, eng.pack
-    out = [_integral_combination(f, quots, d, eng.reps, pack) for quots, d in eng.schreyer()]
-    n = len(eng.reps)
-    for i, (quots, d) in enumerate(eng.divide_gens(gens)):
+    reps = [(r, {t: c for t, c in y.items() if _comp(t) >= first}) for r, y in eng.reps]
+    out = [_integral_combination(f, quots, d, reps, pack) for quots, d in eng.schreyer()]
+    n = len(reps)
+    for i, (quots, d) in enumerate(divisions):
         # e_i - sum_k quots[k] / d * reps[k], e_i as one more vector
-        out.append(_integral_combination(f, {**_minus(quots), n: {0: d}}, d, [*eng.reps, (1, {_unit(i): 1})], pack))
+        unit = {_unit(i): 1} if i >= first else {}
+        out.append(_integral_combination(f, {**_minus(quots), n: {0: d}}, d, [*reps, (1, unit)], pack))
     return [(d, z) for d, z in out if z]
 
 
@@ -807,8 +827,21 @@ def _syzygy_rows(
     field, nvars = _context([p for v in vecs for p in v])
     pack = _pack(nvars, order)
     gens = [_integral(field, _vec_to_v(v, pack)) for v in vecs]
-    syz = _engine_syzygies(_Engine(field, pack, ncomp, gens), gens)
+    eng = _Engine(field, pack, ncomp, gens)
+    eng.interreduce()  # fewer pairs
+    syz = _engine_syzygies(eng, eng.divide_gens(gens))
     return _reduced_rows(field, pack, ((_v_split(z, len(gens))[:r], d) for d, z in syz), modulo)
+
+
+def basis_syzygy_rows(
+    gb: GroebnerBasis, first: int, modulo: Optional[GroebnerBasis] = None
+) -> List[Tuple[Polynomial, ...]]:
+    """Generators of the syzygies of gb's generators, read off gb's own
+    basis, cofactors and generator divisions with no second Groebner
+    run: their entries from first on, as ``syzygy_rows`` gives them."""
+    eng = _Engine.holding(gb)
+    syz = _engine_syzygies(eng, gb._from_gens, first)
+    return _reduced_rows(gb.field, eng.pack, ((_v_split(z, len(gb.gens))[first:], d) for d, z in syz), modulo)
 
 
 def _reduced_rows(
@@ -969,11 +1002,10 @@ def prune_generators(
     # engine component nfixed + a is candidate joined[a]
     column = {nfixed + a: kept.index(k) for a, k in enumerate(joined)}
     rows = []
-    for d, z in _engine_syzygies(eng, gens):
+    eng.interreduce()  # fewer pairs
+    for d, z in _engine_syzygies(eng, eng.divide_gens(gens), nfixed):
         row: List[ZDict] = [dict() for _ in kept]
         for t, c in z.items():
-            col = column.get(_comp(t))
-            if col is not None:
-                row[col][t & ~CMASK] = c
+            row[column[_comp(t)]][t & ~CMASK] = c
         rows.append((row, d))
     return kept, _reduced_rows(field, pack, rows, modulo)

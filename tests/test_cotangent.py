@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defalg import GF, QQ, groebner
-from defalg.algebras import FiniteModule
+from defalg.algebras import FiniteModule, PresentedAlgebra
 from defalg.cotangent import (
     CohomologyClass,
     CotangentComplex,
@@ -27,7 +27,7 @@ from defalg.cotangent import (
     t_modules,
 )
 from defalg.deformation import BaseDeformationProblem, obstruction_class
-from defalg.differential import jacobian_entries, relation_syzygies
+from defalg.differential import block_matrix, jacobian_entries, relation_syzygies
 from defalg.groebner import module_groebner, module_syzygies, syzygy_basis
 from defalg.linalg import Matrix, complete_basis, kernel_basis, vec_add
 from defalg.problems import parse_polynomial
@@ -283,6 +283,69 @@ def _algebra_of(case):
 def test_relation_syzygies_match_the_polynomial_reference(case):
     B = _algebra_of(case)
     assert relation_syzygies(B) == _reference_relation_syzygies(B)
+
+
+def test_relation_syzygies_read_the_held_basis_without_an_engine(any_field, monkeypatch):
+    # relative relations with base relations: both bases built first, then
+    # the syzygies start no Buchberger engine of their own
+    B = make_algebra(any_field, ["x", "y"], ["x^2 + s", "x*y", "y^2 + s"], ["s"], ["s^2"])
+    B.groebner(), B.base_groebner()
+    started = []
+    init = groebner._Engine.__init__
+
+    def spy(self, *args):
+        started.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(groebner._Engine, "__init__", spy)
+    syz = relation_syzygies(B)
+    assert syz and not started
+    monkeypatch.setattr(groebner._Engine, "__init__", init)
+    assert syz == _reference_relation_syzygies(B)
+
+
+@pytest.mark.parametrize(
+    "rels, base",
+    [(["x - 1", "x*y"], ((), ())), (["x^2 + s", "x*y - s*y", "y^3"], (["s"], ["s^2"]))],
+    ids=["unit-ideal", "based"],
+)
+def test_relation_syzygies_of_the_held_basis_match_the_reference(any_field, rels, base):
+    # the unit ideal collapses every generator into the basis {1}: its
+    # syzygies all come from the rows of I - V.U
+    B = PresentedAlgebra.from_strings(any_field, ["x", "y"], rels, *base, allow_zero=True)
+    assert relation_syzygies(B) == _reference_relation_syzygies(B)
+
+
+@settings(max_examples=30, deadline=None)
+@given(presented_cases(), st.sampled_from([None, 2, 3]))
+def test_d1_reads_normal_form_syzygies(case, truncation):
+    # every module kind: the syzygies' normal forms give the D1 of the
+    # honest syzygies, since J is a B-module, and W D1 = 0 still holds
+    field, _, _, _, kind = case
+    B = _algebra_of(case)
+    if truncation is not None:
+        J = FiniteModule.truncated_regular(B, truncation)
+    else:
+        J = FiniteModule.trivial(B) if kind == "trivial" else FiniteModule.regular(B)
+    cx = cotangent_complex(B)
+    assert all(B.normal_form(p) == p for v in cx.syz_nf for p in v)
+    assert [tuple(map(B.normal_form, v)) for v in cx.syz] == list(cx.syz_nf)
+    maps = cochain_maps(cx, J)
+    assert maps.d1 == block_matrix(J, cx.syz, cx.n_syz, cx.n_rels)
+    assert maps.w.mul(maps.d1).is_zero()
+
+
+def test_a_replaced_complex_builds_its_own_normal_forms(any_field):
+    B = fat_point(any_field)
+    cx = cotangent_complex(B)
+    J = FiniteModule.regular(B)
+    flipped = dataclasses.replace(cx, syz=cx.syz[::-1])
+    assert cx.syz_nf and flipped.syz_nf == cx.syz_nf[::-1]
+    # D1 is read off the complex it is given, not the one cached on B
+    unpruned = _unpruned_complex(B)
+    for other in (flipped, unpruned):
+        maps = cochain_maps(other, J)
+        assert maps.d1 == block_matrix(J, other.syz, other.n_syz, other.n_rels)
 
 
 def _spans_within(rows, others, B, r):

@@ -121,10 +121,12 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
     counts = json.loads(out.read_text())
     assert list(counts) == ["showcase", "total"]
     assert counts["showcase"] == counts["total"]
-    names = ["buchberger", "z_divmod", "modules", "cotangent", "polynomials", "rrefs", "fractions"]
+    names = ["buchberger", "engines", "z_divmod", "modules", "cotangent", "polynomials", "rrefs", "fractions"]
     assert list(counts["total"]) == names
     # the showcase runs over F2: every counter but the Fraction builds moves
     assert all(counts["total"][k] > 0 for k in names[:-1]) and counts["total"]["fractions"] == 0
+    # every Groebner run starts one engine; the prunes and module syzygies start their own
+    assert counts["total"]["engines"] > counts["total"]["buchberger"]
     assert run.stdout.splitlines()[0].split() == ["suite", *names]
     tool = load_tool("work_counts")
     base = tmp_path / "base.json"
@@ -132,7 +134,8 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
     lines = tool.compare(str(base), str(out)).splitlines()
     n = counts["showcase"]
     assert lines[0] == (
-        f"showcase: buchberger {n['buchberger']} -> {n['buchberger']}, z_divmod {n['z_divmod']} -> {n['z_divmod']}, "
+        f"showcase: buchberger {n['buchberger']} -> {n['buchberger']}, engines {n['engines']} -> {n['engines']}, "
+        f"z_divmod {n['z_divmod']} -> {n['z_divmod']}, "
         f"modules - -> {n['modules']}, cotangent {n['cotangent']} -> {n['cotangent']}, "
         f"polynomials {n['polynomials']} -> {n['polynomials']}, rrefs {n['rrefs']} -> {n['rrefs']}, "
         f"fractions {n['fractions']} -> {n['fractions']}"

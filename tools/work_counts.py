@@ -9,6 +9,9 @@ when no SUITE is named) at its default field, with the oracle checks
 on, and prints per suite, then in total:
 
   * ``buchberger``: Groebner basis runs (``groebner.buchberger`` calls);
+  * ``engines``: Buchberger engines started (``groebner._Engine.__init__``),
+    which ``buchberger`` counts miss where a syzygy or prune run starts
+    one directly;
   * ``z_divmod``: packed divisions (``groebner._z_divmod`` calls);
   * ``modules``: ``FiniteModule`` builds (``FiniteModule.__init__``);
   * ``cotangent``: cotangent complex builds (``cotangent._build_complex``);
@@ -36,6 +39,7 @@ from typing import Dict, Optional
 # counter -> the (module, dotted attribute) pairs whose calls it sums
 TARGETS = {
     "buchberger": (("defalg.groebner", "buchberger"),),
+    "engines": (("defalg.groebner", "_Engine.__init__"),),
     "z_divmod": (("defalg.groebner", "_z_divmod"),),
     "modules": (("defalg.algebras", "FiniteModule.__init__"),),
     "cotangent": (("defalg.cotangent", "_build_complex"),),
