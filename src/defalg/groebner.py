@@ -817,20 +817,17 @@ def _engine_syzygies(eng: _Engine, divisions: Sequence[Tuple[Quots, int]], first
     return [(d, z) for d, z in out if z]
 
 
-def _syzygy_rows(
-    vecs: Sequence[Sequence[Polynomial]], ncomp: int, r: Optional[int], modulo: Optional[GroebnerBasis],
-    order: MonomialOrder,
-) -> List[Tuple[Polynomial, ...]]:
+def _syzygy_rows(vecs: Sequence[Sequence[Polynomial]], ncomp: int, order: MonomialOrder) -> List[Tuple[Polynomial, ...]]:
     """Generators of the syzygies of vecs in P^ncomp as ``_reduced_rows``
-    gives them: their first r entries (all when r is None), reduced
-    modulo the ring basis ``modulo`` when that is not None."""
+    gives them, unreduced.  Packed throughout: each entry becomes a
+    Polynomial once."""
     field, nvars = _context([p for v in vecs for p in v])
     pack = _pack(nvars, order)
     gens = [_integral(field, _vec_to_v(v, pack)) for v in vecs]
     eng = _Engine(field, pack, ncomp, gens)
     eng.interreduce()  # fewer pairs
     syz = _engine_syzygies(eng, eng.divide_gens(gens))
-    return _reduced_rows(field, pack, ((_v_split(z, len(gens))[:r], d) for d, z in syz), modulo)
+    return _reduced_rows(field, pack, ((_v_split(z, len(gens)), d) for d, z in syz), None)
 
 
 def basis_syzygy_rows(
@@ -838,7 +835,7 @@ def basis_syzygy_rows(
 ) -> List[Tuple[Polynomial, ...]]:
     """Generators of the syzygies of gb's generators, read off gb's own
     basis, cofactors and generator divisions with no second Groebner
-    run: their entries from first on, as ``syzygy_rows`` gives them."""
+    run: their entries from first on, as ``_reduced_rows`` gives them."""
     eng = _Engine.holding(gb)
     syz = _engine_syzygies(eng, gb._from_gens, first)
     return _reduced_rows(gb.field, eng.pack, ((_v_split(z, len(gb.gens))[first:], d) for d, z in syz), modulo)
@@ -879,23 +876,13 @@ def _reduced_entry(field: Field, q: ZDict, d: int, div: _Division) -> QDict:
 
 
 def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> SyzygyMatrix:
-    """Generators of {(h_1..h_r) : sum h_i gens_i = 0} as columns, in
-    ``syzygy_rows`` order."""
+    """Generators of {(h_1..h_r) : sum h_i gens_i = 0} as columns, zero
+    columns and duplicates dropped, sorted by their terms."""
     gens = list(gens)
-    cols = syzygy_rows(gens, len(gens), order=order)
-    return SyzygyMatrix(gens[0].field, gens[0].nvars, tuple((g,) for g in gens), tuple(cols))
-
-
-def syzygy_rows(
-    gens: Sequence[Polynomial], r: int, modulo: Optional[GroebnerBasis] = None, order: MonomialOrder = GREVLEX
-) -> List[Tuple[Polynomial, ...]]:
-    """The first r entries of generators of the syzygies of gens, each
-    entry reduced modulo the ring basis ``modulo`` (left as it is when
-    that is None), zero rows and duplicates dropped, sorted by their
-    terms.  Packed throughout: each entry becomes a Polynomial once."""
     if not gens:
         raise ValueError("need at least one generator")
-    return _syzygy_rows([[g] for g in gens], 1, r, modulo, order)
+    cols = _syzygy_rows([[g] for g in gens], 1, order)
+    return SyzygyMatrix(gens[0].field, gens[0].nvars, tuple((g,) for g in gens), tuple(cols))
 
 
 def module_syzygies(
@@ -905,7 +892,7 @@ def module_syzygies(
     zero rows and duplicates dropped, sorted by their terms."""
     if not vecs:
         return []
-    return [list(row) for row in _syzygy_rows(vecs, ncomp, None, None, order)]
+    return [list(row) for row in _syzygy_rows(vecs, ncomp, order)]
 
 
 def _integral_family(field: Field, vs: Sequence[VDict]) -> Tuple[int, List[ZDict]]:
