@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cotangent import CohomologyClass, cochain_maps, cotangent_complex, is_coboundary
+from .cotangent import CohomologyClass, is_coboundary
 from .deformation import (
     baer_sums,
     classify_extensions,
@@ -319,7 +319,7 @@ def _run_extensions(field, opts):
             i, j = first[lo : lo + step], second[lo : lo + step]
             geometric = baer_sums(reps.take(i), reps.take(j))
             algebraic = extensions_from_cocycles(B, J, f.reduce(cocycles[i] + cocycles[j]))
-            bad += int(np.count_nonzero(~equivalent_extensions(geometric, algebraic, cls.maps)))
+            bad += int(np.count_nonzero(~equivalent_extensions(geometric, algebraic)))
         report.problems.append(
             _check_entry(
                 f"baer.{spec.name}",
@@ -527,7 +527,7 @@ def _run_integrity(field, opts):
         same_verdict = r1.obstructed == r2.obstructed
         diff = vec_sub(prob.B.field, list(r1.psi), list(r2.psi))
         cls = CohomologyClass(prob.B, prob.J, 2, tuple(diff))
-        bounds, _ = is_coboundary(cls, r1.maps)
+        bounds, _ = is_coboundary(cls)
         report.problems.append(
             _check_entry(
                 f"seeds.{nm}",
@@ -543,14 +543,13 @@ def _run_integrity(field, opts):
 
     J = FiniteModule.trivial(fat)
     cls_fat = classify_extensions(fat, J)
-    maps = cochain_maps(cotangent_complex(fat), J)
     checked = agree = 0
     for rep in cls_fat.representatives[: 4 if cls_fat.complete else 1]:
         c0 = cocycle_from_extension(rep)
         c1 = cocycle_from_extension(rep, gen_offsets=[[f.one()], [f.one()]])
         diff = vec_sub(f, list(c0), list(c1))
-        ok1, _ = is_coboundary(CohomologyClass(fat, J, 1, tuple(diff)), maps)
-        ok2 = extensions_equivalent(rep, extension_from_cocycle(fat, J, c1), maps)
+        ok1, _ = is_coboundary(CohomologyClass(fat, J, 1, tuple(diff)))
+        ok2 = extensions_equivalent(rep, extension_from_cocycle(fat, J, c1))
         checked += 1
         agree += ok1 and ok2
     report.problems.append(

@@ -20,6 +20,13 @@ Schreyer syzygies, restricted to the s's and reduced modulo the ideal
 while still packed.  The identities D1 D0 = 0 and W D1 = 0 hold
 exactly at the matrix level and are asserted.
 
+Each object is built, and its identities asserted, once: the complex
+once per algebra (kept on B, the way its Groebner basis is), and the
+cochain maps of (B, J) with T^0, T^1, T^2 once per coefficient module
+(kept on the complex, so a ``dataclasses.replace`` copy builds its own).
+Every reader of a pair, the coboundary decisions among them, looks up
+that one copy.
+
 D1 reads the s's with every entry in normal form modulo the ideal
 (``syz_nf``, built once per complex): J is a B-module, so its matrix is
 the same, from smaller entries.  Two of the checks read those normal
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +65,11 @@ class CotangentComplex:
         """syz with every entry in normal form modulo B's ideal: the same
         classes in B^m, built once per complex."""
         return tuple(tuple(self.B.normal_form(p) for p in v) for v in self.syz)
+
+    @cached_property
+    def _maps(self) -> Dict[FiniteModule, "CochainMaps"]:
+        """J -> the cochain maps with coefficients in J, see cochain_maps."""
+        return {}
 
     @property
     def n_gens(self) -> int:
@@ -97,13 +109,35 @@ def base_vectors(B: PresentedAlgebra) -> List[List[Polynomial]]:
 
 
 def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
-    """The complex of B, built once per algebra (cached on B, the way its
-    Groebner basis is); its structural identities are asserted on every
-    call, the Jacobian one against the cached rows that D0 is built from."""
+    """The complex of B, built and checked once per algebra and cached on
+    B, the way its Groebner basis is: see _build_complex."""
     if B._cotangent is None:
         B._cotangent = _build_complex(B)
-    cx = B._cotangent
+    return B._cotangent
+
+
+def _build_complex(B: PresentedAlgebra) -> CotangentComplex:
+    """The complex of B, its structural identities asserted before it is
+    returned, the Jacobian one against the rows that D0 is built from."""
+    m = len(B.relations)
     gb = B.groebner()
+    jac = jacobian_entries(B)
+    kos = koszul_vectors(B)
+    base = base_vectors(B)
+    # every phi in Hom(P^m, J) kills Kos and base.P^m: generators of Syz
+    # modulo those suffice, and each one dropped is certified redundant;
+    # the prune's final basis also gives the relations among the kept
+    # syzygies modulo Kos + base, reduced modulo the ideal: the W rows
+    syz = relation_syzygies(B)
+    keep, w_rows = prune_generators(kos + base, syz, m, gb, GREVLEX)
+    cx = CotangentComplex(
+        B,
+        jac,
+        tuple(tuple(syz[k]) for k in keep),
+        tuple(tuple(v) for v in kos),
+        tuple(w_rows),
+    )
+
     rels = [(r,) for r in B.relations]
     # each check: one packed combination per vector, then one division
     # per component by the cached basis
@@ -119,28 +153,6 @@ def cotangent_complex(B: PresentedAlgebra) -> CotangentComplex:
     return cx
 
 
-def _build_complex(B: PresentedAlgebra) -> CotangentComplex:
-    m = len(B.relations)
-    jac = jacobian_entries(B)
-    kos = koszul_vectors(B)
-    base = base_vectors(B)
-    # every phi in Hom(P^m, J) kills Kos and base.P^m: generators of Syz
-    # modulo those suffice, and each one dropped is certified redundant;
-    # the prune's final basis also gives the relations among the kept
-    # syzygies modulo Kos + base, reduced modulo the ideal: the W rows
-    syz = relation_syzygies(B)
-    keep, w_rows = prune_generators(kos + base, syz, m, B.groebner(), GREVLEX)
-    syz = [syz[k] for k in keep]
-
-    return CotangentComplex(
-        B,
-        jac,
-        tuple(tuple(v) for v in syz),
-        tuple(tuple(v) for v in kos),
-        tuple(w_rows),
-    )
-
-
 @dataclass
 class CochainMaps:
     """Scalar matrices of the Hom complex for one coefficient module."""
@@ -151,11 +163,25 @@ class CochainMaps:
     d1: Matrix  # J^m -> J^r
     w: Matrix   # J^r -> J^(#w_rows)
 
+    @cached_property
+    def cohomology(self) -> Tuple["TModuleResult", "TModuleResult", "TModuleResult"]:
+        """T^0, T^1, T^2, computed on first read: see t_modules."""
+        return _cohomology(self)
+
 
 def cochain_maps(cx: CotangentComplex, J: FiniteModule) -> CochainMaps:
-    B = cx.B
+    """The cochain maps of cx with coefficients in J, built and checked
+    once per (complex, J) and kept on the complex: see _build_maps."""
+    got = cx._maps.get(J)
+    if got is None:
+        got = cx._maps[J] = _build_maps(cx, J)
+    return got
+
+
+def _build_maps(cx: CotangentComplex, J: FiniteModule) -> CochainMaps:
+    """D0, D1 and W, with D1 D0 = 0 and W D1 = 0 asserted."""
     m, n, r = cx.n_rels, cx.n_gens, cx.n_syz
-    d0 = block_matrix(J, [list(row) for row in cx.jac], m, n)
+    d0 = block_matrix(J, cx.jac, m, n)
     d1 = block_matrix(J, cx.syz_nf, r, m)
     w = block_matrix(J, [[row[k] for k in range(r)] for row in cx.w_rows], len(cx.w_rows), r)
     if not d1.mul(d0).is_zero():
@@ -175,12 +201,11 @@ class CohomologyClass:
     vector: tuple
 
     def is_cocycle_of(self, maps: CochainMaps) -> bool:
-        v = list(self.vector)
-        if self.degree == 1:
-            return vec_is_zero(self.J.field, maps.d1.mul_vec(v))
-        if self.degree == 2:
-            return vec_is_zero(self.J.field, maps.w.mul_vec(v))
-        return True
+        """Whether the differential out of this degree kills the vector."""
+        if self.degree not in (0, 1, 2):
+            raise ValueError("degree must be 0, 1 or 2")
+        nxt = (maps.d0, maps.d1, maps.w)[self.degree]
+        return vec_is_zero(self.J.field, nxt.mul_vec(list(self.vector)))
 
 
 @dataclass
@@ -236,12 +261,15 @@ def _transversal(prev: Matrix, nxt: Matrix) -> List[int]:
 
 
 def t_modules(B: PresentedAlgebra, J: FiniteModule) -> Tuple[TModuleResult, TModuleResult, TModuleResult]:
-    """T^0, T^1, T^2 of B over its base with coefficients in J: one
-    reduction per differential gives its rank and the kernel of the
-    next, and one more per degree 1 and 2 picks the representatives."""
-    cx = cotangent_complex(B)
-    maps = cochain_maps(cx, J)
+    """T^0, T^1, T^2 of B over its base with coefficients in J, computed
+    once per (B, J) and kept with its cochain maps."""
+    return cochain_maps(cotangent_complex(B), J).cohomology
 
+
+def _cohomology(maps: CochainMaps) -> Tuple[TModuleResult, TModuleResult, TModuleResult]:
+    """One reduction per differential gives its rank and the kernel of
+    the next, and one more per degree 1 and 2 picks the representatives."""
+    B, J = maps.complex.B, maps.J
     k0 = kernel_basis(maps.d0)
     if k0.select(rows=free_columns(maps.d0)) != Matrix.identity(J.field, k0.ncols):
         raise AssertionError("kernel basis is not the identity on its free coordinates")
@@ -261,16 +289,14 @@ def t_module(B: PresentedAlgebra, J: FiniteModule, degree: int) -> TModuleResult
     return t_modules(B, J)[degree]
 
 
-def is_coboundary(cls: CohomologyClass, maps: Optional[CochainMaps] = None) -> Tuple[bool, Optional[list]]:
+def is_coboundary(cls: CohomologyClass) -> Tuple[bool, Optional[list]]:
     """Decide whether a cocycle bounds; the witness is the preimage
     under the previous differential, re-verified before returning."""
-    ok, witnesses = are_coboundaries(cls.B, cls.J, cls.degree, [cls.vector], maps)
+    ok, witnesses = are_coboundaries(cls.B, cls.J, cls.degree, [cls.vector])
     return (bool(ok[0]), witnesses[0].tolist() if ok[0] else None)
 
 
-def are_coboundaries(
-    B: PresentedAlgebra, J: FiniteModule, degree: int, vectors, maps: Optional[CochainMaps] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def are_coboundaries(B: PresentedAlgebra, J: FiniteModule, degree: int, vectors) -> Tuple[np.ndarray, np.ndarray]:
     """Decide for each row of a (K, N) array of degree-one or degree-two
     cocycles whether it bounds: (ok, witnesses), witnesses[k] the preimage
     of row k under the previous differential (free coordinates zero, a
@@ -279,11 +305,10 @@ def are_coboundaries(
     ValueError when a row is not a cocycle.  In any other degree nothing
     bounds but zero, and the witnesses are empty."""
     f = J.field
-    if maps is None:
-        maps = cochain_maps(cotangent_complex(B), J)
     if degree not in (1, 2):
         ok = np.array([vec_is_zero(f, list(v)) for v in vectors], bool)
         return ok, np.zeros((len(ok), 0), f.dtype)
+    maps = cochain_maps(cotangent_complex(B), J)
     prev, nxt = (maps.d0, maps.d1) if degree == 1 else (maps.d1, maps.w)
     vecs = f.array(vectors).reshape(len(vectors), prev.nrows)
     if nxt.mul_rows(vecs).any():

@@ -58,7 +58,6 @@ from .algebras import (
     validate,
 )
 from .cotangent import (
-    CochainMaps,
     CohomologyClass,
     CotangentComplex,
     are_coboundaries,
@@ -426,8 +425,8 @@ def extension_class(ext: SquareZeroExtension) -> CohomologyClass:
     return CohomologyClass(ext.B, ext.J, 1, cocycle_from_extension(ext))
 
 
-def is_trivial_extension(ext: SquareZeroExtension, maps: Optional[CochainMaps] = None) -> bool:
-    ok, _ = is_coboundary(extension_class(ext), maps)
+def is_trivial_extension(ext: SquareZeroExtension) -> bool:
+    ok, _ = is_coboundary(extension_class(ext))
     return ok
 
 
@@ -456,19 +455,19 @@ def _check_pairable(s1: ExtensionStack, s2: ExtensionStack) -> None:
         raise ValueError("stacks of different lengths")
 
 
-def equivalent_extensions(s1: ExtensionStack, s2: ExtensionStack, maps: Optional[CochainMaps] = None) -> np.ndarray:
+def equivalent_extensions(s1: ExtensionStack, s2: ExtensionStack) -> np.ndarray:
     """Whether the k-th extensions of two stacks are equivalent, for
     every k: their class reads differ by a coboundary, decided for all
     K by one reduction."""
     _check_pairable(s1, s2)
     f = s1.B.field
     diff = f.reduce(cocycles_from_extensions(s1) - cocycles_from_extensions(s2))
-    ok, _ = are_coboundaries(s1.B, s1.J, 1, diff, maps)
+    ok, _ = are_coboundaries(s1.B, s1.J, 1, diff)
     return ok
 
 
-def extensions_equivalent(e1: SquareZeroExtension, e2: SquareZeroExtension, maps: Optional[CochainMaps] = None) -> bool:
-    return bool(equivalent_extensions(ExtensionStack.of([e1]), ExtensionStack.of([e2]), maps)[0])
+def extensions_equivalent(e1: SquareZeroExtension, e2: SquareZeroExtension) -> bool:
+    return bool(equivalent_extensions(ExtensionStack.of([e1]), ExtensionStack.of([e2]))[0])
 
 
 def baer_sums(s1: ExtensionStack, s2: ExtensionStack) -> ExtensionStack:
@@ -516,7 +515,6 @@ class ExtensionClassification:
     representatives: Tuple[SquareZeroExtension, ...]
     count: Optional[int]  # number of classes when the field is finite
     complete: bool        # whether representatives covers every class
-    maps: CochainMaps = dc_field(repr=False, compare=False)  # cochain maps of B with coefficients in J
     stack: ExtensionStack = dc_field(repr=False, compare=False)  # the representatives as one stack
 
     def class_of(self, ext: SquareZeroExtension) -> int:
@@ -525,7 +523,7 @@ class ExtensionClassification:
         one = ExtensionStack.of([ext])
         _check_comparable(one, self.stack)
         diff = self.B.field.reduce(cocycles_from_extensions(one) - cocycles_from_extensions(self.stack))
-        ok, _ = are_coboundaries(self.B, self.J, 1, diff, self.maps)
+        ok, _ = are_coboundaries(self.B, self.J, 1, diff)
         hits = np.flatnonzero(ok)
         if not len(hits):
             raise AssertionError("extension matches no representative")
@@ -547,7 +545,7 @@ def classify_extensions(B: PresentedAlgebra, J: FiniteModule, max_reps: int = 40
         cocycles = np.concatenate([np.zeros((1, reps.shape[1]), f.dtype), reps])
     stack = extensions_from_cocycles(B, J, cocycles)
     return ExtensionClassification(
-        B, J, r1.dim, stack.extensions(), count, complete or r1.dim == 0, r1.maps, stack
+        B, J, r1.dim, stack.extensions(), count, complete or r1.dim == 0, stack
     )
 
 
@@ -678,7 +676,6 @@ class LiftResult:
     lifted_images: Optional[Tuple[tuple, ...]]
     freedom_dim: int                      # derivations = ambiguity of the lift
     count: Optional[int]                  # number of lifts over a finite field
-    maps: CochainMaps = dc_field(repr=False, compare=False)  # cochain maps of B with coefficients in J
 
 
 def lift_homomorphism(problem: LiftProblem) -> LiftResult:
@@ -694,7 +691,7 @@ def lift_homomorphism(problem: LiftProblem) -> LiftResult:
     ds = derivation_space(B, J)
     t = J.rank
     if eta is None:
-        return LiftResult(problem, False, cls, None, None, ds.dim, 0 if isinstance(f, PrimeField) else None, maps)
+        return LiftResult(problem, False, cls, None, None, ds.dim, 0 if isinstance(f, PrimeField) else None)
     # corrected preimages: v_i + eta_i, the ideal coordinates eta_i of
     # each relative generator read through n_basis, verified to kill
     # every relation
@@ -704,7 +701,7 @@ def lift_homomorphism(problem: LiftProblem) -> LiftResult:
     if problem.Cprime.evaluate_many([*B.relations, *B.base_relations], imgs).any():
         raise AssertionError("corrected images do not satisfy the relations")
     count = f.p**ds.dim if isinstance(f, PrimeField) else None
-    return LiftResult(problem, True, cls, tuple(eta), tuple(map(tuple, imgs.tolist())), ds.dim, count, maps)
+    return LiftResult(problem, True, cls, tuple(eta), tuple(map(tuple, imgs.tolist())), ds.dim, count)
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +806,6 @@ class BaseDeformationProblem:
 class ObstructionResult:
     problem: BaseDeformationProblem
     complex: CotangentComplex
-    maps: CochainMaps
     psi: tuple                       # cocycle in J^r
     obstructed: bool
     witness: Optional[tuple]         # xi in J^m with D1 xi = psi, when unobstructed
@@ -836,11 +832,11 @@ def obstruction_class(prob: BaseDeformationProblem, second_lift_seed: Optional[i
         raise AssertionError("obstruction vector is not killed by the relation rows")
     if second_lift_seed is not None:
         shifted = _obstruction_vector(prob, cx, _lift_noise(prob, second_lift_seed))
-        ok, _ = is_coboundary(CohomologyClass(B, J, 2, tuple(f.reduce(shifted - psi).tolist())), maps)
+        ok, _ = is_coboundary(CohomologyClass(B, J, 2, tuple(f.reduce(shifted - psi).tolist())))
         if not ok:
             raise AssertionError("two lifts of the relations gave inequivalent classes")
     xi = solve_affine(maps.d1, list(psi_t))
-    return ObstructionResult(prob, cx, maps, psi_t, xi is None, tuple(xi) if xi is not None else None)
+    return ObstructionResult(prob, cx, psi_t, xi is None, tuple(xi) if xi is not None else None)
 
 
 def _lift_noise(prob: BaseDeformationProblem, seed: int) -> List[List[Polynomial]]:
@@ -929,7 +925,7 @@ def realize_deformation(prob: BaseDeformationProblem, result: Optional[Obstructi
     xi = list(result.witness)
     if twist is not None:
         tw = list(twist)
-        if not vec_is_zero(f, result.maps.d1.mul_vec(tw)):
+        if not vec_is_zero(f, cochain_maps(result.complex, J).d1.mul_vec(tw)):
             raise ValueError("twist is not a cocycle")
         xi = vec_add(f, xi, tw)
 

@@ -41,12 +41,6 @@ def jacobian_entries(B: PresentedAlgebra) -> Tuple[Tuple[Polynomial, ...], ...]:
     return B._jacobian
 
 
-def derivation_matrix(B: PresentedAlgebra, J: FiniteModule) -> Matrix:
-    """The map J^n -> J^m whose kernel is the space of derivations."""
-    jac = jacobian_entries(B)
-    return block_matrix(J, jac, len(B.relations), B.n_gens)
-
-
 @dataclass
 class Derivation:
     """An A-linear derivation B -> J, stored by generator images."""
@@ -99,7 +93,11 @@ def derivation_from_flat(B: PresentedAlgebra, J: FiniteModule, flat: Sequence) -
 
 
 def derivation_space(B: PresentedAlgebra, J: FiniteModule) -> DerivationSpace:
-    mat = derivation_matrix(B, J)
+    """The kernel of D0, the map J^n -> J^m of the Hom complex of (B, J),
+    each basis vector re-checked against every ideal generator."""
+    from .cotangent import cochain_maps, cotangent_complex  # cotangent imports this module
+
+    mat = cochain_maps(cotangent_complex(B), J).d0
     ker = kernel_basis(mat)
     basis = tuple(derivation_from_flat(B, J, ker.col(c)) for c in range(ker.ncols))
     for d in basis:

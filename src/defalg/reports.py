@@ -212,7 +212,7 @@ def run_lift(ps: ProblemSet, spec: LiftSpec, opts: RunOptions) -> dict:
         "count": res.count,
     }
     if not res.solvable:
-        vanishes, _ = is_coboundary(res.obstruction, res.maps)
+        vanishes, _ = is_coboundary(res.obstruction)
         data["class_vanishes"] = vanishes
     if opts.oracle:
         B = problem.B

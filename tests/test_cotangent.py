@@ -103,16 +103,31 @@ def test_complex_identities(any_field):
     assert all(mgb.contains(vec) for vec in relation_syzygies(B))
 
 
-def test_complex_is_built_once_per_algebra_and_checked_on_every_call(any_field):
+def _counting(monkeypatch, module, name, calls):
+    """Count each call of module.name in calls[name]."""
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_complex_is_built_and_checked_once_per_algebra(any_field, monkeypatch):
+    from defalg import cotangent
+
+    calls = {}
+    _counting(monkeypatch, cotangent, "combinations_vanish", calls)
     B = fat_point(any_field)
     cx = cotangent_complex(B)
-    assert cotangent_complex(B) is cx
-    # a cached complex whose syzygy no longer pairs to zero is caught
-    bad = list(cx.syz[0])
-    bad[0] = bad[0] + B.one_poly()
-    B._cotangent = dataclasses.replace(cx, syz=(tuple(bad),) + cx.syz[1:])
+    assert calls == {"combinations_vanish": 4}
+    assert cotangent_complex(B) is cx and calls == {"combinations_vanish": 4}
+    # a build whose syzygy no longer pairs to zero is caught, and not kept
+    fresh = fat_point(any_field)
     with pytest.raises(AssertionError, match="syzygy"):
-        cotangent_complex(B)
+        _corrupted_build(monkeypatch, fresh, syz=_bump(B, cx.syz, 0, 0))
+    assert fresh._cotangent is None
 
 
 def _bump(B, vectors, k, j):
@@ -122,47 +137,48 @@ def _bump(B, vectors, k, j):
     return vectors[:k] + (tuple(bad),) + vectors[k + 1 :]
 
 
-def _corrupted_call(B, **fields):
-    cx = cotangent_complex(B)
-    B._cotangent = dataclasses.replace(cx, **fields)
-    try:
-        cotangent_complex(B)
-    finally:
-        B._cotangent = cx
+def _corrupted_build(monkeypatch, B, **fields):
+    """Build the complex of B as _build_complex makes it, but with the
+    given fields in place of the ones it computes."""
+    from defalg import cotangent
+
+    made = cotangent.CotangentComplex
+    monkeypatch.setattr(cotangent, "CotangentComplex", lambda *args: dataclasses.replace(made(*args), **fields))
+    cotangent_complex(B)
 
 
-def test_corrupted_syzygy_is_caught(any_field):
+def test_corrupted_syzygy_is_caught(any_field, monkeypatch):
+    cx = cotangent_complex(fat_point(any_field))
     B = fat_point(any_field)
-    cx = cotangent_complex(B)
     with pytest.raises(AssertionError, match="syzygy does not pair to zero over the base"):
-        _corrupted_call(B, syz=_bump(B, cx.syz, 0, 0))
+        _corrupted_build(monkeypatch, B, syz=_bump(B, cx.syz, 0, 0))
 
 
-def test_corrupted_relation_row_is_caught(any_field):
+def test_corrupted_relation_row_is_caught(any_field, monkeypatch):
     # the first row's entry on syz[0] gains 1, so the row adds syz[0] itself,
     # whose entries y and -x are not in the ideal
+    cx = cotangent_complex(fat_point(any_field))
     B = fat_point(any_field)
-    cx = cotangent_complex(B)
     with pytest.raises(AssertionError, match="relation row does not kill the syzygy classes"):
-        _corrupted_call(B, w_rows=_bump(B, cx.w_rows, 0, 0))
+        _corrupted_build(monkeypatch, B, w_rows=_bump(B, cx.w_rows, 0, 0))
 
 
-def test_corrupted_koszul_vector_is_caught(any_field):
+def test_corrupted_koszul_vector_is_caught(any_field, monkeypatch):
+    cx = cotangent_complex(fat_point(any_field))
     B = fat_point(any_field)
-    cx = cotangent_complex(B)
     with pytest.raises(AssertionError, match="Koszul vector is not a syzygy"):
-        _corrupted_call(B, kos=_bump(B, cx.kos, 0, 0))
+        _corrupted_build(monkeypatch, B, kos=_bump(B, cx.kos, 0, 0))
 
 
-def test_syzygy_off_the_cached_jacobian_is_caught(any_field):
+def test_syzygy_off_the_cached_jacobian_is_caught(any_field, monkeypatch):
     # A syzygy that pairs to zero over the base composes to zero with the
     # true Jacobian mod the ideal (differentiate sum s_j f_j = sum a_l g_l),
-    # so the check reads the cached Jacobian that D0 is built from: its
+    # so the check reads the Jacobian rows that D0 is built from: its
     # d(xy)/dx entry gains 1, and syz[0] = (0, y, -x) pairs it to y + y^2 - ...
+    cx = cotangent_complex(fat_point(any_field))
     B = fat_point(any_field)
-    cx = cotangent_complex(B)
     with pytest.raises(AssertionError, match="syzygy does not compose to zero with the Jacobian"):
-        _corrupted_call(B, jac=_bump(B, cx.jac, 1, 0))
+        _corrupted_build(monkeypatch, B, jac=_bump(B, cx.jac, 1, 0))
 
 
 def _unpruned_complex(B):
@@ -338,11 +354,15 @@ def test_a_replaced_complex_builds_its_own_normal_forms(any_field):
     J = FiniteModule.regular(B)
     flipped = dataclasses.replace(cx, syz=cx.syz[::-1])
     assert cx.syz_nf and flipped.syz_nf == cx.syz_nf[::-1]
-    # D1 is read off the complex it is given, not the one cached on B
+    # D1 is read off the complex it is given, not the one cached on B,
+    # and each complex keeps maps of its own
     unpruned = _unpruned_complex(B)
     for other in (flipped, unpruned):
         maps = cochain_maps(other, J)
         assert maps.d1 == block_matrix(J, other.syz, other.n_syz, other.n_rels)
+        assert maps.complex is other and cochain_maps(other, J) is maps
+        assert maps is not cochain_maps(cx, J)
+    assert cochain_maps(flipped, J).d1 != cochain_maps(cx, J).d1
 
 
 def _spans_within(rows, others, B, r):
@@ -388,7 +408,7 @@ def test_quotient_accounting(any_field):
     assert len(r1.reps) == r1.dim
     for rep in r1.classes():
         assert rep.is_cocycle_of(r1.maps)
-        bounds, _ = is_coboundary(rep, r1.maps)
+        bounds, _ = is_coboundary(rep)
         assert not bounds, "chosen representatives span a transversal"
 
 
@@ -439,7 +459,7 @@ def test_is_coboundary_accepts_boundaries(prime_field):
     maps = cochain_maps(cotangent_complex(B), J)
     eta = [prime_field.one()] * maps.d0.ncols
     bound = maps.d0.mul_vec(eta)
-    ok, witness = is_coboundary(CohomologyClass(B, J, 1, tuple(bound)), maps)
+    ok, witness = is_coboundary(CohomologyClass(B, J, 1, tuple(bound)))
     assert ok
     assert maps.d0.mul_vec(witness) == bound
 
@@ -462,8 +482,8 @@ def test_stacked_coboundaries_match_one_by_one(any_field, degree):
     rows = list(images.values())[:3]
     rows += [list(res.reps[0]), [f.zero()] * prev.nrows, vec_add(f, rows[0], list(res.reps[-1]))]
     assert res.dim >= 1 and len(rows) == 6
-    ok, witnesses = are_coboundaries(B, J, degree, rows, maps)
-    alone = [is_coboundary(CohomologyClass(B, J, degree, tuple(r)), maps) for r in rows]
+    ok, witnesses = are_coboundaries(B, J, degree, rows)
+    alone = [is_coboundary(CohomologyClass(B, J, degree, tuple(r))) for r in rows]
     assert ok.tolist() == [a for a, _ in alone] == [True, True, True, False, True, False]
     for row, bound, w, (_, single) in zip(rows, ok, witnesses.tolist(), alone):
         if bound:
@@ -489,7 +509,7 @@ def test_a_bad_stacked_witness_is_caught(monkeypatch):
     rows = [maps.d0.mul_vec(v) for v in e]
     assert rows[0] != rows[1]
     with pytest.raises(AssertionError, match="bad witness"):
-        are_coboundaries(B, J, 1, rows, maps)
+        are_coboundaries(B, J, 1, rows)
 
 
 def test_is_coboundary_rejects_non_cocycles():
@@ -506,7 +526,7 @@ def test_is_coboundary_rejects_non_cocycles():
             break
     assert bad is not None
     with pytest.raises(ValueError, match="not a cocycle"):
-        is_coboundary(CohomologyClass(B, J, 1, tuple(bad)), maps)
+        is_coboundary(CohomologyClass(B, J, 1, tuple(bad)))
 
 
 def test_classes_add(prime_field):
@@ -518,7 +538,7 @@ def test_classes_add(prime_field):
     s = vec_add(prime_field, a, b)
     cls = CohomologyClass(B, J, 1, tuple(s))
     assert cls.is_cocycle_of(r1.maps)
-    bounds, _ = is_coboundary(cls, r1.maps)
+    bounds, _ = is_coboundary(cls)
     assert not bounds, "sum of independent classes stays nonzero"
 
 
@@ -528,3 +548,45 @@ def test_degree_validation():
     with pytest.raises(ValueError):
         t_module(B, J, 3)
     assert t_module(B, J, 1).dim == 1
+
+
+def test_a_repeated_read_of_a_pair_builds_nothing(any_field, monkeypatch):
+    # the second t_modules, is_coboundary or equivalent_extensions on one
+    # (B, J) reads the pair's kept complex, maps and cohomology
+    from defalg import cotangent
+    from defalg.deformation import ExtensionStack, equivalent_extensions, extension_from_cocycle
+
+    B = fat_point(any_field)
+    J = FiniteModule.regular(B)
+
+    def reads():
+        res = t_modules(B, J)
+        cls = res[1].classes()[0]
+        stack = ExtensionStack.of([extension_from_cocycle(B, J, cls.vector)])
+        return res, is_coboundary(cls), equivalent_extensions(stack, stack).tolist()
+
+    first = reads()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a repeated read built something")
+
+    for name in ("block_matrix", "combinations_vanish", "kernel_basis"):
+        monkeypatch.setattr(cotangent, name, refused)
+    again = reads()
+    assert again[0] is first[0] and again[1:] == first[1:] == ((False, None), [True])
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=lambda f: f.name)
+def test_a_degree_zero_cocycle_is_killed_by_d0(field):
+    # on F3[x]/(x^2) with J = B, D0 sends (1, 0) to (0, 2) and (0, 1) to 0
+    B = make_algebra(field, ["x"], ["x^2"])
+    J = FiniteModule.regular(B)
+    r0, _, _ = t_modules(B, J)
+    maps = r0.maps
+    assert maps.d0.mul_vec([field.one(), field.zero()]) == [field.zero(), field.from_int(2)]
+    assert not CohomologyClass(B, J, 0, (field.one(), field.zero())).is_cocycle_of(maps)
+    assert CohomologyClass(B, J, 0, (field.zero(), field.one())).is_cocycle_of(maps)
+    assert all(rep.is_cocycle_of(maps) for rep in r0.classes())
+    for degree in (-1, 3, 5):
+        with pytest.raises(ValueError, match="degree must be 0, 1 or 2"):
+            CohomologyClass(B, J, degree, (field.one(), field.zero())).is_cocycle_of(maps)

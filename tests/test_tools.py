@@ -121,7 +121,7 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
     counts = json.loads(out.read_text())
     assert list(counts) == ["showcase", "total"]
     assert counts["showcase"] == counts["total"]
-    names = ["buchberger", "engines", "z_divmod", "modules", "cotangent", "polynomials", "rrefs", "fractions"]
+    names = ["buchberger", "engines", "z_divmod", "modules", "cotangent", "cochain", "polynomials", "rrefs", "fractions"]
     assert list(counts["total"]) == names
     # the showcase runs over F2: every counter but the Fraction builds moves
     assert all(counts["total"][k] > 0 for k in names[:-1]) and counts["total"]["fractions"] == 0
@@ -137,6 +137,7 @@ def test_work_counts_of_one_suite_and_their_comparison(tmp_path):
         f"showcase: buchberger {n['buchberger']} -> {n['buchberger']}, engines {n['engines']} -> {n['engines']}, "
         f"z_divmod {n['z_divmod']} -> {n['z_divmod']}, "
         f"modules - -> {n['modules']}, cotangent {n['cotangent']} -> {n['cotangent']}, "
+        f"cochain {n['cochain']} -> {n['cochain']}, "
         f"polynomials {n['polynomials']} -> {n['polynomials']}, rrefs {n['rrefs']} -> {n['rrefs']}, "
         f"fractions {n['fractions']} -> {n['fractions']}"
     )

@@ -15,6 +15,8 @@ on, and prints per suite, then in total:
   * ``z_divmod``: packed divisions (``groebner._z_divmod`` calls);
   * ``modules``: ``FiniteModule`` builds (``FiniteModule.__init__``);
   * ``cotangent``: cotangent complex builds (``cotangent._build_complex``);
+  * ``cochain``: cochain map builds (``cotangent._build_maps``), one per
+    (complex, module) where the maps are kept;
   * ``polynomials``: ``Polynomial`` builds (``Polynomial.__init__``);
   * ``rrefs``: matrix row reductions (``PrimeField.rref`` and
     ``RationalField.rref``);
@@ -43,6 +45,7 @@ TARGETS = {
     "z_divmod": (("defalg.groebner", "_z_divmod"),),
     "modules": (("defalg.algebras", "FiniteModule.__init__"),),
     "cotangent": (("defalg.cotangent", "_build_complex"),),
+    "cochain": (("defalg.cotangent", "_build_maps"),),
     "polynomials": (("defalg.poly", "Polynomial.__init__"),),
     "rrefs": (("defalg.fields", "PrimeField.rref"), ("defalg.fields", "RationalField.rref")),
     "fractions": (("fractions", "Fraction.__new__"),),
