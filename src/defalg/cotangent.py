@@ -21,11 +21,8 @@ while still packed.  The identities D1 D0 = 0 and W D1 = 0 hold
 exactly at the matrix level and are asserted.
 
 Each object is built, and its identities asserted, once: the complex
-once per algebra (kept on B, the way its Groebner basis is), and the
-cochain maps of (B, J) with T^0, T^1, T^2 once per coefficient module
-(kept on the complex, so a ``dataclasses.replace`` copy builds its own).
-Every reader of a pair, the coboundary decisions among them, looks up
-that one copy.
+per algebra, kept on B; the cochain maps and T^0, T^1, T^2 per
+coefficient module, kept on the complex.  Every reader looks them up.
 
 D1 reads the s's with every entry in normal form modulo the ideal
 (``syz_nf``, built once per complex): J is a B-module, so its matrix is
@@ -67,8 +64,7 @@ class CotangentComplex:
         return tuple(tuple(self.B.normal_form(p) for p in v) for v in self.syz)
 
     @cached_property
-    def _maps(self) -> Dict[FiniteModule, "CochainMaps"]:
-        """J -> the cochain maps with coefficients in J, see cochain_maps."""
+    def _maps(self) -> Dict[FiniteModule, "CochainMaps"]:  # J -> its cochain maps, see cochain_maps
         return {}
 
     @property
@@ -165,8 +161,16 @@ class CochainMaps:
 
     @cached_property
     def cohomology(self) -> Tuple["TModuleResult", "TModuleResult", "TModuleResult"]:
-        """T^0, T^1, T^2, computed on first read: see t_modules."""
-        return _cohomology(self)
+        """T^0, T^1, T^2, computed on first read: one reduction per
+        differential gives its rank and the kernel of the next, and one
+        more per degree 1 and 2 picks the representatives."""
+        k0 = kernel_basis(self.d0)
+        if k0.select(rows=free_columns(self.d0)) != Matrix.identity(self.J.field, k0.ncols):
+            raise AssertionError("kernel basis is not the identity on its free coordinates")
+        out = [_quotient_result(self, 0, k0, range(k0.ncols), 0)]
+        for degree, prev, nxt in ((1, self.d0, self.d1), (2, self.d1, self.w)):
+            out.append(_quotient_result(self, degree, kernel_basis(nxt), _transversal(prev, nxt), prev.rank()))
+        return tuple(out)
 
 
 def cochain_maps(cx: CotangentComplex, J: FiniteModule) -> CochainMaps:
@@ -226,13 +230,7 @@ class TModuleResult:
 
 
 def _quotient_result(
-    B: PresentedAlgebra,
-    J: FiniteModule,
-    degree: int,
-    cocycles: Matrix,
-    picked: Sequence[int],
-    cob_rank: int,
-    maps: CochainMaps,
+    maps: CochainMaps, degree: int, cocycles: Matrix, picked: Sequence[int], cob_rank: int
 ) -> TModuleResult:
     """The quotient of the cocycles (the columns of a kernel basis) by
     coboundaries of rank cob_rank, with the picked columns as its
@@ -241,7 +239,7 @@ def _quotient_result(
     if len(picked) != dim:
         raise AssertionError("transversal size disagrees with the rank count")
     reps = tuple(map(tuple, cocycles.select(cols=picked).transpose().to_rows()))
-    return TModuleResult(B, J, degree, dim, reps, cocycles.ncols, cob_rank, maps)
+    return TModuleResult(maps.complex.B, maps.J, degree, dim, reps, cocycles.ncols, cob_rank, maps)
 
 
 def _transversal(prev: Matrix, nxt: Matrix) -> List[int]:
@@ -264,23 +262,6 @@ def t_modules(B: PresentedAlgebra, J: FiniteModule) -> Tuple[TModuleResult, TMod
     """T^0, T^1, T^2 of B over its base with coefficients in J, computed
     once per (B, J) and kept with its cochain maps."""
     return cochain_maps(cotangent_complex(B), J).cohomology
-
-
-def _cohomology(maps: CochainMaps) -> Tuple[TModuleResult, TModuleResult, TModuleResult]:
-    """One reduction per differential gives its rank and the kernel of
-    the next, and one more per degree 1 and 2 picks the representatives."""
-    B, J = maps.complex.B, maps.J
-    k0 = kernel_basis(maps.d0)
-    if k0.select(rows=free_columns(maps.d0)) != Matrix.identity(J.field, k0.ncols):
-        raise AssertionError("kernel basis is not the identity on its free coordinates")
-    res0 = _quotient_result(B, J, 0, k0, range(k0.ncols), 0, maps)
-
-    k1 = kernel_basis(maps.d1)
-    res1 = _quotient_result(B, J, 1, k1, _transversal(maps.d0, maps.d1), maps.d0.rank(), maps)
-
-    k2 = kernel_basis(maps.w)
-    res2 = _quotient_result(B, J, 2, k2, _transversal(maps.d1, maps.w), maps.d1.rank(), maps)
-    return res0, res1, res2
 
 
 def t_module(B: PresentedAlgebra, J: FiniteModule, degree: int) -> TModuleResult:

@@ -745,8 +745,7 @@ class BaseDeformationProblem:
         # alpha must be a cocycle for the base over the ground field,
         # which is exactly the condition that the base extension exists
         flat = [c for vec in self.alpha for c in vec]
-        a_maps = cochain_maps(cotangent_complex(A), I)
-        if not CohomologyClass(A, I, 1, tuple(flat)).is_cocycle_of(a_maps):
+        if not CohomologyClass(A, I, 1, tuple(flat)).is_cocycle_of(cochain_maps(cotangent_complex(A), I)):
             raise ValueError("alpha is not a cocycle: no base extension has these values")
         # phi must intertwine the base actions
         for v in range(B.n_base):
