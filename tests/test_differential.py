@@ -82,6 +82,23 @@ def test_derivation_kills_relations(any_field):
             assert vec_is_zero(any_field, D.apply(r))
 
 
+def test_a_wrong_kept_d0_is_caught(any_field):
+    # derivation_space reads D0 off the maps kept for (B, J); a zero D0
+    # makes every vector a kernel vector, and x -> 1, y -> 0 is not a
+    # derivation of k[x,y]/(x^2, xy, y^2) into B (it sends xy to y)
+    import dataclasses
+
+    from defalg.cotangent import cochain_maps, cotangent_complex
+
+    B = fat_point(any_field)
+    J = FiniteModule.regular(B)
+    cx = cotangent_complex(B)
+    maps = cochain_maps(cx, J)
+    cx._maps[J] = dataclasses.replace(maps, d0=Matrix.zeros(any_field, maps.d0.nrows, maps.d0.ncols))
+    with pytest.raises(AssertionError, match="kernel vector is not a derivation"):
+        derivation_space(B, J)
+
+
 def test_base_linearity():
     # derivations over the base kill the base generators by definition
     B = make_algebra(GF(2), ["x"], ["x^2 - s"], base_gens=["s"], base_relations=["s^2"])
